@@ -315,23 +315,6 @@ class ClassReport:
         return [i for i, row in enumerate(self.verdicts) if all(row)]
 
 
-def _class_weight(spec, gi, k, squared):
-    if spec.is_discrete:
-        def weight(x):
-            base = rising_q(spec.q, k, x) if k else np.ones_like(x)
-            diff = forward_difference(gi, k, x) if k else np.asarray(gi(x), dtype=float)
-            return base * (diff * diff if squared else np.abs(diff))
-    else:
-        def weight(x):
-            base = spec.q(x) ** k if k else np.ones_like(x)
-            if k == 0:
-                dv = np.asarray(gi(x), dtype=float)
-            else:
-                dv = np.asarray(gi.derivative_value(k, x), dtype=float)
-            return base * (dv * dv if squared else np.abs(dv))
-    return weight
-
-
 def check_class(spec: Spec, g: FunctionTuple, n: int, class_name: str,
                 cfg: ex.EngineConfig | None = None) -> ClassReport:
     """Numerical membership check for the Gram class ('H') or the
@@ -339,27 +322,39 @@ def check_class(spec: Spec, g: FunctionTuple, n: int, class_name: str,
 
     'H' requires E[w_k (d^k g)^2] < infinity for k = 0..n; 'B' requires
     finite variance and E[w_k |d^k g|] < infinity for k = 0..n.  Finiteness
-    is judged by stabilization of truncated expectations over an expanding
-    window ladder.
+    is judged by stabilization of truncated expectations over one expanding
+    window ladder: w_k and every d^k g_i are evaluated once on its nodes and
+    all p (n + 1) integrands are classified together.
     """
     cfg = cfg or ex.EngineConfig()
     if class_name not in ("H", "B"):
         raise ValueError("class must be 'H' or 'B'")
     squared = class_name == "H"
-    verdicts, ratios = [], []
-    for gi in g:
-        row_v, row_r = [], []
+    ladder = ex.Ladder.build(spec, cfg)
+    nodes = _Grid(ladder.x, ladder.w)
+    root_w = np.sqrt(ladder.w)
+    rows = []
+    # divergent integrands are fed on purpose; inf is a verdict, not a bug
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n + 1):
-            sq = squared or k == 0  # the B class still needs Var[g] < inf
-            probe = ex.probe(spec, _class_weight(spec, gi, k, sq), cfg)
-            row_v.append(probe.finite)
-            row_r.append(probe.decay_ratio)
-        verdicts.append(tuple(row_v))
-        ratios.append(tuple(row_r))
+            base = nodes.weight_k(spec, k)
+            d = nodes.deriv_values(spec, g, k)
+            if squared or k == 0:  # the B class still needs Var[g] < inf
+                # the node weight goes inside the square, as in _gram, so
+                # a weighted square overflows only where it is itself huge
+                u = root_w * d
+                rows.append(base * (u * u))
+            else:
+                rows.append(ladder.w * (base * np.abs(d)))
+    probes = ladder.classify(np.vstack(rows))
+    verdicts = tuple(tuple(probes[k * g.p + i].finite for k in range(n + 1))
+                     for i in range(g.p))
+    ratios = tuple(tuple(probes[k * g.p + i].decay_ratio for k in range(n + 1))
+                   for i in range(g.p))
     implies = False
     if squared and all(all(row) for row in verdicts):
         implies = moment_finiteness(spec, n, cfg)
-    return ClassReport(class_name, n, tuple(verdicts), tuple(ratios), implies)
+    return ClassReport(class_name, n, verdicts, ratios, implies)
 
 
 # ---------------------------------------------------------------------------

@@ -73,9 +73,6 @@ class _Exp(_Node):
     def deriv(self):
         return _Scaled(self.a, _Exp(self.a, self.b))
 
-    def to_json(self):
-        return {"expr": f"exp({_affine_str(self.a, self.b)})"}
-
     def __repr__(self):
         return f"exp({_affine_str(self.a, self.b)})"
 
@@ -91,9 +88,6 @@ class _Sin(_Node):
 
     def deriv(self):
         return _Scaled(self.a, _Sin(self.a, self.b, self.phase + 0.5 * math.pi))
-
-    def to_json(self):
-        return {"expr": repr(self)}
 
     def __repr__(self):
         k = round(self.phase / (0.5 * math.pi)) % 4
@@ -114,9 +108,6 @@ class _Log(_Node):
         # d/dx log(ax+b) = a / (ax+b)
         return _Scaled(self.a, _Reciprocal(self.a, self.b, 1))
 
-    def to_json(self):
-        return {"expr": repr(self)}
-
     def __repr__(self):
         return f"log({_affine_str(self.a, self.b)})"
 
@@ -132,9 +123,6 @@ class _Reciprocal(_Node):
     def deriv(self):
         return _Scaled(-self.m * self.a, _Reciprocal(self.a, self.b, self.m + 1))
 
-    def to_json(self):
-        return {"expr": repr(self)}
-
     def __repr__(self):
         return f"({_affine_str(self.a, self.b)})^(-{self.m})"
 
@@ -148,9 +136,6 @@ class _Scaled(_Node):
 
     def deriv(self):
         return _Scaled(self.c, self.node.deriv())
-
-    def to_json(self):
-        return {"expr": repr(self)}
 
     def __repr__(self):
         return f"{self.c!r}*{self.node!r}"
@@ -170,9 +155,6 @@ class _Sum(_Node):
     def deriv(self):
         return _Sum([t.deriv() for t in self.terms])
 
-    def to_json(self):
-        return {"expr": repr(self)}
-
     def __repr__(self):
         return " + ".join(repr(t) for t in self.terms)
 
@@ -190,9 +172,6 @@ class _Product(_Node):
             _Product(self.left.deriv(), self.right),
             _Product(self.left, self.right.deriv()),
         ])
-
-    def to_json(self):
-        return {"expr": repr(self)}
 
     def __repr__(self):
         return f"({self.left!r})*({self.right!r})"
@@ -222,6 +201,7 @@ class SmoothFunction:
         self._derivs = [node]
         self.label = label if label is not None else repr(node)
         self.max_order = max_order
+        self._expr = None  # grammar text, kept by parse_function
 
     def __call__(self, x):
         return self._derivs[0].value(x)
@@ -244,6 +224,8 @@ class SmoothFunction:
         return node.degree if isinstance(node, _Poly) else None
 
     def to_json(self):
+        if self._expr is not None:
+            return {"expr": self._expr}
         return self._derivs[0].to_json()
 
     def __repr__(self):
@@ -536,7 +518,9 @@ def parse_function(text: str, max_order: int | None = None) -> SmoothFunction:
         nodes.append(_Poly(poly))
     nodes.extend(others)
     node = nodes[0] if len(nodes) == 1 else _Sum(nodes)
-    return SmoothFunction(node, label=text, max_order=max_order)
+    f = SmoothFunction(node, label=text, max_order=max_order)
+    f._expr = text
+    return f
 
 
 def load_function_tuple(doc) -> FunctionTuple:

@@ -71,11 +71,7 @@ def _load_config(args):
 
     def from_doc(key, loader):
         value = doc.get(key)
-        if value is None:
-            return None
-        if isinstance(value, str):
-            return loader(value)
-        return loader(value)
+        return None if value is None else loader(value)
 
     spec = _parse_dist(args.dist) if getattr(args, "dist", None) \
         else from_doc("distribution", load_distribution)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -211,7 +212,8 @@ def _table_sampler(spec_pmf, support, mass_tol=1e-15):
 
     def sampler(u):
         if "cdf" not in state:
-            holder = _SupportView(spec_pmf, support)
+            # the spec does not exist yet; finite lower ends need no mean
+            holder = SimpleNamespace(pmf=spec_pmf, support=support)
             js, _ = ex.truncated_support(holder, mass_tol)
             pm = np.asarray(spec_pmf(js), dtype=float)
             state["js"] = js
@@ -220,15 +222,6 @@ def _table_sampler(spec_pmf, support, mass_tol=1e-15):
         return state["js"][np.clip(idx, 0, len(state["js"]) - 1)]
 
     return sampler
-
-
-class _SupportView:
-    # minimal duck-typed spec for truncated_support before the real spec exists
-    def __init__(self, pmf, support):
-        self.pmf = pmf
-        self.support = support
-        self.mean = 0.5 * (support[0] + support[1]) if math.isfinite(support[1]) \
-            else support[0]
 
 
 def _poisson(params):
@@ -561,29 +554,6 @@ def moment_finiteness(spec: Spec, n: int, cfg: ex.EngineConfig | None = None,
 
 
 # ---------------------------------------------------------------------------
-# grid health checks used by the invariants test-suite
-# ---------------------------------------------------------------------------
-
-def q_min_on_grid(spec: ContinuousIP, cfg: ex.EngineConfig | None = None) -> float:
-    """Minimum of q over the quadrature nodes actually used downstream."""
-    cfg = cfg or ex.EngineConfig()
-    x, _ = ex.continuous_grid(spec, cfg)
-    return float(np.min(spec.q(x)))
-
-
-def rising_q_min(spec: DiscreteCO, n: int,
-                 cfg: ex.EngineConfig | None = None) -> float:
-    """Minimum of q^[k] over the truncated support for k = 0..n."""
-    from .calculus import rising_q
-    cfg = cfg or ex.EngineConfig()
-    js, _ = ex.truncated_support(spec, cfg.trunc_tol)
-    worst = math.inf
-    for k in range(n + 1):
-        worst = min(worst, float(np.min(rising_q(spec.q, k, js.astype(float)))))
-    return worst
-
-
-# ---------------------------------------------------------------------------
 # JSON documents
 # ---------------------------------------------------------------------------
 
@@ -660,9 +630,13 @@ def load_distribution(doc) -> Spec:
 
 
 def spec_to_json(spec: Spec) -> dict:
+    """Descriptive document of a spec; catalog members also carry the
+    ``family`` key, so :func:`load_distribution` reads the document back."""
     doc = {"kind": "discrete" if spec.is_discrete else "continuous",
            "name": spec.name, "params": spec.params, "mean": spec.mean,
            "support": [None if math.isinf(s) else s for s in spec.support]}
+    if spec.name in _CATALOG:
+        doc["family"] = spec.name
     if spec.q is not None:
         doc["quadratic"] = list(spec.q.as_tuple())
     return doc

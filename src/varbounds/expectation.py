@@ -317,6 +317,8 @@ _STABLE_RTOL = 1e-9
 
 def _classify(values) -> FinitenessProbe:
     values = [float(v) for v in values]
+    if len(values) == 1:  # a finite discrete support is summed exactly
+        return FinitenessProbe(True, tuple(values), 0.0)
     if not np.all(np.isfinite(values)):
         return FinitenessProbe(False, tuple(values), math.inf)
     incs = np.diff(values)
@@ -331,98 +333,148 @@ def _classify(values) -> FinitenessProbe:
     return FinitenessProbe(ratio <= _DECAY_RATIO_MAX, tuple(values), ratio)
 
 
-def _segment_integral(density, weight, lo, hi, n_nodes=48):
-    s, glw = gauss_legendre(n_nodes)
-    x = 0.5 * (hi - lo) * s + 0.5 * (hi + lo)
-    w = glw * 0.5 * (hi - lo) * density(x)
-    keep = w != 0.0
-    if not np.any(keep):
-        return 0.0
-    # probes feed divergent weights on purpose; inf is a verdict, not a bug
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(weight(x[keep]), dtype=float)
-        return float(np.sum(w[keep] * vals))
+def _underflow_edges(x, w, support) -> np.ndarray:
+    """Indices of the outermost positive-weight nodes toward each infinite
+    end of ``support`` past which some node weight underflowed to zero."""
+    live = np.flatnonzero(w > 0.0)
+    edges = []
+    for end, pick in zip(support, (np.argmin, np.argmax)):
+        if math.isinf(end) and live.size:
+            i = live[pick(x[live])]
+            if np.any((w == 0.0) & ((x - x[i]) * math.copysign(1.0, end) > 0.0)):
+                edges.append(i)
+    return np.asarray(edges, dtype=int)
 
 
-def probe_continuous(spec, weight, cfg: EngineConfig | None = None) -> FinitenessProbe:
-    """Stabilization ladder for E[weight(X)] with weight >= 0.
+class Ladder:
+    """The stabilization ladder of one spec: nodes ``x``, node weights ``w``
+    and the rung boundaries.
 
-    Windows approach finite endpoints by factor-10 margin shrinks and infinite
-    endpoints by factor-4 geometric expansion; each rung adds shell integrals
-    to the previous value, so the ladder is monotone for nonnegative weights.
+    ``sum(w * phi(x))`` over a rung's nodes is the truncated expectation of
+    phi on that rung's window.  Continuous members use a 96-node bulk
+    segment plus 48-node shells, reaching infinite endpoints by factor-4
+    geometric expansion and finite endpoints by factor-10 margin shrinks;
+    each rung adds its shells to the previous rung (``cumulative``), so the
+    ladder is monotone for nonnegative integrands.  Discrete members use the
+    underflow-deep support with nested integer windows, each summed whole.
+    ``rungs[m]`` lists the node slices summed for rung m, in order.
+    Toward an infinite end the windows run past the point where the density
+    or pmf underflows; ``edge`` holds the last nodes before that point.
     """
-    cfg = cfg or EngineConfig()
-    alpha, omega = spec.support
-    width = omega - alpha if (math.isfinite(alpha) and math.isfinite(omega)) else None
 
-    # bulk scale for infinite directions: truncated second moment is always finite
-    if width is None:
-        x0, w0 = continuous_grid(spec, cfg, 128)
-        mu = spec.mean
-        sigma = math.sqrt(max(float(np.sum(w0 * (x0 - mu) ** 2)), 0.0))
-        scale = 1.0 + abs(mu) + min(sigma, 20.0)
+    def __init__(self, x, w, rungs, cumulative, edge):
+        self.x, self.w, self.rungs = x, w, rungs
+        self.cumulative, self.edge = cumulative, edge
 
-    def window(m):
-        if math.isfinite(alpha):
-            lo = alpha + (width if width is not None else 1.0) * 10.0 ** (-2 - m)
+    @classmethod
+    def build(cls, spec, cfg: EngineConfig) -> "Ladder":
+        if getattr(spec, "is_discrete", False):
+            return cls._discrete(spec, cfg)
+        return cls._continuous(spec, cfg)
+
+    @classmethod
+    def _continuous(cls, spec, cfg):
+        alpha, omega = spec.support
+        finite = math.isfinite(alpha) and math.isfinite(omega)
+        width = omega - alpha if finite else 1.0
+        if not finite:
+            # bulk scale for infinite directions: truncated second moment is
+            # always finite
+            x0, w0 = continuous_grid(spec, cfg, 128)
+            mu = spec.mean
+            sigma = math.sqrt(max(float(np.sum(w0 * (x0 - mu) ** 2)), 0.0))
+            scale = 1.0 + abs(mu) + min(sigma, 20.0)
+
+        def window(m):
+            if math.isfinite(alpha):
+                lo = alpha + width * 10.0 ** (-2 - m)
+            else:
+                lo = spec.mean - scale * 4.0 ** (m + 1)
+            if math.isfinite(omega):
+                hi = omega - width * 10.0 ** (-2 - m)
+            else:
+                hi = spec.mean + scale * 4.0 ** (m + 1)
+            return lo, hi
+
+        lo, hi = window(0)
+        segments, rung_segments = [(lo, hi, 96)], [(0,)]
+        for m in range(1, _LADDER_RUNGS):
+            nlo, nhi = window(m)
+            shells = [s for s in ((nlo, lo, 48), (hi, nhi, 48)) if s[1] > s[0]]
+            rung_segments.append(tuple(range(len(segments),
+                                             len(segments) + len(shells))))
+            segments += shells
+            lo, hi = nlo, nhi
+
+        xs, scales = [], []
+        for lo, hi, n_nodes in segments:
+            s, glw = gauss_legendre(n_nodes)
+            xs.append(0.5 * (hi - lo) * s + 0.5 * (hi + lo))
+            scales.append(glw * 0.5 * (hi - lo))
+        x = np.concatenate(xs)
+        w = np.concatenate(scales) * spec.density(x)
+        # nodes where the density underflows contribute exactly nothing and
+        # would turn inf * 0 into nan for growing integrands
+        keep = w != 0.0
+        ends = np.cumsum(keep)[np.cumsum([v.size for v in xs]) - 1]
+        bounds = [slice(int(a), int(b)) for a, b in zip([0, *ends], ends)]
+        rungs = tuple(tuple(bounds[i] for i in rung) for rung in rung_segments)
+        edge = np.cumsum(keep)[_underflow_edges(x, w, spec.support)] - 1
+        return cls(x[keep], w[keep], rungs, True, edge)
+
+    @classmethod
+    def _discrete(cls, spec, cfg):
+        alpha, omega = spec.support
+        if math.isfinite(alpha) and math.isfinite(omega):
+            js = np.arange(int(alpha), int(omega) + 1)
+            rungs = ((slice(0, js.size),),)
         else:
-            lo = spec.mean - scale * 4.0 ** (m + 1)
-        if math.isfinite(omega):
-            hi = omega - (width if width is not None else 1.0) * 10.0 ** (-2 - m)
-        else:
-            hi = spec.mean + scale * 4.0 ** (m + 1)
-        return lo, hi
+            js, _ = truncated_support(spec, cfg.trunc_tol, underflow=True)
+            center = int(round(spec.mean))
+            base = 8 + int(2 * (1 + abs(spec.mean)))
+            rungs = []
+            for m in range(_LADDER_RUNGS):
+                h = base * 4**m
+                lo = center - h if not math.isfinite(alpha) else int(alpha)
+                rungs.append((slice(int(np.searchsorted(js, lo, "left")),
+                                    int(np.searchsorted(js, center + h,
+                                                        "right"))),))
+        x, pm = js.astype(float), np.asarray(spec.pmf(js), dtype=float)
+        return cls(x, pm, tuple(rungs), False,
+                   _underflow_edges(x, pm, spec.support))
 
-    lo, hi = window(0)
-    total = _segment_integral(spec.density, weight, lo, hi, n_nodes=96)
-    values = [total]
-    for m in range(1, _LADDER_RUNGS):
-        nlo, nhi = window(m)
-        if nlo < lo:
-            total += _segment_integral(spec.density, weight, nlo, lo)
-        if nhi > hi:
-            total += _segment_integral(spec.density, weight, hi, nhi)
-        lo, hi = nlo, nhi
-        values.append(total)
-    return _classify(values)
+    def classify(self, contrib) -> list[FinitenessProbe]:
+        """One verdict per row of ``contrib``, the nonnegative integrand
+        times ``w`` at the nodes (shape rows x nodes).
 
-
-def probe_discrete(spec, weight, cfg: EngineConfig | None = None) -> FinitenessProbe:
-    """Stabilization ladder for E[weight(X)] over expanding integer windows.
-
-    The pmf and weight are evaluated once over the underflow-deep support;
-    rungs then reduce to index slicing.  A weight that outgrows the pmf's
-    decay shows up either as growing increments or as an overflow to inf,
-    both of which classify as divergent.
-    """
-    cfg = cfg or EngineConfig()
-    alpha, omega = spec.support
-    if math.isfinite(alpha) and math.isfinite(omega):
-        js = np.arange(int(alpha), int(omega) + 1)
-        val = float(np.sum(np.asarray(spec.pmf(js), dtype=float)
-                           * np.asarray(weight(js), dtype=float)))
-        return FinitenessProbe(True, (val,), 0.0)
-
-    js_all, _ = truncated_support(spec, cfg.trunc_tol, underflow=True)
-    pm = np.asarray(spec.pmf(js_all), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        contrib = pm * np.asarray(weight(js_all.astype(float)), dtype=float)
-    contrib = np.where(pm == 0.0, 0.0, contrib)
-
-    center = int(round(spec.mean))
-    base = 8 + int(2 * (1 + abs(spec.mean)))
-    values = []
-    for m in range(_LADDER_RUNGS):
-        h = base * 4**m
-        lo = center - h if not math.isfinite(alpha) else int(alpha)
-        hi = center + h
-        window = (js_all >= lo) & (js_all <= hi)
-        with np.errstate(invalid="ignore"):
-            values.append(float(np.sum(contrib[window])))
-    return _classify(values)
+        Past the underflow edge the integrand is unknown, so a row whose
+        contribution at an ``edge`` node is not negligible next to its total
+        was cut off while still growing, and counts as divergent.
+        """
+        contrib = np.where(self.w == 0.0, 0.0, np.atleast_2d(contrib))
+        values, total = [], 0.0
+        # probes feed divergent integrands on purpose; inf is a verdict
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rung in self.rungs:
+                total = total if self.cumulative else 0.0
+                for part in rung:
+                    total = total + contrib[:, part].sum(axis=1)
+                values.append(total)
+            if self.edge.size:
+                cut = (np.max(contrib[:, self.edge], axis=1)
+                       > _STABLE_RTOL * (1.0 + np.abs(total)))
+                values[-1] = np.where(cut, math.inf, total)
+        return [_classify(row) for row in np.column_stack(values)]
 
 
 def probe(spec, weight, cfg: EngineConfig | None = None) -> FinitenessProbe:
-    if getattr(spec, "is_discrete", False):
-        return probe_discrete(spec, weight, cfg)
-    return probe_continuous(spec, weight, cfg)
+    """Stabilization verdict for E[weight(X)] with weight >= 0.
+
+    ``weight`` is evaluated once on the nodes of the spec's ladder.  A weight
+    that outgrows the density's decay shows up either as growing increments
+    or as an overflow to inf, both of which classify as divergent.
+    """
+    ladder = Ladder.build(spec, cfg or EngineConfig())
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(weight(ladder.x), dtype=float)
+        return ladder.classify(ladder.w * vals)[0]

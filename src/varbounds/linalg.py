@@ -113,9 +113,6 @@ class SymMatrix:
         idx = np.array([i * p - i * (i - 1) // 2 for i in range(p)])
         return float(self._upper[idx].sum())
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.to_array()))
-
 
 def jacobi_eigenvalues(m: SymMatrix, vectors: bool = False):
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.

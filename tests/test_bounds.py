@@ -16,6 +16,7 @@ from varbounds.bounds import (bessel_coefficient, bound_report, check_class,
                               dispersion_matrix, matrix_A, matrix_B, matrix_H,
                               matrix_L, matrix_S, poincare_coefficient,
                               q_power_expectation)
+from varbounds.calculus import SmoothFunction
 from varbounds.errors import ClassMembershipError, SingularCoefficientError
 from tests.conftest import make_bernoulli_member
 
@@ -220,6 +221,115 @@ class TestClassChecks:
         spec = catalog("negative-binomial", {"r": 2, "theta": 0.4})
         report = check_class(spec, tuple_of("exp(x)"), 1, "H", cfg)
         assert not report.ok
+
+    def test_exponential_on_large_poisson_in_class(self, cfg):
+        # poisson(300) has every exponential moment; (d^k exp(0.35 x))^2
+        # alone overflows where the pmf is still positive, but the weighted
+        # square there is only about e^185
+        spec = catalog("poisson", {"lam": 300})
+        for cls in ("H", "B"):
+            assert check_class(spec, tuple_of("exp(0.35*x)"), 3, cls, cfg).ok
+
+    def test_slow_divergence_past_the_pmf_underflow(self, cfg):
+        # E[exp(0.8 X)] diverges for this member, since 0.45 e^0.8 > 1, but
+        # the terms grow so slowly that the pmf underflows first; the sum is
+        # cut off while still growing and must not count as finite
+        spec = catalog("negative-binomial", {"r": 2, "theta": 0.55})
+        report = check_class(spec, tuple_of("exp(0.4*x)"), 1, "H", cfg)
+        assert report.verdicts == ((False, False),)
+
+    def test_one_evaluation_per_function_and_order(self, cfg, monkeypatch):
+        calls = []
+        original = SmoothFunction.derivative_value
+
+        def counted(self, k, x):
+            calls.append((id(self), k))
+            return original(self, k, x)
+
+        monkeypatch.setattr(SmoothFunction, "derivative_value", counted)
+        g = tuple_of("x^3", "exp(0.4*x)", "x*sin(2*x)")
+        for cls in ("H", "B"):
+            calls.clear()
+            check_class(catalog("normal"), g, 3, cls, cfg)
+            assert sorted(calls) == sorted((id(gi), k) for gi in g
+                                           for k in (1, 2, 3))
+
+
+# every member x function pair of the table below, with the check_class
+# verdicts and decay ratios of orders k = 0..3 recorded from the per-probe
+# ladder (commit feb990b); pairs not listed are finite at every order with
+# vanishing increments (ratio 0.0)
+LADDER_MEMBERS = {
+    "normal": ("normal", {}),
+    "gamma": ("gamma", {"shape": 2.0}),
+    "beta": ("beta", {"a": 2.0, "b": 3.0}),
+    "poisson": ("poisson", {"lam": 4.0}),
+    "binomial": ("binomial", {"n": 12, "theta": 0.35}),
+    "negative-binomial": ("negative-binomial", {"r": 2.0, "theta": 0.55}),
+    "hypergeometric": ("hypergeometric", {"N": 30, "K": 12, "n": 9}),
+    "beta(0.5,0.5)": ("beta", {"a": 0.5, "b": 0.5}),
+    "beta(0.3,4)": ("beta", {"a": 0.3, "b": 4}),
+    "gamma(0.4)": ("gamma", {"shape": 0.4}),
+    "heavy-tail": None,
+}
+LADDER_FUNCTIONS = ("x^3", "exp(0.4*x)", "sin(x)", "x*cos(x)")
+_T, _F, _INF = True, False, math.inf
+
+
+def _both(verdicts, ratios):
+    return {"H": (verdicts, ratios), "B": (verdicts, ratios)}
+
+
+LADDER_TABLE = {
+    ("beta(0.5,0.5)", "x^3"): _both((_T,) * 4, (0.316235155677337, 0, 0, 0)),
+    ("beta(0.5,0.5)", "exp(0.4*x)"):
+        _both((_T,) * 4, (0.3162275026540162, 0, 0, 0)),
+    ("beta(0.5,0.5)", "sin(x)"):
+        _both((_T,) * 4, (0.31622881965662525, 0, 0, 0)),
+    ("beta(0.5,0.5)", "x*cos(x)"):
+        _both((_T,) * 4, (0.31622559648808396, 0, 0, 0)),
+    ("beta(0.3,4)", "exp(0.4*x)"):
+        _both((_T,) * 4, (0.5011915945448202, 0, 0, 0)),
+    ("gamma(0.4)", "exp(0.4*x)"):
+        _both((_T,) * 4, (0.39810749717310545, 0, 0, 0)),
+    ("negative-binomial", "exp(0.4*x)"): {
+        "H": ((_F,) * 4, (_INF,) * 4),
+        "B": ((_F, _T, _T, _T), (_INF, 0, 0, 0))},
+    ("heavy-tail", "x^3"): {
+        "H": ((_F,) * 4, (10.079422596032883, 10.079402272202751,
+                          10.079381948375522, 10.079361624551188)),
+        "B": ((_F, _T, _F, _F), (10.079422596032883, 0.6299643777856759,
+                                 2.519846707000954, 10.079361624551188))},
+    ("heavy-tail", "exp(0.4*x)"): _both((_F,) * 4, (_INF,) * 4),
+    ("heavy-tail", "sin(x)"): {
+        "H": ((_T, _T, _T, _F), (0, 0, 0.5930098467103173,
+                                 10.004950971851999)),
+        "B": ((_T, _T, _T, _F), (0, 0, 0.6087300817760848,
+                                 10.074138754285588))},
+    ("heavy-tail", "x*cos(x)"): {
+        "H": ((_T, _T, _F, _F), (0.03980655365202339, 0.5935006905401373,
+                                 10.004491727006608, 163.1421613073762)),
+        "B": ((_T, _T, _F, _F), (0.03980655365202339, 0.15351176691165636,
+                                 2.5216778372564925, 40.39204211275901))},
+}
+
+
+@pytest.mark.parametrize("member", list(LADDER_MEMBERS))
+@pytest.mark.parametrize("expr", LADDER_FUNCTIONS)
+def test_class_ladder_table(member, expr, cfg, heavy_member):
+    entry = LADDER_MEMBERS[member]
+    spec = heavy_member if entry is None else catalog(*entry)
+    expected = LADDER_TABLE.get((member, expr),
+                                _both((_T,) * 4, (0.0,) * 4))
+    for cls in ("H", "B"):
+        report = check_class(spec, tuple_of(expr), 3, cls, cfg)
+        verdicts, ratios = expected[cls]
+        assert report.verdicts == (verdicts,)
+        for got, want in zip(report.ratios[0], ratios):
+            if math.isfinite(want):
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+            else:
+                assert got == want
 
 
 class TestBoundReport:

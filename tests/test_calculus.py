@@ -171,16 +171,24 @@ class TestParser:
     def test_json_round_trip(self):
         doc = {"functions": [{"poly": [0.0, 1.0]},
                              {"expr": "exp(0.5*x)"},
-                             {"expr": "x^2"}]}
+                             {"expr": "x^2"},
+                             {"expr": "x*sin(2*x)"},
+                             {"expr": "x^2*exp(0.25*x)"},
+                             {"expr": "2 - 0.5*x + x*cos(2*x)"}]}
         tup = load_function_tuple(doc)
-        assert tup.p == 3
+        assert tup.p == 6
         assert tup[0](2.0) == pytest.approx(2.0)
         assert tup[1](0.0) == pytest.approx(1.0)
         redoc = tup.to_json()
+        # parsed functions keep their text; polynomials keep coefficients
+        assert redoc == {"functions": [{"poly": [0.0, 1.0]}]
+                         + doc["functions"][1:]}
         tup2 = load_function_tuple(redoc)
         xs = np.linspace(-1, 1, 5)
         for g1, g2 in zip(tup, tup2):
-            np.testing.assert_allclose(g1(xs), g2(xs))
+            for k in range(4):
+                np.testing.assert_array_equal(g1.derivative_value(k, xs),
+                                              g2.derivative_value(k, xs))
 
     def test_tuple_requires_entry(self):
         with pytest.raises(ValueError):

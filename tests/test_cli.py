@@ -206,6 +206,33 @@ class TestChain:
         a = np.array(payload["runs"][0]["A"])
         assert np.max(np.abs(a)) < 1e-9
 
+    @pytest.mark.parametrize("dist", ["normal:mean=0.2,var=1.1",
+                                      "poisson:lam=3"])
+    def test_report_inputs_load_back(self, dist, tmp_path):
+        # a chain report's distribution and functions are valid inputs, and
+        # running bounds on them reproduces the report's verdicts
+        fns = tmp_path / "g.json"
+        fns.write_text(json.dumps({"functions": [
+            {"expr": "x"}, {"expr": "x*sin(2*x)"},
+            {"expr": "x^2*exp(0.25*x)"}]}))
+        chain_json = str(tmp_path / "chain.json")
+        assert main(["chain", "--dist", dist, "--functions", str(fns),
+                     "--n", "2", "--out-json", chain_json, "--quiet"]) == 0
+        chain = json.loads(open(chain_json).read())
+        dist_path = tmp_path / "dist.json"
+        dist_path.write_text(json.dumps(chain["distribution"]))
+        fns_back = tmp_path / "g_back.json"
+        fns_back.write_text(json.dumps(chain["functions"]))
+        out_json = str(tmp_path / "bounds.json")
+        assert main(["bounds", "--dist", str(dist_path),
+                     "--functions", str(fns_back), "--n", "1,2",
+                     "--out-json", out_json, "--quiet"]) == 0
+        replay = json.loads(open(out_json).read())
+        assert replay["distribution"] == chain["distribution"]
+        assert replay["functions"] == chain["functions"]
+        assert [r["verdicts"] for r in replay["runs"]] == \
+            [r["verdicts"] for r in chain["runs"]]
+
 
 class TestMcVerify:
     def test_poisson_within_slack(self, fns_path, capsys):

@@ -1,0 +1,44 @@
+"""Smoke test: every demo script runs to completion in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+CLASS_MEMBERSHIP_OUTPUT = """\
+beta(2.0,3.0): logit in class
+beta(0.5,0.5): logit fails at (i,k)=[(0, 1)]
+beta(5.0,1.0): logit fails at (i,k)=[(0, 1)]
+
+beta(2.0,3.0): kept 3 of 3 functions (dropped []), verdict PASS
+beta(0.5,0.5): kept 2 of 3 functions (dropped [2]), verdict PASS
+
+heavy-tail member (delta=0.3): x^2 in class
+heavy-tail member (delta=0.3): x^3 diverges
+"""
+
+
+def run_demo(path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    return subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_all_demos_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path):
+    result = run_demo(path)
+    assert result.returncode == 0, result.stderr
+    if path.name == "04_class_membership.py":
+        assert result.stdout == CLASS_MEMBERSHIP_OUTPUT

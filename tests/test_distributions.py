@@ -13,7 +13,8 @@ import pytest
 from varbounds import (ContinuousIP, DiscreteCO, Quadratic, catalog,
                        infer_quadratic, load_distribution, moment_finiteness,
                        spec_to_json, verify_membership)
-from varbounds.distributions import q_min_on_grid, rising_q_min
+from varbounds.bounds import _Grid
+from varbounds.calculus import rising_q
 from varbounds.errors import (InvalidParameterError, RankDeficientFitError,
                               UnknownDistributionError)
 
@@ -175,13 +176,17 @@ class TestGridHealth:
                                              if c[0] in ("normal", "gamma",
                                                          "beta")])
     def test_q_positive_on_quadrature_grid(self, name, params, cfg):
-        assert q_min_on_grid(catalog(name, params), cfg) > 0.0
+        # on the nodes every matrix is assembled on
+        spec = catalog(name, params)
+        assert np.min(spec.q(_Grid.build(spec, cfg).x)) > 0.0
 
     @pytest.mark.parametrize("name,params", [c for c in CATALOG_CASES
                                              if c[0] not in ("normal", "gamma",
                                                              "beta")])
     def test_rising_product_nonnegative(self, name, params, cfg):
-        assert rising_q_min(catalog(name, params), 3, cfg) >= -1e-12
+        spec = catalog(name, params)
+        x = _Grid.build(spec, cfg).x
+        assert min(np.min(rising_q(spec.q, k, x)) for k in range(4)) >= -1e-12
 
 
 class TestQuadratic:
@@ -238,3 +243,13 @@ class TestJsonDocuments:
         assert doc["support"] == [0.0, 1.0]
         doc_n = spec_to_json(catalog("normal"))
         assert doc_n["support"] == [None, None]
+        # catalog members load back; custom members have no family to name
+        for name, params in CATALOG_CASES:
+            spec = catalog(name, params)
+            doc = json.loads(json.dumps(spec_to_json(spec)))
+            assert doc["family"] == spec.name
+            back = load_distribution(doc)
+            assert (back.name, back.params, back.mean, back.q) == \
+                (spec.name, spec.params, spec.mean, spec.q)
+        custom = ContinuousIP(0.5, None, (0.0, 1.0), lambda x: np.ones_like(x))
+        assert "family" not in spec_to_json(custom)

@@ -223,6 +223,21 @@ class TestProbes:
         assert not probe(spec, lambda k: np.exp(1.0 * k), cfg).finite
         assert probe(spec, lambda k: np.exp(0.3 * k), cfg).finite
 
+    @pytest.mark.parametrize("spec", [
+        catalog("normal"), catalog("gamma", {"shape": 2}),
+        catalog("beta", {"a": 2, "b": 3}), catalog("poisson", {"lam": 3}),
+        catalog("binomial", {"n": 12, "theta": 0.35})],
+        ids=lambda spec: spec.name)
+    def test_weight_evaluated_once(self, spec, cfg):
+        calls = []
+
+        def weight(x):
+            calls.append(np.size(x))
+            return x * x
+
+        assert probe(spec, weight, cfg).finite
+        assert len(calls) == 1
+
 
 class TestConfig:
     def test_validation(self):
