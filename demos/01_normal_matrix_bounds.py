@@ -9,7 +9,7 @@ functions are polynomials of degree <= n.
 import numpy as np
 
 from varbounds import (EngineConfig, FunctionTuple, bound_report, catalog,
-                       dispersion_matrix, jacobi_eigenvalues, matrix_H,
+                       dispersion_matrix, eigenvalues, matrix_H,
                        parse_function)
 
 cfg = EngineConfig()
@@ -26,7 +26,7 @@ print(np.array_str(d.to_array(), precision=6, suppress_small=True))
 print("first derivative Gram matrix H:")
 print(np.array_str(h.to_array(), precision=6, suppress_small=True))
 print("eigenvalues of H - D (all must be >= 0):",
-      np.round(jacobi_eigenvalues(gap), 8))
+      np.round(eigenvalues(gap), 8))
 
 # --- higher orders: the chain for a single cubic ------------------------
 cubic = FunctionTuple([parse_function("x^3")])

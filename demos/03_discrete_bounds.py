@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from varbounds import (DiscreteCO, EngineConfig, FunctionTuple, Quadratic,
-                       bound_report, jacobi_eigenvalues, parse_function)
+                       bound_report, eigenvalues, parse_function)
 
 cfg = EngineConfig()
 LOG2 = math.log(2.0)
@@ -50,4 +50,4 @@ for tw in report.bessel_weights:
 print("lower-bound matrix L_2:")
 print(np.array_str(report.L.to_array(), precision=6, suppress_small=True))
 print("eigenvalues of D - L_2:",
-      np.round(jacobi_eigenvalues(report.D - report.L), 8))
+      np.round(eigenvalues(report.D - report.L), 8))

@@ -10,9 +10,9 @@ toolkit.
 """
 
 from .bounds import (BoundReport, ClassReport, TermWeight, bessel_coefficient,
-                     bound_report, check_class, dispersion_matrix, matrix_A,
-                     matrix_B, matrix_H, matrix_L, matrix_S,
-                     poincare_coefficient, q_power_expectation)
+                     bound_report, bound_reports, check_class,
+                     dispersion_matrix, matrix_A, matrix_B, matrix_H, matrix_L,
+                     matrix_S, poincare_coefficient, q_power_expectation)
 from .calculus import (FunctionTuple, SmoothFunction, derivative_value,
                        forward_difference, load_function_tuple, parse_function,
                        polynomial, rising_q)
@@ -28,14 +28,14 @@ from .errors import (BracketCeilingError, ClassMembershipError,
 from .expectation import (EngineConfig, ExpectationResult, expect,
                           expect_continuous, expect_discrete, expect_mc,
                           sample, splitmix64_uniforms)
-from .linalg import (PsdVerdict, SymMatrix, is_psd, jacobi_eigenvalues,
-                     loewner_leq, spectral_radius)
+from .linalg import (PsdVerdict, SymMatrix, eigenvalues, is_psd, loewner_leq,
+                     spectral_radius)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "ClassReport", "TermWeight", "bessel_coefficient",
-    "bound_report", "check_class", "dispersion_matrix", "matrix_A", "matrix_B",
+    "bound_report", "bound_reports", "check_class", "dispersion_matrix", "matrix_A", "matrix_B",
     "matrix_H", "matrix_L", "matrix_S", "poincare_coefficient",
     "q_power_expectation",
     "FunctionTuple", "SmoothFunction", "derivative_value", "forward_difference",
@@ -49,6 +49,6 @@ __all__ = [
     "VarboundsError",
     "EngineConfig", "ExpectationResult", "expect", "expect_continuous",
     "expect_discrete", "expect_mc", "sample", "splitmix64_uniforms",
-    "PsdVerdict", "SymMatrix", "is_psd", "jacobi_eigenvalues", "loewner_leq",
+    "PsdVerdict", "SymMatrix", "eigenvalues", "is_psd", "loewner_leq",
     "spectral_radius",
 ]

@@ -21,7 +21,7 @@ members) the k-th summand is the null matrix by convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,8 +29,9 @@ from . import expectation as ex
 from .calculus import FunctionTuple, SmoothFunction, forward_difference, rising_q
 from .distributions import Spec, moment_finiteness
 from .errors import (ClassMembershipError, InvalidParameterError,
-                     SingularCoefficientError)
-from .linalg import PsdVerdict, SymMatrix, is_psd, loewner_leq, spectral_radius
+                     NonFiniteIntegrandError, SingularCoefficientError)
+from .linalg import (SymMatrix, eigenvalues, is_psd, loewner_leq,
+                     spectral_radius)
 
 COEFFICIENT_FACTOR_GUARD = 1e-10
 NULL_EXPECTATION_TOL = 1e-12
@@ -42,61 +43,90 @@ DEFAULT_TOL_SCALE = 1e-6
 # ---------------------------------------------------------------------------
 
 class _Grid:
-    """Shared evaluation grid: points x, nonnegative weights w with
-    sum(w * phi(x)) ~ E[phi(X)], plus the tail bound for discrete members."""
+    """Evaluation grid of one spec: points x, nonnegative weights w with
+    sum(w * phi(x)) ~ E[phi(X)], plus the tail bound for discrete members.
+    The weight w_k, E[w_k] and each row d^k g_i are evaluated on it once,
+    when first asked for."""
 
-    def __init__(self, x, w, tail=0.0):
-        self.x = x
-        self.w = w
-        self.tail = tail
+    def __init__(self, spec, x, w, tail=0.0):
+        self.spec, self.x, self.w, self.tail = spec, x, w, tail
+        self._w, self._eq, self._d = {}, {}, {}
 
     @classmethod
-    def build(cls, spec, cfg, n_nodes=None):
+    def build(cls, spec, cfg=None, n_nodes=None):
+        cfg = cfg or ex.EngineConfig()
         if spec.is_discrete:
             js, tail = ex.truncated_support(spec, cfg.trunc_tol)
-            x = js.astype(float)
-            return cls(x, np.asarray(spec.pmf(js), dtype=float), tail)
+            return cls(spec, js.astype(float),
+                       np.asarray(spec.pmf(js), dtype=float), tail)
         x, w = ex.continuous_grid(spec, cfg, n_nodes)
-        return cls(x, w)
+        return cls(spec, x, w)
 
-    def weight_k(self, spec, k):
+    def q_power(self, k):
         """q^k (continuous) or the rising product q^[k] (discrete) at the
-        grid points, clipped at zero; genuinely negative weights mean the
-        spec violates its family contract."""
+        grid points."""
         if k == 0:
-            qk = np.ones_like(self.x)
-        elif spec.is_discrete:
-            qk = rising_q(spec.q, k, self.x)
-        else:
-            qk = spec.q(self.x) ** k
-        scale = float(np.max(np.abs(qk))) or 1.0
-        if float(np.min(qk)) < -1e-12 * scale:
-            raise ClassMembershipError(
-                f"weight of order {k} is negative on the support grid; "
-                f"the spec is outside its family")
-        return np.maximum(qk, 0.0)
+            return np.ones_like(self.x)
+        if self.spec.is_discrete:
+            return rising_q(self.spec.q, k, self.x)
+        return self.spec.q(self.x) ** k
 
-    def deriv_values(self, spec, g, k):
+    def weight(self, k):
+        """Grid weights times w_k, so that E[w_k phi] ~ sum(weight(k) phi)."""
+        if k not in self._w:
+            self._w[k] = self.w * _nonnegative(self.q_power(k), k)
+        return self._w[k]
+
+    def expectation(self, k):
+        """E[w_k], summed exactly as ``q_power_expectation`` sums it."""
+        if k not in self._eq:
+            qk = self.q_power(k)
+            contrib = self.w * qk
+            bad = ~np.isfinite(contrib)
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                node = self.x[i]
+                raise NonFiniteIntegrandError(
+                    int(node) if self.spec.is_discrete else float(node),
+                    float(qk[i]))
+            self._eq[k] = float(contrib.sum())
+        return self._eq[k]
+
+    def values(self, g, k):
+        """Rows of d^k g_i, each function evaluated once per order."""
+        have = self._d.setdefault(k, {})
+        new = [gi for gi in g if id(gi) not in have]
+        if new:
+            have.update(zip(map(id, new), self.deriv_values(new, k)))
+        return np.vstack([have[id(gi)] for gi in g])
+
+    def deriv_values(self, g, k):
         """Rows of d^k g_i over the grid (exact derivative or forward
         difference)."""
         rows = []
         for gi in g:
-            if spec.is_discrete:
-                if k == 0:
-                    rows.append(np.asarray(gi(self.x), dtype=float))
-                else:
-                    rows.append(forward_difference(gi, k, self.x))
+            if k == 0:
+                rows.append(np.asarray(gi(self.x), dtype=float))
+            elif self.spec.is_discrete:
+                rows.append(forward_difference(gi, k, self.x))
+            elif not isinstance(gi, SmoothFunction):
+                raise TypeError("continuous test functions need exact "
+                                "derivatives; got a bare callable")
             else:
-                if k == 0:
-                    rows.append(np.asarray(gi(self.x), dtype=float))
-                else:
-                    if not isinstance(gi, SmoothFunction):
-                        raise TypeError(
-                            "continuous test functions need exact derivatives; "
-                            "got a bare callable")
-                    rows.append(np.asarray(gi.derivative_value(k, self.x),
-                                           dtype=float))
+                rows.append(np.asarray(gi.derivative_value(k, self.x),
+                                       dtype=float))
         return np.vstack(rows)
+
+
+def _nonnegative(qk, k):
+    """Weights clipped at zero; genuinely negative weights mean the spec
+    violates its family contract."""
+    scale = float(np.max(np.abs(qk))) or 1.0
+    if float(np.min(qk)) < -1e-12 * scale:
+        raise ClassMembershipError(
+            f"weight of order {k} is negative on the support grid; "
+            f"the spec is outside its family")
+    return np.maximum(qk, 0.0)
 
 
 def _gram(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -108,63 +138,54 @@ def _gram(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 # matrices
 # ---------------------------------------------------------------------------
 
-def _dispersion_array(spec, g, grid: _Grid) -> np.ndarray:
-    vals = grid.deriv_values(spec, g, 0)
-    total = float(grid.w.sum())
-    means = (vals @ grid.w) / total
-    centered = vals - means[:, None]
-    return _gram(centered, grid.w)
+def _dispersion_array(grid: _Grid, g) -> np.ndarray:
+    vals = grid.values(g, 0)
+    means = (vals @ grid.w) / float(grid.w.sum())
+    return _gram(vals - means[:, None], grid.w)
+
+
+def _h_array(grid: _Grid, g, k) -> np.ndarray:
+    return _gram(grid.values(g, k), grid.weight(k))
+
+
+def _b_array(grid: _Grid, g, k) -> np.ndarray:
+    v = grid.values(g, k) @ grid.weight(k)
+    return np.outer(v, v)
+
+
+def _finite(a, what) -> SymMatrix:
+    if not np.all(np.isfinite(a)):
+        raise ClassMembershipError(f"divergent {what}")
+    return SymMatrix.from_array(a)
 
 
 def dispersion_matrix(spec: Spec, g: FunctionTuple,
                       cfg: ex.EngineConfig | None = None) -> SymMatrix:
     """Covariance matrix D of the random vector (g_1(X), ..., g_p(X))."""
-    cfg = cfg or ex.EngineConfig()
-    grid = _Grid.build(spec, cfg)
-    d = _dispersion_array(spec, g, grid)
-    if not np.all(np.isfinite(d)):
-        raise ClassMembershipError("divergent second moment in dispersion matrix")
-    return SymMatrix.from_array(d)
-
-
-def _h_array(spec, g, k, grid: _Grid) -> np.ndarray:
-    vals = grid.deriv_values(spec, g, k)
-    return _gram(vals, grid.w * grid.weight_k(spec, k))
+    return _finite(_dispersion_array(_Grid.build(spec, cfg), g),
+                   "second moment in dispersion matrix")
 
 
 def matrix_H(spec: Spec, g: FunctionTuple, k: int,
              cfg: ex.EngineConfig | None = None) -> SymMatrix:
     """Weighted derivative Gram matrix of order k (PSD by construction)."""
-    cfg = cfg or ex.EngineConfig()
-    h = _h_array(spec, g, k, _Grid.build(spec, cfg))
-    if not np.all(np.isfinite(h)):
-        raise ClassMembershipError(f"divergent entry in order-{k} Gram matrix")
-    return SymMatrix.from_array(h)
-
-
-def _b_array(spec, g, k, grid: _Grid) -> np.ndarray:
-    vals = grid.deriv_values(spec, g, k)
-    v = vals @ (grid.w * grid.weight_k(spec, k))
-    return np.outer(v, v)
+    return _finite(_h_array(_Grid.build(spec, cfg), g, k),
+                   f"entry in order-{k} Gram matrix")
 
 
 def matrix_B(spec: Spec, g: FunctionTuple, k: int,
              cfg: ex.EngineConfig | None = None) -> SymMatrix:
     """Rank-one outer product of the weighted mean derivatives of order k."""
-    cfg = cfg or ex.EngineConfig()
-    b = _b_array(spec, g, k, _Grid.build(spec, cfg))
-    if not np.all(np.isfinite(b)):
-        raise ClassMembershipError(f"divergent entry in order-{k} outer product")
-    return SymMatrix.from_array(b)
+    return _finite(_b_array(_Grid.build(spec, cfg), g, k),
+                   f"entry in order-{k} outer product")
 
 
 def q_power_expectation(spec: Spec, k: int,
                         cfg: ex.EngineConfig | None = None) -> ex.ExpectationResult:
     """E[q^k(X)] (continuous) or E[q^[k](X)] (discrete)."""
-    cfg = cfg or ex.EngineConfig()
-    if spec.is_discrete:
-        return ex.expect_discrete(spec, lambda j: rising_q(spec.q, k, j), cfg)
-    return ex.expect_continuous(spec, lambda x: spec.q(x) ** k, cfg)
+    phi = ((lambda j: rising_q(spec.q, k, j)) if spec.is_discrete
+           else (lambda x: spec.q(x) ** k))
+    return ex.expect(spec, phi, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +221,8 @@ def bessel_coefficient(spec: Spec, k: int,
     E[w_k] vanishes and the summand must be the null matrix."""
     if k < 1:
         raise ValueError("order k must be at least 1")
-    cfg = cfg or ex.EngineConfig()
-    delta = spec.q.delta
-    prod = _guarded_product(delta, range(k - 1, 2 * k - 1), k)
     eq = q_power_expectation(spec, k, cfg).value
-    if abs(eq) <= NULL_EXPECTATION_TOL:
-        return None
-    return 1.0 / (math.factorial(k) * eq * prod)
+    return _bessel_weight(spec, k, eq).weight
 
 
 # ---------------------------------------------------------------------------
@@ -224,63 +240,52 @@ class TermWeight:
         return self.weight is None
 
 
-def _poincare_weights(spec, n, cfg):
-    weights = []
-    for k in range(1, n + 1):
-        if spec.is_discrete:
-            eq = q_power_expectation(spec, k, cfg).value
-            if abs(eq) <= NULL_EXPECTATION_TOL:
-                weights.append(TermWeight(k, None, eq))
-                continue
-        weights.append(TermWeight(k, poincare_coefficient(spec.q.delta, k)))
-    return weights
-
-
-def _bessel_weights(spec, n, cfg):
-    weights = []
-    for k in range(1, n + 1):
-        eq = q_power_expectation(spec, k, cfg).value
+def _poincare_weight(spec, grid: _Grid, k) -> TermWeight:
+    if spec.is_discrete:
+        eq = grid.expectation(k)
         if abs(eq) <= NULL_EXPECTATION_TOL:
-            weights.append(TermWeight(k, None, eq))
-            continue
-        delta = spec.q.delta
-        prod = _guarded_product(delta, range(k - 1, 2 * k - 1), k)
-        weights.append(TermWeight(k, 1.0 / (math.factorial(k) * eq * prod), eq))
-    return weights
+            return TermWeight(k, None, eq)
+    return TermWeight(k, poincare_coefficient(spec.q.delta, k))
+
+
+def _bessel_weight(spec, k, eq) -> TermWeight:
+    if abs(eq) <= NULL_EXPECTATION_TOL:
+        return TermWeight(k, None, eq)
+    prod = _guarded_product(spec.q.delta, range(k - 1, 2 * k - 1), k)
+    return TermWeight(k, 1.0 / (math.factorial(k) * eq * prod), eq)
+
+
+def _pair(full: _Grid, half: _Grid, build):
+    """A matrix on the full grid and its bracket: the largest entry defect
+    against the half-resolution grid (none on discrete members, whose
+    summation has no coarser rule)."""
+    a = build(full)
+    b = a if half is full else build(half)
+    return a, float(np.max(np.abs(a - b)))
+
+
+def _view(spec, g, n, cfg, theorem) -> BoundReport:
+    # the public matrix views: one theorem of one order, no gates
+    return _Pass(spec, cfg or ex.EngineConfig(), (theorem,),
+                 DEFAULT_TOL_SCALE).report(n, g, [])
 
 
 def matrix_S(spec: Spec, g: FunctionTuple, n: int,
              cfg: ex.EngineConfig | None = None) -> SymMatrix:
     """Alternating weighted sum of the Gram matrices up to order n."""
-    cfg = cfg or ex.EngineConfig()
-    grid = _Grid.build(spec, cfg)
-    s = np.zeros((g.p, g.p))
-    for tw in _poincare_weights(spec, n, cfg):
-        if not tw.null:
-            s += tw.weight * _h_array(spec, g, tw.k, grid)
-    return SymMatrix.from_array(s)
+    return _view(spec, g, n, cfg, "poincare").S
 
 
 def matrix_L(spec: Spec, g: FunctionTuple, n: int,
              cfg: ex.EngineConfig | None = None) -> SymMatrix:
     """Weighted sum of the rank-one matrices up to order n."""
-    cfg = cfg or ex.EngineConfig()
-    grid = _Grid.build(spec, cfg)
-    m = np.zeros((g.p, g.p))
-    for tw in _bessel_weights(spec, n, cfg):
-        if not tw.null:
-            m += tw.weight * _b_array(spec, g, tw.k, grid)
-    return SymMatrix.from_array(m)
+    return _view(spec, g, n, cfg, "bessel").L
 
 
 def matrix_A(spec: Spec, g: FunctionTuple, n: int,
              cfg: ex.EngineConfig | None = None) -> SymMatrix:
     """Signed defect (-1)^n (D - S_n); nonnegative definite for members."""
-    cfg = cfg or ex.EngineConfig()
-    d = dispersion_matrix(spec, g, cfg)
-    s = matrix_S(spec, g, n, cfg)
-    sign = 1.0 if n % 2 == 0 else -1.0
-    return sign * (d - s)
+    return _view(spec, g, n, cfg, "poincare").A
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +320,54 @@ class ClassReport:
         return [i for i, row in enumerate(self.verdicts) if all(row)]
 
 
+class _ClassCheck:
+    """Class verdicts of one tuple for the Gram class 'H', the
+    outer-product class 'B' or both, from one ladder of the spec: w_k and
+    every d^k g_i are evaluated once on its nodes, and the rows of both
+    classes for an order are classified together."""
+
+    def __init__(self, spec, g, classes, cfg):
+        self.spec, self.g, self.classes = spec, g, tuple(classes)
+        self.ladder = ex.Ladder.build(spec, cfg)
+        self.probes = {cls: [] for cls in self.classes}  # [k][i]
+
+    def upto(self, n):
+        """Classify the rows of every order up to n not classified yet."""
+        ladder, spec, p = self.ladder, self.spec, self.g.p
+        nodes = _Grid(spec, ladder.x, ladder.w)
+        root_w = np.sqrt(ladder.w)
+        rows, slots = [], []
+        # divergent integrands are fed on purpose; inf is a verdict, not a bug
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(len(self.probes[self.classes[0]]), n + 1):
+                base = _nonnegative(nodes.q_power(k), k)
+                d = nodes.deriv_values(self.g, k)
+                at = {}
+                if "H" in self.classes or k == 0:  # B needs Var[g] < inf too
+                    # the node weight goes inside the square, as in _gram,
+                    # so a weighted square overflows only where it is itself
+                    # huge
+                    u = root_w * d
+                    at["H"] = at["B"] = len(rows)
+                    rows.append(base * (u * u))
+                if "B" in self.classes and k > 0:
+                    at["B"] = len(rows)
+                    rows.append(ladder.w * (base * np.abs(d)))
+                slots += [(cls, at[cls]) for cls in self.classes]
+        if rows:
+            probes = ladder.classify(np.vstack(rows))
+            for cls, block in slots:
+                self.probes[cls].append(probes[block * p:(block + 1) * p])
+        return self
+
+    def report(self, cls, n, implies_other=False) -> ClassReport:
+        rows = list(zip(*self.probes[cls][:n + 1]))  # [function][order]
+        return ClassReport(cls, n,
+                           tuple(tuple(p.finite for p in r) for r in rows),
+                           tuple(tuple(p.decay_ratio for p in r) for r in rows),
+                           implies_other)
+
+
 def check_class(spec: Spec, g: FunctionTuple, n: int, class_name: str,
                 cfg: ex.EngineConfig | None = None) -> ClassReport:
     """Numerical membership check for the Gram class ('H') or the
@@ -329,32 +382,11 @@ def check_class(spec: Spec, g: FunctionTuple, n: int, class_name: str,
     cfg = cfg or ex.EngineConfig()
     if class_name not in ("H", "B"):
         raise ValueError("class must be 'H' or 'B'")
-    squared = class_name == "H"
-    ladder = ex.Ladder.build(spec, cfg)
-    nodes = _Grid(ladder.x, ladder.w)
-    root_w = np.sqrt(ladder.w)
-    rows = []
-    # divergent integrands are fed on purpose; inf is a verdict, not a bug
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n + 1):
-            base = nodes.weight_k(spec, k)
-            d = nodes.deriv_values(spec, g, k)
-            if squared or k == 0:  # the B class still needs Var[g] < inf
-                # the node weight goes inside the square, as in _gram, so
-                # a weighted square overflows only where it is itself huge
-                u = root_w * d
-                rows.append(base * (u * u))
-            else:
-                rows.append(ladder.w * (base * np.abs(d)))
-    probes = ladder.classify(np.vstack(rows))
-    verdicts = tuple(tuple(probes[k * g.p + i].finite for k in range(n + 1))
-                     for i in range(g.p))
-    ratios = tuple(tuple(probes[k * g.p + i].decay_ratio for k in range(n + 1))
-                   for i in range(g.p))
-    implies = False
-    if squared and all(all(row) for row in verdicts):
-        implies = moment_finiteness(spec, n, cfg)
-    return ClassReport(class_name, n, verdicts, ratios, implies)
+    check = _ClassCheck(spec, g, (class_name,), cfg).upto(n)
+    report = check.report(class_name, n)
+    if class_name == "H" and report.ok:
+        return check.report(class_name, n, moment_finiteness(spec, n, cfg))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +446,6 @@ class BoundReport:
 
     def eigen_rows(self):
         """Flat (n, matrix, index, eigenvalue) rows for CSV plotting."""
-        from .linalg import jacobi_eigenvalues
         rows = []
         named = [("D", self.D), ("S", self.S), ("L", self.L), ("A", self.A)]
         named += [(f"H{k + 1}", h) for k, h in enumerate(self.H)]
@@ -424,9 +455,144 @@ class BoundReport:
         for name, m in named:
             if m is None:
                 continue
-            for i, val in enumerate(jacobi_eigenvalues(m)):
+            for i, val in enumerate(eigenvalues(m)):
                 rows.append((self.n, name, i, float(val)))
         return rows
+
+
+class _Pass:
+    """One request's assembly: the full and half-resolution grids, the
+    coefficients of every order, and per set of functions kept, D and, for
+    H and B, the terms H_k (B_k) with their entry brackets, the prefix sums
+    S_n (L_n) and the running maxima of the brackets."""
+
+    def __init__(self, spec, cfg, theorems, tol_scale):
+        self.spec, self.cfg = spec, cfg
+        self.theorems, self.tol_scale = theorems, tol_scale
+        self.full = _Grid.build(spec, cfg)
+        self.half = self.full if spec.is_discrete else _Grid.build(
+            spec, cfg, max(10, cfg.quad_nodes // 2))
+        self.weights = {"H": [], "B": []}  # TermWeight of order 1, 2, ...
+        self.subsets = {}
+
+    def _subset(self, g):
+        key = tuple(map(id, g))
+        if key not in self.subsets:
+            d, bracket = _pair(self.full, self.half,
+                               lambda grid: _dispersion_array(grid, g))
+            d = SymMatrix.from_array(d)
+            zeros = np.zeros((g.p, g.p))
+            self.subsets[key] = (d, bracket, spectral_radius(d),
+                                 {kind: ([], [0.0], [zeros]) for kind in "HB"})
+        return self.subsets[key]
+
+    def report(self, n, g, dropped) -> BoundReport:
+        spec, cfg = self.spec, self.cfg
+        d, d_bracket, rho, terms = self._subset(g)
+        report = BoundReport(n=n, p=g.p, D=d,
+                             tol=self.tol_scale * (1.0 + rho))
+        brackets = {"D": d_bracket}
+        for name, kind in (("poincare", "H"), ("bessel", "B")):
+            if name not in self.theorems:
+                continue
+            weights = self.weights[kind]
+            for k in range(len(weights) + 1, n + 1):
+                weights.append(
+                    _poincare_weight(spec, self.full, k) if kind == "H"
+                    else _bessel_weight(spec, k, self.full.expectation(k)))
+            build = _h_array if kind == "H" else _b_array
+            mats, worst, sums = terms[kind]
+            for tw in weights[len(mats):n]:
+                arr, bracket = _pair(self.full, self.half,
+                                     lambda grid: build(grid, g, tw.k))
+                mats.append(SymMatrix.from_array(arr))
+                worst.append(max(worst[-1], bracket))
+                sums.append(sums[-1] if tw.null else sums[-1] + tw.weight * arr)
+            total = SymMatrix.from_array(sums[n])
+            brackets[kind + "_max"] = worst[n]
+            if kind == "H":
+                report.poincare_weights, report.H = weights[:n], mats[:n]
+                sign = 1.0 if n % 2 == 0 else -1.0
+                report.S, report.A = total, sign * (d - total)
+                report.verdicts[name] = is_psd(report.A, report.tol)
+            else:
+                report.bessel_weights, report.B = weights[:n], mats[:n]
+                report.L = total
+                report.verdicts[name] = loewner_leq(total, d, report.tol)
+
+        report.provenance = {
+            "engine": asdict(cfg),
+            "tol_scale": self.tol_scale,
+            "spectral_radius_D": rho,
+            "entry_brackets": brackets,
+            "discrete_tail_bound": self.full.tail,
+            "dropped_functions": dropped,
+            "null_terms": [tw.k for tw in
+                           report.poincare_weights + report.bessel_weights
+                           if tw.null],
+        }
+        return report
+
+
+def bound_reports(spec: Spec, g: FunctionTuple, orders,
+                  cfg: ex.EngineConfig | None = None,
+                  theorems=("poincare", "bessel"),
+                  tol_scale: float = DEFAULT_TOL_SCALE,
+                  class_policy: str = "raise") -> list[BoundReport]:
+    """Run the certification pipeline for every order in ``orders`` in one
+    pass; returns one report per entry of ``orders``, in its order.
+
+    Each report is the one ``bound_report`` gives for its order alone, but
+    the grids, derivative rows, class ladder and matrices are shared: S_n
+    and L_n are prefix sums of one set of H_k and B_k.  Orders are gated in
+    ascending order, each as its own call would gate it (moment gate, class
+    checks on the prefix k <= n, coefficients), so a refused order raises
+    what its own call raises.  ``class_policy`` is as in ``bound_report``;
+    with 'drop' each order keeps the functions that pass its own checks.
+    """
+    cfg = cfg or ex.EngineConfig()
+    orders = list(orders)
+    if any(n < 1 for n in orders):
+        raise ValueError("order n must be at least 1")
+    if spec.q is None:
+        raise InvalidParameterError(
+            "spec has no quadratic; infer or declare one first")
+    theorems = tuple(theorems)
+    unknown = set(theorems) - {"poincare", "bessel"}
+    if unknown:
+        raise ValueError(f"unknown theorems {sorted(unknown)}")
+    if class_policy not in ("raise", "drop", "skip"):
+        raise ValueError("class_policy must be 'raise', 'drop' or 'skip'")
+    classes = [cls for name, cls in (("poincare", "H"), ("bessel", "B"))
+               if name in theorems]
+
+    check = assembly = None
+    done = {}
+    for n in sorted(set(orders)):
+        if not moment_finiteness(spec, n, cfg):
+            raise ClassMembershipError(
+                f"E|X|^{2 * n} is not finite for this member; order {n} "
+                f"bounds do not apply")
+        keep, dropped = set(range(g.p)), []
+        if class_policy != "skip" and classes:
+            check = (check or _ClassCheck(spec, g, classes, cfg)).upto(n)
+            for cls in classes:
+                report = check.report(cls, n)
+                if not report.ok:
+                    if class_policy == "raise":
+                        raise ClassMembershipError(
+                            f"class {cls} check failed at (function, order) "
+                            f"pairs {report.failures()}", report.failures())
+                    keep &= set(report.passing_functions())
+            if class_policy == "drop":
+                dropped = sorted(set(range(g.p)) - keep)
+                if not keep:
+                    raise ClassMembershipError(
+                        "no test function passes the class checks", ())
+        assembly = assembly or _Pass(spec, cfg, theorems, tol_scale)
+        kept = g.subset(sorted(keep)) if dropped else g
+        done[n] = assembly.report(n, kept, dropped)
+    return [done[n] for n in orders]
 
 
 def bound_report(spec: Spec, g: FunctionTuple, n: int,
@@ -442,104 +608,5 @@ def bound_report(spec: Spec, g: FunctionTuple, n: int,
     runs no checks.  The PSD tolerance scales with the spectral radius of D
     so tuples at different scales are judged uniformly.
     """
-    cfg = cfg or ex.EngineConfig()
-    if n < 1:
-        raise ValueError("order n must be at least 1")
-    if spec.q is None:
-        raise InvalidParameterError(
-            "spec has no quadratic; infer or declare one first")
-    theorems = tuple(theorems)
-    unknown = set(theorems) - {"poincare", "bessel"}
-    if unknown:
-        raise ValueError(f"unknown theorems {sorted(unknown)}")
-    if not moment_finiteness(spec, n, cfg):
-        raise ClassMembershipError(
-            f"E|X|^{2 * n} is not finite for this member; order {n} bounds "
-            f"do not apply")
-
-    dropped = []
-    if class_policy not in ("raise", "drop", "skip"):
-        raise ValueError("class_policy must be 'raise', 'drop' or 'skip'")
-    if class_policy != "skip":
-        keep = set(range(g.p))
-        for name, cls in (("poincare", "H"), ("bessel", "B")):
-            if name not in theorems:
-                continue
-            report = check_class(spec, g, n, cls, cfg)
-            if not report.ok:
-                if class_policy == "raise":
-                    raise ClassMembershipError(
-                        f"class {cls} check failed at (function, order) pairs "
-                        f"{report.failures()}", report.failures())
-                keep &= set(report.passing_functions())
-        if class_policy == "drop":
-            dropped = sorted(set(range(g.p)) - keep)
-            if not keep:
-                raise ClassMembershipError(
-                    "no test function passes the class checks", ())
-            if dropped:
-                g = g.subset(sorted(keep))
-
-    grid = _Grid.build(spec, cfg)
-    grid_half = _Grid.build(spec, cfg, max(10, cfg.quad_nodes // 2)) \
-        if not spec.is_discrete else grid
-
-    def with_bracket(builder):
-        full = builder(grid)
-        half = builder(grid_half)
-        return full, float(np.max(np.abs(full - half)))
-
-    d_arr, d_bracket = with_bracket(lambda gr: _dispersion_array(spec, g, gr))
-    report = BoundReport(n=n, p=g.p, D=SymMatrix.from_array(d_arr))
-    rho = spectral_radius(report.D)
-    report.tol = tol_scale * (1.0 + rho)
-    brackets = {"D": d_bracket}
-
-    if "poincare" in theorems:
-        report.poincare_weights = _poincare_weights(spec, n, cfg)
-        s = np.zeros((g.p, g.p))
-        hb = 0.0
-        for tw in report.poincare_weights:
-            h_arr, h_bracket = with_bracket(
-                lambda gr, k=tw.k: _h_array(spec, g, k, gr))
-            report.H.append(SymMatrix.from_array(h_arr))
-            hb = max(hb, h_bracket)
-            if not tw.null:
-                s += tw.weight * h_arr
-        report.S = SymMatrix.from_array(s)
-        sign = 1.0 if n % 2 == 0 else -1.0
-        report.A = sign * (report.D - report.S)
-        report.verdicts["poincare"] = is_psd(report.A, report.tol)
-        brackets["H_max"] = hb
-
-    if "bessel" in theorems:
-        report.bessel_weights = _bessel_weights(spec, n, cfg)
-        m = np.zeros((g.p, g.p))
-        bb = 0.0
-        for tw in report.bessel_weights:
-            b_arr, b_bracket = with_bracket(
-                lambda gr, k=tw.k: _b_array(spec, g, k, gr))
-            report.B.append(SymMatrix.from_array(b_arr))
-            bb = max(bb, b_bracket)
-            if not tw.null:
-                m += tw.weight * b_arr
-        report.L = SymMatrix.from_array(m)
-        report.verdicts["bessel"] = loewner_leq(report.L, report.D, report.tol)
-        brackets["B_max"] = bb
-
-    report.provenance = {
-        "engine": {"quad_nodes": cfg.quad_nodes,
-                   "infinite_map": cfg.infinite_map,
-                   "trunc_tol": cfg.trunc_tol,
-                   "mc_samples": cfg.mc_samples,
-                   "mc_seed": cfg.mc_seed},
-        "tol_scale": tol_scale,
-        "spectral_radius_D": rho,
-        "entry_brackets": brackets,
-        "discrete_tail_bound": grid.tail,
-        "dropped_functions": dropped,
-        "null_terms": [tw.k for tw in
-                       report.poincare_weights + report.bessel_weights
-                       if tw.null],
-    }
-    return report
+    return bound_reports(spec, g, (n,), cfg, theorems, tol_scale,
+                         class_policy)[0]

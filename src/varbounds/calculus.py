@@ -52,10 +52,6 @@ class _Poly(_Node):
     def deriv(self):
         return _Poly(npoly.polyder(self.coeffs))
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if np.any(self.coeffs) else -1
-
     def to_json(self):
         return {"poly": self.coeffs.tolist()}
 
@@ -216,12 +212,6 @@ class SmoothFunction:
         while len(self._derivs) <= k:
             self._derivs.append(self._derivs[-1].deriv())
         return self._derivs[k].value(x)
-
-    @property
-    def polynomial_degree(self) -> int | None:
-        """Degree if the representation is a plain polynomial, else None."""
-        node = self._derivs[0]
-        return node.degree if isinstance(node, _Poly) else None
 
     def to_json(self):
         if self._expr is not None:

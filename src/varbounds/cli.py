@@ -153,13 +153,10 @@ def cmd_verify(args) -> int:
 
 
 def _run_reports(spec, functions, orders, theorems, cfg, args):
-    reports = []
-    for n in orders:
-        reports.append(bnd.bound_report(
-            spec, functions, n, cfg, theorems=theorems,
-            tol_scale=args.tol if args.tol is not None else bnd.DEFAULT_TOL_SCALE,
-            class_policy=args.on_class_failure))
-    return reports
+    return bnd.bound_reports(
+        spec, functions, orders, cfg, theorems=theorems,
+        tol_scale=args.tol if args.tol is not None else bnd.DEFAULT_TOL_SCALE,
+        class_policy=args.on_class_failure)
 
 
 def cmd_bounds(args) -> int:
@@ -208,17 +205,10 @@ def cmd_chain(args) -> int:
     reports = _run_reports(spec, functions, list(range(1, n_max + 1)),
                            theorems, cfg, args)
 
-    rows, ok = [], True
-    for report in reports:
-        if report.A is not None:
-            kind = "poincare_upper" if report.n % 2 else "poincare_lower"
-            verdict = report.verdicts["poincare"]
-            rows.append((report.n, kind, verdict.min_eigenvalue))
-            ok &= verdict.ok
-        if report.L is not None:
-            verdict = report.verdicts["bessel"]
-            rows.append((report.n, "bessel_lower", verdict.min_eigenvalue))
-            ok &= verdict.ok
+    rows = [(r.n, ("bessel_lower" if name == "bessel" else
+                   "poincare_upper" if r.n % 2 else "poincare_lower"),
+             verdict.min_eigenvalue)
+            for r in reports for name, verdict in r.verdicts.items()]
     for n, kind, eig in rows:
         _emit(args, f"n={n} {kind} min-eig={eig:.6e}")
     if output.get("csv"):
@@ -233,7 +223,7 @@ def cmd_chain(args) -> int:
             "runs": [r.to_json_dict() for r in reports],
         }
         _dump_json(output["json"], payload)
-    return EXIT_OK if ok else EXIT_VERDICT
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERDICT
 
 
 def _mc_matrices(spec, functions, n, cfg):

@@ -74,6 +74,8 @@ class ContinuousIP:
     sampler: Optional[Callable] = None
     name: str = "custom"
     params: dict = field(default_factory=dict)
+    # the "custom" document a tabulated member was loaded from
+    custom: Optional[dict] = field(default=None, repr=False, compare=False)
 
     is_discrete = False
 
@@ -98,6 +100,8 @@ class DiscreteCO:
     sampler: Optional[Callable] = None
     name: str = "custom"
     params: dict = field(default_factory=dict)
+    # the "custom" document a tabulated member was loaded from
+    custom: Optional[dict] = field(default=None, repr=False, compare=False)
 
     is_discrete = True
 
@@ -622,21 +626,24 @@ def load_distribution(doc) -> Spec:
     hi = math.inf if hi is None else float(hi)
     if kind == "continuous":
         density = _interp_table(c["density_table"])
-        return ContinuousIP(mean, quad, (lo, hi), density, None, "custom", {})
+        return ContinuousIP(mean, quad, (lo, hi), density, custom=c)
     if kind == "discrete":
         pmf = _pmf_table(c["pmf_table"])
-        return DiscreteCO(mean, quad, (lo, hi), pmf, None, "custom", {})
+        return DiscreteCO(mean, quad, (lo, hi), pmf, custom=c)
     raise InvalidParameterError("custom kind must be 'continuous' or 'discrete'")
 
 
 def spec_to_json(spec: Spec) -> dict:
     """Descriptive document of a spec; catalog members also carry the
-    ``family`` key, so :func:`load_distribution` reads the document back."""
+    ``family`` key and tabulated ones their ``custom`` document, so
+    :func:`load_distribution` reads the document back."""
     doc = {"kind": "discrete" if spec.is_discrete else "continuous",
            "name": spec.name, "params": spec.params, "mean": spec.mean,
            "support": [None if math.isinf(s) else s for s in spec.support]}
     if spec.name in _CATALOG:
         doc["family"] = spec.name
+    if spec.custom is not None:
+        doc["custom"] = spec.custom
     if spec.q is not None:
         doc["quadratic"] = list(spec.q.as_tuple())
     return doc

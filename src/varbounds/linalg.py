@@ -1,9 +1,9 @@
-"""Small dense symmetric-matrix kernel: packed storage, Jacobi eigenvalues,
+"""Small dense symmetric-matrix kernel: packed storage, eigenvalues,
 positive-semidefinite and Loewner-order predicates.
 
-The matrices certified by this package are tiny (p rarely above 10), so the
-eigensolver is a plain cyclic Jacobi iteration with no external linear-algebra
-dependency.  numpy is used only for array storage and elementwise arithmetic.
+Eigenvalues come from LAPACK through ``numpy.linalg.eigvalsh``.  The verdict
+tolerance is absolute (it scales with the spectral radius of D), so a solver
+with high relative accuracy for tiny eigenvalues would gain nothing.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_ORDER = 64
-JACOBI_SWEEP_CAP = 50
-JACOBI_OFF_TOL = 1e-14
 ASYMMETRY_TOL = 1e-10
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Raised when the sweep cap is reached before the off-diagonal vanishes."""
 
 
 class SymMatrix:
@@ -114,62 +108,10 @@ class SymMatrix:
         return float(self._upper[idx].sum())
 
 
-def jacobi_eigenvalues(m: SymMatrix, vectors: bool = False):
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius mass drops below
-    ``JACOBI_OFF_TOL * ||M||_F`` or the sweep cap is hit.  Eigenvalues are
-    returned ascending; with ``vectors=True`` the matching orthonormal
-    eigenbasis is returned as columns of the second result.
-    """
-    a = m.to_array()
-    p = m.order
-    q = np.eye(p) if vectors else None
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        vals = np.zeros(p)
-        return (vals, np.eye(p)) if vectors else vals
-
-    def offdiag(mat):
-        return np.sqrt(2.0 * np.sum(np.triu(mat, 1) ** 2))
-
-    for _ in range(JACOBI_SWEEP_CAP):
-        if offdiag(a) <= JACOBI_OFF_TOL * norm:
-            break
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                aij = a[i, j]
-                if abs(aij) <= 1e-300:
-                    continue
-                tau = (a[j, j] - a[i, i]) / (2.0 * aij)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                if tau == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot_i = c * a[:, i] - s * a[:, j]
-                rot_j = s * a[:, i] + c * a[:, j]
-                a[:, i], a[:, j] = rot_i, rot_j
-                rot_i = c * a[i, :] - s * a[j, :]
-                rot_j = s * a[i, :] + c * a[j, :]
-                a[i, :], a[j, :] = rot_i, rot_j
-                a[i, j] = a[j, i] = 0.0
-                if vectors:
-                    qi = c * q[:, i] - s * q[:, j]
-                    qj = s * q[:, i] + c * q[:, j]
-                    q[:, i], q[:, j] = qi, qj
-    else:
-        residual = offdiag(a) / norm
-        raise JacobiConvergenceError(
-            f"no convergence after {JACOBI_SWEEP_CAP} sweeps "
-            f"(relative off-diagonal {residual:.3e})")
-
-    vals = np.diag(a).copy()
-    order = np.argsort(vals)
-    vals = vals[order]
-    if vectors:
-        return vals, q[:, order]
-    return vals
+def eigenvalues(m: SymMatrix) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending (LAPACK ``syevd`` through
+    ``numpy.linalg.eigvalsh``)."""
+    return np.linalg.eigvalsh(m.to_array())
 
 
 @dataclass(frozen=True)
@@ -184,7 +126,7 @@ class PsdVerdict:
 
 def is_psd(m: SymMatrix, tol: float) -> PsdVerdict:
     """Nonnegative-definiteness up to ``tol``: min eigenvalue >= -tol."""
-    min_eig = float(jacobi_eigenvalues(m)[0])
+    min_eig = float(eigenvalues(m)[0])
     return PsdVerdict(min_eig >= -tol, min_eig, tol)
 
 
@@ -194,5 +136,5 @@ def loewner_leq(a: SymMatrix, b: SymMatrix, tol: float) -> PsdVerdict:
 
 
 def spectral_radius(m: SymMatrix) -> float:
-    vals = jacobi_eigenvalues(m)
+    vals = eigenvalues(m)
     return float(max(abs(vals[0]), abs(vals[-1])))

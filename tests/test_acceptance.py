@@ -12,8 +12,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from varbounds import (EngineConfig, FunctionTuple, catalog, infer_quadratic,
-                       jacobi_eigenvalues, moment_finiteness, parse_function,
+from varbounds import (EngineConfig, FunctionTuple, catalog, eigenvalues,
+                       infer_quadratic, moment_finiteness, parse_function,
                        polynomial)
 from varbounds.bounds import bound_report, check_class, dispersion_matrix, matrix_H
 from varbounds.expectation import expect_discrete, expect_mc
@@ -38,7 +38,7 @@ def tuple_of(*exprs):
 
 
 def min_eig(sym):
-    return float(jacobi_eigenvalues(sym)[0])
+    return float(eigenvalues(sym)[0])
 
 
 def test_c1_first_order_matrix_bound():

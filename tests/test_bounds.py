@@ -10,15 +10,16 @@ import math
 import numpy as np
 import pytest
 
-from varbounds import (FunctionTuple, catalog, jacobi_eigenvalues,
-                       parse_function, polynomial)
-from varbounds.bounds import (bessel_coefficient, bound_report, check_class,
-                              dispersion_matrix, matrix_A, matrix_B, matrix_H,
-                              matrix_L, matrix_S, poincare_coefficient,
-                              q_power_expectation)
+from varbounds import (ContinuousIP, FunctionTuple, Quadratic, catalog,
+                       eigenvalues, parse_function, polynomial)
+from varbounds import bounds
+from varbounds.bounds import (_Grid, bessel_coefficient, bound_report,
+                              bound_reports, check_class, dispersion_matrix,
+                              matrix_A, matrix_B, matrix_H, matrix_L, matrix_S,
+                              poincare_coefficient, q_power_expectation)
 from varbounds.calculus import SmoothFunction
 from varbounds.errors import ClassMembershipError, SingularCoefficientError
-from tests.conftest import make_bernoulli_member
+from tests.conftest import make_bernoulli_member, make_heavy_member
 
 
 def tuple_of(*exprs):
@@ -86,7 +87,7 @@ class TestMatrixH:
             g = tuple_of("x", "x^2", "x^3")
             for k in (1, 2):
                 h = matrix_H(spec, g, k, cfg)
-                assert jacobi_eigenvalues(h)[0] >= -1e-10 * (1 + h.max_abs())
+                assert eigenvalues(h)[0] >= -1e-10 * (1 + h.max_abs())
 
 
 class TestMatrixB:
@@ -111,7 +112,7 @@ class TestMatrixB:
     def test_exactly_rank_one_psd(self, cfg):
         b = matrix_B(catalog("gamma", {"shape": 2.5}),
                      tuple_of("x", "x^2", "sin(x)"), 1, cfg)
-        vals = jacobi_eigenvalues(b)
+        vals = eigenvalues(b)
         assert vals[0] >= -1e-13 * (1 + b.max_abs())
         assert np.all(np.abs(vals[:-1]) <= 1e-12 * (1 + b.max_abs()))
 
@@ -376,17 +377,143 @@ class TestBoundReport:
         assert {"D", "S", "L", "A", "H1", "B1", "D-L"} <= names
 
 
+def _json(reports):
+    return [r.to_json_dict() for r in reports]
+
+
+class TestOnePass:
+    """A multi-order request is one pass: every row, ladder and term is
+    computed once, and each order's report is the one its own call gives."""
+
+    def test_one_derivative_evaluation_per_grid(self, cfg, monkeypatch):
+        calls = []
+        original = SmoothFunction.derivative_value
+
+        def counted(self, k, x):
+            calls.append((id(self), k))
+            return original(self, k, x)
+
+        monkeypatch.setattr(SmoothFunction, "derivative_value", counted)
+        g = tuple_of("x^3", "exp(0.4*x)", "x*sin(2*x)")
+        bound_report(catalog("normal"), g, 3, cfg)
+        # once each on the class ladder, the full grid and the half grid
+        assert sorted(calls) == sorted((id(gi), k) for gi in g
+                                       for k in (1, 2, 3) for _ in range(3))
+
+    def test_moment_gate_once_per_order(self, cfg, monkeypatch):
+        orders = []
+        original = bounds.moment_finiteness
+
+        def counted(spec, n, *args, **kwargs):
+            orders.append(n)
+            return original(spec, n, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "moment_finiteness", counted)
+        bound_reports(catalog("normal"), tuple_of("x", "x^3"), [3, 1, 2], cfg)
+        assert orders == [1, 2, 3]
+
+    @pytest.mark.parametrize("theorems", [("poincare", "bessel"),
+                                          ("poincare",)])
+    @pytest.mark.parametrize("member,exprs,policy", [
+        (("normal", {"mean": 0.2, "var": 1.3}),
+         ("x^3", "exp(0.4*x)", "x*sin(2*x)"), "raise"),
+        (("poisson", {"lam": 3}), ("x^2", "exp(0.3*x)", "sin(x)"), "raise"),
+        # log(x) leaves the Gram class of gamma(1.5) at k = 2: order 1 keeps
+        # it, orders 2-4 drop it
+        (("gamma", {"shape": 1.5}), ("x", "x^2", "log(x)"), "drop"),
+    ])
+    def test_equals_separate_reports(self, cfg, member, exprs, policy,
+                                     theorems):
+        spec, g = catalog(*member), tuple_of(*exprs)
+        orders = [3, 1, 4, 2]
+        together = bound_reports(spec, g, orders, cfg, theorems=theorems,
+                                 class_policy=policy)
+        alone = [bound_report(spec, g, n, cfg, theorems=theorems,
+                              class_policy=policy) for n in orders]
+        assert _json(together) == _json(alone)
+        assert [r.n for r in together] == orders
+
+    def test_prefix_sums(self, cfg):
+        spec, g = catalog("beta", {"a": 2, "b": 3}), tuple_of("x^2", "sin(x)")
+        reports = bound_reports(spec, g, [1, 2, 3], cfg)
+        for n, report in enumerate(reports, start=1):
+            s = sum(tw.weight * h.to_array()
+                    for tw, h in zip(report.poincare_weights, report.H))
+            np.testing.assert_allclose(report.S.to_array(), s, rtol=1e-12,
+                                       atol=1e-15)
+            assert report.H == reports[-1].H[:n]
+
+    @pytest.mark.parametrize("member,g,orders", [
+        # the moment gate refuses order 3 of the heavy-tailed member
+        ("heavy", ("x",), [1, 2, 3]),
+        # the class gate refuses order 2
+        ("gamma", ("x", "log(x)"), [1, 2, 3]),
+    ])
+    def test_refusal_is_the_lowest_refused_order(self, cfg, member, g,
+                                                 orders):
+        spec = (make_heavy_member() if member == "heavy"
+                else catalog("gamma", {"shape": 1.5}))
+        g = tuple_of(*g)
+        refused = next(n for n in orders if _refuses(spec, g, n, cfg))
+        with pytest.raises(ClassMembershipError) as alone:
+            bound_report(spec, g, refused, cfg)
+        with pytest.raises(ClassMembershipError) as together:
+            bound_reports(spec, g, orders[::-1], cfg)
+        assert str(together.value) == str(alone.value)
+
+    def test_singular_order_raises_its_own_error(self, cfg):
+        # a bounded member with delta = 1: every moment exists, and the
+        # order-2 coefficient hits the zero factor (1 - delta)
+        spec = ContinuousIP(0.0, Quadratic(1.0, 0.0, 1.0), (-1.0, 1.0),
+                            lambda x: np.exp(-np.asarray(x) ** 2) / 1.4936482)
+        g = tuple_of("x", "x^2")
+        assert bound_reports(spec, g, [1], cfg)[0].n == 1
+        with pytest.raises(SingularCoefficientError) as alone:
+            bound_report(spec, g, 2, cfg)
+        with pytest.raises(SingularCoefficientError) as together:
+            bound_reports(spec, g, [3, 1, 2], cfg)
+        assert (together.value.k, together.value.j) == \
+            (alone.value.k, alone.value.j) == (2, 1)
+
+
+def _refuses(spec, g, n, cfg):
+    try:
+        bound_report(spec, g, n, cfg)
+    except ClassMembershipError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("member", list(LADDER_MEMBERS))
+def test_expectation_from_the_rows_is_q_power_expectation(member, cfg,
+                                                          heavy_member):
+    entry = LADDER_MEMBERS[member]
+    spec = heavy_member if entry is None else catalog(*entry)
+    grid = _Grid.build(spec, cfg)
+    for k in range(1, 9):
+        assert grid.expectation(k) == q_power_expectation(spec, k, cfg).value
+
+
+@pytest.mark.parametrize("member", [m for m in LADDER_MEMBERS
+                                    if LADDER_MEMBERS[m] is not None])
+def test_term_weight_expectation(member, cfg):
+    spec = catalog(*LADDER_MEMBERS[member])
+    report = bound_report(spec, tuple_of("x", "x^2"), 3, cfg)
+    for tw in report.bessel_weights:
+        assert tw.expectation == q_power_expectation(spec, tw.k, cfg).value
+
+
 class TestInvariants:
     def test_sandwich_chain(self, cfg):
         """Odd orders bound D from above, even orders from below."""
         g = tuple_of("x^2", "exp(0.3*x)")
         spec = catalog("normal")
         d = dispersion_matrix(spec, g, cfg)
-        tol = 1e-6 * (1 + max(abs(jacobi_eigenvalues(d))))
+        tol = 1e-6 * (1 + max(abs(eigenvalues(d))))
         for n in (1, 2, 3):
             s = matrix_S(spec, g, n, cfg)
             diff = (s - d) if n % 2 else (d - s)
-            assert jacobi_eigenvalues(diff)[0] >= -tol, n
+            assert eigenvalues(diff)[0] >= -tol, n
 
     def test_bessel_monotonicity(self, cfg):
         g = tuple_of("x^2", "sin(x)")
@@ -396,7 +523,7 @@ class TestInvariants:
             ln = matrix_L(spec, g, n, cfg)
             if prev is not None:
                 gap = ln - prev
-                assert jacobi_eigenvalues(gap)[0] >= -1e-10
+                assert eigenvalues(gap)[0] >= -1e-10
             prev = ln
 
     def test_polynomial_equality_certificates(self, cfg):
@@ -406,7 +533,7 @@ class TestInvariants:
                 g = FunctionTuple([polynomial(rng.normal(size=n + 1))
                                    for _ in range(2)])
                 d = dispersion_matrix(spec, g, cfg)
-                tol = 1e-6 * (1 + max(abs(jacobi_eigenvalues(d))))
+                tol = 1e-6 * (1 + max(abs(eigenvalues(d))))
                 a = matrix_A(spec, g, n, cfg)
                 assert a.max_abs() <= tol
                 l = matrix_L(spec, g, n, cfg)

@@ -135,6 +135,32 @@ class TestBounds:
                      "--n", "1", "--quiet"])
         assert code == 6
 
+    def test_custom_member_report_loads_back(self, tmp_path, fns_path):
+        # a tabulated member's report carries its table, so the report's
+        # distribution is a valid input and reproduces the verdicts
+        import math
+        pm = [[k, float(np.exp(-2.0) * 2.0**k / math.factorial(k))]
+              for k in range(60)]
+        doc = {"custom": {"kind": "discrete", "mean": 2.0,
+                          "quadratic": [0.0, 0.0, 2.0], "support": [0, 59],
+                          "pmf_table": pm}}
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(doc))
+        first = str(tmp_path / "r.json")
+        assert main(["bounds", "--dist", str(path), "--functions", fns_path,
+                     "--n", "1,2", "--out-json", first, "--quiet"]) == 0
+        report = json.loads(open(first).read())
+        assert report["distribution"]["custom"] == doc["custom"]
+        back = tmp_path / "back.json"
+        back.write_text(json.dumps(report["distribution"]))
+        second = str(tmp_path / "r2.json")
+        assert main(["bounds", "--dist", str(back), "--functions", fns_path,
+                     "--n", "1,2", "--out-json", second, "--quiet"]) == 0
+        replay = json.loads(open(second).read())
+        assert replay["distribution"] == report["distribution"]
+        assert [r["verdicts"] for r in replay["runs"]] == \
+            [r["verdicts"] for r in report["runs"]]
+
     def test_bad_order_is_usage_error(self, fns_path):
         assert main(["bounds", "--dist", "normal", "--functions", fns_path,
                      "--n", "0"]) == 1
@@ -232,6 +258,68 @@ class TestChain:
         assert replay["functions"] == chain["functions"]
         assert [r["verdicts"] for r in replay["runs"]] == \
             [r["verdicts"] for r in chain["runs"]]
+
+
+class TestOnePass:
+    """``chain`` and ``bounds --n a,b,c`` run every order in one pass."""
+
+    def test_chain_evaluates_each_derivative_once_per_grid(self, tmp_path,
+                                                           monkeypatch):
+        from varbounds.calculus import SmoothFunction
+        calls = []
+        original = SmoothFunction.derivative_value
+
+        def counted(self, k, x):
+            calls.append((self.label, k))
+            return original(self, k, x)
+
+        monkeypatch.setattr(SmoothFunction, "derivative_value", counted)
+        exprs = ("x^3", "exp(0.4*x)", "x*sin(2*x)")
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"functions": [{"expr": e}
+                                                  for e in exprs]}))
+        assert main(["chain", "--dist", "normal", "--functions", str(path),
+                     "--n", "4", "--quiet"]) == 0
+        # once each on the class ladder, the full grid and the half grid
+        assert sorted(calls) == sorted((e, k) for e in exprs
+                                       for k in range(1, 5) for _ in range(3))
+
+    @pytest.mark.parametrize("theorems", ["poincare,bessel", "poincare"])
+    @pytest.mark.parametrize("dist,params,exprs,policy", [
+        ("normal:mean=0.2,var=1.3", ("normal", {"mean": 0.2, "var": 1.3}),
+         ("x^3", "exp(0.4*x)", "x*sin(2*x)"), "raise"),
+        # log(x) leaves the Gram class of gamma(1.5) at k = 2
+        ("gamma:shape=1.5", ("gamma", {"shape": 1.5}),
+         ("x", "x^2", "log(x)"), "drop"),
+    ])
+    @pytest.mark.parametrize("command", ["chain", "bounds"])
+    def test_runs_equal_separate_reports(self, tmp_path, command, dist,
+                                         params, exprs, policy, theorems):
+        from varbounds import bound_report, catalog, load_function_tuple
+        doc = {"functions": [{"expr": e} for e in exprs]}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "out.json")
+        orders = "4" if command == "chain" else "1,2,3,4"
+        main([command, "--dist", dist, "--functions", str(path),
+              "--n", orders, "--theorems", theorems, "--out-json", out,
+              "--on-class-failure", policy, "--quiet"])
+        runs = json.loads(open(out).read())["runs"]
+        spec, g = catalog(*params), load_function_tuple(doc)
+        alone = [bound_report(spec, g, n, theorems=theorems.split(","),
+                              class_policy=policy).to_json_dict()
+                 for n in (1, 2, 3, 4)]
+        assert runs == json.loads(json.dumps(alone))
+        assert [r["provenance"]["dropped_functions"] for r in runs] == \
+            ([[], [2], [2], [2]] if policy == "drop" else [[]] * 4)
+
+    def test_refusal_keeps_its_exit_code(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"functions": [{"expr": "x"},
+                                                  {"expr": "log(x)"}]}))
+        for command, orders in (("chain", "3"), ("bounds", "3,1,2")):
+            assert main([command, "--dist", "gamma:shape=1.5", "--functions",
+                         str(path), "--n", orders, "--quiet"]) == 4
 
 
 class TestMcVerify:
