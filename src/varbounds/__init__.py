@@ -13,9 +13,9 @@ from .bounds import (BoundReport, ClassReport, TermWeight, bessel_coefficient,
                      bound_report, bound_reports, check_class,
                      dispersion_matrix, matrix_A, matrix_B, matrix_H, matrix_L,
                      matrix_S, poincare_coefficient, q_power_expectation)
-from .calculus import (FunctionTuple, SmoothFunction, derivative_value,
-                       forward_difference, load_function_tuple, parse_function,
-                       polynomial, rising_q)
+from .calculus import (FunctionTuple, SmoothFunction, forward_difference,
+                       load_function_tuple, parse_function, polynomial,
+                       rising_q)
 from .distributions import (ContinuousIP, DiscreteCO, InferredQuadratic,
                             MembershipReport, Quadratic, catalog,
                             infer_quadratic, load_distribution,
@@ -38,7 +38,7 @@ __all__ = [
     "bound_report", "bound_reports", "check_class", "dispersion_matrix", "matrix_A", "matrix_B",
     "matrix_H", "matrix_L", "matrix_S", "poincare_coefficient",
     "q_power_expectation",
-    "FunctionTuple", "SmoothFunction", "derivative_value", "forward_difference",
+    "FunctionTuple", "SmoothFunction", "forward_difference",
     "load_function_tuple", "parse_function", "polynomial", "rising_q",
     "ContinuousIP", "DiscreteCO", "InferredQuadratic", "MembershipReport",
     "Quadratic", "catalog", "infer_quadratic", "load_distribution",

@@ -1,13 +1,15 @@
-"""Test-function machinery: exact symbolic derivatives for a small primitive
-grammar, forward differences for integer-domain functions, and the rising
-quadratic product.
+"""Test-function machinery: exact closed-form derivatives for a small
+primitive grammar, forward differences for integer-domain functions, and the
+rising quadratic product.
 
-Continuous test functions are restricted to representations whose derivatives
-are available in closed form (polynomials and compositions of exp/sin/cos/log
-primitives).  No numeric differentiation happens on the main path; squared
-high-order derivatives would otherwise contaminate eigenvalue margins near
-equality cases.  Discrete test functions can be arbitrary evaluators, since
-forward differences need only point values.
+Continuous test functions are sums of terms c*u(x)*v(x) whose factors are
+primitives with a closed-form derivative of every order (polynomials, and
+exp/sin/cos/log of an affine argument).  The k-th derivative is the binomial
+Leibniz sum over those closed forms, O(k) primitive evaluations per term.  No
+numeric differentiation happens on the main path; squared high-order
+derivatives would otherwise contaminate eigenvalue margins near equality
+cases.  Discrete test functions can be arbitrary evaluators, since forward
+differences need only point values.
 """
 
 from __future__ import annotations
@@ -24,199 +26,103 @@ MAX_DIFFERENCE_ORDER = 20
 
 
 # ---------------------------------------------------------------------------
-# expression nodes
+# closed-form primitives and term sums
 # ---------------------------------------------------------------------------
 
-class _Node:
-    """One node of a closed-form expression tree."""
+class _Factor:
+    """One primitive with a closed-form derivative of every order: a
+    polynomial, exp(ax+b), sin(ax+b + quarter*pi/2) (cos is quarter 1) or
+    log(ax+b).  ``top`` is the highest order whose derivative is not
+    identically zero (the degree of a polynomial, infinite otherwise)."""
 
-    def value(self, x):
-        raise NotImplementedError
-
-    def deriv(self) -> "_Node":
-        raise NotImplementedError
-
-    def to_json(self):
-        raise NotImplementedError
-
-
-class _Poly(_Node):
-    def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-        nz = np.nonzero(c)[0]
-        self.coeffs = c[: nz[-1] + 1] if nz.size else np.zeros(1)
-
-    def value(self, x):
-        return npoly.polyval(x, self.coeffs)
-
-    def deriv(self):
-        return _Poly(npoly.polyder(self.coeffs))
-
-    def to_json(self):
-        return {"poly": self.coeffs.tolist()}
-
-    def __repr__(self):
-        return f"poly({self.coeffs.tolist()})"
+    def __init__(self, kind, a=1.0, b=0.0, quarter=0, coeffs=None):
+        # a numpy rate lets a^j overflow to inf, as the array values do,
+        # where a Python float power would raise
+        self.kind, self.a, self.b = kind, np.float64(a), float(b)
+        self.quarter = quarter
+        self.top = math.inf
+        if kind == "poly":
+            c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+            nz = np.nonzero(c)[0]
+            self.derivs = [c[: nz[-1] + 1] if nz.size else np.zeros(1)]
+            while len(self.derivs[-1]) > 1:
+                self.derivs.append(npoly.polyder(self.derivs[-1]))
+            self.top = len(self.derivs) - 1
 
 
-class _Exp(_Node):
-    def __init__(self, a, b=0.0):
-        self.a, self.b = float(a), float(b)
+def _factor_value(f: _Factor, j: int, x):
+    """j-th derivative of the primitive f at x (j <= f.top), as a scalar and
+    an array whose product it is; callers fold the scalars of a Leibniz
+    summand into one multiply."""
+    if f.kind == "poly":
+        return 1.0, npoly.polyval(x, f.derivs[j])
+    t = f.a * x + f.b
+    if f.kind == "exp":
+        return f.a ** j, np.exp(t)
+    if f.kind == "sin":
+        # the j-th derivative of sin turns it by j quarter periods
+        q = (f.quarter + j) % 4
+        return (f.a ** j if q < 2 else -f.a ** j,
+                np.sin(t) if q % 2 == 0 else np.cos(t))
+    if j == 0:
+        return 1.0, np.log(t)
+    # d^j log(ax+b) = (-1)^(j-1) (j-1)! a^j (ax+b)^(-j)
+    scale = f.a ** j
+    for m in range(1, j):
+        scale *= -m
+    return scale, t ** -j
 
-    def value(self, x):
-        return np.exp(self.a * np.asarray(x, dtype=float) + self.b)
-
-    def deriv(self):
-        return _Scaled(self.a, _Exp(self.a, self.b))
-
-    def __repr__(self):
-        return f"exp({_affine_str(self.a, self.b)})"
-
-
-class _Sin(_Node):
-    # phase lets sin/cos share one derivative recurrence
-    def __init__(self, a, b=0.0, phase=0.0):
-        self.a, self.b, self.phase = float(a), float(b), float(phase)
-
-    def value(self, x):
-        arg = self.a * np.asarray(x, dtype=float) + self.b + self.phase
-        return np.sin(arg)
-
-    def deriv(self):
-        return _Scaled(self.a, _Sin(self.a, self.b, self.phase + 0.5 * math.pi))
-
-    def __repr__(self):
-        k = round(self.phase / (0.5 * math.pi)) % 4
-        name = ["sin", "cos", "-sin", "-cos"][k]
-        return f"{name}({_affine_str(self.a, self.b)})"
-
-
-class _Log(_Node):
-    def __init__(self, a, b):
-        if a == 0.0:
-            raise ValueError("log argument must depend on x")
-        self.a, self.b = float(a), float(b)
-
-    def value(self, x):
-        return np.log(self.a * np.asarray(x, dtype=float) + self.b)
-
-    def deriv(self):
-        # d/dx log(ax+b) = a / (ax+b)
-        return _Scaled(self.a, _Reciprocal(self.a, self.b, 1))
-
-    def __repr__(self):
-        return f"log({_affine_str(self.a, self.b)})"
-
-
-class _Reciprocal(_Node):
-    # (ax+b)^(-m), m >= 1; closes the derivative chain of _Log
-    def __init__(self, a, b, m):
-        self.a, self.b, self.m = float(a), float(b), int(m)
-
-    def value(self, x):
-        return (self.a * np.asarray(x, dtype=float) + self.b) ** (-self.m)
-
-    def deriv(self):
-        return _Scaled(-self.m * self.a, _Reciprocal(self.a, self.b, self.m + 1))
-
-    def __repr__(self):
-        return f"({_affine_str(self.a, self.b)})^(-{self.m})"
-
-
-class _Scaled(_Node):
-    def __init__(self, c, node):
-        self.c, self.node = float(c), node
-
-    def value(self, x):
-        return self.c * self.node.value(x)
-
-    def deriv(self):
-        return _Scaled(self.c, self.node.deriv())
-
-    def __repr__(self):
-        return f"{self.c!r}*{self.node!r}"
-
-
-class _Sum(_Node):
-    def __init__(self, terms):
-        self.terms = list(terms)
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        for t in self.terms:
-            out = out + t.value(x)
-        return out
-
-    def deriv(self):
-        return _Sum([t.deriv() for t in self.terms])
-
-    def __repr__(self):
-        return " + ".join(repr(t) for t in self.terms)
-
-
-class _Product(_Node):
-    # at most two non-constant factors; Leibniz keeps the closure
-    def __init__(self, left, right):
-        self.left, self.right = left, right
-
-    def value(self, x):
-        return self.left.value(x) * self.right.value(x)
-
-    def deriv(self):
-        return _Sum([
-            _Product(self.left.deriv(), self.right),
-            _Product(self.left, self.right.deriv()),
-        ])
-
-    def __repr__(self):
-        return f"({self.left!r})*({self.right!r})"
-
-
-def _affine_str(a, b):
-    if b == 0.0:
-        return "x" if a == 1.0 else f"{a!r}*x"
-    return f"{a!r}*x{'+' if b >= 0 else '-'}{abs(b)!r}"
-
-
-# ---------------------------------------------------------------------------
-# public function objects
-# ---------------------------------------------------------------------------
 
 class SmoothFunction:
     """A real function with exact derivatives of every order.
 
-    Wraps an expression tree over the primitive set {polynomial, exp(a*x),
-    sin(a*x), cos(a*x), log(a*x+b), affine combinations, products of at most
-    two factors}.  Derivative trees are built once per order on first use and
-    cached; evaluation is vectorized over numpy arrays.
+    A sum of terms c*u(x)*v(x) over the primitives {polynomial, exp, sin,
+    cos, log of an affine argument}; a single-factor term has no v.  The k-th
+    derivative of a term is the binomial Leibniz sum
+    c * sum_i C(k,i) u^(i) v^(k-i) over closed-form primitive derivatives,
+    skipping the orders where a polynomial factor vanishes, so it costs O(k)
+    primitive evaluations and builds nothing per order.  Evaluation is
+    vectorized over numpy arrays.
     """
 
-    def __init__(self, node: _Node, label: str | None = None,
-                 max_order: int | None = None):
-        self._derivs = [node]
-        self.label = label if label is not None else repr(node)
-        self.max_order = max_order
-        self._expr = None  # grammar text, kept by parse_function
+    def __init__(self, terms, label: str, expr: str | None = None):
+        self._terms = terms  # [(c, u, v or None)]
+        self.label = label
+        self._expr = expr  # grammar text, kept by parse_function
 
     def __call__(self, x):
-        return self._derivs[0].value(x)
+        return self._derivative(0, x)
 
     def derivative_value(self, k: int, x):
         """Value of the exact k-th derivative at x (scalar or array)."""
         if k < 0:
             raise ValueError("derivative order must be nonnegative")
-        if self.max_order is not None and k > self.max_order:
-            raise ValueError(
-                f"order {k} exceeds declared max order {self.max_order}")
-        while len(self._derivs) <= k:
-            self._derivs.append(self._derivs[-1].deriv())
-        return self._derivs[k].value(x)
+        return self._derivative(k, x)
+
+    def _derivative(self, k, x):
+        x = np.asarray(x, dtype=float)
+        out = None
+        for c, u, v in self._terms:
+            if v is None:
+                orders = range(k, k + 1) if k <= u.top else range(0)
+            else:
+                orders = range(max(0, k - v.top), min(k, u.top) + 1)
+            for i in orders:
+                scale, val = _factor_value(u, i, x)
+                scale *= c
+                if v is not None:
+                    sv, vv = _factor_value(v, k - i, x)
+                    scale, val = scale * sv * math.comb(k, i), val * vv
+                if scale != 1.0:
+                    val = scale * val
+                out = val if out is None else out + val
+        return np.zeros(x.shape) if out is None else out
 
     def to_json(self):
         if self._expr is not None:
             return {"expr": self._expr}
-        return self._derivs[0].to_json()
+        # polynomial(): one single-factor polynomial term
+        return {"poly": self._terms[0][1].derivs[0].tolist()}
 
     def __repr__(self):
         return f"SmoothFunction({self.label})"
@@ -224,11 +130,10 @@ class SmoothFunction:
 
 def polynomial(coeffs: Sequence[float], label: str | None = None) -> SmoothFunction:
     """Polynomial from ascending coefficients [c0, c1, ...]."""
-    return SmoothFunction(_Poly(coeffs), label=label)
-
-
-def derivative_value(f: SmoothFunction, k: int, x):
-    return f.derivative_value(k, x)
+    poly = _Factor("poly", coeffs=coeffs)
+    if label is None:
+        label = f"poly({poly.derivs[0].tolist()})"
+    return SmoothFunction([(1.0, poly, None)], label)
 
 
 Evaluator = Union[SmoothFunction, Callable[[float], float]]
@@ -380,21 +285,21 @@ class _Parser:
             terms.append(t)
         return terms
 
-    # term := factor { * factor }; returns (coefficient, node or None)
+    # term := factor { * factor }; returns (coefficient, [factors])
     def parse_term(self):
         sign = 1.0
         while self.peek() == ("op", "-") or self.peek() == ("op", "+"):
             _, op = self.take()
             if op == "-":
                 sign = -sign
-        coef, nodes = sign, []
+        coef, factors = sign, []
         while True:
             kind, val = self.peek()
             if kind == "num":
                 self.take()
                 coef *= val
             elif kind == "name":
-                nodes.append(self.parse_symbol())
+                factors.append(self.parse_symbol())
             elif (kind, val) == ("op", "("):
                 raise ExpressionError(
                     "parenthesized subexpressions are outside the grammar; "
@@ -405,12 +310,9 @@ class _Parser:
                 self.take()
                 continue
             break
-        if len(nodes) > 2:
+        if len(factors) > 2:
             raise ExpressionError("products are limited to two factors")
-        if not nodes:
-            return coef, None
-        node = nodes[0] if len(nodes) == 1 else _combine_product(*nodes)
-        return coef, node
+        return coef, factors
 
     def parse_symbol(self):
         kind, name = self.take()
@@ -422,18 +324,16 @@ class _Parser:
                 if k2 != "num" or v2 != int(v2) or v2 < 0:
                     raise ExpressionError("x^m needs a nonnegative integer m")
                 power = int(v2)
-            return ("monomial", power)
+            return _Factor("poly", coeffs=[0.0] * power + [1.0])
         if name in ("exp", "sin", "cos", "log"):
             self.expect_op("(")
             a, b = self.parse_affine()
             self.expect_op(")")
-            if name == "exp":
-                return ("node", _Exp(a, b))
-            if name == "sin":
-                return ("node", _Sin(a, b))
+            if name == "log" and a == 0.0:
+                raise ValueError("log argument must depend on x")
             if name == "cos":
-                return ("node", _Sin(a, b, phase=0.5 * math.pi))
-            return ("node", _Log(a, b))
+                return _Factor("sin", a, b, quarter=1)
+            return _Factor(name, a, b)
         raise ExpressionError(f"unknown symbol {name!r}")
 
     # affine := degree <= 1 polynomial in x
@@ -472,45 +372,30 @@ class _Parser:
                 f"argument of exp/sin/cos/log must be affine in x: {self.text!r}")
 
 
-def _monomial_node(power: int) -> _Poly:
-    return _Poly([0.0] * power + [1.0])
-
-
-def _combine_product(f1, f2):
-    n1 = _monomial_node(f1[1]) if f1[0] == "monomial" else f1[1]
-    n2 = _monomial_node(f2[1]) if f2[0] == "monomial" else f2[1]
-    return ("node", _Product(n1, n2))
-
-
-def parse_function(text: str, max_order: int | None = None) -> SmoothFunction:
+def parse_function(text: str) -> SmoothFunction:
     """Parse a primitive-grammar expression into a SmoothFunction."""
     parser = _Parser(text)
-    terms = parser.parse_expr()
+    parsed = parser.parse_expr()
     if parser.peek()[0] != "end":
         raise ExpressionError(f"trailing input in {text!r}")
 
+    # constants and lone monomials collect into one polynomial term, first
     poly = np.zeros(1)
-    others = []
-    for coef, item in terms:
-        if item is None:
+    terms = []
+    for coef, factors in parsed:
+        if not factors:
             poly[0] += coef
-        elif item[0] == "monomial":
-            power = item[1]
+        elif len(factors) == 1 and factors[0].kind == "poly":
+            power = factors[0].top
             if len(poly) <= power:
                 poly = np.concatenate([poly, np.zeros(power + 1 - len(poly))])
             poly[power] += coef
         else:
-            node = item[1] if coef == 1.0 else _Scaled(coef, item[1])
-            others.append(node)
-
-    nodes = []
-    if np.any(poly) or not others:
-        nodes.append(_Poly(poly))
-    nodes.extend(others)
-    node = nodes[0] if len(nodes) == 1 else _Sum(nodes)
-    f = SmoothFunction(node, label=text, max_order=max_order)
-    f._expr = text
-    return f
+            u, v = factors if len(factors) == 2 else (factors[0], None)
+            terms.append((coef, u, v))
+    if np.any(poly) or not terms:
+        terms.insert(0, (1.0, _Factor("poly", coeffs=poly), None))
+    return SmoothFunction(terms, label=text, expr=text)
 
 
 def load_function_tuple(doc) -> FunctionTuple:

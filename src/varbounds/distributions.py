@@ -530,15 +530,14 @@ def verify_membership(spec: Spec, cfg: ex.EngineConfig | None = None,
 # moment finiteness
 # ---------------------------------------------------------------------------
 
-def moment_finiteness(spec: Spec, n: int, cfg: ex.EngineConfig | None = None,
-                      confirm: bool = True) -> bool:
+def moment_finiteness(spec: Spec, n: int,
+                      cfg: ex.EngineConfig | None = None) -> bool:
     """Whether E|X|^(2n) is finite.
 
     Bounded supports have every moment.  Otherwise the Pearson tail criterion
-    applies: delta <= 0 always, delta > 0 only while 2n < 1 + 1/delta.  When
-    ``confirm`` is set, a positive analytic verdict is double-checked by a
-    truncated-moment stabilization probe so a wrong edge case cannot silently
-    pass.
+    applies: delta <= 0 always, delta > 0 only while 2n < 1 + 1/delta.  A
+    positive analytic verdict is double-checked by a truncated-moment
+    stabilization probe so a wrong edge case cannot silently pass.
     """
     if n < 1:
         raise ValueError("order n must be at least 1")
@@ -551,8 +550,6 @@ def moment_finiteness(spec: Spec, n: int, cfg: ex.EngineConfig | None = None,
     analytic = delta <= 0.0 or 2 * n < 1.0 + 1.0 / delta
     if not analytic:
         return False
-    if not confirm:
-        return True
     result = ex.probe(spec, lambda x: np.abs(x) ** (2 * n), cfg)
     return result.finite
 

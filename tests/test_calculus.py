@@ -1,16 +1,24 @@
 """Derivative, difference, and parser tests.
 
-Oracles: Richardson-extrapolated central differences for the exact
+Oracles: Richardson-extrapolated central differences and a table of values
+recorded from the former expression-tree derivatives for the exact
 derivatives, literal k-fold iteration of the one-step difference for the
 binomial-sum formula, and hand values everywhere they are cheap.
 """
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
+from varbounds import calculus
 from varbounds.calculus import (ExpressionError, FunctionTuple,
                                 forward_difference, load_function_tuple,
                                 parse_function, polynomial, rising_q)
+
+REFERENCE = json.loads(
+    (pathlib.Path(__file__).with_name("derivative_values.json")).read_text())
 
 
 def central_derivative(f, k, x, h=None):
@@ -82,11 +90,42 @@ class TestDerivatives:
         x = 0.3
         assert f.derivative_value(1, x) == pytest.approx(1.0 / (x * (1 - x)))
 
-    def test_max_order_enforced(self):
-        f = parse_function("x^2", max_order=3)
-        f.derivative_value(3, 1.0)
-        with pytest.raises(ValueError):
-            f.derivative_value(4, 1.0)
+    @pytest.mark.parametrize("expr", sorted(REFERENCE))
+    def test_against_reference_table(self, expr):
+        # d^k g, k <= 8, recorded from the expression-tree derivatives that
+        # the closed-form term sums replaced (tests/derivative_values.json)
+        ref = REFERENCE[expr]
+        f = parse_function(expr)
+        for k, row in enumerate(ref["d"]):
+            np.testing.assert_allclose(
+                f.derivative_value(k, np.array(ref["x"])), row,
+                rtol=1e-12, atol=1e-12, err_msg=f"{expr}, k={k}")
+
+    @pytest.mark.parametrize("expr", [
+        "x*sin(2*x)", "x^2*exp(0.25*x)", "exp(x)*sin(x)", "cos(x)*log(x+3)",
+    ])
+    def test_linear_cost_at_order_16(self, expr, monkeypatch):
+        # one product term: the Leibniz sum takes at most k + 1 values of
+        # each factor
+        calls = []
+        original = calculus._factor_value
+
+        def counted(f, j, x):
+            calls.append(j)
+            return original(f, j, x)
+
+        monkeypatch.setattr(calculus, "_factor_value", counted)
+        k = 16
+        parse_function(expr).derivative_value(k, np.linspace(0.1, 2.0, 200))
+        assert 0 < len(calls) <= 2 * (k + 1)
+
+    def test_order_16_closed_form(self):
+        # d^16 [x sin 2x] = 2^16 (x sin 2x - 8 cos 2x)
+        xs = np.linspace(-2.0, 2.0, 9)
+        np.testing.assert_allclose(
+            parse_function("x*sin(2*x)").derivative_value(16, xs),
+            2.0**16 * (xs * np.sin(2 * xs) - 8 * np.cos(2 * xs)),
+            rtol=1e-12, atol=1e-12 * 2.0**16)
 
     def test_vectorized(self):
         f = parse_function("x^3")
