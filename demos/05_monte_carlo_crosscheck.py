@@ -1,36 +1,38 @@
-"""Seeded Monte Carlo as an independent route to every expectation.
+"""Seeded Monte Carlo as an independent route to the bound matrices.
 
-The sampler stream is a counter-mode splitmix64 generator, so a (seed,
-samples) pair pins down every draw exactly; rerunning a cross-check gives
-byte-identical numbers.  Quadrature/summation values and Monte Carlo means
-must agree within a few confidence half-widths.
+``varbounds mc-verify`` recomputes D, H_k and B_k as means over seeded
+samples and compares each entry with the quadrature or summation value,
+within four 99% confidence half-widths.  The sampler stream is a
+counter-mode splitmix64 generator, so a (seed, samples) pair pins down every
+draw exactly; rerunning a cross-check gives byte-identical numbers.
 """
+
+import json
+import os
+import tempfile
 
 import numpy as np
 
-from varbounds import (EngineConfig, catalog, expect_continuous,
-                       expect_discrete, expect_mc, splitmix64_uniforms)
+from varbounds import splitmix64_uniforms
+from varbounds.cli import main
 
 print("first five uniforms from seed 42:",
       np.round(splitmix64_uniforms(42, 5), 6))
 print("(identical on every run and every machine)\n")
 
 cases = [
-    (catalog("normal"), "E[Z^4]", lambda x: x**4),
-    (catalog("gamma", {"shape": 3, "scale": 2}), "E[X^2]", lambda x: x**2),
-    (catalog("poisson", {"lam": 2}), "E[X(X-1)]", lambda k: k * (k - 1)),
-    (catalog("binomial", {"n": 12, "theta": 0.35}), "E[2^-X]",
-     lambda k: 2.0 ** (-k)),
+    ("normal", ("x", "x^2")),
+    ("gamma:shape=3,scale=2", ("x", "x^2")),
+    ("poisson:lam=2", ("x", "x^2 - x")),
+    ("binomial:n=12,theta=0.35", ("x", "exp(-0.6931471805599453*x)")),
 ]
 
-cfg = EngineConfig(mc_samples=200_000, mc_seed=7)
-print(f"{'member':22s} {'quantity':10s} {'deterministic':>14s} "
-      f"{'monte carlo':>12s} {'99% half-width':>15s}")
-for spec, label, phi in cases:
-    det = (expect_discrete if spec.is_discrete else expect_continuous)(
-        spec, phi, cfg)
-    mc = expect_mc(spec, phi, cfg)
-    ok = abs(det.value - mc.value) <= 4 * mc.error_bracket
-    print(f"{spec.name:22s} {label:10s} {det.value:14.6f} "
-          f"{mc.value:12.6f} {mc.error_bracket:15.2e}  "
-          f"{'ok' if ok else 'DISAGREEMENT'}")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "functions.json")
+    for dist, exprs in cases:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"functions": [{"expr": e} for e in exprs]}, fh)
+        print(f"{dist}  g = ({', '.join(exprs)})")
+        code = main(["mc-verify", "--dist", dist, "--functions", path,
+                     "--n", "2", "--mc-samples", "200000", "--mc-seed", "7"])
+        print(f"exit code {code}\n")

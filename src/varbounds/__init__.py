@@ -12,7 +12,7 @@ toolkit.
 from .bounds import (BoundReport, ClassReport, TermWeight, bessel_coefficient,
                      bound_report, bound_reports, check_class,
                      dispersion_matrix, matrix_A, matrix_B, matrix_H, matrix_L,
-                     matrix_S, poincare_coefficient, q_power_expectation)
+                     matrix_S, poincare_coefficient)
 from .calculus import (FunctionTuple, SmoothFunction, forward_difference,
                        load_function_tuple, parse_function, polynomial,
                        rising_q)
@@ -20,14 +20,11 @@ from .distributions import (ContinuousIP, DiscreteCO, InferredQuadratic,
                             MembershipReport, Quadratic, catalog,
                             infer_quadratic, load_distribution,
                             moment_finiteness, spec_to_json, verify_membership)
-from .errors import (BracketCeilingError, ClassMembershipError,
-                     InvalidParameterError, NoSamplerError,
-                     NonFiniteIntegrandError, RankDeficientFitError,
-                     SingularCoefficientError, TruncationError,
-                     UnknownDistributionError, VarboundsError)
-from .expectation import (EngineConfig, ExpectationResult, expect,
-                          expect_continuous, expect_discrete, expect_mc,
-                          sample, splitmix64_uniforms)
+from .errors import (ClassMembershipError, InvalidParameterError,
+                     NoSamplerError, NonFiniteIntegrandError,
+                     RankDeficientFitError, SingularCoefficientError,
+                     TruncationError, UnknownDistributionError, VarboundsError)
+from .expectation import EngineConfig, sample, splitmix64_uniforms
 from .linalg import (PsdVerdict, SymMatrix, eigenvalues, is_psd, loewner_leq,
                      spectral_radius)
 
@@ -37,18 +34,16 @@ __all__ = [
     "BoundReport", "ClassReport", "TermWeight", "bessel_coefficient",
     "bound_report", "bound_reports", "check_class", "dispersion_matrix", "matrix_A", "matrix_B",
     "matrix_H", "matrix_L", "matrix_S", "poincare_coefficient",
-    "q_power_expectation",
     "FunctionTuple", "SmoothFunction", "forward_difference",
     "load_function_tuple", "parse_function", "polynomial", "rising_q",
     "ContinuousIP", "DiscreteCO", "InferredQuadratic", "MembershipReport",
     "Quadratic", "catalog", "infer_quadratic", "load_distribution",
     "moment_finiteness", "spec_to_json", "verify_membership",
-    "BracketCeilingError", "ClassMembershipError", "InvalidParameterError",
+    "ClassMembershipError", "InvalidParameterError",
     "NoSamplerError", "NonFiniteIntegrandError", "RankDeficientFitError",
     "SingularCoefficientError", "TruncationError", "UnknownDistributionError",
     "VarboundsError",
-    "EngineConfig", "ExpectationResult", "expect", "expect_continuous",
-    "expect_discrete", "expect_mc", "sample", "splitmix64_uniforms",
+    "EngineConfig", "sample", "splitmix64_uniforms",
     "PsdVerdict", "SymMatrix", "eigenvalues", "is_psd", "loewner_leq",
     "spectral_radius",
 ]

@@ -45,8 +45,10 @@ DEFAULT_TOL_SCALE = 1e-6
 class _Grid:
     """Evaluation grid of one spec: points x, nonnegative weights w with
     sum(w * phi(x)) ~ E[phi(X)], plus the tail bound for discrete members.
-    The weight w_k, E[w_k] and each row d^k g_i are evaluated on it once,
-    when first asked for."""
+    ``build`` gives the quadrature nodes or the truncated support; N Monte
+    Carlo samples form the grid ``_Grid(spec, samples, 1 / N)``.  The
+    weight w_k, E[w_k] and each row d^k g_i are evaluated on it once, when
+    first asked for."""
 
     def __init__(self, spec, x, w, tail=0.0):
         self.spec, self.x, self.w, self.tail = spec, x, w, tail
@@ -78,7 +80,8 @@ class _Grid:
         return self._w[k]
 
     def expectation(self, k):
-        """E[w_k], summed exactly as ``q_power_expectation`` sums it."""
+        """E[w_k], the grid sum of q^k (q^[k]) without clipping; a
+        non-finite term raises ``NonFiniteIntegrandError``."""
         if k not in self._eq:
             qk = self.q_power(k)
             contrib = self.w * qk
@@ -180,14 +183,6 @@ def matrix_B(spec: Spec, g: FunctionTuple, k: int,
                    f"entry in order-{k} outer product")
 
 
-def q_power_expectation(spec: Spec, k: int,
-                        cfg: ex.EngineConfig | None = None) -> ex.ExpectationResult:
-    """E[q^k(X)] (continuous) or E[q^[k](X)] (discrete)."""
-    phi = ((lambda j: rising_q(spec.q, k, j)) if spec.is_discrete
-           else (lambda x: spec.q(x) ** k))
-    return ex.expect(spec, phi, cfg)
-
-
 # ---------------------------------------------------------------------------
 # scalar coefficients
 # ---------------------------------------------------------------------------
@@ -221,7 +216,7 @@ def bessel_coefficient(spec: Spec, k: int,
     E[w_k] vanishes and the summand must be the null matrix."""
     if k < 1:
         raise ValueError("order k must be at least 1")
-    eq = q_power_expectation(spec, k, cfg).value
+    eq = _Grid.build(spec, cfg).expectation(k)
     return _bessel_weight(spec, k, eq).weight
 
 

@@ -26,7 +26,9 @@ import numpy as np
 
 from . import bounds as bnd
 from . import expectation as ex
-from .calculus import FunctionTuple, load_function_tuple, forward_difference, rising_q
+from .calculus import load_function_tuple
+# unused here: perfbench/tracing.py wraps both names in this module
+from .calculus import forward_difference, rising_q  # noqa: F401
 from .distributions import (catalog, infer_quadratic, load_distribution,
                             spec_to_json, verify_membership)
 from .errors import (ClassMembershipError, NoSamplerError,
@@ -226,51 +228,46 @@ def cmd_chain(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERDICT
 
 
-def _mc_matrices(spec, functions, n, cfg):
-    """Monte Carlo estimates of D, H_k, B_k with per-entry 99% half-widths."""
-    xs = ex.sample(spec, cfg)
-    p = functions.p
-    rows = np.vstack([np.asarray(g(xs), dtype=float) for g in functions])
+def _mean_ci(samples):
+    """Sample mean and its 99% confidence half-width."""
+    return (float(samples.mean()),
+            ex.Z_99 * float(samples.std(ddof=1)) / math.sqrt(samples.size))
 
-    def mean_ci(samples):
-        value = float(samples.mean())
-        sd = float(samples.std(ddof=1))
-        return value, ex.Z_99 * sd / math.sqrt(samples.size)
 
-    d_val = np.zeros((p, p))
-    d_ci = np.zeros((p, p))
-    centered = rows - rows.mean(axis=1, keepdims=True)
+def _mc_entries(rows, weight=None):
+    """Sample means of weight * rows[i] * rows[j] as a symmetric matrix and,
+    given a weight, of weight * rows[i] as a vector; each stacked with its
+    99% half-widths along a leading axis of length 2."""
+    p = len(rows)
+    mat, vec = np.zeros((2, p, p)), np.zeros((2, p))
     for i in range(p):
+        left = rows[i] if weight is None else weight * rows[i]
+        if weight is not None:
+            vec[:, i] = _mean_ci(left)
         for j in range(i, p):
-            v, ci = mean_ci(centered[i] * centered[j])
-            d_val[i, j] = d_val[j, i] = v
-            d_ci[i, j] = d_ci[j, i] = ci
+            mat[:, i, j] = mat[:, j, i] = _mean_ci(left * rows[j])
+    return mat, vec
 
+
+def _mc_matrices(spec, functions, n, cfg):
+    """Monte Carlo estimates of D, H_k, B_k with per-entry 99% half-widths.
+
+    The N samples form a grid of weight 1/N, so the rows d^k g_i and w_k
+    are the ones the quadrature and summation grids use.  The rows of each
+    order k >= 1 are freed before the next order's are made.
+    """
+    xs = ex.sample(spec, cfg)
+    grid = bnd._Grid(spec, xs, 1.0 / xs.size)
+    rows = grid.deriv_values(functions, 0)
+    d, _ = _mc_entries(rows - rows.mean(axis=1, keepdims=True))
     h_list, b_list = [], []
     for k in range(1, n + 1):
-        if spec.is_discrete:
-            wk = rising_q(spec.q, k, xs)
-            dv = np.vstack([forward_difference(g, k, xs) for g in functions])
-        else:
-            wk = spec.q(xs) ** k
-            dv = np.vstack([np.asarray(g.derivative_value(k, xs), dtype=float)
-                            for g in functions])
-        h_val = np.zeros((p, p))
-        h_ci = np.zeros((p, p))
-        v_val = np.zeros(p)
-        v_ci = np.zeros(p)
-        for i in range(p):
-            v_val[i], v_ci[i] = mean_ci(wk * dv[i])
-            for j in range(i, p):
-                v, ci = mean_ci(wk * dv[i] * dv[j])
-                h_val[i, j] = h_val[j, i] = v
-                h_ci[i, j] = h_ci[j, i] = ci
-        b_val = np.outer(v_val, v_val)
-        b_ci = (np.abs(v_val)[:, None] * v_ci[None, :]
-                + np.abs(v_val)[None, :] * v_ci[:, None])
-        h_list.append((h_val, h_ci))
-        b_list.append((b_val, b_ci))
-    return (d_val, d_ci), h_list, b_list
+        h, (v, v_ci) = _mc_entries(grid.deriv_values(functions, k),
+                                   grid.q_power(k))
+        spread = np.outer(np.abs(v), v_ci)  # B's half-width to first order
+        h_list.append(h)
+        b_list.append((np.outer(v, v), spread + spread.T))
+    return d, h_list, b_list
 
 
 def cmd_mc_verify(args) -> int:

@@ -24,10 +24,6 @@ class NonFiniteIntegrandError(VarboundsError):
         super().__init__(f"non-finite integrand value {value} at node {node}")
 
 
-class BracketCeilingError(VarboundsError):
-    """Quadrature error bracket exceeds the caller-supplied ceiling."""
-
-
 class TruncationError(VarboundsError):
     """Truncated summation cannot reach the mass tolerance."""
 

@@ -1,6 +1,9 @@
-"""Expectation engine: Gauss-Legendre quadrature for continuous members,
-exact truncated summation for discrete members, and a seeded Monte Carlo
-cross-check path.  Every result carries an error bracket.
+"""Expectation engine: the points and weights every expectation is summed
+over.  Continuous members get Gauss-Legendre quadrature on the mapped
+support, discrete members exact summation over the truncated support, and
+the Monte Carlo cross-check a seeded sample; ``bounds._Grid`` holds one of
+them and sums each expectation over it.  The ``Ladder`` of nested windows
+judges whether an expectation is finite at all.
 
 The Monte Carlo stream is a splitmix64 counter generator (documented in the
 README) rather than a library RNG, so results are bit-reproducible from
@@ -10,13 +13,13 @@ README) rather than a library RNG, so results are bit-reproducible from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import (BracketCeilingError, NoSamplerError,
-                     NonFiniteIntegrandError, TruncationError)
+from .errors import NoSamplerError, TruncationError
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -34,26 +37,29 @@ class EngineConfig:
     mc_seed: int = 123456789
 
     def __post_init__(self):
+        # settings arrive from JSON documents, so check types before ranges
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = {"int": Integral, "float": Real, "str": str}[f.type]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"engine setting {f.name} must be of type "
+                                 f"{f.type}, got {value!r}")
         if self.quad_nodes < 10:
             raise ValueError("quad_nodes must be at least 10")
         if self.infinite_map not in ("rational", "tanh"):
             raise ValueError("infinite_map must be 'rational' or 'tanh'")
         if not (0.0 < self.trunc_tol <= 1e-6):
             raise ValueError("trunc_tol must lie in (0, 1e-6]")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be positive")
+        # a sample standard deviation, so a confidence half-width, needs two
+        if self.mc_samples < 2:
+            raise ValueError("mc_samples must be at least 2")
 
     def override(self, **kwargs) -> "EngineConfig":
+        unknown = sorted(set(kwargs) - {f.name for f in fields(self)})
+        if unknown:
+            raise ValueError(f"unknown engine setting {', '.join(unknown)}")
         kwargs = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **kwargs) if kwargs else self
-
-
-@dataclass(frozen=True)
-class ExpectationResult:
-    value: float
-    error_bracket: float
-    method: str  # quadrature | summation | monte-carlo
-    detail: float  # node count | truncation mass | 99% CI half-width
 
 
 # ---------------------------------------------------------------------------
@@ -149,38 +155,6 @@ def continuous_grid(spec, cfg: EngineConfig, n_nodes: int | None = None):
     return x[keep], w[keep]
 
 
-def expect_continuous(spec, phi, cfg: EngineConfig | None = None,
-                      n_nodes: int | None = None,
-                      bracket_ceiling: float | None = None) -> ExpectationResult:
-    """E[phi(X)] by Gauss-Legendre on the mapped support.
-
-    The error bracket is the defect against the half-resolution rule plus a
-    roundoff floor; it is an estimate, not a certificate.  A caller that
-    needs a guaranteed resolution can pass ``bracket_ceiling``.
-    """
-    cfg = cfg or EngineConfig()
-    n = n_nodes if n_nodes is not None else cfg.quad_nodes
-
-    def apply(nodes):
-        x, w = continuous_grid(spec, cfg, nodes)
-        vals = np.asarray(phi(x), dtype=float)
-        contrib = w * vals
-        bad = ~np.isfinite(contrib)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise NonFiniteIntegrandError(float(x[i]), float(vals[i]))
-        return float(contrib.sum())
-
-    value = apply(n)
-    half = apply(max(10, n // 2))
-    bracket = abs(value - half) + 4.0 * np.finfo(float).eps * (1.0 + abs(value))
-    if bracket_ceiling is not None and bracket > bracket_ceiling:
-        raise BracketCeilingError(
-            f"error bracket {bracket:.3e} above ceiling {bracket_ceiling:.3e} "
-            f"at {n} nodes")
-    return ExpectationResult(value, bracket, "quadrature", float(n))
-
-
 # ---------------------------------------------------------------------------
 # discrete summation
 # ---------------------------------------------------------------------------
@@ -238,57 +212,18 @@ def truncated_support(spec, trunc_tol: float, underflow: bool = False):
                 f"{_SUMMATION_CAP} terms")
 
 
-def expect_discrete(spec, phi, cfg: EngineConfig | None = None) -> ExpectationResult:
-    """E[phi(X)] by exact summation over the truncated support.
-
-    The bracket bounds the discarded tail by (sup |phi| over the last ten
-    included points) times the remaining mass.
-    """
-    cfg = cfg or EngineConfig()
-    js, tail = truncated_support(spec, cfg.trunc_tol)
-    pm = np.asarray(spec.pmf(js), dtype=float)
-    vals = np.asarray(phi(js), dtype=float)
-    contrib = pm * vals
-    bad = ~np.isfinite(contrib)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise NonFiniteIntegrandError(int(js[i]), float(vals[i]))
-    value = float(contrib.sum())
-    bracket = 0.0 if tail == 0.0 else float(np.max(np.abs(vals[-10:]))) * tail
-    return ExpectationResult(value, bracket, "summation", tail)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-def sample(spec, cfg: EngineConfig | None = None,
-           n_samples: int | None = None, seed: int | None = None) -> np.ndarray:
-    """Draw variates through the spec's inverse-transform sampler."""
+def sample(spec, cfg: EngineConfig | None = None) -> np.ndarray:
+    """Draw ``cfg.mc_samples`` variates from the stream seeded by
+    ``cfg.mc_seed`` through the spec's inverse-transform sampler."""
     cfg = cfg or EngineConfig()
     if getattr(spec, "sampler", None) is None:
         raise NoSamplerError(f"no sampler available for {spec!r}")
-    n = n_samples if n_samples is not None else cfg.mc_samples
-    u = splitmix64_uniforms(seed if seed is not None else cfg.mc_seed, n)
+    u = splitmix64_uniforms(cfg.mc_seed, cfg.mc_samples)
     return np.asarray(spec.sampler(u), dtype=float)
-
-
-def expect_mc(spec, phi, cfg: EngineConfig | None = None) -> ExpectationResult:
-    """Sample-mean estimate with a 99% confidence half-width as the bracket."""
-    cfg = cfg or EngineConfig()
-    xs = sample(spec, cfg)
-    ys = np.asarray(phi(xs), dtype=float)
-    value = float(ys.mean())
-    sd = float(ys.std(ddof=1)) if ys.size > 1 else 0.0
-    half = Z_99 * sd / math.sqrt(ys.size)
-    return ExpectationResult(value, half, "monte-carlo", half)
-
-
-def expect(spec, phi, cfg: EngineConfig | None = None) -> ExpectationResult:
-    """Dispatch on the spec kind (continuous -> quadrature, discrete -> sum)."""
-    if getattr(spec, "is_discrete", False):
-        return expect_discrete(spec, phi, cfg)
-    return expect_continuous(spec, phi, cfg)
 
 
 # ---------------------------------------------------------------------------

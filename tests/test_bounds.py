@@ -16,7 +16,7 @@ from varbounds import bounds
 from varbounds.bounds import (_Grid, bessel_coefficient, bound_report,
                               bound_reports, check_class, dispersion_matrix,
                               matrix_A, matrix_B, matrix_H, matrix_L, matrix_S,
-                              poincare_coefficient, q_power_expectation)
+                              poincare_coefficient)
 from varbounds.calculus import SmoothFunction
 from varbounds.errors import ClassMembershipError, SingularCoefficientError
 from tests.conftest import make_bernoulli_member, make_heavy_member
@@ -143,7 +143,7 @@ class TestCoefficients:
         spec = catalog("poisson", {"lam": lam})
         for k in (1, 2, 3):
             # E[q^[k]] = lam^k, verified against brute-force summation
-            eq = q_power_expectation(spec, k, cfg).value
+            eq = _Grid.build(spec, cfg).expectation(k)
             assert eq == pytest.approx(lam**k, rel=1e-10)
             assert bessel_coefficient(spec, k, cfg) == pytest.approx(
                 1.0 / (math.factorial(k) * lam**k), rel=1e-9)
@@ -484,14 +484,64 @@ def _refuses(spec, g, n, cfg):
     return False
 
 
+def rising(a, m):
+    """Rising factorial a (a + 1) ... (a + m - 1) as a Gamma ratio."""
+    return math.exp(math.lgamma(a + m) - math.lgamma(a))
+
+
+def q_power_closed_form(member, k):
+    """E[w_k] for a LADDER_MEMBERS entry, independent of the grids: q is
+    constant for normal and poisson; Gamma ratios for gamma (q = x), beta
+    (q = x (1 - x) / (a + b)), negative-binomial (q^[k] = c^k (X + r)^(k))
+    and the heavy-tail member (density a power of q); falling factorials for
+    binomial (q^[k] = theta^k (n - X)_k, n - X ~ Bin(n, 1 - theta)); an
+    exact finite sum for hypergeometric (q = (K - x)(n - x) / N)."""
+    if LADDER_MEMBERS[member] is None:  # make_heavy_member(0.3, 1.0)
+        e = 1.0 / (2 * 0.3) + 1.0
+        return rising(e - k, k) / rising(e - k - 0.5, k)
+    family, par = LADDER_MEMBERS[member]
+    if family == "normal":
+        return 1.0
+    if family == "poisson":
+        return par["lam"] ** k
+    if family == "gamma":
+        return rising(par["shape"], k)
+    if family == "beta":
+        a, b = par["a"], par["b"]
+        return rising(a, k) * rising(b, k) / (rising(a + b, 2 * k)
+                                              * (a + b) ** k)
+    if family == "binomial":
+        t = par["theta"]
+        return (t * (1 - t)) ** k * math.perm(par["n"], k)
+    if family == "negative-binomial":
+        r, t = par["r"], par["theta"]
+        return ((1 - t) / t**2) ** k * rising(r, k)
+    big, succ, draws = par["N"], par["K"], par["n"]
+    return sum(math.comb(succ, x) * math.comb(big - succ, draws - x)
+               * math.perm(succ - x, k) * math.perm(draws - x, k)
+               for x in range(min(succ, draws) + 1)) \
+        / (math.comb(big, draws) * big**k)
+
+
 @pytest.mark.parametrize("member", list(LADDER_MEMBERS))
 def test_expectation_from_the_rows_is_q_power_expectation(member, cfg,
                                                           heavy_member):
+    """E[w_k] summed over the grid against its closed form."""
     entry = LADDER_MEMBERS[member]
     spec = heavy_member if entry is None else catalog(*entry)
     grid = _Grid.build(spec, cfg)
-    for k in range(1, 9):
-        assert grid.expectation(k) == q_power_expectation(spec, k, cfg).value
+    # the heavy-tail member has E[q^k] < inf only for k <= 2 (see below),
+    # and its integrand at k = 1, decaying like |x|^-3.33, converges slowest
+    for k in (range(1, 9) if entry else (1,)):
+        assert grid.expectation(k) == pytest.approx(
+            q_power_closed_form(member, k), rel=1e-10 if entry else 1e-9), k
+
+
+@pytest.mark.xfail(strict=True, reason="the integrand of E[q^2] decays like "
+                   "|x|^-1.33; 200 mapped Gauss-Legendre nodes miss ~3% of it")
+def test_heavy_tail_second_power_expectation(cfg, heavy_member):
+    assert _Grid.build(heavy_member, cfg).expectation(2) == pytest.approx(
+        q_power_closed_form("heavy-tail", 2), rel=1e-6)
 
 
 @pytest.mark.parametrize("member", [m for m in LADDER_MEMBERS
@@ -499,8 +549,11 @@ def test_expectation_from_the_rows_is_q_power_expectation(member, cfg,
 def test_term_weight_expectation(member, cfg):
     spec = catalog(*LADDER_MEMBERS[member])
     report = bound_report(spec, tuple_of("x", "x^2"), 3, cfg)
+    grid = _Grid.build(spec, cfg)
     for tw in report.bessel_weights:
-        assert tw.expectation == q_power_expectation(spec, tw.k, cfg).value
+        assert tw.expectation == grid.expectation(tw.k)
+        assert tw.expectation == pytest.approx(
+            q_power_closed_form(member, tw.k), rel=1e-10)
 
 
 class TestInvariants:

@@ -193,6 +193,19 @@ class TestBounds:
         assert payload["engine"]["quad_nodes"] == 120
         assert payload["runs"][0]["L"] is None  # bessel not requested
 
+    @pytest.mark.parametrize("engine,key", [
+        ({"quad_nodez": 80}, "quad_nodez"),
+        ({"quad_nodes": "80"}, "quad_nodes"),
+        ({"trunc_tol": [1e-9]}, "trunc_tol")])
+    def test_bad_engine_setting_is_input_error(self, tmp_path, fns_path,
+                                               capsys, engine, key):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"engine": engine}))
+        assert main(["bounds", "--config", str(path), "--dist", "normal",
+                     "--functions", fns_path, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and key in err
+
 
 class TestChain:
     def test_normal_cubic_chain(self, tmp_path, capsys):
@@ -339,6 +352,13 @@ class TestMcVerify:
                          "--out-json", out, "--quiet"])
             assert code == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+    def test_single_sample_is_input_error(self, fns_path, capsys):
+        code = main(["mc-verify", "--dist", "normal", "--functions", fns_path,
+                     "--n", "1", "--mc-samples", "1"])
+        assert code == 1
+        out = capsys.readouterr()
+        assert "mc_samples" in out.err and "nan" not in out.out
 
     def test_no_sampler_exit(self, beta_table_with_q_path, fns_path):
         code = main(["mc-verify", "--dist", beta_table_with_q_path,

@@ -42,3 +42,10 @@ def test_demo_runs(path):
     assert result.returncode == 0, result.stderr
     if path.name == "04_class_membership.py":
         assert result.stdout == CLASS_MEMBERSHIP_OUTPUT
+    if path.name == "05_monte_carlo_crosscheck.py":
+        comparisons = [line for line in result.stdout.splitlines()
+                       if "max-dev=" in line]
+        # D, H1, B1, H2, B2 on each of the four members
+        assert len(comparisons) == 20
+        assert all(line.endswith(" OK") for line in comparisons)
+        assert "EXCEEDS" not in result.stdout

@@ -1,4 +1,5 @@
-"""Expectation engine tests.
+"""Expectation engine tests: sums over the quadrature, summation and
+Monte Carlo sample grids.
 
 Oracles: a pure-Python splitmix64 reference, the Gaussian double-factorial
 moment identity, closed-form Beta moments, exact finite sums via math.comb,
@@ -10,10 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from varbounds import DiscreteCO, Quadratic, catalog
+from varbounds import (DiscreteCO, FunctionTuple, Quadratic, catalog,
+                       parse_function, polynomial)
+from varbounds.bounds import (_Grid, bound_report, dispersion_matrix,
+                              matrix_B, matrix_H)
+from varbounds.cli import _mc_matrices
 from varbounds.errors import NoSamplerError, TruncationError
-from varbounds.expectation import (EngineConfig, expect_continuous,
-                                   expect_discrete, expect_mc, probe, sample,
+from varbounds.expectation import (EngineConfig, probe, sample,
                                    splitmix64_uniforms, truncated_support)
 
 MASK = (1 << 64) - 1
@@ -34,6 +38,16 @@ def gaussian_even_moment(m):
     for i in range(1, 2 * m, 2):
         out *= i
     return out
+
+
+def grid_sum(spec, phi, cfg):
+    """E[phi(X)] as the weighted sum over the spec's grid."""
+    grid = _Grid.build(spec, cfg)
+    return grid.w @ phi(grid.x)
+
+
+def tuple_of(*exprs):
+    return FunctionTuple([parse_function(e) for e in exprs])
 
 
 def beta_moment(a, b, m):
@@ -65,78 +79,69 @@ class TestSplitmix:
 
 class TestContinuous:
     def test_normal_variance(self, cfg):
-        r = expect_continuous(catalog("normal"), lambda x: x**2, cfg)
-        assert abs(r.value - 1.0) < 1e-10
-        assert r.method == "quadrature"
+        grid = _Grid.build(catalog("normal"), cfg)
+        assert abs(grid.w @ grid.x**2 - 1.0) < 1e-10
+        assert grid.tail == 0.0
 
     def test_normal_sixth_moment(self, cfg):
-        r = expect_continuous(catalog("normal"), lambda x: x**6, cfg)
-        assert r.value == pytest.approx(gaussian_even_moment(3), abs=1e-9)
+        assert grid_sum(catalog("normal"), lambda x: x**6, cfg) == \
+            pytest.approx(gaussian_even_moment(3), abs=1e-9)
 
     def test_beta_quadratic_expectation(self, cfg):
         spec = catalog("beta", {"a": 2, "b": 3})
         want = (beta_moment(2, 3, 1) - beta_moment(2, 3, 2)) / 5.0
-        r = expect_continuous(spec, spec.q, cfg)
-        assert r.value == pytest.approx(want, abs=1e-12)
+        assert grid_sum(spec, spec.q, cfg) == pytest.approx(want, abs=1e-12)
 
     def test_doubling_nodes_within_bracket(self, cfg):
         # brackets are estimates; the contract allows 10x slack
         specs = [catalog("normal"), catalog("gamma", {"shape": 3, "scale": 2}),
                  catalog("beta", {"a": 0.5, "b": 0.5})]
         rng = np.random.default_rng(21)
+        double = EngineConfig(quad_nodes=2 * cfg.quad_nodes)
         for spec in specs:
-            for _ in range(5):
-                coeffs = rng.normal(size=4)
-                phi = lambda x, c=coeffs: c[0] + c[1]*x + c[2]*x**2 + c[3]*x**3
-                base = expect_continuous(spec, phi, cfg)
-                double = expect_continuous(spec, phi, cfg,
-                                           n_nodes=2 * cfg.quad_nodes)
-                assert abs(double.value - base.value) <= 10 * base.error_bracket
+            g = FunctionTuple([polynomial(rng.normal(size=4))
+                               for _ in range(5)])
+            report = bound_report(spec, g, 1, cfg, theorems=("poincare",),
+                                  class_policy="skip")
+            bracket = report.provenance["entry_brackets"]["D"]
+            finer = dispersion_matrix(spec, g, double).to_array()
+            assert np.max(np.abs(finer - report.D.to_array())) \
+                <= 10 * bracket, spec.name
 
     def test_tanh_map_agrees(self):
         spec = catalog("normal")
-        r1 = expect_continuous(spec, lambda x: x**4, EngineConfig())
-        r2 = expect_continuous(spec, lambda x: x**4,
-                               EngineConfig(infinite_map="tanh"))
-        assert r1.value == pytest.approx(r2.value, abs=1e-9)
-        assert r1.value == pytest.approx(3.0, abs=1e-9)
-
-    def test_bracket_ceiling(self, cfg):
-        from varbounds.errors import BracketCeilingError
-        spec = catalog("normal")
-        expect_continuous(spec, lambda x: x**2, cfg, bracket_ceiling=1e-6)
-        with pytest.raises(BracketCeilingError):
-            expect_continuous(spec, lambda x: np.cos(40.0 * x), cfg,
-                              n_nodes=24, bracket_ceiling=1e-12)
+        r1 = grid_sum(spec, lambda x: x**4, EngineConfig())
+        r2 = grid_sum(spec, lambda x: x**4, EngineConfig(infinite_map="tanh"))
+        assert r1 == pytest.approx(r2, abs=1e-9)
+        assert r1 == pytest.approx(3.0, abs=1e-9)
 
 
 class TestDiscrete:
     def test_poisson_mean_and_normalization(self, cfg):
-        spec = catalog("poisson", {"lam": 2})
-        assert abs(expect_discrete(spec, lambda k: k, cfg).value - 2.0) < 1e-10
-        ones = expect_discrete(spec, lambda k: np.ones_like(k), cfg)
-        assert ones.value == pytest.approx(1.0, abs=1e-12)
+        grid = _Grid.build(catalog("poisson", {"lam": 2}), cfg)
+        assert abs(grid.w @ grid.x - 2.0) < 1e-10
+        assert grid.w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_binomial_second_moment_exact(self, cfg):
-        spec = catalog("binomial", {"n": 10, "theta": 0.3})
+        grid = _Grid.build(catalog("binomial", {"n": 10, "theta": 0.3}), cfg)
         direct = sum(k**2 * math.comb(10, k) * 0.3**k * 0.7**(10 - k)
                      for k in range(11))
-        r = expect_discrete(spec, lambda k: k**2, cfg)
-        assert r.value == pytest.approx(direct, abs=1e-12)
-        assert r.error_bracket == 0.0  # finite support: exact
+        assert grid.w @ grid.x**2 == pytest.approx(direct, abs=1e-12)
+        assert grid.tail == 0.0  # finite support: exact
 
     def test_hypergeometric_exact_bracket(self, cfg):
-        spec = catalog("hypergeometric", {"N": 30, "K": 10, "n": 8})
-        r = expect_discrete(spec, lambda k: k, cfg)
-        assert r.error_bracket == 0.0
-        assert r.value == pytest.approx(8 * 10 / 30, abs=1e-12)
+        grid = _Grid.build(catalog("hypergeometric", {"N": 30, "K": 10, "n": 8}),
+                           cfg)
+        assert grid.tail == 0.0
+        assert grid.w @ grid.x == pytest.approx(8 * 10 / 30, abs=1e-12)
 
     def test_infinite_support_bracket(self, cfg):
-        spec = catalog("poisson", {"lam": 7})
-        r = expect_discrete(spec, lambda k: k**3, cfg)
-        assert 0.0 <= r.error_bracket < 1e-6
+        grid = _Grid.build(catalog("poisson", {"lam": 7}), cfg)
+        cubes = grid.x**3
+        # the discarded tail times the largest of the last ten terms
+        assert 0.0 <= np.max(np.abs(cubes[-10:])) * grid.tail < 1e-6
         # factorial-moment expansion: E[X^3] = lam^3 + 3 lam^2 + lam
-        assert r.value == pytest.approx(7**3 + 3 * 7**2 + 7, rel=1e-12)
+        assert grid.w @ cubes == pytest.approx(7**3 + 3 * 7**2 + 7, rel=1e-12)
 
     def test_truncation_cap(self):
         # pmf ~ 1/k^2 needs ~1e12 terms for 1e-12 mass; the cap must trip
@@ -155,20 +160,31 @@ class TestDiscrete:
 
 
 class TestMonteCarlo:
+    """Monte Carlo matrices of ``mc-verify``: per-entry means over the
+    sample grid with 99% confidence half-widths."""
+
     def test_normal_within_ci(self, cfg):
-        r = expect_mc(catalog("normal"), lambda x: x**2, cfg)
-        assert abs(r.value - 1.0) <= r.error_bracket
-        assert r.method == "monte-carlo"
+        (d, d_ci), ((h, h_ci),), _ = _mc_matrices(catalog("normal"),
+                                                  tuple_of("x^2"), 1, cfg)
+        assert abs(d[0, 0] - 2.0) <= d_ci[0, 0]  # Var[Z^2]
+        assert abs(h[0, 0] - 4.0) <= h_ci[0, 0]  # E[(2Z)^2]
 
     def test_poisson_factorial_moment(self, cfg):
-        r = expect_mc(catalog("poisson", {"lam": 2}), lambda k: k * (k - 1), cfg)
-        assert abs(r.value - 4.0) <= r.error_bracket
+        # forward difference 2X + 1 and weight q^[1] = lam = 2
+        (d, d_ci), ((h, h_ci),), ((b, b_ci),) = _mc_matrices(
+            catalog("poisson", {"lam": 2}), tuple_of("x^2"), 1, cfg)
+        assert abs(d[0, 0] - 58.0) <= d_ci[0, 0]  # E[X^4] - E[X^2]^2
+        assert abs(h[0, 0] - 66.0) <= h_ci[0, 0]  # 2 E[(2X + 1)^2]
+        assert abs(b[0, 0] - 100.0) <= b_ci[0, 0]  # (2 E[2X + 1])^2
 
     def test_constant_is_exact(self, cfg):
-        r = expect_mc(catalog("normal"),
-                      lambda x: 3.25 * np.ones_like(x), cfg)
-        assert r.value == 3.25
-        assert r.error_bracket == 0.0
+        g = FunctionTuple([polynomial([3.25]), parse_function("3.25*x")])
+        (d, d_ci), ((h, h_ci),), ((b, b_ci),) = _mc_matrices(
+            catalog("normal"), g, 1, cfg)
+        assert d[0].tolist() == [0.0, 0.0] and d_ci[0].tolist() == [0.0, 0.0]
+        np.testing.assert_array_equal(h, [[0.0, 0.0], [0.0, 10.5625]])
+        np.testing.assert_array_equal(b, h)
+        assert not h_ci.any() and not b_ci.any()
 
     def test_reproducible(self, cfg):
         a = sample(catalog("normal"), cfg)
@@ -177,10 +193,15 @@ class TestMonteCarlo:
 
     def test_no_sampler(self, cfg, heavy_member):
         with pytest.raises(NoSamplerError):
-            expect_mc(heavy_member, lambda x: x, cfg)
+            _mc_matrices(heavy_member, tuple_of("x"), 1, cfg)
+
+    def test_bare_callable_needs_derivatives(self, cfg):
+        with pytest.raises(TypeError):
+            _mc_matrices(catalog("normal"), FunctionTuple([np.sin]), 1, cfg)
 
     def test_quadrature_mc_agreement(self, cfg):
-        """Randomized suite: polynomial integrands agree within 4x the CI."""
+        """Randomized suite: D, H_1 and B_1 of polynomials agree within 4x
+        the CI, the ``mc-verify`` criterion."""
         rng = np.random.default_rng(99)
         members = [catalog("normal"), catalog("gamma", {"shape": 2.5}),
                    catalog("beta", {"a": 2, "b": 3}),
@@ -189,13 +210,15 @@ class TestMonteCarlo:
         for i, spec in enumerate(members):
             for trial in range(2):
                 deg = int(rng.integers(1, 7))
-                coeffs = rng.normal(size=deg + 1)
-                phi = lambda x, c=coeffs: sum(ci * x**i for i, ci in enumerate(c))
+                g = FunctionTuple([polynomial(rng.normal(size=deg + 1))])
                 mc_cfg = EngineConfig(mc_seed=1000 + 17 * i + trial)
-                mc = expect_mc(spec, phi, mc_cfg)
-                det = (expect_discrete if spec.is_discrete
-                       else expect_continuous)(spec, phi, mc_cfg)
-                assert abs(mc.value - det.value) <= 4 * mc.error_bracket + 1e-12
+                d, (h,), (b,) = _mc_matrices(spec, g, 1, mc_cfg)
+                for (mc, ci), det in zip(
+                        (d, h, b), (dispersion_matrix(spec, g, mc_cfg),
+                                    matrix_H(spec, g, 1, mc_cfg),
+                                    matrix_B(spec, g, 1, mc_cfg))):
+                    assert np.all(np.abs(mc - det.to_array())
+                                  <= 4 * ci + 1e-12), (spec.name, trial)
 
 
 class TestProbes:
@@ -247,6 +270,15 @@ class TestConfig:
             EngineConfig(infinite_map="spline")
         with pytest.raises(ValueError):
             EngineConfig(trunc_tol=0.1)
+        with pytest.raises(ValueError, match="mc_samples"):
+            EngineConfig(mc_samples=1)
+        for key, value in (("quad_nodes", "80"), ("quad_nodes", 80.0),
+                           ("trunc_tol", "1e-9"), ("mc_seed", None),
+                           ("mc_samples", True)):
+            with pytest.raises(ValueError, match=key):
+                EngineConfig(**{key: value})
+        with pytest.raises(ValueError, match="quad_nodez"):
+            EngineConfig().override(quad_nodez=80)
 
     def test_override(self):
         cfg = EngineConfig().override(quad_nodes=80, mc_seed=7)
