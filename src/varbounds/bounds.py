@@ -26,7 +26,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import expectation as ex
-from .calculus import FunctionTuple, SmoothFunction, forward_difference, rising_q
+from .calculus import (FunctionTuple, SmoothFunction, difference_of_rows,
+                       rising_q)
+# unused here: perfbench/tracing.py wraps this name in this module
+from .calculus import forward_difference  # noqa: F401
 from .distributions import Spec, moment_finiteness
 from .errors import (ClassMembershipError, InvalidParameterError,
                      NonFiniteIntegrandError, SingularCoefficientError)
@@ -45,14 +48,16 @@ DEFAULT_TOL_SCALE = 1e-6
 class _Grid:
     """Evaluation grid of one spec: points x, nonnegative weights w with
     sum(w * phi(x)) ~ E[phi(X)], plus the tail bound for discrete members.
-    ``build`` gives the quadrature nodes or the truncated support; N Monte
-    Carlo samples form the grid ``_Grid(spec, samples, 1 / N)``.  The
-    weight w_k, E[w_k] and each row d^k g_i are evaluated on it once, when
-    first asked for."""
+    ``build`` gives the quadrature nodes or the truncated support, and
+    ``from_samples`` the grid of N Monte Carlo samples.  The weight w_k,
+    E[w_k] and each row d^k g_i are evaluated on it once, when first asked
+    for; on a discrete member each g_i is evaluated once at each shift
+    x + j, and its forward differences of every order combine those rows."""
 
-    def __init__(self, spec, x, w, tail=0.0):
+    def __init__(self, spec, x, w, tail=0.0, counts=None):
         self.spec, self.x, self.w, self.tail = spec, x, w, tail
-        self._w, self._eq, self._d = {}, {}, {}
+        self.counts = counts
+        self._w, self._eq, self._d, self._shifts = {}, {}, {}, {}
 
     @classmethod
     def build(cls, spec, cfg=None, n_nodes=None):
@@ -63,6 +68,17 @@ class _Grid:
                        np.asarray(spec.pmf(js), dtype=float), tail)
         x, w = ex.continuous_grid(spec, cfg, n_nodes)
         return cls(spec, x, w)
+
+    @classmethod
+    def from_samples(cls, spec, xs):
+        """The grid of the N samples ``xs``, each of weight 1/N.  A discrete
+        member's samples take a few dozen values, so they collapse to the
+        distinct values with weights count/N, and the integer ``counts``
+        are kept for exact sample sums."""
+        if spec.is_discrete:
+            x, counts = np.unique(xs, return_counts=True)
+            return cls(spec, x, counts / xs.size, counts=counts)
+        return cls(spec, xs, 1.0 / xs.size)
 
     def q_power(self, k):
         """q^k (continuous) or the rising product q^[k] (discrete) at the
@@ -108,10 +124,12 @@ class _Grid:
         difference)."""
         rows = []
         for gi in g:
-            if k == 0:
+            if self.spec.is_discrete:
+                shifted = self._shifted(gi, k)
+                rows.append(shifted[0] if k == 0
+                            else difference_of_rows(shifted, k))
+            elif k == 0:
                 rows.append(np.asarray(gi(self.x), dtype=float))
-            elif self.spec.is_discrete:
-                rows.append(forward_difference(gi, k, self.x))
             elif not isinstance(gi, SmoothFunction):
                 raise TypeError("continuous test functions need exact "
                                 "derivatives; got a bare callable")
@@ -119,6 +137,16 @@ class _Grid:
                 rows.append(np.asarray(gi.derivative_value(k, self.x),
                                        dtype=float))
         return np.vstack(rows)
+
+    def _shifted(self, gi, k):
+        """The rows g_i(x), g_i(x + 1), ..., g_i(x + k), each evaluated
+        once per grid."""
+        _, rows = self._shifts.setdefault(id(gi), (gi, []))
+        while len(rows) <= k:
+            j = len(rows)
+            rows.append(np.asarray(gi(self.x + j if j else self.x),
+                                   dtype=float))
+        return rows
 
 
 def _nonnegative(qk, k):
@@ -324,12 +352,12 @@ class _ClassCheck:
     def __init__(self, spec, g, classes, cfg):
         self.spec, self.g, self.classes = spec, g, tuple(classes)
         self.ladder = ex.Ladder.build(spec, cfg)
+        self.nodes = _Grid(spec, self.ladder.x, self.ladder.w)
         self.probes = {cls: [] for cls in self.classes}  # [k][i]
 
     def upto(self, n):
         """Classify the rows of every order up to n not classified yet."""
-        ladder, spec, p = self.ladder, self.spec, self.g.p
-        nodes = _Grid(spec, ladder.x, ladder.w)
+        ladder, nodes, p = self.ladder, self.nodes, self.g.p
         root_w = np.sqrt(ladder.w)
         rows, slots = [], []
         # divergent integrands are fed on purpose; inf is a verdict, not a bug

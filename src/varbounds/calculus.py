@@ -196,13 +196,20 @@ def forward_difference(f: Evaluator, k: int, j):
     """
     if k < 0:
         raise ValueError("difference order must be nonnegative")
-    row = _pascal_row(k)
     j = np.asarray(j, dtype=float)
-    out = np.zeros(j.shape)
-    for i, binom in enumerate(row):
-        sign = -1.0 if (k - i) % 2 else 1.0
-        out = out + sign * binom * np.asarray(f(j + i), dtype=float)
+    out = difference_of_rows(
+        [np.asarray(f(j + i), dtype=float) for i in range(k + 1)], k)
     return out if out.shape else float(out)
+
+
+def difference_of_rows(rows, k: int) -> np.ndarray:
+    """k-th forward difference from the rows f(j), f(j+1), ..., f(j+k):
+    sum_{i=0..k} (-1)^(k-i) C(k,i) rows[i], summed in order of i."""
+    out = np.zeros(np.shape(rows[0]))
+    for i, binom in enumerate(_pascal_row(k)):
+        sign = -1.0 if (k - i) % 2 else 1.0
+        out = out + sign * binom * rows[i]
+    return out
 
 
 def rising_q(q, k: int, x):

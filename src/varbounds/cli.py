@@ -228,42 +228,59 @@ def cmd_chain(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERDICT
 
 
-def _mean_ci(samples):
-    """Sample mean and its 99% confidence half-width."""
-    return (float(samples.mean()),
-            ex.Z_99 * float(samples.std(ddof=1)) / math.sqrt(samples.size))
+def _mean_ci(samples, counts=None):
+    """Sample mean and its 99% confidence half-width.
+
+    With ``counts``, ``samples`` holds distinct values and ``counts`` the
+    integer number of samples at each; the sums over the N samples are then
+    sums of count times value, exact for a constant.
+    """
+    if counts is None:
+        return (float(samples.mean()),
+                ex.Z_99 * float(samples.std(ddof=1)) / math.sqrt(samples.size))
+    size = int(counts.sum())
+    mean = float(counts @ samples) / size
+    dev = samples - mean
+    return mean, ex.Z_99 * math.sqrt(float(counts @ (dev * dev))
+                                     / ((size - 1) * size))
 
 
-def _mc_entries(rows, weight=None):
+def _mc_entries(rows, weight=None, counts=None):
     """Sample means of weight * rows[i] * rows[j] as a symmetric matrix and,
     given a weight, of weight * rows[i] as a vector; each stacked with its
-    99% half-widths along a leading axis of length 2."""
+    99% half-widths along a leading axis of length 2.  ``counts`` is as in
+    ``_mean_ci``."""
     p = len(rows)
     mat, vec = np.zeros((2, p, p)), np.zeros((2, p))
     for i in range(p):
         left = rows[i] if weight is None else weight * rows[i]
         if weight is not None:
-            vec[:, i] = _mean_ci(left)
+            vec[:, i] = _mean_ci(left, counts)
         for j in range(i, p):
-            mat[:, i, j] = mat[:, j, i] = _mean_ci(left * rows[j])
+            mat[:, i, j] = mat[:, j, i] = _mean_ci(left * rows[j], counts)
     return mat, vec
 
 
 def _mc_matrices(spec, functions, n, cfg):
     """Monte Carlo estimates of D, H_k, B_k with per-entry 99% half-widths.
 
-    The N samples form a grid of weight 1/N, so the rows d^k g_i and w_k
-    are the ones the quadrature and summation grids use.  The rows of each
+    The N samples form a grid (``bounds._Grid.from_samples``), so the rows
+    d^k g_i and w_k are the ones the quadrature and summation grids use.  A
+    discrete member's samples are counted: every mean and half-width is a
+    sum over its few distinct values, weighted by their integer counts, and
+    equals the sum over all N samples up to roundoff.  The rows of each
     order k >= 1 are freed before the next order's are made.
     """
     xs = ex.sample(spec, cfg)
-    grid = bnd._Grid(spec, xs, 1.0 / xs.size)
+    grid = bnd._Grid.from_samples(spec, xs)
+    counts = grid.counts
     rows = grid.deriv_values(functions, 0)
-    d, _ = _mc_entries(rows - rows.mean(axis=1, keepdims=True))
+    means = rows.mean(axis=1) if counts is None else rows @ counts / xs.size
+    d, _ = _mc_entries(rows - means[:, None], counts=counts)
     h_list, b_list = [], []
     for k in range(1, n + 1):
         h, (v, v_ci) = _mc_entries(grid.deriv_values(functions, k),
-                                   grid.q_power(k))
+                                   grid.q_power(k), counts)
         spread = np.outer(np.abs(v), v_ci)  # B's half-width to first order
         h_list.append(h)
         b_list.append((np.outer(v, v), spread + spread.T))

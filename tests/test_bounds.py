@@ -17,7 +17,7 @@ from varbounds.bounds import (_Grid, bessel_coefficient, bound_report,
                               bound_reports, check_class, dispersion_matrix,
                               matrix_A, matrix_B, matrix_H, matrix_L, matrix_S,
                               poincare_coefficient)
-from varbounds.calculus import SmoothFunction
+from varbounds.calculus import SmoothFunction, forward_difference
 from varbounds.errors import ClassMembershipError, SingularCoefficientError
 from tests.conftest import make_bernoulli_member, make_heavy_member
 
@@ -399,6 +399,31 @@ class TestOnePass:
         # once each on the class ladder, the full grid and the half grid
         assert sorted(calls) == sorted((id(gi), k) for gi in g
                                        for k in (1, 2, 3) for _ in range(3))
+
+    def test_one_evaluation_per_shift_on_discrete_grids(self, cfg,
+                                                         monkeypatch):
+        calls = []
+        original = SmoothFunction.__call__
+
+        def counted(self, x):
+            calls.append(id(self))
+            return original(self, x)
+
+        monkeypatch.setattr(SmoothFunction, "__call__", counted)
+        g = tuple_of("x", "x*sin(2*x)", "x^2*exp(0.25*x)")
+        bound_reports(catalog("poisson", {"lam": 3.815}), g, range(1, 9), cfg)
+        # at x, x + 1, ..., x + 8 on the class ladder and on the summation
+        # grid, which is its own half-resolution grid
+        assert sorted(calls) == sorted(id(gi) for gi in g for _ in range(18))
+
+    def test_differences_of_shifted_rows_are_forward_differences(self, cfg):
+        g = tuple_of("x^3", "exp(0.3*x)", "x*cos(0.8*x)")
+        grid = _Grid.build(catalog("negative-binomial",
+                                   {"r": 3, "theta": 0.5}), cfg)
+        for k in range(9):
+            np.testing.assert_array_equal(
+                grid.deriv_values(g, k),
+                [forward_difference(gi, k, grid.x) for gi in g])
 
     def test_moment_gate_once_per_order(self, cfg, monkeypatch):
         orders = []

@@ -9,12 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
-from varbounds import (ContinuousIP, DiscreteCO, Quadratic, catalog,
-                       infer_quadratic, load_distribution, moment_finiteness,
-                       spec_to_json, verify_membership)
+from varbounds import (ContinuousIP, DiscreteCO, EngineConfig, Quadratic,
+                       catalog, infer_quadratic, load_distribution,
+                       moment_finiteness, spec_to_json, splitmix64_uniforms,
+                       verify_membership)
 from varbounds.bounds import _Grid
 from varbounds.calculus import rising_q
+from varbounds.distributions import _beta_quantile, _gamma_quantile
 from varbounds.errors import (InvalidParameterError, RankDeficientFitError,
                               UnknownDistributionError)
 
@@ -187,6 +190,68 @@ class TestGridHealth:
         spec = catalog(name, params)
         x = _Grid.build(spec, cfg).x
         assert min(np.min(rising_q(spec.q, k, x)) for k in range(4)) >= -1e-12
+
+
+def sampler_draws():
+    """The default 200k stream plus the extreme and central draws."""
+    cfg = EngineConfig()
+    return np.concatenate([
+        splitmix64_uniforms(cfg.mc_seed, cfg.mc_samples),
+        [2.0**-54, 2.0**-40, 1e-9, 0.5, 1.0 - 1e-9, 1.0 - 2.0**-53]])
+
+
+def library_inverse(u, lower, upper):
+    """The library quantile: ``lower(u)`` for u <= 1/2, ``upper(1 - u)``
+    on the complement (exact there) above."""
+    out, low = np.empty(u.shape), u <= 0.5
+    out[low], out[~low] = lower(u[low]), upper(1.0 - u[~low])
+    return out
+
+
+def assert_relative(got, want, tol):
+    err = np.abs(got - want)
+    assert np.all(err <= tol * np.abs(want)), float(np.max(err / np.abs(want)))
+
+
+class TestQuantiles:
+    """The gamma and beta samplers against scipy's inverse incomplete gamma
+    and beta functions, which they call only at their table nodes."""
+
+    @pytest.mark.parametrize("a", [0.05, 0.4, 2.67, 3.7, 40])
+    def test_gamma(self, a):
+        u = sampler_draws()
+        x = _gamma_quantile(a, u)
+        assert np.all(np.isfinite(x))
+        assert np.all(np.diff(x[np.argsort(u)]) >= 0.0)
+        want = library_inverse(u, lambda p: special.gammaincinv(a, p),
+                               lambda q: special.gammainccinv(a, q))
+        # the lower tail of a small shape scales relative error by 1/a
+        assert_relative(x, want, 1e-12 if a < 0.1 else 1e-13)
+
+    @pytest.mark.parametrize("a,b", [(0.3, 4), (0.5, 0.5), (2, 2),
+                                     (2.5, 2.2), (3, 3), (40, 3)])
+    def test_beta_in_x_and_one_minus_x(self, a, b):
+        u = sampler_draws()
+        x, y = _beta_quantile(a, b, u)
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+        order = np.argsort(u)
+        assert np.all(np.diff(x[order]) >= 0.0)
+        assert np.all(np.diff(y[order]) <= 0.0)
+        # x below u = 1/2, and 1 - x as the quantile of beta(b, a) above
+        r = library_inverse(u, lambda p: special.betaincinv(a, b, p),
+                            lambda q: special.betaincinv(b, a, q))
+        low = u <= 0.5
+        assert_relative(x, np.where(low, r, 1.0 - r), 1e-13)
+        assert_relative(y, np.where(low, 1.0 - r, r), 1e-13)
+
+    def test_samplers_use_the_quantiles(self):
+        u = sampler_draws()[:1000]
+        gamma = catalog("gamma", {"shape": 2.5, "scale": 1.5})
+        beta = catalog("beta", {"a": 2.5, "b": 2.2})
+        np.testing.assert_array_equal(gamma.sampler(u),
+                                      1.5 * _gamma_quantile(2.5, u))
+        np.testing.assert_array_equal(beta.sampler(u),
+                                      _beta_quantile(2.5, 2.2, u)[0])
 
 
 class TestQuadratic:

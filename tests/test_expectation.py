@@ -16,9 +16,11 @@ from varbounds import (DiscreteCO, FunctionTuple, Quadratic, catalog,
 from varbounds.bounds import (_Grid, bound_report, dispersion_matrix,
                               matrix_B, matrix_H)
 from varbounds.cli import _mc_matrices
+from varbounds.distributions import _pmf_table, _table_sampler
 from varbounds.errors import NoSamplerError, TruncationError
-from varbounds.expectation import (EngineConfig, probe, sample,
-                                   splitmix64_uniforms, truncated_support)
+from varbounds.expectation import (Z_99, EngineConfig, _unit_interval, probe,
+                                   sample, splitmix64_uniforms,
+                                   truncated_support)
 
 MASK = (1 << 64) - 1
 
@@ -29,7 +31,8 @@ def splitmix_reference(seed, i):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
     z = z ^ (z >> 31)
-    return ((z >> 11) + 0.5) * 2.0**-53
+    # the top pattern's midpoint would round to 1.0
+    return min(((z >> 11) + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
 
 
 def gaussian_even_moment(m):
@@ -75,6 +78,12 @@ class TestSplitmix:
     def test_seed_changes_stream(self):
         assert not np.array_equal(splitmix64_uniforms(1, 8),
                                   splitmix64_uniforms(2, 8))
+
+    def test_top_bit_pattern_stays_below_one(self):
+        bits = np.array([0, 1, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+        np.testing.assert_array_equal(
+            _unit_interval(bits),
+            [2.0**-54, 3 * 2.0**-54, 1.0 - 2.0**-52, 1.0 - 2.0**-53])
 
 
 class TestContinuous:
@@ -159,6 +168,46 @@ class TestDiscrete:
             truncated_support(spec, 1e-12)
 
 
+def sixty_point_table():
+    """A tabulated 60-point member: the binomial(59, 0.3) pmf."""
+    table = [[k, math.comb(59, k) * 0.3**k * 0.7**(59 - k)] for k in range(60)]
+    pmf = _pmf_table(table)
+    return DiscreteCO(59 * 0.3, Quadratic(0.0, -0.3, 59 * 0.3), (0.0, 59.0),
+                      pmf, _table_sampler(pmf, (0.0, 59.0)), "table-60")
+
+
+def sample_sums(spec, g, n, cfg):
+    """``_mc_matrices`` as sums over all N samples, each of weight 1/N."""
+    def mean_ci(v):
+        return v.mean(), Z_99 * v.std(ddof=1) / math.sqrt(v.size)
+
+    def entries(rows, weight):
+        p = len(rows)
+        mat, vec = np.zeros((2, p, p)), np.zeros((2, p))
+        for i in range(p):
+            vec[:, i] = mean_ci(weight * rows[i])
+            for j in range(p):
+                mat[:, i, j] = mean_ci(weight * rows[i] * rows[j])
+        return mat, vec
+
+    xs = sample(spec, cfg)
+    grid = _Grid(spec, xs, 1.0 / xs.size)
+    rows = grid.deriv_values(g, 0)
+    d, _ = entries(rows - rows.mean(axis=1, keepdims=True), 1.0)
+    hs, bs = [], []
+    for k in range(1, n + 1):
+        h, (v, v_ci) = entries(grid.deriv_values(g, k), grid.q_power(k))
+        hs.append(h)
+        bs.append((np.outer(v, v),
+                   np.outer(np.abs(v), v_ci) + np.outer(v_ci, np.abs(v))))
+    return d, hs, bs
+
+
+def flatten(matrices):
+    d, hs, bs = matrices
+    return [*d, *(a for h in hs for a in h), *(a for b in bs for a in b)]
+
+
 class TestMonteCarlo:
     """Monte Carlo matrices of ``mc-verify``: per-entry means over the
     sample grid with 99% confidence half-widths."""
@@ -185,6 +234,30 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(h, [[0.0, 0.0], [0.0, 10.5625]])
         np.testing.assert_array_equal(b, h)
         assert not h_ci.any() and not b_ci.any()
+
+    def test_constant_is_exact_on_counted_samples(self, cfg):
+        g = FunctionTuple([polynomial([3.25]), parse_function("3.25*x")])
+        (d, d_ci), ((h, h_ci),), ((b, b_ci),) = _mc_matrices(
+            catalog("poisson", {"lam": 2}), g, 1, cfg)
+        assert d[0].tolist() == [0.0, 0.0] and d_ci[0].tolist() == [0.0, 0.0]
+        # forward difference 3.25 and weight q^[1] = lam = 2
+        np.testing.assert_array_equal(h, [[0.0, 0.0], [0.0, 2 * 3.25**2]])
+        np.testing.assert_array_equal(b, [[0.0, 0.0], [0.0, (2 * 3.25)**2]])
+        assert not h_ci.any() and not b_ci.any()
+
+    @pytest.mark.parametrize("spec", [
+        catalog("poisson", {"lam": 3.815}),
+        catalog("binomial", {"n": 14, "theta": 0.4}),
+        catalog("negative-binomial", {"r": 3.2, "theta": 0.55}),
+        catalog("hypergeometric", {"N": 50, "K": 20, "n": 10}),
+        sixty_point_table()], ids=lambda spec: spec.name)
+    def test_counted_grid_matches_sample_sums(self, spec, cfg):
+        g = tuple_of("x", "x^2", "exp(0.1*x)", "sin(0.7*x)")
+        got = _mc_matrices(spec, g, 2, cfg)
+        want = sample_sums(spec, g, 2, cfg)
+        for a, b in zip(flatten(got), flatten(want)):
+            np.testing.assert_allclose(a, b, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(b)))
 
     def test_reproducible(self, cfg):
         a = sample(catalog("normal"), cfg)
