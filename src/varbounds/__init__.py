@@ -12,14 +12,14 @@ toolkit.
 from .bounds import (BoundReport, ClassReport, TermWeight, bessel_coefficient,
                      bound_report, bound_reports, check_class,
                      dispersion_matrix, matrix_A, matrix_B, matrix_H, matrix_L,
-                     matrix_S, poincare_coefficient)
+                     matrix_S, moment_finiteness, poincare_coefficient)
 from .calculus import (FunctionTuple, SmoothFunction, forward_difference,
                        load_function_tuple, parse_function, polynomial,
                        rising_q)
 from .distributions import (ContinuousIP, DiscreteCO, InferredQuadratic,
                             MembershipReport, Quadratic, catalog,
-                            infer_quadratic, load_distribution,
-                            moment_finiteness, spec_to_json, verify_membership)
+                            infer_quadratic, load_distribution, spec_to_json,
+                            verify_membership)
 from .errors import (ClassMembershipError, InvalidParameterError,
                      NoSamplerError, NonFiniteIntegrandError,
                      RankDeficientFitError, SingularCoefficientError,
@@ -33,12 +33,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "ClassReport", "TermWeight", "bessel_coefficient",
     "bound_report", "bound_reports", "check_class", "dispersion_matrix", "matrix_A", "matrix_B",
-    "matrix_H", "matrix_L", "matrix_S", "poincare_coefficient",
+    "matrix_H", "matrix_L", "matrix_S", "moment_finiteness",
+    "poincare_coefficient",
     "FunctionTuple", "SmoothFunction", "forward_difference",
     "load_function_tuple", "parse_function", "polynomial", "rising_q",
     "ContinuousIP", "DiscreteCO", "InferredQuadratic", "MembershipReport",
     "Quadratic", "catalog", "infer_quadratic", "load_distribution",
-    "moment_finiteness", "spec_to_json", "verify_membership",
+    "spec_to_json", "verify_membership",
     "ClassMembershipError", "InvalidParameterError",
     "NoSamplerError", "NonFiniteIntegrandError", "RankDeficientFitError",
     "SingularCoefficientError", "TruncationError", "UnknownDistributionError",

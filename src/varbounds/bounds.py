@@ -30,7 +30,7 @@ from .calculus import (FunctionTuple, SmoothFunction, difference_of_rows,
                        rising_q)
 # unused here: perfbench/tracing.py wraps this name in this module
 from .calculus import forward_difference  # noqa: F401
-from .distributions import Spec, moment_finiteness
+from .distributions import Spec, moment_criterion
 from .errors import (ClassMembershipError, InvalidParameterError,
                      NonFiniteIntegrandError, SingularCoefficientError)
 from .linalg import (SymMatrix, eigenvalues, is_psd, loewner_leq,
@@ -345,24 +345,31 @@ class ClassReport:
 
 class _ClassCheck:
     """Class verdicts of one tuple for the Gram class 'H', the
-    outer-product class 'B' or both, from one ladder of the spec: w_k and
-    every d^k g_i are evaluated once on its nodes, and the rows of both
-    classes for an order are classified together."""
+    outer-product class 'B', both or neither, and the numerical half of the
+    moment gate, from one ladder of the spec, built when first needed: w_k
+    and every d^k g_i are evaluated once on its nodes, and the rows of an
+    order are classified together with its moment row |x|^(2k)."""
 
     def __init__(self, spec, g, classes, cfg):
-        self.spec, self.g, self.classes = spec, g, tuple(classes)
-        self.ladder = ex.Ladder.build(spec, cfg)
-        self.nodes = _Grid(spec, self.ladder.x, self.ladder.w)
+        self.spec, self.g, self.cfg = spec, g, cfg
+        self.classes = tuple(classes)
+        self.unbounded = not all(map(math.isfinite, spec.support))
+        self.ladder = None
         self.probes = {cls: [] for cls in self.classes}  # [k][i]
+        self.moments = []  # [k]: E|X|^(2k) verdict, None if bounded
 
     def upto(self, n):
         """Classify the rows of every order up to n not classified yet."""
-        ladder, nodes, p = self.ladder, self.nodes, self.g.p
+        if self.ladder is None:
+            self.ladder = ex.Ladder.build(self.spec, self.cfg)
+            self.nodes = _Grid(self.spec, self.ladder.x, self.ladder.w)
+        ladder, nodes, p = self.ladder, self.nodes, len(self.g)
         root_w = np.sqrt(ladder.w)
+        orders = range(len(self.moments), n + 1)
         rows, slots = [], []
         # divergent integrands are fed on purpose; inf is a verdict, not a bug
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(len(self.probes[self.classes[0]]), n + 1):
+            for k in orders if self.classes else ():
                 base = _nonnegative(nodes.q_power(k), k)
                 d = nodes.deriv_values(self.g, k)
                 at = {}
@@ -377,11 +384,20 @@ class _ClassCheck:
                     at["B"] = len(rows)
                     rows.append(ladder.w * (base * np.abs(d)))
                 slots += [(cls, at[cls]) for cls in self.classes]
-        if rows:
-            probes = ladder.classify(np.vstack(rows))
-            for cls, block in slots:
-                self.probes[cls].append(probes[block * p:(block + 1) * p])
+            moments = [ladder.w * np.abs(ladder.x) ** (2 * k) for k in orders
+                       if self.unbounded]
+        probes = ladder.classify(np.vstack(rows + moments)) \
+            if rows or moments else []
+        for cls, block in slots:
+            self.probes[cls].append(probes[block * p:(block + 1) * p])
+        self.moments += probes[len(rows) * p:] or [None] * len(orders)
         return self
+
+    def moment_finite(self, n) -> bool:
+        """Whether E|X|^(2n) is finite: the Pearson criterion, and where it
+        admits order n on an unbounded support, the moment row of order n."""
+        return moment_criterion(self.spec, n) and (
+            not self.unbounded or self.upto(n).moments[n].finite)
 
     def report(self, cls, n, implies_other=False) -> ClassReport:
         rows = list(zip(*self.probes[cls][:n + 1]))  # [function][order]
@@ -389,6 +405,15 @@ class _ClassCheck:
                            tuple(tuple(p.finite for p in r) for r in rows),
                            tuple(tuple(p.decay_ratio for p in r) for r in rows),
                            implies_other)
+
+
+def moment_finiteness(spec: Spec, n: int,
+                      cfg: ex.EngineConfig | None = None) -> bool:
+    """Whether E|X|^(2n) is finite: the Pearson tail criterion
+    (``distributions.moment_criterion``) and, where it admits order n on an
+    unbounded support, the stabilization of the truncated moment on the
+    spec's ladder, so that a wrong edge case cannot silently pass."""
+    return _ClassCheck(spec, (), (), cfg or ex.EngineConfig()).moment_finite(n)
 
 
 def check_class(spec: Spec, g: FunctionTuple, n: int, class_name: str,
@@ -400,7 +425,8 @@ def check_class(spec: Spec, g: FunctionTuple, n: int, class_name: str,
     finite variance and E[w_k |d^k g|] < infinity for k = 0..n.  Finiteness
     is judged by stabilization of truncated expectations over one expanding
     window ladder: w_k and every d^k g_i are evaluated once on its nodes and
-    all p (n + 1) integrands are classified together.
+    all p (n + 1) integrands are classified together.  The moment gate
+    behind ``implies_other`` is read off the same ladder.
     """
     cfg = cfg or ex.EngineConfig()
     if class_name not in ("H", "B"):
@@ -408,7 +434,7 @@ def check_class(spec: Spec, g: FunctionTuple, n: int, class_name: str,
     check = _ClassCheck(spec, g, (class_name,), cfg).upto(n)
     report = check.report(class_name, n)
     if class_name == "H" and report.ok:
-        return check.report(class_name, n, moment_finiteness(spec, n, cfg))
+        return check.report(class_name, n, check.moment_finite(n))
     return report
 
 
@@ -566,12 +592,13 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
     pass; returns one report per entry of ``orders``, in its order.
 
     Each report is the one ``bound_report`` gives for its order alone, but
-    the grids, derivative rows, class ladder and matrices are shared: S_n
-    and L_n are prefix sums of one set of H_k and B_k.  Orders are gated in
-    ascending order, each as its own call would gate it (moment gate, class
-    checks on the prefix k <= n, coefficients), so a refused order raises
-    what its own call raises.  ``class_policy`` is as in ``bound_report``;
-    with 'drop' each order keeps the functions that pass its own checks.
+    the grids, derivative rows, the one ladder of the moment gate and class
+    checks, and the matrices are shared: S_n and L_n are prefix sums of one
+    set of H_k and B_k.  Orders are gated in ascending order, each as its
+    own call would gate it (moment gate, class checks on the prefix k <= n,
+    coefficients), so a refused order raises what its own call raises.
+    ``class_policy`` is as in ``bound_report``; with 'drop' each order keeps
+    the functions that pass its own checks.
     """
     cfg = cfg or ex.EngineConfig()
     orders = list(orders)
@@ -586,20 +613,20 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
         raise ValueError(f"unknown theorems {sorted(unknown)}")
     if class_policy not in ("raise", "drop", "skip"):
         raise ValueError("class_policy must be 'raise', 'drop' or 'skip'")
-    classes = [cls for name, cls in (("poincare", "H"), ("bessel", "B"))
-               if name in theorems]
-
-    check = assembly = None
+    check = _ClassCheck(spec, g, [
+        cls for name, cls in (("poincare", "H"), ("bessel", "B"))
+        if name in theorems and class_policy != "skip"], cfg)
+    assembly = None
     done = {}
     for n in sorted(set(orders)):
-        if not moment_finiteness(spec, n, cfg):
+        if not check.moment_finite(n):
             raise ClassMembershipError(
                 f"E|X|^{2 * n} is not finite for this member; order {n} "
                 f"bounds do not apply")
         keep, dropped = set(range(g.p)), []
-        if class_policy != "skip" and classes:
-            check = (check or _ClassCheck(spec, g, classes, cfg)).upto(n)
-            for cls in classes:
+        if check.classes:
+            check.upto(n)
+            for cls in check.classes:
                 report = check.report(cls, n)
                 if not report.ok:
                     if class_policy == "raise":

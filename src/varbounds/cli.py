@@ -311,7 +311,8 @@ def cmd_mc_verify(args) -> int:
     lines = []
     for name, det, mc, ci in checks:
         dev = np.abs(det - mc)
-        slack = 4.0 * ci + 1e-12
+        # relative roundoff floor: a constant summand has half-width 0
+        slack = 4.0 * ci + 1e-12 * (1.0 + np.abs(det))
         worst = float(np.max(dev - slack))
         good = bool(np.all(dev <= slack))
         ok &= good

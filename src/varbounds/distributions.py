@@ -680,15 +680,11 @@ def verify_membership(spec: Spec, cfg: ex.EngineConfig | None = None,
 # moment finiteness
 # ---------------------------------------------------------------------------
 
-def moment_finiteness(spec: Spec, n: int,
-                      cfg: ex.EngineConfig | None = None) -> bool:
-    """Whether E|X|^(2n) is finite.
-
-    Bounded supports have every moment.  Otherwise the Pearson tail criterion
-    applies: delta <= 0 always, delta > 0 only while 2n < 1 + 1/delta.  A
-    positive analytic verdict is double-checked by a truncated-moment
-    stabilization probe so a wrong edge case cannot silently pass.
-    """
+def moment_criterion(spec: Spec, n: int) -> bool:
+    """The Pearson tail criterion for E|X|^(2n) < infinity: bounded supports
+    have every moment; otherwise delta <= 0 admits every order and delta > 0
+    those with 2n < 1 + 1/delta.  ``bounds.moment_finiteness`` adds the
+    numerical check."""
     if n < 1:
         raise ValueError("order n must be at least 1")
     alpha, omega = spec.support
@@ -697,11 +693,7 @@ def moment_finiteness(spec: Spec, n: int,
     if spec.q is None:
         raise InvalidParameterError("spec has no quadratic")
     delta = spec.q.delta
-    analytic = delta <= 0.0 or 2 * n < 1.0 + 1.0 / delta
-    if not analytic:
-        return False
-    result = ex.probe(spec, lambda x: np.abs(x) ** (2 * n), cfg)
-    return result.finite
+    return delta <= 0.0 or 2 * n < 1.0 + 1.0 / delta
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ class EngineConfig:
     """Numerical settings shared by the whole bound pipeline."""
 
     quad_nodes: int = 200
-    infinite_map: str = "rational"
     trunc_tol: float = 1e-12
     mc_samples: int = 200_000
     mc_seed: int = 123456789
@@ -40,14 +39,12 @@ class EngineConfig:
         # settings arrive from JSON documents, so check types before ranges
         for f in fields(self):
             value = getattr(self, f.name)
-            kind = {"int": Integral, "float": Real, "str": str}[f.type]
+            kind = {"int": Integral, "float": Real}[f.type]
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"engine setting {f.name} must be of type "
                                  f"{f.type}, got {value!r}")
         if self.quad_nodes < 10:
             raise ValueError("quad_nodes must be at least 10")
-        if self.infinite_map not in ("rational", "tanh"):
-            raise ValueError("infinite_map must be 'rational' or 'tanh'")
         if not (0.0 < self.trunc_tol <= 1e-6):
             raise ValueError("trunc_tol must lie in (0, 1e-6]")
         # a sample standard deviation, so a confidence half-width, needs two
@@ -102,19 +99,14 @@ def gauss_legendre(n: int):
     return nodes, weights
 
 
-# widens the tanh map so Gauss-Legendre extreme nodes reach |x| ~ 17 rather
-# than ~5.6; without it Gaussian-tail mass beyond the last node is ~1e-5
-_TANH_SCALE = 3.0
-
-
-def _map_support(alpha: float, omega: float, infinite_map: str, s: np.ndarray):
+def _map_support(alpha: float, omega: float, s: np.ndarray):
     """Map Gauss-Legendre nodes s in (-1,1) onto the support (alpha, omega).
 
     Finite intervals use a sin^2 endpoint-regularizing substitution so that
     integrable endpoint singularities (e.g. Beta densities with shape < 1) do
     not degrade convergence.  Semi-infinite intervals square the coordinate
-    near the finite endpoint for the same reason.  The doubly-infinite default
-    is the rational map x = s / (1 - s^2).
+    near the finite endpoint for the same reason.  Doubly-infinite intervals
+    use the rational map x = s / (1 - s^2).
     """
     lo_inf = math.isinf(alpha)
     hi_inf = math.isinf(omega)
@@ -125,28 +117,11 @@ def _map_support(alpha: float, omega: float, infinite_map: str, s: np.ndarray):
         dxds = width * (math.pi / 4.0) * np.sin(math.pi * u)
         return x, dxds
     if lo_inf and hi_inf:
-        if infinite_map == "tanh":
-            x = _TANH_SCALE * np.arctanh(s)
-            dxds = _TANH_SCALE / (1.0 - s * s)
-        else:
-            x = s / (1.0 - s * s)
-            dxds = (1.0 + s * s) / (1.0 - s * s) ** 2
-        return x, dxds
-    if not lo_inf:
-        half = 0.5 * (s + 1.0)
-    else:
-        half = 0.5 * (1.0 - s)
+        return s / (1.0 - s * s), (1.0 + s * s) / (1.0 - s * s) ** 2
+    half = 0.5 * (1.0 - s) if lo_inf else 0.5 * (s + 1.0)
     t = half * half
-    dtds = half  # |dt/ds|
-    if infinite_map == "tanh":
-        offset = _TANH_SCALE * np.arctanh(t)
-        doffset = _TANH_SCALE * dtds / (1.0 - t * t)
-    else:
-        offset = t / (1.0 - t)
-        doffset = dtds / (1.0 - t) ** 2
-    if not lo_inf:
-        return alpha + offset, doffset
-    return omega - offset, doffset
+    offset, doffset = t / (1.0 - t), half / (1.0 - t) ** 2  # |dt/ds| = half
+    return (omega - offset if lo_inf else alpha + offset), doffset
 
 
 def continuous_grid(spec, cfg: EngineConfig, n_nodes: int | None = None):
@@ -159,7 +134,7 @@ def continuous_grid(spec, cfg: EngineConfig, n_nodes: int | None = None):
     n = n_nodes if n_nodes is not None else cfg.quad_nodes
     s, glw = gauss_legendre(n)
     alpha, omega = spec.support
-    x, dxds = _map_support(alpha, omega, cfg.infinite_map, s)
+    x, dxds = _map_support(alpha, omega, s)
     w = glw * dxds * spec.density(x)
     keep = w != 0.0
     return x[keep], w[keep]
@@ -425,6 +400,9 @@ def probe(spec, weight, cfg: EngineConfig | None = None) -> FinitenessProbe:
     ``weight`` is evaluated once on the nodes of the spec's ladder.  A weight
     that outgrows the density's decay shows up either as growing increments
     or as an overflow to inf, both of which classify as divergent.
+
+    The library classifies its rows on one ``Ladder`` per request instead;
+    this one-row form stays while the tests and the benchmark name it.
     """
     ladder = Ladder.build(spec, cfg or EngineConfig())
     with np.errstate(over="ignore", invalid="ignore"):

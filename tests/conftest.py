@@ -7,11 +7,26 @@ import pytest
 from scipy import integrate
 
 from varbounds import ContinuousIP, DiscreteCO, EngineConfig, Quadratic
+from varbounds.expectation import Ladder
 
 
 @pytest.fixture(scope="session")
 def cfg():
     return EngineConfig()
+
+
+@pytest.fixture
+def ladder_builds(monkeypatch):
+    """The specs of every ``Ladder.build`` call made while the test runs."""
+    builds = []
+    original = Ladder.build.__func__
+
+    def counted(cls, spec, cfg):
+        builds.append(spec)
+        return original(cls, spec, cfg)
+
+    monkeypatch.setattr(Ladder, "build", classmethod(counted))
+    return builds
 
 
 def make_heavy_member(delta=0.3, gamma=1.0):

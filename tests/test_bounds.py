@@ -349,6 +349,21 @@ class TestBoundReport:
         with pytest.raises(ClassMembershipError):
             bound_report(heavy_member, tuple_of("x"), 3, cfg)
 
+    def test_numerical_moment_gate(self, cfg, heavy_member):
+        # the heavy density declared with a delta = 0 quadratic: the Pearson
+        # criterion admits every order, so only the moment row on the ladder
+        # can refuse the orders whose 2n-th moment diverges
+        mislabelled = ContinuousIP(0.0, Quadratic(0.0, 0.0, 1.0),
+                                   heavy_member.support, heavy_member.density,
+                                   None, "mislabelled")
+        assert [bounds.moment_finiteness(mislabelled, n, cfg)
+                for n in (1, 2, 3, 4)] == [True, True, False, False]
+        for spec, policy in ((mislabelled, "raise"), (mislabelled, "skip"),
+                             (heavy_member, "skip")):
+            with pytest.raises(ClassMembershipError, match=r"E\|X\|\^6"):
+                bound_report(spec, tuple_of("x"), 3, cfg,
+                             class_policy=policy)
+
     def test_class_gate_raises(self, cfg):
         spec = catalog("gamma", {"shape": 2, "scale": 2})
         with pytest.raises(ClassMembershipError):
@@ -425,17 +440,29 @@ class TestOnePass:
                 grid.deriv_values(g, k),
                 [forward_difference(gi, k, grid.x) for gi in g])
 
-    def test_moment_gate_once_per_order(self, cfg, monkeypatch):
-        orders = []
-        original = bounds.moment_finiteness
+    @pytest.mark.parametrize("policy", ["raise", "drop", "skip"])
+    @pytest.mark.parametrize("member", [
+        ("normal", {}), ("gamma", {"shape": 2}), ("poisson", {"lam": 3}),
+        ("beta", {"a": 2, "b": 3})])
+    def test_one_ladder_per_request(self, cfg, ladder_builds, member, policy):
+        # the moment gate of every order and the class rows share one
+        # ladder; a bounded support under 'skip' needs none
+        spec = catalog(*member)
+        bound_reports(spec, tuple_of("x", "x^3"), [3, 1, 2], cfg,
+                      class_policy=policy)
+        bounded = all(map(math.isfinite, spec.support))
+        assert len(ladder_builds) == (0 if bounded and policy == "skip"
+                                      else 1)
 
-        def counted(spec, n, *args, **kwargs):
-            orders.append(n)
-            return original(spec, n, *args, **kwargs)
-
-        monkeypatch.setattr(bounds, "moment_finiteness", counted)
-        bound_reports(catalog("normal"), tuple_of("x", "x^3"), [3, 1, 2], cfg)
-        assert orders == [1, 2, 3]
+    @pytest.mark.parametrize("cls", ["H", "B"])
+    @pytest.mark.parametrize("member", [
+        ("normal", {}), ("poisson", {"lam": 3}), ("beta", {"a": 2, "b": 3})])
+    def test_one_ladder_per_class_check(self, cfg, ladder_builds, member,
+                                        cls):
+        report = check_class(catalog(*member), tuple_of("x", "x^3"), 3, cls,
+                             cfg)
+        assert report.ok and report.implies_other == (cls == "H")
+        assert len(ladder_builds) == 1
 
     @pytest.mark.parametrize("theorems", [("poincare", "bessel"),
                                           ("poincare",)])

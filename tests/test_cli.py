@@ -196,7 +196,8 @@ class TestBounds:
     @pytest.mark.parametrize("engine,key", [
         ({"quad_nodez": 80}, "quad_nodez"),
         ({"quad_nodes": "80"}, "quad_nodes"),
-        ({"trunc_tol": [1e-9]}, "trunc_tol")])
+        ({"trunc_tol": [1e-9]}, "trunc_tol"),
+        ({"infinite_map": "rational"}, "infinite_map")])  # removed setting
     def test_bad_engine_setting_is_input_error(self, tmp_path, fns_path,
                                                capsys, engine, key):
         path = tmp_path / "run.json"
@@ -228,6 +229,13 @@ class TestChain:
         np.testing.assert_allclose(s_values, [27.0, 9.0, 15.0], atol=1e-6)
         var = payload["runs"][0]["D"][0][0]
         assert var == pytest.approx(15.0, abs=1e-6)
+
+    @pytest.mark.parametrize("dist", ["normal", "poisson:lam=3"])
+    def test_one_ladder_per_chain(self, dist, fns_path, ladder_builds):
+        # the eight moment gates and the class checks share one ladder
+        assert main(["chain", "--dist", dist, "--functions", fns_path,
+                     "--n", "8", "--quiet"]) == 0
+        assert len(ladder_builds) == 1
 
     def test_zero_order_usage_error(self, fns_path):
         assert main(["chain", "--dist", "normal", "--functions", fns_path,
@@ -342,6 +350,17 @@ class TestMcVerify:
                      "--mc-samples", "50000"])
         assert code == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_zero_half_width_entry_within_roundoff(self, tmp_path, capsys):
+        # B2 on poisson is the constant (2 lam^2)^2 ~ 2000: its Monte Carlo
+        # half-width is 0, and the summed entry differs from it by roundoff
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"functions": [
+            {"expr": "x"}, {"expr": "x^2"}, {"expr": "sin(0.6237*x)"}]}))
+        code = main(["mc-verify", "--dist", "poisson:lam=4.659",
+                     "--functions", str(path), "--n", "2"])
+        assert code == 0
+        assert "EXCEEDS" not in capsys.readouterr().out
 
     def test_byte_identical_reruns(self, fns_path, tmp_path):
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")

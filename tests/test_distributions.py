@@ -6,6 +6,7 @@ inference oracle, so a transcription error in the catalog cannot survive.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from varbounds import (ContinuousIP, DiscreteCO, EngineConfig, Quadratic,
                        verify_membership)
 from varbounds.bounds import _Grid
 from varbounds.calculus import rising_q
-from varbounds.distributions import _beta_quantile, _gamma_quantile
+from varbounds.distributions import (_beta_quantile, _gamma_quantile,
+                                     moment_criterion)
 from varbounds.errors import (InvalidParameterError, RankDeficientFitError,
                               UnknownDistributionError)
 
@@ -160,6 +162,15 @@ class TestMomentFiniteness:
         # delta = 0.3: finite exactly while 2n < 1 + 1/0.3 = 4.33
         assert moment_finiteness(heavy_member, 2, cfg)
         assert not moment_finiteness(heavy_member, 3, cfg)
+
+    def test_pearson_criterion(self, heavy_member):
+        assert [moment_criterion(heavy_member, n) for n in (1, 2, 3)] == \
+            [True, True, False]
+        assert moment_criterion(catalog("poisson", {"lam": 3}), 40)
+        bounded = catalog("beta", {"a": 2, "b": 3})
+        assert moment_criterion(replace(bounded, q=None), 9)
+        with pytest.raises(InvalidParameterError):
+            moment_criterion(replace(heavy_member, q=None), 1)
 
     def test_tail_integration_oracle(self, heavy_member):
         # independent oracle: scipy adaptive quadrature of the tail integral

@@ -117,13 +117,6 @@ class TestContinuous:
             assert np.max(np.abs(finer - report.D.to_array())) \
                 <= 10 * bracket, spec.name
 
-    def test_tanh_map_agrees(self):
-        spec = catalog("normal")
-        r1 = grid_sum(spec, lambda x: x**4, EngineConfig())
-        r2 = grid_sum(spec, lambda x: x**4, EngineConfig(infinite_map="tanh"))
-        assert r1 == pytest.approx(r2, abs=1e-9)
-        assert r1 == pytest.approx(3.0, abs=1e-9)
-
 
 class TestDiscrete:
     def test_poisson_mean_and_normalization(self, cfg):
@@ -339,8 +332,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             EngineConfig(quad_nodes=5)
-        with pytest.raises(ValueError):
-            EngineConfig(infinite_map="spline")
         with pytest.raises(ValueError):
             EngineConfig(trunc_tol=0.1)
         with pytest.raises(ValueError, match="mc_samples"):
