@@ -48,11 +48,13 @@ DEFAULT_TOL_SCALE = 1e-6
 class _Grid:
     """Evaluation grid of one spec: points x, nonnegative weights w with
     sum(w * phi(x)) ~ E[phi(X)], plus the tail bound for discrete members.
-    ``build`` gives the quadrature nodes or the truncated support, and
-    ``from_samples`` the grid of N Monte Carlo samples.  The weight w_k,
-    E[w_k] and each row d^k g_i are evaluated on it once, when first asked
-    for; on a discrete member each g_i is evaluated once at each shift
-    x + j, and its forward differences of every order combine those rows."""
+    ``build`` gives the quadrature nodes or the positive-pmf support down
+    to pmf underflow (``expectation.truncated_support``, which the class
+    ladder uses too), and ``from_samples`` the grid of N Monte Carlo
+    samples.  The weight w_k, E[w_k] and each row d^k g_i are evaluated on
+    it once, when first asked for; on a discrete member each g_i is
+    evaluated once at each shift x + j, and its forward differences of
+    every order combine those rows."""
 
     def __init__(self, spec, x, w, tail=0.0, counts=None):
         self.spec, self.x, self.w, self.tail = spec, x, w, tail
@@ -63,9 +65,8 @@ class _Grid:
     def build(cls, spec, cfg=None, n_nodes=None):
         cfg = cfg or ex.EngineConfig()
         if spec.is_discrete:
-            js, tail = ex.truncated_support(spec, cfg.trunc_tol)
-            return cls(spec, js.astype(float),
-                       np.asarray(spec.pmf(js), dtype=float), tail)
+            x, w, tail, _ = ex.truncated_support(spec)
+            return cls(spec, x, w, tail)
         x, w = ex.continuous_grid(spec, cfg, n_nodes)
         return cls(spec, x, w)
 
@@ -347,14 +348,15 @@ class _ClassCheck:
     """Class verdicts of one tuple for the Gram class 'H', the
     outer-product class 'B', both or neither, and the numerical half of the
     moment gate, from one ladder of the spec, built when first needed: w_k
-    and every d^k g_i are evaluated once on its nodes, and the rows of an
-    order are classified together with its moment row |x|^(2k)."""
+    and every d^k g_i are evaluated once on its nodes (the grid ``nodes``),
+    and the rows of an order are classified together with its moment row
+    |x|^(2k).  On a discrete member ``nodes`` is the summation grid too."""
 
     def __init__(self, spec, g, classes, cfg):
         self.spec, self.g, self.cfg = spec, g, cfg
         self.classes = tuple(classes)
         self.unbounded = not all(map(math.isfinite, spec.support))
-        self.ladder = None
+        self.ladder = self.nodes = None
         self.probes = {cls: [] for cls in self.classes}  # [k][i]
         self.moments = []  # [k]: E|X|^(2k) verdict, None if bounded
 
@@ -362,7 +364,8 @@ class _ClassCheck:
         """Classify the rows of every order up to n not classified yet."""
         if self.ladder is None:
             self.ladder = ex.Ladder.build(self.spec, self.cfg)
-            self.nodes = _Grid(self.spec, self.ladder.x, self.ladder.w)
+            self.nodes = _Grid(self.spec, self.ladder.x, self.ladder.w,
+                               self.ladder.tail)
         ladder, nodes, p = self.ladder, self.nodes, len(self.g)
         root_w = np.sqrt(ladder.w)
         orders = range(len(self.moments), n + 1)
@@ -371,7 +374,7 @@ class _ClassCheck:
         with np.errstate(over="ignore", invalid="ignore"):
             for k in orders if self.classes else ():
                 base = _nonnegative(nodes.q_power(k), k)
-                d = nodes.deriv_values(self.g, k)
+                d = nodes.values(self.g, k)
                 at = {}
                 if "H" in self.classes or k == 0:  # B needs Var[g] < inf too
                     # the node weight goes inside the square, as in _gram,
@@ -513,12 +516,13 @@ class _Pass:
     """One request's assembly: the full and half-resolution grids, the
     coefficients of every order, and per set of functions kept, D and, for
     H and B, the terms H_k (B_k) with their entry brackets, the prefix sums
-    S_n (L_n) and the running maxima of the brackets."""
+    S_n (L_n) and the running maxima of the brackets.  A discrete member's
+    summation grid is ``full``, the class check's when it built one."""
 
-    def __init__(self, spec, cfg, theorems, tol_scale):
+    def __init__(self, spec, cfg, theorems, tol_scale, full=None):
         self.spec, self.cfg = spec, cfg
         self.theorems, self.tol_scale = theorems, tol_scale
-        self.full = _Grid.build(spec, cfg)
+        self.full = full or _Grid.build(spec, cfg)
         self.half = self.full if spec.is_discrete else _Grid.build(
             spec, cfg, max(10, cfg.quad_nodes // 2))
         self.weights = {"H": [], "B": []}  # TermWeight of order 1, 2, ...
@@ -593,8 +597,8 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
 
     Each report is the one ``bound_report`` gives for its order alone, but
     the grids, derivative rows, the one ladder of the moment gate and class
-    checks, and the matrices are shared: S_n and L_n are prefix sums of one
-    set of H_k and B_k.  Orders are gated in ascending order, each as its
+    checks (on a discrete member also the summation grid), and the matrices
+    are shared: S_n and L_n are prefix sums of one set of H_k and B_k.  Orders are gated in ascending order, each as its
     own call would gate it (moment gate, class checks on the prefix k <= n,
     coefficients), so a refused order raises what its own call raises.
     ``class_policy`` is as in ``bound_report``; with 'drop' each order keeps
@@ -639,7 +643,9 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
                 if not keep:
                     raise ClassMembershipError(
                         "no test function passes the class checks", ())
-        assembly = assembly or _Pass(spec, cfg, theorems, tol_scale)
+        assembly = assembly or _Pass(spec, cfg, theorems, tol_scale,
+                                     check.nodes if spec.is_discrete
+                                     else None)
         kept = g.subset(sorted(keep)) if dropped else g
         done[n] = assembly.report(n, kept, dropped)
     return [done[n] for n in orders]

@@ -21,6 +21,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -94,11 +95,9 @@ def _load_config(args):
         theorems = list(doc["theorems"])
 
     engine = dict(doc.get("engine", {}))
-    for key, flag in (("quad_nodes", "quad_nodes"), ("trunc_tol", "trunc_tol"),
-                      ("mc_samples", "mc_samples"), ("mc_seed", "mc_seed")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            engine[key] = value
+    for f in fields(ex.EngineConfig):
+        if getattr(args, f.name, None) is not None:
+            engine[f.name] = getattr(args, f.name)
     cfg = ex.EngineConfig().override(**engine)
 
     output = dict(doc.get("output", {}))
@@ -344,10 +343,9 @@ def _add_common(parser):
     parser.add_argument("--n", help="comma-separated list of orders")
     parser.add_argument("--theorems",
                         help="comma-separated subset of poincare,bessel")
-    parser.add_argument("--quad-nodes", dest="quad_nodes", type=int)
-    parser.add_argument("--trunc-tol", dest="trunc_tol", type=float)
-    parser.add_argument("--mc-samples", dest="mc_samples", type=int)
-    parser.add_argument("--mc-seed", dest="mc_seed", type=int)
+    for f in fields(ex.EngineConfig):  # every engine setting is an int
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            type=int)
     parser.add_argument("--tol", type=float,
                         help="verdict tolerance scale / residual tolerance")
     parser.add_argument("--out-json", dest="out_json")

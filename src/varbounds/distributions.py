@@ -360,16 +360,16 @@ def _mask_pmf(log_pmf, valid):
     return pmf
 
 
-def _table_sampler(spec_pmf, support, mass_tol=1e-15):
-    """Inverse-CDF sampler backed by a cumulative table (built lazily)."""
+def _table_sampler(spec_pmf, support):
+    """Inverse-CDF sampler backed by a cumulative table over the summation
+    nodes (built lazily)."""
     state = {}
 
     def sampler(u):
         if "cdf" not in state:
             # the spec does not exist yet; finite lower ends need no mean
             holder = SimpleNamespace(pmf=spec_pmf, support=support)
-            js, _ = ex.truncated_support(holder, mass_tol)
-            pm = np.asarray(spec_pmf(js), dtype=float)
+            js, pm, _, _ = ex.truncated_support(holder)
             state["js"] = js
             state["cdf"] = np.cumsum(pm)
         idx = np.searchsorted(state["cdf"], u, side="left")
@@ -589,22 +589,27 @@ def _cumulative_lhs(spec: ContinuousIP, pts: np.ndarray,
     return out
 
 
-def _discrete_identity_points(spec: DiscreteCO, cfg: ex.EngineConfig):
-    """Support points with the exact prefix-sum side of the identity.
+def _identity_points(spec: Spec, cfg: ex.EngineConfig, grid_size: int):
+    """Points, the density or pmf there, and the cumulative side of the
+    defining identity at them: the mass-quantile grid of a continuous
+    member, or the support points of a discrete one with the exact
+    prefix-sum side.
 
     Prefix sums lose relative accuracy in the upper tail (the running total
     cancels down to q(j) p(j), far below the terms that built it), so points
     at or above the mean use the equivalent suffix form sum_{k>j} (k-mu) p(k)
-    over an underflow-deep truncation instead.
+    over the summation nodes, which run down to pmf underflow, instead.
     """
-    js, _ = ex.truncated_support(spec, cfg.trunc_tol, underflow=True)
-    pm = np.asarray(spec.pmf(js), dtype=float)
+    if not spec.is_discrete:
+        pts, f = _mass_quantile_grid(spec, cfg, grid_size)
+        return pts, f, _cumulative_lhs(spec, pts, cfg)
+    js, pm, _, _ = ex.truncated_support(spec)
     terms = (spec.mean - js) * pm
     prefix = np.cumsum(terms)
     suffix_excl = np.concatenate([np.cumsum(-terms[::-1])[::-1][1:], [0.0]])
     lhs = np.where(js < spec.mean, prefix, suffix_excl)
     keep = pm >= DENSITY_FLOOR * float(np.max(pm))
-    return js[keep].astype(float), pm[keep], lhs[keep]
+    return js[keep], pm[keep], lhs[keep]
 
 
 @dataclass(frozen=True)
@@ -624,15 +629,10 @@ def infer_quadratic(spec: Spec, cfg: ex.EngineConfig | None = None,
     defect of the identity (in units of q) over the grid.  A residual far
     above tolerance means "not in the family" and is reported, not hidden.
     """
-    cfg = cfg or ex.EngineConfig()
-    if spec.is_discrete:
-        pts, f, lhs = _discrete_identity_points(spec, cfg)
-    else:
-        pts, f = _mass_quantile_grid(spec, cfg, grid_size)
-        if len(pts) < 3:
-            raise RankDeficientFitError(
-                "need at least 3 grid points above the density floor")
-        lhs = _cumulative_lhs(spec, pts, cfg)
+    pts, f, lhs = _identity_points(spec, cfg or ex.EngineConfig(), grid_size)
+    if len(pts) < 3:
+        raise RankDeficientFitError(
+            "need at least 3 grid points above the density floor")
     r = lhs / f
     design = np.column_stack([pts**2, pts, np.ones_like(pts)])
     if np.linalg.matrix_rank(design) < 3:
@@ -665,11 +665,7 @@ def verify_membership(spec: Spec, cfg: ex.EngineConfig | None = None,
         raise InvalidParameterError("spec has no quadratic; run infer_quadratic")
     if tol is None:
         tol = DISCRETE_RESIDUAL_TOL if spec.is_discrete else CONTINUOUS_RESIDUAL_TOL
-    if spec.is_discrete:
-        pts, f, lhs = _discrete_identity_points(spec, cfg)
-    else:
-        pts, f = _mass_quantile_grid(spec, cfg, grid_size)
-        lhs = _cumulative_lhs(spec, pts, cfg)
+    pts, f, lhs = _identity_points(spec, cfg, grid_size)
     res = np.abs(lhs / f - spec.q(pts))
     max_res = float(np.max(res))
     return MembershipReport(max_res, float(np.mean(res)), tol,

@@ -1,9 +1,11 @@
 """Expectation engine: the points and weights every expectation is summed
 over.  Continuous members get Gauss-Legendre quadrature on the mapped
-support, discrete members exact summation over the truncated support, and
-the Monte Carlo cross-check a seeded sample; ``bounds._Grid`` holds one of
-them and sums each expectation over it.  The ``Ladder`` of nested windows
-judges whether an expectation is finite at all.
+support, discrete members exact summation over the support down to pmf
+underflow, and the Monte Carlo cross-check a seeded sample; ``bounds._Grid``
+holds one of them and sums each expectation over it.  The ``Ladder`` of
+nested windows judges whether an expectation is finite at all; a discrete
+member's ladder and summation grid share the nodes of
+``truncated_support``.
 
 The Monte Carlo stream is a splitmix64 counter generator (documented in the
 README) rather than a library RNG, so results are bit-reproducible from
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
@@ -31,7 +33,6 @@ class EngineConfig:
     """Numerical settings shared by the whole bound pipeline."""
 
     quad_nodes: int = 200
-    trunc_tol: float = 1e-12
     mc_samples: int = 200_000
     mc_seed: int = 123456789
 
@@ -39,14 +40,11 @@ class EngineConfig:
         # settings arrive from JSON documents, so check types before ranges
         for f in fields(self):
             value = getattr(self, f.name)
-            kind = {"int": Integral, "float": Real}[f.type]
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"engine setting {f.name} must be of type "
                                  f"{f.type}, got {value!r}")
         if self.quad_nodes < 10:
             raise ValueError("quad_nodes must be at least 10")
-        if not (0.0 < self.trunc_tol <= 1e-6):
-            raise ValueError("trunc_tol must lie in (0, 1e-6]")
         # a sample standard deviation, so a confidence half-width, needs two
         if self.mc_samples < 2:
             raise ValueError("mc_samples must be at least 2")
@@ -144,57 +142,57 @@ def continuous_grid(spec, cfg: EngineConfig, n_nodes: int | None = None):
 # discrete summation
 # ---------------------------------------------------------------------------
 
-def truncated_support(spec, trunc_tol: float, underflow: bool = False):
-    """Integer support points covering all but at most ``trunc_tol`` mass.
+def truncated_support(spec):
+    """The summation nodes of a discrete member: the support points whose
+    pmf is positive, as floats, and their pmf.
 
-    Returns (points, tail_bound); tail_bound is 0 for finite supports, where
-    the summation is exact.  With ``underflow=True`` the expansion continues
-    until the pmf underflows outright, which makes suffix sums of the
-    defining identity accurate to roundoff.
+    Toward an infinite end the support runs until the pmf underflows: a
+    support bounded below grows by blocks of 512 points, one unbounded below
+    doubles a window around the mean, until a step adds no mass.  Returns
+    (x, pmf, tail, edge): ``tail`` is 1 - sum(pmf), 0 on a finite support,
+    where the summation is exact, and otherwise only the pmf's roundoff;
+    ``edge`` holds the indices of the outermost nodes toward each infinite
+    end, past which the pmf underflowed.
     """
     alpha, omega = spec.support
+    block = 512
     if math.isfinite(alpha) and math.isfinite(omega):
         js = np.arange(int(alpha), int(omega) + 1)
-        return js, 0.0
-
-    block = 512
-    if math.isfinite(alpha):
-        start = int(alpha)
-        chunks, mass = [], 0.0
-        lo = start
-        while True:
-            js = np.arange(lo, lo + block)
-            if math.isfinite(omega):
-                js = js[js <= int(omega)]
-            pm = np.asarray(spec.pmf(js), dtype=float)
-            chunks.append(js)
-            added = float(pm.sum())
+        pm, tail = np.asarray(spec.pmf(js), dtype=float), 0.0
+    elif math.isfinite(alpha):
+        chunks, mass, added = [], 0.0, math.inf
+        while added != 0.0:
+            if block * len(chunks) > _SUMMATION_CAP:
+                raise _cap_error()
+            js = np.arange(block) + (int(alpha) + block * len(chunks))
+            chunks.append(np.asarray(spec.pmf(js), dtype=float))
+            added = float(chunks[-1].sum())
             mass += added
-            lo += block
-            if math.isfinite(omega) and js.size < block:
-                return np.concatenate(chunks), 0.0
-            done = added == 0.0 if underflow \
-                else (1.0 - mass <= trunc_tol or added == 0.0)
-            if done:
-                return np.concatenate(chunks), max(0.0, 1.0 - mass)
-            if lo - start > _SUMMATION_CAP:
-                raise TruncationError(
-                    f"could not reach mass tolerance {trunc_tol} within "
-                    f"{_SUMMATION_CAP} terms")
-    # support unbounded below: expand outward from the mean
-    center = int(round(spec.mean))
-    half = block
-    while True:
-        hi = int(omega) if math.isfinite(omega) else center + half
-        js = np.arange(center - half, hi + 1)
-        mass = float(np.asarray(spec.pmf(js), dtype=float).sum())
-        if 1.0 - mass <= trunc_tol:
-            return js, max(0.0, 1.0 - mass)
-        half *= 2
-        if 2 * half > _SUMMATION_CAP:
-            raise TruncationError(
-                f"could not reach mass tolerance {trunc_tol} within "
-                f"{_SUMMATION_CAP} terms")
+        pm = np.concatenate(chunks)
+        js = np.arange(int(alpha), int(alpha) + pm.size)
+        tail = max(0.0, 1.0 - mass)
+    else:
+        # ``inner`` is the previous window's half-width; every node of the
+        # first window is new
+        center, half, inner = int(round(spec.mean)), block, -1
+        while True:
+            hi = int(omega) if math.isfinite(omega) else center + half
+            js = np.arange(center - half, hi + 1)
+            pm = np.asarray(spec.pmf(js), dtype=float)
+            if float(pm[np.abs(js - center) > inner].sum()) == 0.0:
+                break
+            inner, half = half, 2 * half
+            if 2 * half > _SUMMATION_CAP:
+                raise _cap_error()
+        tail = max(0.0, 1.0 - float(pm.sum()))
+    keep = pm != 0.0
+    edge = np.cumsum(keep)[_underflow_edges(js, pm, spec.support)] - 1
+    return js[keep].astype(float), pm[keep], tail, edge
+
+
+def _cap_error():
+    return TruncationError(
+        f"the pmf did not underflow within {_SUMMATION_CAP} terms")
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +281,22 @@ class Ladder:
     geometric expansion and finite endpoints by factor-10 margin shrinks;
     each rung adds its shells to the previous rung (``cumulative``), so the
     ladder is monotone for nonnegative integrands.  Discrete members use the
-    underflow-deep support with nested integer windows, each summed whole.
+    nodes of ``truncated_support``, the summation grid's own, with nested
+    integer windows, each summed whole, and keep its ``tail``.
     ``rungs[m]`` lists the node slices summed for rung m, in order.
     Toward an infinite end the windows run past the point where the density
-    or pmf underflows; ``edge`` holds the last nodes before that point.
+    or pmf underflows; the nodes of zero weight there are dropped, and
+    ``edge`` holds the last nodes before that point.
     """
 
-    def __init__(self, x, w, rungs, cumulative, edge):
+    def __init__(self, x, w, rungs, cumulative, edge, tail=0.0):
         self.x, self.w, self.rungs = x, w, rungs
-        self.cumulative, self.edge = cumulative, edge
+        self.cumulative, self.edge, self.tail = cumulative, edge, tail
 
     @classmethod
     def build(cls, spec, cfg: EngineConfig) -> "Ladder":
         if getattr(spec, "is_discrete", False):
-            return cls._discrete(spec, cfg)
+            return cls._discrete(spec)
         return cls._continuous(spec, cfg)
 
     @classmethod
@@ -350,25 +350,22 @@ class Ladder:
         return cls(x[keep], w[keep], rungs, True, edge)
 
     @classmethod
-    def _discrete(cls, spec, cfg):
+    def _discrete(cls, spec):
+        x, pm, tail, edge = truncated_support(spec)
         alpha, omega = spec.support
         if math.isfinite(alpha) and math.isfinite(omega):
-            js = np.arange(int(alpha), int(omega) + 1)
-            rungs = ((slice(0, js.size),),)
+            rungs = ((slice(0, x.size),),)
         else:
-            js, _ = truncated_support(spec, cfg.trunc_tol, underflow=True)
             center = int(round(spec.mean))
             base = 8 + int(2 * (1 + abs(spec.mean)))
             rungs = []
             for m in range(_LADDER_RUNGS):
                 h = base * 4**m
                 lo = center - h if not math.isfinite(alpha) else int(alpha)
-                rungs.append((slice(int(np.searchsorted(js, lo, "left")),
-                                    int(np.searchsorted(js, center + h,
+                rungs.append((slice(int(np.searchsorted(x, lo, "left")),
+                                    int(np.searchsorted(x, center + h,
                                                         "right"))),))
-        x, pm = js.astype(float), np.asarray(spec.pmf(js), dtype=float)
-        return cls(x, pm, tuple(rungs), False,
-                   _underflow_edges(x, pm, spec.support))
+        return cls(x, pm, tuple(rungs), False, edge, tail)
 
     def classify(self, contrib) -> list[FinitenessProbe]:
         """One verdict per row of ``contrib``, the nonnegative integrand
@@ -378,7 +375,7 @@ class Ladder:
         contribution at an ``edge`` node is not negligible next to its total
         was cut off while still growing, and counts as divergent.
         """
-        contrib = np.where(self.w == 0.0, 0.0, np.atleast_2d(contrib))
+        contrib = np.atleast_2d(contrib)
         values, total = [], 0.0
         # probes feed divergent integrands on purpose; inf is a verdict
         with np.errstate(over="ignore", invalid="ignore"):

@@ -364,6 +364,23 @@ class TestBoundReport:
                 bound_report(spec, tuple_of("x"), 3, cfg,
                              class_policy=policy)
 
+    def test_exponential_on_large_poisson_closed_forms(self, cfg):
+        # E[e^(tX)] = exp(lam (e^t - 1)) for poisson(lam); the sums run to
+        # the pmf's underflow, where a mass cut alone would lose nearly all
+        # of E[e^(2aX)], whose terms peak near x = lam e^(2a) ~ 600
+        lam, a = 300.0, 0.35
+        report = bound_report(catalog("poisson", {"lam": lam}),
+                              tuple_of("x", f"exp({a}*x)"), 1, cfg)
+        second = math.exp(lam * (math.exp(2 * a) - 1.0))
+        first = math.exp(lam * (math.exp(a) - 1.0))
+        closed = {"D": second - first**2,
+                  "H_1": lam * (math.exp(a) - 1.0) ** 2 * second,
+                  "B_1": (lam * (math.exp(a) - 1.0) * first) ** 2}
+        got = {"D": report.D, "H_1": report.H[0], "B_1": report.B[0]}
+        for name, value in closed.items():
+            assert got[name][1, 1] == pytest.approx(value, rel=1e-10), name
+        assert report.passed
+
     def test_class_gate_raises(self, cfg):
         spec = catalog("gamma", {"shape": 2, "scale": 2})
         with pytest.raises(ClassMembershipError):
@@ -427,9 +444,9 @@ class TestOnePass:
         monkeypatch.setattr(SmoothFunction, "__call__", counted)
         g = tuple_of("x", "x*sin(2*x)", "x^2*exp(0.25*x)")
         bound_reports(catalog("poisson", {"lam": 3.815}), g, range(1, 9), cfg)
-        # at x, x + 1, ..., x + 8 on the class ladder and on the summation
-        # grid, which is its own half-resolution grid
-        assert sorted(calls) == sorted(id(gi) for gi in g for _ in range(18))
+        # at x, x + 1, ..., x + 8 on the one grid the class ladder and the
+        # assembly share, which is its own half-resolution grid
+        assert sorted(calls) == sorted(id(gi) for gi in g for _ in range(9))
 
     def test_differences_of_shifted_rows_are_forward_differences(self, cfg):
         g = tuple_of("x^3", "exp(0.3*x)", "x*cos(0.8*x)")

@@ -13,14 +13,15 @@ import pytest
 
 from varbounds import (DiscreteCO, FunctionTuple, Quadratic, catalog,
                        parse_function, polynomial)
-from varbounds.bounds import (_Grid, bound_report, dispersion_matrix,
-                              matrix_B, matrix_H)
+from varbounds.bounds import (_Grid, bound_report, bound_reports,
+                              dispersion_matrix, matrix_B, matrix_H)
 from varbounds.cli import _mc_matrices
-from varbounds.distributions import _pmf_table, _table_sampler
+from varbounds.distributions import (_pmf_table, _table_sampler,
+                                     infer_quadratic)
 from varbounds.errors import NoSamplerError, TruncationError
-from varbounds.expectation import (Z_99, EngineConfig, _unit_interval, probe,
-                                   sample, splitmix64_uniforms,
-                                   truncated_support)
+from varbounds.expectation import (Z_99, EngineConfig, Ladder,
+                                   _unit_interval, probe, sample,
+                                   splitmix64_uniforms, truncated_support)
 
 MASK = (1 << 64) - 1
 
@@ -145,8 +146,28 @@ class TestDiscrete:
         # factorial-moment expansion: E[X^3] = lam^3 + 3 lam^2 + lam
         assert grid.w @ cubes == pytest.approx(7**3 + 3 * 7**2 + 7, rel=1e-12)
 
+    def test_support_unbounded_below(self, cfg):
+        # the poisson(4) pmf reflected onto the nonpositive integers
+        pmf = catalog("poisson", {"lam": 4}).pmf
+        spec = DiscreteCO(-4.0, Quadratic(0.0, -1.0, 0.0), (-math.inf, 0.0),
+                          lambda k: pmf(-np.asarray(k, dtype=float)),
+                          name="reflected-poisson")
+        grid = _Grid.build(spec, cfg)
+        mean = grid.w @ grid.x
+        assert mean == pytest.approx(-4.0, abs=1e-12)
+        assert grid.w @ (grid.x - mean) ** 2 == pytest.approx(4.0, abs=1e-12)
+        np.testing.assert_array_equal(Ladder.build(spec, cfg).x, grid.x)
+        fit = infer_quadratic(spec, cfg)
+        np.testing.assert_allclose(fit.quadratic.as_tuple(), (0.0, -1.0, 0.0),
+                                   atol=1e-10)
+        assert fit.residual < 1e-10
+        reports = bound_reports(spec, tuple_of("x", "x^2", "exp(0.2*x)"),
+                                [1, 2, 3], cfg)
+        assert all(r.verdicts["poincare"].ok and r.verdicts["bessel"].ok
+                   for r in reports)
+
     def test_truncation_cap(self):
-        # pmf ~ 1/k^2 needs ~1e12 terms for 1e-12 mass; the cap must trip
+        # pmf ~ 1/k^2 underflows only past k ~ 1e161; the cap must trip
         c = 6.0 / math.pi**2
 
         def pmf(k):
@@ -158,7 +179,7 @@ class TestDiscrete:
 
         spec = DiscreteCO(1.0, Quadratic(0.0, 0.0, 1.0), (1.0, math.inf), pmf)
         with pytest.raises(TruncationError):
-            truncated_support(spec, 1e-12)
+            truncated_support(spec)
 
 
 def sixty_point_table():
@@ -332,13 +353,10 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             EngineConfig(quad_nodes=5)
-        with pytest.raises(ValueError):
-            EngineConfig(trunc_tol=0.1)
         with pytest.raises(ValueError, match="mc_samples"):
             EngineConfig(mc_samples=1)
         for key, value in (("quad_nodes", "80"), ("quad_nodes", 80.0),
-                           ("trunc_tol", "1e-9"), ("mc_seed", None),
-                           ("mc_samples", True)):
+                           ("mc_seed", None), ("mc_samples", True)):
             with pytest.raises(ValueError, match=key):
                 EngineConfig(**{key: value})
         with pytest.raises(ValueError, match="quad_nodez"):
