@@ -51,15 +51,15 @@ class _Grid:
     ``build`` gives the quadrature nodes or the positive-pmf support down
     to pmf underflow (``expectation.truncated_support``, which the class
     ladder uses too), and ``from_samples`` the grid of N Monte Carlo
-    samples.  The weight w_k, E[w_k] and each row d^k g_i are evaluated on
-    it once, when first asked for; on a discrete member each g_i is
-    evaluated once at each shift x + j, and its forward differences of
-    every order combine those rows."""
+    samples.  The power q^k (q^[k]), the weight w_k, E[w_k] and each row
+    d^k g_i are evaluated on it once, when first asked for; on a discrete
+    member each g_i is evaluated once at each shift x + j, and its forward
+    differences of every order combine those rows."""
 
     def __init__(self, spec, x, w, tail=0.0, counts=None):
         self.spec, self.x, self.w, self.tail = spec, x, w, tail
         self.counts = counts
-        self._w, self._eq, self._d, self._shifts = {}, {}, {}, {}
+        self._q, self._w, self._eq, self._d, self._shifts = {}, {}, {}, {}, {}
 
     @classmethod
     def build(cls, spec, cfg=None, n_nodes=None):
@@ -84,11 +84,14 @@ class _Grid:
     def q_power(self, k):
         """q^k (continuous) or the rising product q^[k] (discrete) at the
         grid points."""
-        if k == 0:
-            return np.ones_like(self.x)
-        if self.spec.is_discrete:
-            return rising_q(self.spec.q, k, self.x)
-        return self.spec.q(self.x) ** k
+        if k not in self._q:
+            if k == 0:
+                self._q[k] = np.ones_like(self.x)
+            elif self.spec.is_discrete:
+                self._q[k] = rising_q(self.spec.q, k, self.x)
+            else:
+                self._q[k] = self.spec.q(self.x) ** k
+        return self._q[k]
 
     def weight(self, k):
         """Grid weights times w_k, so that E[w_k phi] ~ sum(weight(k) phi)."""

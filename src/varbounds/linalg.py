@@ -1,5 +1,6 @@
-"""Small dense symmetric-matrix kernel: packed storage, eigenvalues,
-positive-semidefinite and Loewner-order predicates.
+"""Small dense symmetric-matrix kernel: one read-only array per matrix, its
+spectrum computed once, and the positive-semidefinite and Loewner-order
+predicates on it.
 
 Eigenvalues come from LAPACK through ``numpy.linalg.eigvalsh``.  The verdict
 tolerance is absolute (it scales with the spectral radius of D), so a solver
@@ -11,28 +12,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import eigvalsh
 
 MAX_ORDER = 64
 ASYMMETRY_TOL = 1e-10
 
 
 class SymMatrix:
-    """Immutable symmetric matrix stored as a packed upper triangle."""
+    """Immutable symmetric matrix: one read-only, exactly symmetric dense
+    array, and its spectrum once ``eigenvalues`` has computed it.  Build one
+    with ``from_array``; ``+``, ``-`` and scalar ``*`` give new matrices."""
 
-    __slots__ = ("order", "_upper")
+    __slots__ = ("order", "_a", "_eig")
 
-    def __init__(self, order: int, upper: np.ndarray):
-        upper = np.asarray(upper, dtype=float)
-        if order < 1 or order > MAX_ORDER:
-            raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
-        if upper.shape != (order * (order + 1) // 2,):
-            raise ValueError("packed upper triangle has wrong length")
-        if not np.all(np.isfinite(upper)):
+    @classmethod
+    def _of(cls, a: np.ndarray) -> "SymMatrix":
+        # a is exactly symmetric; + 0.0 turns every -0.0 entry into 0.0
+        a = a + 0.0
+        if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        upper = upper.copy()
-        upper.setflags(write=False)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_upper", upper)
+        a.setflags(write=False)
+        m = object.__new__(cls)
+        object.__setattr__(m, "order", a.shape[0])
+        object.__setattr__(m, "_a", a)
+        object.__setattr__(m, "_eig", None)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrix is immutable")
@@ -44,45 +48,36 @@ class SymMatrix:
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square 2-D array")
+        if not 1 <= a.shape[0] <= MAX_ORDER:
+            raise ValueError(
+                f"order must be in [1, {MAX_ORDER}], got {a.shape[0]}")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        scale = 1.0 + np.max(np.abs(a)) if a.size else 1.0
-        if np.max(np.abs(a - a.T)) > ASYMMETRY_TOL * scale:
+        if np.max(np.abs(a - a.T)) > ASYMMETRY_TOL * (1.0 + np.max(np.abs(a))):
             raise ValueError("input array is not symmetric within tolerance")
-        sym = 0.5 * (a + a.T)
-        iu = np.triu_indices(sym.shape[0])
-        return cls(sym.shape[0], sym[iu])
+        return cls._of(0.5 * (a + a.T))
 
     def to_array(self) -> np.ndarray:
-        p = self.order
-        a = np.zeros((p, p))
-        iu = np.triu_indices(p)
-        a[iu] = self._upper
-        a = a + np.triu(a, 1).T
-        return a
+        return self._a.copy()
 
     def __getitem__(self, ij):
-        i, j = ij
-        if i > j:
-            i, j = j, i
-        p = self.order
-        return float(self._upper[i * p - i * (i - 1) // 2 + (j - i)])
+        return float(self._a[ij])
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         self._check_same_order(other)
-        return SymMatrix(self.order, self._upper + other._upper)
+        return SymMatrix._of(self._a + other._a)
 
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
         self._check_same_order(other)
-        return SymMatrix(self.order, self._upper - other._upper)
+        return SymMatrix._of(self._a - other._a)
 
     def __mul__(self, scalar: float) -> "SymMatrix":
-        return SymMatrix(self.order, self._upper * float(scalar))
+        return SymMatrix._of(self._a * float(scalar))
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"SymMatrix({self.to_array().tolist()})"
+        return f"SymMatrix({self._a.tolist()})"
 
     def _check_same_order(self, other):
         if not isinstance(other, SymMatrix):
@@ -91,27 +86,19 @@ class SymMatrix:
             raise ValueError(
                 f"dimension mismatch: {self.order} vs {other.order}")
 
-    @classmethod
-    def zeros(cls, order: int) -> "SymMatrix":
-        return cls(order, np.zeros(order * (order + 1) // 2))
-
-    def quadratic_form(self, c) -> float:
-        c = np.asarray(c, dtype=float)
-        return float(c @ self.to_array() @ c)
-
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self._upper)))
-
-    def trace(self) -> float:
-        p = self.order
-        idx = np.array([i * p - i * (i - 1) // 2 for i in range(p)])
-        return float(self._upper[idx].sum())
+        return float(np.max(np.abs(self._a)))
 
 
 def eigenvalues(m: SymMatrix) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending (LAPACK ``syevd`` through
-    ``numpy.linalg.eigvalsh``)."""
-    return np.linalg.eigvalsh(m.to_array())
+    ``numpy.linalg.eigvalsh``).  Each matrix is solved once; later calls
+    return the same read-only array."""
+    if m._eig is None:
+        vals = eigvalsh(m._a)
+        vals.setflags(write=False)
+        object.__setattr__(m, "_eig", vals)
+    return m._eig
 
 
 @dataclass(frozen=True)

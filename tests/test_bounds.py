@@ -12,7 +12,7 @@ import pytest
 
 from varbounds import (ContinuousIP, FunctionTuple, Quadratic, catalog,
                        eigenvalues, parse_function, polynomial)
-from varbounds import bounds
+from varbounds import bounds, linalg
 from varbounds.bounds import (_Grid, bessel_coefficient, bound_report,
                               bound_reports, check_class, dispersion_matrix,
                               matrix_A, matrix_B, matrix_H, matrix_L, matrix_S,
@@ -448,6 +448,38 @@ class TestOnePass:
         # assembly share, which is its own half-resolution grid
         assert sorted(calls) == sorted(id(gi) for gi in g for _ in range(9))
 
+    def test_one_q_power_per_order_on_discrete_grids(self, cfg, monkeypatch):
+        calls = []
+        original = bounds.rising_q
+
+        def counted(q, k, x):
+            calls.append(k)
+            return original(q, k, x)
+
+        monkeypatch.setattr(bounds, "rising_q", counted)
+        g = tuple_of("x", "x^2", "sin(x)")
+        bound_report(catalog("poisson", {"lam": 3}), g, 3, cfg)
+        # on the one grid the class ladder, the weights and E[w_k] share
+        assert sorted(calls) == [1, 2, 3]
+
+    def test_one_eigen_solve_per_matrix(self, cfg, monkeypatch):
+        solves = []
+        original = linalg.eigvalsh
+
+        def counted(a):
+            solves.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(linalg, "eigvalsh", counted)
+        g = tuple_of("x", "x*sin(2*x)", "x^2*exp(0.25*x)")
+        reports = bound_reports(catalog("poisson", {"lam": 3}), g,
+                                range(1, 9), cfg)
+        for report in reports:
+            report.eigen_rows()
+        # D once; per order A, D - L (verdict), S, L and D - L (eigen_rows);
+        # each H_k and B_k once, shared by the reports of every order >= k
+        assert len(solves) == 1 + 8 * 5 + 8 * 2
+
     def test_differences_of_shifted_rows_are_forward_differences(self, cfg):
         g = tuple_of("x^3", "exp(0.3*x)", "x*cos(0.8*x)")
         grid = _Grid.build(catalog("negative-binomial",
@@ -683,11 +715,11 @@ class TestInvariants:
         spec = catalog("gamma", {"shape": 3, "scale": 1.5})
         g = tuple_of("x", "x^2", "sin(0.5*x)")
         report = bound_report(spec, g, 2, cfg)
-        a = report.A
-        dl = report.D - report.L
+        a = report.A.to_array()
+        dl = (report.D - report.L).to_array()
         tol = report.tol
         for _ in range(100):
             c = rng.normal(size=3)
             nsq = float(c @ c)
-            assert a.quadratic_form(c) >= -tol * nsq
-            assert dl.quadratic_form(c) >= -tol * nsq
+            assert c @ a @ c >= -tol * nsq
+            assert c @ dl @ c >= -tol * nsq

@@ -81,8 +81,17 @@ class TestJacobi:
                                    atol=1e-12)
 
     def test_zero_matrix(self):
-        m = SymMatrix.zeros(3)
+        m = SymMatrix.from_array(np.zeros((3, 3)))
         np.testing.assert_array_equal(eigenvalues(m), np.zeros(3))
+
+    def test_spectrum_is_kept_read_only(self):
+        m = SymMatrix.from_array([[2.0, 1.0], [1.0, 2.0]])
+        vals = eigenvalues(m)
+        assert eigenvalues(m) is vals
+        with pytest.raises(ValueError):
+            vals[0] = 5.0
+        assert is_psd(m, 0.0).min_eigenvalue == pytest.approx(1.0)
+        assert spectral_radius(m) == pytest.approx(3.0)
 
 
 class TestPredicates:
@@ -91,7 +100,7 @@ class TestPredicates:
         verdict = is_psd(SymMatrix.from_array([[1.0, 2.0], [2.0, 1.0]]), 1e-9)
         assert not verdict.ok
         np.testing.assert_allclose(verdict.min_eigenvalue, -1.0, atol=1e-12)
-        assert is_psd(SymMatrix.zeros(2), 0.0).ok
+        assert is_psd(SymMatrix.from_array(np.zeros((2, 2))), 0.0).ok
 
     def test_loewner_examples(self):
         a = SymMatrix.from_array([[1.0, 0.0], [0.0, 2.0]])
@@ -103,7 +112,8 @@ class TestPredicates:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            loewner_leq(SymMatrix.zeros(2), SymMatrix.zeros(3), 1e-9)
+            loewner_leq(SymMatrix.from_array(np.zeros((2, 2))),
+                        SymMatrix.from_array(np.zeros((3, 3))), 1e-9)
 
     def test_spectral_radius(self):
         m = SymMatrix.from_array([[0.0, 1.0], [1.0, 0.0]])
@@ -121,7 +131,7 @@ class TestSymMatrix:
         assert m[0, 1] == m[1, 0]
 
     def test_immutable(self):
-        m = SymMatrix.zeros(2)
+        m = SymMatrix.from_array(np.zeros((2, 2)))
         with pytest.raises(AttributeError):
             m.order = 3
         arr = m.to_array()
@@ -130,10 +140,26 @@ class TestSymMatrix:
 
     def test_quadratic_form_and_entries(self):
         m = SymMatrix.from_array([[2.0, 1.0], [1.0, 3.0]])
-        assert m.quadratic_form([1.0, 1.0]) == pytest.approx(7.0)
+        c = np.ones(2)
+        assert c @ m.to_array() @ c == pytest.approx(7.0)
         assert m[1, 0] == 1.0
-        assert m.trace() == pytest.approx(5.0)
+        assert np.trace(m.to_array()) == pytest.approx(5.0)
         assert m.max_abs() == 3.0
+
+    def test_indices_as_numpy(self):
+        a = np.array([[1.0, 2.0, 3.0], [2.0, 5.0, 7.0], [3.0, 7.0, 11.0]])
+        m = SymMatrix.from_array(a)
+        assert m[-1, 0] == a[-1, 0] == 3.0
+        assert m[0, -1] == a[0, -1] == 3.0
+        assert m[2, 1] == m[1, 2] == 7.0
+        with pytest.raises(IndexError):
+            m[0, 3]
+
+    def test_no_negative_zero(self):
+        # -0.0 would print as "-0.0" in a report's JSON
+        zeros = SymMatrix.from_array(np.zeros((2, 2)))
+        assert not np.any(np.signbit((zeros * -1.0).to_array()))
+        assert not np.signbit(SymMatrix.from_array([[-0.0]])[0, 0])
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
