@@ -9,8 +9,7 @@ functions are polynomials of degree <= n.
 import numpy as np
 
 from varbounds import (EngineConfig, FunctionTuple, bound_report, catalog,
-                       dispersion_matrix, eigenvalues, matrix_H,
-                       parse_function)
+                       eigenvalues, parse_function)
 
 cfg = EngineConfig()
 normal = catalog("normal")
@@ -18,8 +17,8 @@ normal = catalog("normal")
 # --- first-order bound: D <= H in the Loewner order --------------------
 g = FunctionTuple([parse_function(e)
                    for e in ("x", "x^2", "exp(0.5*x)", "sin(x)")])
-d = dispersion_matrix(normal, g, cfg)
-h = matrix_H(normal, g, 1, cfg)
+first = bound_report(normal, g, 1, cfg, theorems=("poincare",))
+d, h = first.D, first.H[0]
 gap = h - d
 print("covariance matrix D:")
 print(np.array_str(d.to_array(), precision=6, suppress_small=True))

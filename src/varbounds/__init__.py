@@ -9,10 +9,9 @@ defining identities, and a seeded Monte Carlo cross-check round out the
 toolkit.
 """
 
-from .bounds import (BoundReport, ClassReport, TermWeight, bessel_coefficient,
-                     bound_report, bound_reports, check_class,
-                     dispersion_matrix, matrix_A, matrix_B, matrix_H, matrix_L,
-                     matrix_S, moment_finiteness, poincare_coefficient)
+from .bounds import (BoundReport, ClassReport, TermWeight, bound_report,
+                     bound_reports, check_class, moment_finiteness,
+                     poincare_coefficient)
 from .calculus import (FunctionTuple, SmoothFunction, forward_difference,
                        load_function_tuple, parse_function, polynomial,
                        rising_q)
@@ -31,9 +30,8 @@ from .linalg import (PsdVerdict, SymMatrix, eigenvalues, is_psd, loewner_leq,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "ClassReport", "TermWeight", "bessel_coefficient",
-    "bound_report", "bound_reports", "check_class", "dispersion_matrix", "matrix_A", "matrix_B",
-    "matrix_H", "matrix_L", "matrix_S", "moment_finiteness",
+    "BoundReport", "ClassReport", "TermWeight", "bound_report",
+    "bound_reports", "check_class", "moment_finiteness",
     "poincare_coefficient",
     "FunctionTuple", "SmoothFunction", "forward_difference",
     "load_function_tuple", "parse_function", "polynomial", "rising_q",

@@ -28,13 +28,13 @@ import numpy as np
 from . import expectation as ex
 from .calculus import (FunctionTuple, SmoothFunction, difference_of_rows,
                        rising_q)
-# unused here: perfbench/tracing.py wraps this name in this module
-from .calculus import forward_difference  # noqa: F401
 from .distributions import Spec, moment_criterion
 from .errors import (ClassMembershipError, InvalidParameterError,
                      NonFiniteIntegrandError, SingularCoefficientError)
-from .linalg import (SymMatrix, eigenvalues, is_psd, loewner_leq,
-                     spectral_radius)
+from .linalg import SymMatrix, eigenvalues, is_psd, spectral_radius
+# unused here: perfbench/tracing.py wraps these names in this module
+from .calculus import forward_difference  # noqa: F401
+from .linalg import loewner_leq  # noqa: F401
 
 COEFFICIENT_FACTOR_GUARD = 1e-10
 NULL_EXPECTATION_TOL = 1e-12
@@ -188,33 +188,6 @@ def _b_array(grid: _Grid, g, k) -> np.ndarray:
     return np.outer(v, v)
 
 
-def _finite(a, what) -> SymMatrix:
-    if not np.all(np.isfinite(a)):
-        raise ClassMembershipError(f"divergent {what}")
-    return SymMatrix.from_array(a)
-
-
-def dispersion_matrix(spec: Spec, g: FunctionTuple,
-                      cfg: ex.EngineConfig | None = None) -> SymMatrix:
-    """Covariance matrix D of the random vector (g_1(X), ..., g_p(X))."""
-    return _finite(_dispersion_array(_Grid.build(spec, cfg), g),
-                   "second moment in dispersion matrix")
-
-
-def matrix_H(spec: Spec, g: FunctionTuple, k: int,
-             cfg: ex.EngineConfig | None = None) -> SymMatrix:
-    """Weighted derivative Gram matrix of order k (PSD by construction)."""
-    return _finite(_h_array(_Grid.build(spec, cfg), g, k),
-                   f"entry in order-{k} Gram matrix")
-
-
-def matrix_B(spec: Spec, g: FunctionTuple, k: int,
-             cfg: ex.EngineConfig | None = None) -> SymMatrix:
-    """Rank-one outer product of the weighted mean derivatives of order k."""
-    return _finite(_b_array(_Grid.build(spec, cfg), g, k),
-                   f"entry in order-{k} outer product")
-
-
 # ---------------------------------------------------------------------------
 # scalar coefficients
 # ---------------------------------------------------------------------------
@@ -240,16 +213,6 @@ def poincare_coefficient(delta: float, k: int) -> float:
     prod = _guarded_product(delta, range(k), k)
     sign = 1.0 if (k - 1) % 2 == 0 else -1.0
     return sign / (math.factorial(k) * prod)
-
-
-def bessel_coefficient(spec: Spec, k: int,
-                       cfg: ex.EngineConfig | None = None) -> float | None:
-    """Weight 1 / (k! E[w_k] prod_{j=k-1}^{2k-2} (1 - j delta)), or None when
-    E[w_k] vanishes and the summand must be the null matrix."""
-    if k < 1:
-        raise ValueError("order k must be at least 1")
-    eq = _Grid.build(spec, cfg).expectation(k)
-    return _bessel_weight(spec, k, eq).weight
 
 
 # ---------------------------------------------------------------------------
@@ -282,37 +245,17 @@ def _bessel_weight(spec, k, eq) -> TermWeight:
     return TermWeight(k, 1.0 / (math.factorial(k) * eq * prod), eq)
 
 
-def _pair(full: _Grid, half: _Grid, build):
+def _pair(full: _Grid, half: _Grid, build, what):
     """A matrix on the full grid and its bracket: the largest entry defect
     against the half-resolution grid (none on discrete members, whose
-    summation has no coarser rule)."""
+    summation has no coarser rule).  A non-finite entry on the full grid is
+    a divergent expectation and raises ``ClassMembershipError`` naming
+    ``what``."""
     a = build(full)
+    if not np.all(np.isfinite(a)):
+        raise ClassMembershipError(f"divergent {what}")
     b = a if half is full else build(half)
     return a, float(np.max(np.abs(a - b)))
-
-
-def _view(spec, g, n, cfg, theorem) -> BoundReport:
-    # the public matrix views: one theorem of one order, no gates
-    return _Pass(spec, cfg or ex.EngineConfig(), (theorem,),
-                 DEFAULT_TOL_SCALE).report(n, g, [])
-
-
-def matrix_S(spec: Spec, g: FunctionTuple, n: int,
-             cfg: ex.EngineConfig | None = None) -> SymMatrix:
-    """Alternating weighted sum of the Gram matrices up to order n."""
-    return _view(spec, g, n, cfg, "poincare").S
-
-
-def matrix_L(spec: Spec, g: FunctionTuple, n: int,
-             cfg: ex.EngineConfig | None = None) -> SymMatrix:
-    """Weighted sum of the rank-one matrices up to order n."""
-    return _view(spec, g, n, cfg, "bessel").L
-
-
-def matrix_A(spec: Spec, g: FunctionTuple, n: int,
-             cfg: ex.EngineConfig | None = None) -> SymMatrix:
-    """Signed defect (-1)^n (D - S_n); nonnegative definite for members."""
-    return _view(spec, g, n, cfg, "poincare").A
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +410,7 @@ class BoundReport:
     verdicts: dict = field(default_factory=dict)
     tol: float = 0.0
     provenance: dict = field(default_factory=dict)
+    _d_minus_l: SymMatrix | None = field(default=None, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -505,8 +449,7 @@ class BoundReport:
         named = [("D", self.D), ("S", self.S), ("L", self.L), ("A", self.A)]
         named += [(f"H{k + 1}", h) for k, h in enumerate(self.H)]
         named += [(f"B{k + 1}", b) for k, b in enumerate(self.B)]
-        if self.L is not None:
-            named.append(("D-L", self.D - self.L))
+        named.append(("D-L", self._d_minus_l))  # solved by the verdict
         for name, m in named:
             if m is None:
                 continue
@@ -535,7 +478,8 @@ class _Pass:
         key = tuple(map(id, g))
         if key not in self.subsets:
             d, bracket = _pair(self.full, self.half,
-                               lambda grid: _dispersion_array(grid, g))
+                               lambda grid: _dispersion_array(grid, g),
+                               "second moment in dispersion matrix")
             d = SymMatrix.from_array(d)
             zeros = np.zeros((g.p, g.p))
             self.subsets[key] = (d, bracket, spectral_radius(d),
@@ -556,11 +500,13 @@ class _Pass:
                 weights.append(
                     _poincare_weight(spec, self.full, k) if kind == "H"
                     else _bessel_weight(spec, k, self.full.expectation(k)))
-            build = _h_array if kind == "H" else _b_array
+            build, what = ((_h_array, "Gram matrix") if kind == "H"
+                           else (_b_array, "outer product"))
             mats, worst, sums = terms[kind]
             for tw in weights[len(mats):n]:
                 arr, bracket = _pair(self.full, self.half,
-                                     lambda grid: build(grid, g, tw.k))
+                                     lambda grid: build(grid, g, tw.k),
+                                     f"entry in order-{tw.k} {what}")
                 mats.append(SymMatrix.from_array(arr))
                 worst.append(max(worst[-1], bracket))
                 sums.append(sums[-1] if tw.null else sums[-1] + tw.weight * arr)
@@ -573,8 +519,8 @@ class _Pass:
                 report.verdicts[name] = is_psd(report.A, report.tol)
             else:
                 report.bessel_weights, report.B = weights[:n], mats[:n]
-                report.L = total
-                report.verdicts[name] = loewner_leq(total, d, report.tol)
+                report.L, report._d_minus_l = total, d - total
+                report.verdicts[name] = is_psd(report._d_minus_l, report.tol)
 
         report.provenance = {
             "engine": asdict(cfg),
@@ -601,9 +547,10 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
     Each report is the one ``bound_report`` gives for its order alone, but
     the grids, derivative rows, the one ladder of the moment gate and class
     checks (on a discrete member also the summation grid), and the matrices
-    are shared: S_n and L_n are prefix sums of one set of H_k and B_k.  Orders are gated in ascending order, each as its
-    own call would gate it (moment gate, class checks on the prefix k <= n,
-    coefficients), so a refused order raises what its own call raises.
+    are shared: S_n and L_n are prefix sums of one set of H_k and B_k.
+    Orders are gated in ascending order, each as its own call would gate it
+    (moment gate, class checks on the prefix k <= n, coefficients), so a
+    refused order raises what its own call raises.
     ``class_policy`` is as in ``bound_report``; with 'drop' each order keeps
     the functions that pass its own checks.
     """

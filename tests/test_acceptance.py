@@ -15,8 +15,7 @@ import pytest
 from varbounds import (EngineConfig, FunctionTuple, catalog, eigenvalues,
                        infer_quadratic, moment_finiteness, parse_function,
                        polynomial)
-from varbounds.bounds import (_Grid, bound_report, check_class,
-                              dispersion_matrix, matrix_H)
+from varbounds.bounds import _Grid, bound_report, check_class
 from varbounds.cli import _mean_ci
 from varbounds.expectation import sample
 from tests.conftest import make_bernoulli_member
@@ -53,8 +52,8 @@ def test_c1_first_order_matrix_bound():
         assert verdict.min_eigenvalue >= -report.tol
 
         sub = tuple_of("x", "x^2")
-        d = dispersion_matrix(spec, sub, CFG).to_array()
-        h = matrix_H(spec, sub, 1, CFG).to_array()
+        matrices = bound_report(spec, sub, 1, CFG, class_policy="skip")
+        d, h = matrices.D.to_array(), matrices.H[0].to_array()
         np.testing.assert_allclose(d, [[1.0, 0.0], [0.0, 2.0]], atol=1e-7)
         np.testing.assert_allclose(h, [[1.0, 0.0], [0.0, 4.0]], atol=1e-7)
 
@@ -99,8 +98,8 @@ def test_c4_poisson_closing_inequality():
         raw = [lambda k: k**2, lambda k: np.exp(-LOG2 * k)]
         for i, lam in enumerate((0.5, 2.0, 7.0)):
             spec = catalog("poisson", {"lam": lam})
-            d = dispersion_matrix(spec, g, CFG)
-            h1 = matrix_H(spec, g, 1, CFG)
+            matrices = bound_report(spec, g, 1, CFG, class_policy="skip")
+            d, h1 = matrices.D, matrices.H[0]
             assert min_eig(h1 - d) >= -1e-6, lam
 
             # cross-check the building-block expectations: the sum over the

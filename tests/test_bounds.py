@@ -13,9 +13,8 @@ import pytest
 from varbounds import (ContinuousIP, FunctionTuple, Quadratic, catalog,
                        eigenvalues, parse_function, polynomial)
 from varbounds import bounds, linalg
-from varbounds.bounds import (_Grid, bessel_coefficient, bound_report,
-                              bound_reports, check_class, dispersion_matrix,
-                              matrix_A, matrix_B, matrix_H, matrix_L, matrix_S,
+from varbounds.bounds import (_bessel_weight, _Grid, bound_report,
+                              bound_reports, check_class,
                               poincare_coefficient)
 from varbounds.calculus import SmoothFunction, forward_difference
 from varbounds.errors import ClassMembershipError, SingularCoefficientError
@@ -24,6 +23,12 @@ from tests.conftest import make_bernoulli_member, make_heavy_member
 
 def tuple_of(*exprs):
     return FunctionTuple([parse_function(e) for e in exprs])
+
+
+def skip_report(spec, g, n, cfg):
+    """The order-n report with no class checks: D, H_k, B_k, S_n, L_n, A_n
+    and the weights as the one assembly pass builds them."""
+    return bound_report(spec, g, n, cfg, class_policy="skip")
 
 
 def poisson_brute(lam, phi, upto=200):
@@ -37,24 +42,24 @@ def poisson_brute(lam, phi, upto=200):
 
 class TestDispersion:
     def test_normal_pair(self, cfg):
-        d = dispersion_matrix(catalog("normal"), tuple_of("x", "x^2"), cfg)
+        d = skip_report(catalog("normal"), tuple_of("x", "x^2"), 1, cfg).D
         np.testing.assert_allclose(d.to_array(), [[1.0, 0.0], [0.0, 2.0]],
                                    atol=1e-10)
 
     def test_constant_function(self, cfg):
-        d = dispersion_matrix(catalog("normal"), tuple_of("3"), cfg)
+        d = skip_report(catalog("normal"), tuple_of("3"), 1, cfg).D
         assert abs(d[0, 0]) < 1e-14
 
     def test_poisson_identity(self, cfg):
         lam = 2.5
-        d = dispersion_matrix(catalog("poisson", {"lam": lam}),
-                              tuple_of("x"), cfg)
+        d = skip_report(catalog("poisson", {"lam": lam}), tuple_of("x"), 1,
+                        cfg).D
         assert d[0, 0] == pytest.approx(lam, abs=1e-10)
 
 
 class TestMatrixH:
     def test_normal_first_order(self, cfg):
-        h = matrix_H(catalog("normal"), tuple_of("x", "x^2"), 1, cfg)
+        h = skip_report(catalog("normal"), tuple_of("x", "x^2"), 1, cfg).H[0]
         np.testing.assert_allclose(h.to_array(), [[1.0, 0.0], [0.0, 4.0]],
                                    atol=1e-10)
 
@@ -64,7 +69,7 @@ class TestMatrixH:
         lam = 2.0
         spec = catalog("poisson", {"lam": lam})
         g = tuple_of("x^2", "exp(-0.25*x)")
-        h1 = matrix_H(spec, g, 1, cfg).to_array()
+        h1 = skip_report(spec, g, 1, cfg).H[0].to_array()
         oracle = np.empty((2, 2))
         funcs = [lambda k: k**2, lambda k: math.exp(-0.25 * k)]
         for i in range(2):
@@ -75,30 +80,29 @@ class TestMatrixH:
         np.testing.assert_allclose(h1, oracle, atol=1e-10)
 
     def test_vanishes_beyond_degree(self, cfg):
-        h = matrix_H(catalog("normal"), tuple_of("x", "1 + 2*x"), 2, cfg)
+        g = tuple_of("x", "1 + 2*x")
+        h = skip_report(catalog("normal"), g, 2, cfg).H[1]
         assert h.max_abs() < 1e-12
-        hd = matrix_H(catalog("poisson", {"lam": 1}),
-                      tuple_of("x", "1 + 2*x"), 2, cfg)
+        hd = skip_report(catalog("poisson", {"lam": 1}), g, 2, cfg).H[1]
         assert hd.max_abs() < 1e-12
 
     def test_psd_within_tolerance(self, cfg):
         for spec in (catalog("normal"), catalog("gamma", {"shape": 2}),
                      catalog("poisson", {"lam": 3})):
             g = tuple_of("x", "x^2", "x^3")
-            for k in (1, 2):
-                h = matrix_H(spec, g, k, cfg)
+            for h in skip_report(spec, g, 2, cfg).H:
                 assert eigenvalues(h)[0] >= -1e-10 * (1 + h.max_abs())
 
 
 class TestMatrixB:
     def test_normal_second_order(self, cfg):
-        b = matrix_B(catalog("normal"), tuple_of("x^2"), 2, cfg)
+        b = skip_report(catalog("normal"), tuple_of("x^2"), 2, cfg).B[1]
         assert b[0, 0] == pytest.approx(4.0, abs=1e-10)
 
     def test_poisson_scaling(self, cfg):
         lam = 1.5
         spec = catalog("poisson", {"lam": lam})
-        b = matrix_B(spec, tuple_of("x^2", "x^3"), 1, cfg).to_array()
+        b = skip_report(spec, tuple_of("x^2", "x^3"), 1, cfg).B[0].to_array()
         d1 = poisson_brute(lam, lambda k: 2 * k + 1)
         d2 = poisson_brute(lam, lambda k: 3 * k**2 + 3 * k + 1)
         v = lam * np.array([d1, d2])
@@ -106,12 +110,12 @@ class TestMatrixB:
 
     def test_odd_symmetry_vanishes(self, cfg):
         # E[g''] = E[6 Z] = 0 for the odd cubic about the Normal mean
-        b = matrix_B(catalog("normal"), tuple_of("x^3"), 2, cfg)
+        b = skip_report(catalog("normal"), tuple_of("x^3"), 2, cfg).B[1]
         assert b.max_abs() < 1e-12
 
     def test_exactly_rank_one_psd(self, cfg):
-        b = matrix_B(catalog("gamma", {"shape": 2.5}),
-                     tuple_of("x", "x^2", "sin(x)"), 1, cfg)
+        b = skip_report(catalog("gamma", {"shape": 2.5}),
+                        tuple_of("x", "x^2", "sin(x)"), 1, cfg).B[0]
         vals = eigenvalues(b)
         assert vals[0] >= -1e-13 * (1 + b.max_abs())
         assert np.all(np.abs(vals[:-1]) <= 1e-12 * (1 + b.max_abs()))
@@ -133,31 +137,38 @@ class TestCoefficients:
             poincare_coefficient(0.5 + 1e-12, 3)  # factor 1 - 2*delta ~ 0
 
     def test_bessel_normal(self, cfg):
-        spec = catalog("normal")
+        report = skip_report(catalog("normal"), tuple_of("x"), 3, cfg)
         for k in (1, 2, 3):
-            assert bessel_coefficient(spec, k, cfg) == pytest.approx(
+            assert report.bessel_weights[k - 1].weight == pytest.approx(
                 1.0 / math.factorial(k), rel=1e-9)
 
     def test_bessel_poisson(self, cfg):
         lam = 2.0
         spec = catalog("poisson", {"lam": lam})
+        report = skip_report(spec, tuple_of("x"), 3, cfg)
         for k in (1, 2, 3):
             # E[q^[k]] = lam^k, verified against brute-force summation
             eq = _Grid.build(spec, cfg).expectation(k)
             assert eq == pytest.approx(lam**k, rel=1e-10)
-            assert bessel_coefficient(spec, k, cfg) == pytest.approx(
+            assert report.bessel_weights[k - 1].weight == pytest.approx(
                 1.0 / (math.factorial(k) * lam**k), rel=1e-9)
 
     def test_bessel_null_term(self, cfg, bernoulli_member):
-        assert bessel_coefficient(bernoulli_member, 2, cfg) is None
+        report = skip_report(bernoulli_member, tuple_of("x"), 2, cfg)
+        assert report.bessel_weights[1].weight is None
 
     def test_bessel_singular_factor(self, cfg):
-        # delta = 0.5: the order-2 product contains (1 - 2*0.5) = 0
-        from tests.conftest import make_heavy_member
+        # delta = 0.5: the order-2 product contains (1 - 2*0.5) = 0; a report
+        # of order 2 is refused first by the moment gate (E|X|^4 diverges),
+        # so the coefficient is built from E[w_2] directly
         spec = make_heavy_member(delta=0.5)
-        assert bessel_coefficient(spec, 1, cfg) is not None
+        report = skip_report(spec, tuple_of("x"), 1, cfg)
+        assert report.bessel_weights[0].weight is not None
+        with pytest.raises(ClassMembershipError, match=r"E\|X\|\^4"):
+            skip_report(spec, tuple_of("x"), 2, cfg)
+        eq = _Grid.build(spec, cfg).expectation(2)
         with pytest.raises(SingularCoefficientError) as err:
-            bessel_coefficient(spec, 2, cfg)
+            _bessel_weight(spec, 2, eq)
         assert err.value.j == 2
 
 
@@ -165,23 +176,23 @@ class TestWeightedSums:
     def test_normal_chain_scalars(self, cfg):
         spec = catalog("normal")
         g = tuple_of("x^3")
-        assert matrix_S(spec, g, 1, cfg)[0, 0] == pytest.approx(27.0, abs=1e-8)
-        assert matrix_S(spec, g, 2, cfg)[0, 0] == pytest.approx(9.0, abs=1e-8)
-        assert matrix_S(spec, g, 3, cfg)[0, 0] == pytest.approx(15.0, abs=1e-8)
-        assert matrix_A(spec, g, 3, cfg).max_abs() < 1e-8
+        reports = {n: skip_report(spec, g, n, cfg) for n in (1, 2, 3)}
+        assert reports[1].S[0, 0] == pytest.approx(27.0, abs=1e-8)
+        assert reports[2].S[0, 0] == pytest.approx(9.0, abs=1e-8)
+        assert reports[3].S[0, 0] == pytest.approx(15.0, abs=1e-8)
+        assert reports[3].A.max_abs() < 1e-8
 
     def test_first_order_reduction(self, cfg):
         spec = catalog("normal")
         g = tuple_of("x", "x^2")
-        s1 = matrix_S(spec, g, 1, cfg)
-        h1 = matrix_H(spec, g, 1, cfg)
-        np.testing.assert_allclose(s1.to_array(), h1.to_array(), atol=1e-12)
-        a1 = matrix_A(spec, g, 1, cfg)
-        np.testing.assert_allclose(a1.to_array(), [[0.0, 0.0], [0.0, 2.0]],
-                                   atol=1e-9)
+        report = skip_report(spec, g, 1, cfg)
+        np.testing.assert_allclose(report.S.to_array(),
+                                   report.H[0].to_array(), atol=1e-12)
+        np.testing.assert_allclose(report.A.to_array(),
+                                   [[0.0, 0.0], [0.0, 2.0]], atol=1e-9)
 
     def test_bessel_equality_case(self, cfg):
-        l2 = matrix_L(catalog("normal"), tuple_of("x^2"), 2, cfg)
+        l2 = skip_report(catalog("normal"), tuple_of("x^2"), 2, cfg).L
         assert l2[0, 0] == pytest.approx(2.0, abs=1e-9)
 
 
@@ -349,6 +360,16 @@ class TestBoundReport:
         with pytest.raises(ClassMembershipError):
             bound_report(heavy_member, tuple_of("x"), 3, cfg)
 
+    def test_divergent_matrix_without_class_checks(self, cfg):
+        # E[exp(6X)] diverges for gamma(2, 1); with the class checks skipped
+        # the non-finite entry of D is still refused as a class failure
+        spec = catalog("gamma", {"shape": 2, "scale": 1})
+        with pytest.raises(ClassMembershipError,
+                           match="divergent second moment in dispersion "
+                                 "matrix"):
+            bound_report(spec, tuple_of("exp(3*x)"), 1, cfg,
+                         class_policy="skip")
+
     def test_numerical_moment_gate(self, cfg, heavy_member):
         # the heavy density declared with a delta = 0 quadratic: the Pearson
         # criterion admits every order, so only the moment row on the ladder
@@ -476,9 +497,9 @@ class TestOnePass:
                                 range(1, 9), cfg)
         for report in reports:
             report.eigen_rows()
-        # D once; per order A, D - L (verdict), S, L and D - L (eigen_rows);
+        # D once; per order A, D - L (verdict and eigen_rows), S and L;
         # each H_k and B_k once, shared by the reports of every order >= k
-        assert len(solves) == 1 + 8 * 5 + 8 * 2
+        assert len(solves) == 1 + 8 * 4 + 8 * 2
 
     def test_differences_of_shifted_rows_are_forward_differences(self, cfg):
         g = tuple_of("x^3", "exp(0.3*x)", "x*cos(0.8*x)")
@@ -662,10 +683,10 @@ class TestInvariants:
         """Odd orders bound D from above, even orders from below."""
         g = tuple_of("x^2", "exp(0.3*x)")
         spec = catalog("normal")
-        d = dispersion_matrix(spec, g, cfg)
+        d = skip_report(spec, g, 1, cfg).D
         tol = 1e-6 * (1 + max(abs(eigenvalues(d))))
         for n in (1, 2, 3):
-            s = matrix_S(spec, g, n, cfg)
+            s = skip_report(spec, g, n, cfg).S
             diff = (s - d) if n % 2 else (d - s)
             assert eigenvalues(diff)[0] >= -tol, n
 
@@ -674,7 +695,7 @@ class TestInvariants:
         spec = catalog("normal")
         prev = None
         for n in (1, 2, 3, 4):
-            ln = matrix_L(spec, g, n, cfg)
+            ln = skip_report(spec, g, n, cfg).L
             if prev is not None:
                 gap = ln - prev
                 assert eigenvalues(gap)[0] >= -1e-10
@@ -686,12 +707,11 @@ class TestInvariants:
             for n in (1, 2, 3):
                 g = FunctionTuple([polynomial(rng.normal(size=n + 1))
                                    for _ in range(2)])
-                d = dispersion_matrix(spec, g, cfg)
+                report = skip_report(spec, g, n, cfg)
+                d = report.D
                 tol = 1e-6 * (1 + max(abs(eigenvalues(d))))
-                a = matrix_A(spec, g, n, cfg)
-                assert a.max_abs() <= tol
-                l = matrix_L(spec, g, n, cfg)
-                assert (d - l).max_abs() <= tol
+                assert report.A.max_abs() <= tol
+                assert (d - report.L).max_abs() <= tol
 
     def test_scalar_reduction_p1(self, cfg):
         """1x1 verdicts match the scalar inequality computed by hand."""
@@ -700,9 +720,9 @@ class TestInvariants:
         g = tuple_of("exp(-0.5*x)")
         var = poisson_brute(lam, lambda k: math.exp(-k)) \
             - poisson_brute(lam, lambda k: math.exp(-0.5 * k)) ** 2
-        d = dispersion_matrix(spec, g, cfg)
-        assert d[0, 0] == pytest.approx(var, abs=1e-10)
-        s1 = matrix_S(spec, g, 1, cfg)[0, 0]
+        report = skip_report(spec, g, 1, cfg)
+        assert report.D[0, 0] == pytest.approx(var, abs=1e-10)
+        s1 = report.S[0, 0]
         h_scalar = lam * poisson_brute(
             lam, lambda k: (math.exp(-0.5 * (k + 1)) - math.exp(-0.5 * k))**2)
         assert s1 == pytest.approx(h_scalar, abs=1e-10)

@@ -13,8 +13,7 @@ import pytest
 
 from varbounds import (DiscreteCO, FunctionTuple, Quadratic, catalog,
                        parse_function, polynomial)
-from varbounds.bounds import (_Grid, bound_report, bound_reports,
-                              dispersion_matrix, matrix_B, matrix_H)
+from varbounds.bounds import _Grid, bound_report, bound_reports
 from varbounds.cli import _mc_matrices
 from varbounds.distributions import (_pmf_table, _table_sampler,
                                      infer_quadratic)
@@ -114,7 +113,8 @@ class TestContinuous:
             report = bound_report(spec, g, 1, cfg, theorems=("poincare",),
                                   class_policy="skip")
             bracket = report.provenance["entry_brackets"]["D"]
-            finer = dispersion_matrix(spec, g, double).to_array()
+            finer = bound_report(spec, g, 1, double, theorems=("poincare",),
+                                 class_policy="skip").D.to_array()
             assert np.max(np.abs(finer - report.D.to_array())) \
                 <= 10 * bracket, spec.name
 
@@ -300,10 +300,9 @@ class TestMonteCarlo:
                 g = FunctionTuple([polynomial(rng.normal(size=deg + 1))])
                 mc_cfg = EngineConfig(mc_seed=1000 + 17 * i + trial)
                 d, (h,), (b,) = _mc_matrices(spec, g, 1, mc_cfg)
-                for (mc, ci), det in zip(
-                        (d, h, b), (dispersion_matrix(spec, g, mc_cfg),
-                                    matrix_H(spec, g, 1, mc_cfg),
-                                    matrix_B(spec, g, 1, mc_cfg))):
+                report = bound_report(spec, g, 1, mc_cfg, class_policy="skip")
+                for (mc, ci), det in zip((d, h, b), (report.D, report.H[0],
+                                                     report.B[0])):
                     assert np.all(np.abs(mc - det.to_array())
                                   <= 4 * ci + 1e-12), (spec.name, trial)
 
