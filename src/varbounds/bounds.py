@@ -250,11 +250,12 @@ def _pair(full: _Grid, half: _Grid, build, what):
     against the half-resolution grid (none on discrete members, whose
     summation has no coarser rule).  A non-finite entry on the full grid is
     a divergent expectation and raises ``ClassMembershipError`` naming
-    ``what``."""
-    a = build(full)
-    if not np.all(np.isfinite(a)):
-        raise ClassMembershipError(f"divergent {what}")
-    b = a if half is full else build(half)
+    ``what``; the overflow that produces it is not warned about."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = build(full)
+        if not np.all(np.isfinite(a)):
+            raise ClassMembershipError(f"divergent {what}")
+        b = a if half is full else build(half)
     return a, float(np.max(np.abs(a - b)))
 
 

@@ -15,6 +15,11 @@ The quadratic q is the object every bound coefficient is built from.  The
 catalog ships analytically known quadratics; everything else can be inferred
 from the identity itself via :func:`infer_quadratic`, which doubles as the
 membership oracle.
+
+The catalog densities and pmfs need only log Gamma of positive arguments,
+which :func:`_lgamma` computes with numpy and ``math``; ``scipy.special`` is
+imported by the gamma, beta and normal samplers on their first draw, so the
+deterministic path never loads scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from . import expectation as ex
 from .errors import (InvalidParameterError, RankDeficientFitError,
@@ -118,6 +122,38 @@ Spec = ContinuousIP | DiscreteCO
 
 
 # ---------------------------------------------------------------------------
+# log Gamma
+# ---------------------------------------------------------------------------
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# Stirling's series for log Gamma(z) - (z - 1/2) log z + z - log(2 pi)/2:
+# sum_k B_2k / (2k (2k - 1) z^(2k - 1)) through 1/(156 z^13), whose next
+# term is below 4e-17 for z >= _STIRLING_FROM
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+             -691 / 360360, 1 / 156)
+_STIRLING_FROM = 10.0
+
+
+def _lgamma(x):
+    """log Gamma(x) for x > 0, elementwise: Stirling's series from
+    _STIRLING_FROM up, ``math.lgamma`` on the few entries below.  Each call
+    pays a dozen small numpy passes, so a pmf stacks its arguments into
+    one call."""
+    x = np.asarray(x, dtype=float)
+    if not x.shape:
+        return math.lgamma(x)
+    z = np.maximum(x, _STIRLING_FROM)
+    r2 = 1.0 / (z * z)
+    series = _STIRLING[-1]
+    for c in _STIRLING[-2::-1]:
+        series = series * r2 + c
+    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + series / z
+    small = x < _STIRLING_FROM
+    out[small] = [math.lgamma(v) for v in x[small].tolist()]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # gamma and beta quantiles for the inverse-transform samplers
 # ---------------------------------------------------------------------------
 #
@@ -125,7 +161,8 @@ Spec = ContinuousIP | DiscreteCO
 # forward functions per draw.  The samplers call them only at the nodes of a
 # table evenly spaced in logit(u) over the range of the draws, seed each draw
 # by linear interpolation in that table, and finish with Halley steps on the
-# forward function.
+# forward function.  They import ``scipy.special`` where they use it, so
+# that only sampling loads scipy.
 
 _QUANTILE_NODES = 2048
 # a relative Halley step below this leaves an error of the order of its
@@ -149,6 +186,7 @@ def _table_seeds(u, inverse):
     """``inverse(p, 1 - p)`` tabulated at _QUANTILE_NODES points evenly
     spaced in logit(p) over the range of the draws u, and interpolated
     linearly at each draw."""
+    from scipy import special
     t = np.log(u) - np.log1p(-u)
     lo, hi = float(t.min()), float(t.max())
     nodes = np.linspace(lo, hi, _QUANTILE_NODES)
@@ -194,6 +232,7 @@ def _gamma_quantile(a, u):
     Q(a, x) = 1 - u (scipy's Q costs 10-40x P below x = 1 for small a).
     A draw that does not settle takes the library inverse.
     """
+    from scipy import special
     u = np.asarray(u, dtype=float).ravel()
     c = 1.0 - u
 
@@ -227,6 +266,7 @@ def _gamma_quantile(a, u):
 
 def _beta_halley(a, b, z, target):
     """``_halley`` on I_z(a, b) = target."""
+    from scipy import special
     log_norm = special.betaln(a, b)
     return _halley(
         z, target, lambda v: special.betainc(a, b, v), 1.0,
@@ -242,6 +282,7 @@ def _beta_quantile(a, b, u):
     I_y(b, a) = 1 - u in y = 1 - x, so both come out to relative accuracy.
     A draw that does not settle takes the library inverse.
     """
+    from scipy import special
     u = np.asarray(u, dtype=float).ravel()
     c = 1.0 - u
 
@@ -295,6 +336,7 @@ def _normal(params):
         return norm * np.exp(-0.5 * (np.asarray(x, dtype=float) - m) ** 2 / v)
 
     def sampler(u):
+        from scipy import special
         return m + math.sqrt(v) * special.ndtri(u)
 
     return ContinuousIP(m, Quadratic(0.0, 0.0, v), (-math.inf, math.inf),
@@ -305,7 +347,7 @@ def _gamma(params):
     a = float(_param(params, "shape"))
     th = float(_param(params, "scale", default=1.0))
     _require(a > 0 and th > 0, "gamma shape and scale must be positive")
-    logc = -special.gammaln(a) - a * math.log(th)
+    logc = -math.lgamma(a) - a * math.log(th)
 
     def density(x):
         x = np.asarray(x, dtype=float)
@@ -326,7 +368,7 @@ def _beta(params):
     a = float(_param(params, "a"))
     b = float(_param(params, "b"))
     _require(a > 0 and b > 0, "beta parameters must be positive")
-    logc = -special.betaln(a, b)
+    logc = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     s = a + b
 
     def density(x):
@@ -382,8 +424,10 @@ def _poisson(params):
     lam = float(_param(params, "lam", "lambda", "rate"))
     _require(lam > 0, "poisson rate must be positive")
 
+    log_lam = math.log(lam)
+
     def log_pmf(k):
-        return -lam + special.xlogy(k, lam) - special.gammaln(k + 1.0)
+        return -lam + k * log_lam - _lgamma(k + 1.0)
 
     pmf = _mask_pmf(log_pmf, lambda k: k >= 0)
     support = (0.0, math.inf)
@@ -397,10 +441,13 @@ def _binomial(params):
     _require(trials >= 1, "binomial needs at least one trial")
     _require(0.0 < theta < 1.0, "binomial theta must lie in (0, 1)")
 
+    log_norm = math.lgamma(trials + 1.0)
+    log_theta, log_rest = math.log(theta), math.log1p(-theta)
+
     def log_pmf(k):
-        return (special.gammaln(trials + 1.0) - special.gammaln(k + 1.0)
-                - special.gammaln(trials - k + 1.0)
-                + special.xlogy(k, theta) + special.xlogy(trials - k, 1.0 - theta))
+        lg_k, lg_rest = _lgamma(np.stack((k + 1.0, trials - k + 1.0)))
+        return (log_norm - lg_k - lg_rest + k * log_theta
+                + (trials - k) * log_rest)
 
     pmf = _mask_pmf(log_pmf, lambda k: (k >= 0) & (k <= trials))
     support = (0.0, float(trials))
@@ -416,10 +463,12 @@ def _negative_binomial(params):
     _require(r > 0, "negative-binomial r must be positive")
     _require(0.0 < theta < 1.0, "negative-binomial theta must lie in (0, 1)")
 
+    log_norm = r * math.log(theta) - math.lgamma(r)
+    log_rest = math.log1p(-theta)
+
     def log_pmf(k):
-        return (special.gammaln(k + r) - special.gammaln(k + 1.0)
-                - special.gammaln(r) + r * math.log(theta)
-                + special.xlogy(k, 1.0 - theta))
+        lg_kr, lg_k = _lgamma(np.stack((k + r, k + 1.0)))
+        return lg_kr - lg_k + log_norm + k * log_rest
 
     pmf = _mask_pmf(log_pmf, lambda k: k >= 0)
     mu = r * (1.0 - theta) / theta
@@ -437,13 +486,16 @@ def _hypergeometric(params):
     _require(0 <= succ <= pop, "successes must lie in [0, N]")
     _require(1 <= draws <= pop, "draws must lie in [1, N]")
 
-    def log_comb(a, b):
-        return (special.gammaln(a + 1.0) - special.gammaln(b + 1.0)
-                - special.gammaln(a - b + 1.0))
+    # log C(K, k) + log C(N - K, n - k) - log C(N, n), the k-independent
+    # factorials taken out
+    log_norm = (math.lgamma(succ + 1) + math.lgamma(pop - succ + 1)
+                + math.lgamma(draws + 1) + math.lgamma(pop - draws + 1)
+                - math.lgamma(pop + 1))
 
     def log_pmf(k):
-        return (log_comb(succ, k) + log_comb(pop - succ, draws - k)
-                - log_comb(pop, draws))
+        return log_norm - _lgamma(np.stack(
+            (k + 1.0, succ - k + 1.0, draws - k + 1.0,
+             pop - succ - draws + k + 1.0))).sum(axis=0)
 
     lo = max(0, draws + succ - pop)
     hi = min(draws, succ)

@@ -207,7 +207,9 @@ def sample(spec, cfg: EngineConfig | None = None) -> np.ndarray:
     quantiles seeded from a table of library inverses and refined by Halley
     steps on the forward function, which agree with ``gammaincinv`` and
     ``betaincinv`` to about 1e-13 relative; discrete members by lookup in
-    their cumulative table.
+    their cumulative table.  These library functions are scipy's, and the
+    first continuous draw is what imports ``scipy.special``: nothing else
+    in the package loads scipy.
     """
     cfg = cfg or EngineConfig()
     if getattr(spec, "sampler", None) is None:

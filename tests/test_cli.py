@@ -2,10 +2,14 @@
 determinism, and config merging."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import varbounds
 from varbounds.cli import main
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
@@ -383,6 +387,54 @@ class TestMcVerify:
         code = main(["mc-verify", "--dist", beta_table_with_q_path,
                      "--functions", fns_path, "--n", "1"])
         assert code == 5
+
+
+# Prints the scipy modules loaded by importing varbounds, then the exit
+# code of each CLI call in the JSON list sys.argv[1] and whether scipy is
+# loaded after it.
+_FRESH_CLI = """
+import json, sys
+import varbounds, varbounds.cli
+def scipy():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")[:1]
+print(scipy())
+for argv in json.loads(sys.argv[1]):
+    print(varbounds.cli.main(argv), scipy())
+"""
+
+
+def run_fresh(*argvs):
+    """``_FRESH_CLI`` in a fresh interpreter that imports this checkout's
+    varbounds; returns its standard output."""
+    src = os.path.dirname(os.path.dirname(varbounds.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", _FRESH_CLI, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+        capture_output=True, text=True).stdout
+
+
+class TestScipyImport:
+    """The catalog densities and pmfs need no scipy: importing the package
+    and running ``bounds`` leave it unloaded, and only a sampler's first
+    draw loads it.  Each check runs in a fresh interpreter, since the test
+    modules import scipy themselves."""
+
+    def test_import_and_bounds_load_no_scipy(self, fns_path):
+        out = run_fresh(*[["bounds", "--dist", dist, "--functions", fns_path,
+                           "--n", "1,2", "--quiet"]
+                          for dist in ("poisson:lam=3", "gamma:shape=2.5")])
+        assert out == "[]\n0 []\n0 []\n"
+
+    def test_mc_verify_loads_scipy_on_first_draw(self, fns_path, capsys,
+                                                 tmp_path):
+        argv = ["mc-verify", "--dist", "gamma:shape=2.5,scale=1.5",
+                "--functions", fns_path, "--n", "2", "--mc-samples", "20000"]
+        fresh = run_fresh(argv + ["--out-json", str(tmp_path / "fresh.json")])
+        assert main(argv + ["--out-json", str(tmp_path / "here.json")]) == 0
+        # the same report, bit for bit, as with scipy loaded up front
+        assert fresh == "[]\n" + capsys.readouterr().out + "0 ['scipy']\n"
+        assert ((tmp_path / "fresh.json").read_bytes()
+                == (tmp_path / "here.json").read_bytes())
 
 
 class TestDistParsing:

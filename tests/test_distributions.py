@@ -19,9 +19,10 @@ from varbounds import (ContinuousIP, DiscreteCO, EngineConfig, Quadratic,
 from varbounds.bounds import _Grid
 from varbounds.calculus import rising_q
 from varbounds.distributions import (_beta_quantile, _gamma_quantile,
-                                     moment_criterion)
+                                     _lgamma, moment_criterion)
 from varbounds.errors import (InvalidParameterError, RankDeficientFitError,
                               UnknownDistributionError)
+from varbounds.expectation import Ladder, truncated_support
 
 CATALOG_CASES = [
     ("normal", {"mean": 0, "var": 1}),
@@ -263,6 +264,99 @@ class TestQuantiles:
                                       1.5 * _gamma_quantile(2.5, u))
         np.testing.assert_array_equal(beta.sampler(u),
                                       _beta_quantile(2.5, 2.2, u)[0])
+
+
+# every catalog member with a log Gamma in its density or pmf that the suite
+# builds, with the benchmark's hard discrete members (poisson(300),
+# binomial(200, 0.02), negative-binomial(0.5, 0.9))
+LOG_GAMMA_MEMBERS = [c for c in CATALOG_CASES if c[0] != "normal"] + [
+    ("gamma", {"shape": 0.4}), ("gamma", {"shape": 1.5}),
+    ("gamma", {"shape": 2}), ("gamma", {"shape": 2.5, "scale": 1.5}),
+    ("gamma", {"shape": 3.5, "scale": 0.8}), ("gamma", {"shape": 40}),
+    ("beta", {"a": 0.3, "b": 4}), ("beta", {"a": 1.5, "b": 1.5}),
+    ("beta", {"a": 2.5, "b": 2.2}), ("beta", {"a": 4.0, "b": 1.2}),
+    ("poisson", {"lam": 0.8}), ("poisson", {"lam": 2.5}),
+    ("poisson", {"lam": 3.815}), ("poisson", {"lam": 300}),
+    ("binomial", {"n": 12, "theta": 0.35}),
+    ("binomial", {"n": 14, "theta": 0.4}),
+    ("binomial", {"n": 200, "theta": 0.02}),
+    ("negative-binomial", {"r": 2, "theta": 0.4}),
+    ("negative-binomial", {"r": 3.2, "theta": 0.55}),
+    ("negative-binomial", {"r": 0.5, "theta": 0.9}),
+    ("hypergeometric", {"N": 20, "K": 8, "n": 6}),
+    ("hypergeometric", {"N": 50, "K": 20, "n": 10}),
+]
+
+
+def scipy_log_mass(name, p, x):
+    """The log density or log pmf of a catalog member in scipy's forms."""
+    if name == "gamma":
+        a, th = p["shape"], p["scale"]
+        logc = -special.gammaln(a) - a * math.log(th)
+        return logc + (a - 1.0) * np.log(x) - x / th
+    if name == "beta":
+        a, b = p["a"], p["b"]
+        return (-special.betaln(a, b) + (a - 1.0) * np.log(x)
+                + (b - 1.0) * np.log1p(-x))
+    if name == "poisson":
+        return -p["lam"] + special.xlogy(x, p["lam"]) - special.gammaln(x + 1)
+    if name == "binomial":
+        n, th = p["n"], p["theta"]
+        return (special.gammaln(n + 1) - special.gammaln(x + 1)
+                - special.gammaln(n - x + 1) + special.xlogy(x, th)
+                + special.xlog1py(n - x, -th))
+    if name == "negative-binomial":
+        r, th = p["r"], p["theta"]
+        return (special.gammaln(x + r) - special.gammaln(x + 1)
+                - special.gammaln(r) + r * math.log(th)
+                + special.xlog1py(x, -th))
+
+    def log_comb(a, b):
+        return (special.gammaln(a + 1) - special.gammaln(b + 1)
+                - special.gammaln(a - b + 1))
+
+    big, succ, draws = p["N"], p["K"], p["n"]
+    return (log_comb(succ, x) + log_comb(big - succ, draws - x)
+            - log_comb(big, draws))
+
+
+class TestLogGamma:
+    """The numpy log Gamma behind the catalog densities and pmfs, against
+    ``math.lgamma`` and against scipy's forms of the same functions."""
+
+    @pytest.mark.parametrize("x", [
+        np.arange(1.0, 5001.0), np.arange(5000) + 0.5, np.arange(5000) + 3.1,
+        np.linspace(0.05, 10.0, 2000)], ids=["integers", "half-integers",
+                                             "k+3.1", "0.05-10"])
+    def test_against_math_lgamma(self, x):
+        want = np.array([math.lgamma(v) for v in x])
+        err = np.abs(_lgamma(x) - want)
+        assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        # a stacked call gives each row's values
+        assert np.array_equal(_lgamma(x.reshape(2, -1)),
+                              _lgamma(x).reshape(2, -1))
+
+    def test_scalar(self):
+        assert _lgamma(np.float64(7.5)) == math.lgamma(7.5)
+
+    @pytest.mark.parametrize("name,params", LOG_GAMMA_MEMBERS,
+                             ids=lambda v: str(v))
+    def test_mass_against_scipy_forms(self, name, params, cfg):
+        spec = catalog(name, params)
+        if spec.is_discrete:
+            x, got = truncated_support(spec)[:2]
+        else:
+            x = np.concatenate([_Grid.build(spec, cfg).x,
+                                Ladder.build(spec, cfg).x])
+            got = spec.density(x)
+        log_want = scipy_log_mass(name, spec.params, x)
+        want = np.exp(log_want)
+        # subnormal values carry fewer digits, and one rounding of a log
+        # value L moves its exponential by eps |L| relative
+        normal = want >= np.finfo(float).tiny
+        err = np.abs(got - want)[normal]
+        tol = 1e-13 + 2.0 * np.finfo(float).eps * np.abs(log_want[normal])
+        assert np.all(err <= tol * want[normal])
 
 
 class TestQuadratic:
