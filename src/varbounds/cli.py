@@ -299,6 +299,12 @@ def cmd_mc_verify(args) -> int:
     report = bnd.bound_report(spec, functions, n, cfg,
                               theorems=("poincare", "bessel"),
                               class_policy=args.on_class_failure)
+    # the Monte Carlo side estimates the matrices of the functions kept
+    dropped = report.provenance["dropped_functions"]
+    if dropped:
+        _emit(args, f"dropped functions {dropped}: class checks failed")
+        functions = functions.subset(
+            [i for i in range(len(functions)) if i not in dropped])
     (d_mc, d_ci), h_mc, b_mc = _mc_matrices(spec, functions, n, cfg)
 
     checks = [("D", report.D.to_array(), d_mc, d_ci)]
@@ -327,6 +333,8 @@ def cmd_mc_verify(args) -> int:
                              "max_ci_half_width": c, "ok": g}
                             for m, d, c, g in lines],
         }
+        if args.on_class_failure == "drop":  # 'raise' drops nothing
+            payload["dropped_functions"] = dropped
         _dump_json(output["json"], payload)
     return EXIT_OK if ok else EXIT_VERDICT
 

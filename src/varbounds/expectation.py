@@ -226,10 +226,14 @@ def sample(spec, cfg: EngineConfig | None = None) -> np.ndarray:
 class FinitenessProbe:
     """Verdict of a truncated-expectation stabilization ladder.
 
-    ``values`` are nested truncated integrals/sums of a nonnegative integrand;
-    the verdict is finite when the increments either vanish outright or decay
-    geometrically (ratio below 0.9).  Log-divergent integrands show constant
-    increments and are classified divergent.
+    ``values`` are nested truncated integrals/sums of a nonnegative
+    integrand.  One rung is finite; a non-finite value is divergent, with
+    ratio inf; a last increment (clipped at 0) of at most
+    1e-9 (1 + |last value|) is finite, with ratio 0; otherwise
+    ``decay_ratio`` is the median of the last three increment ratios with a
+    positive denominator (0 if none) and the verdict is finite when it is
+    <= 0.9.  Log-divergent integrands show constant increments and are
+    classified divergent.
     """
 
     finite: bool
@@ -242,22 +246,26 @@ _DECAY_RATIO_MAX = 0.90
 _STABLE_RTOL = 1e-9
 
 
-def _classify(values) -> FinitenessProbe:
-    values = [float(v) for v in values]
-    if len(values) == 1:  # a finite discrete support is summed exactly
-        return FinitenessProbe(True, tuple(values), 0.0)
-    if not np.all(np.isfinite(values)):
-        return FinitenessProbe(False, tuple(values), math.inf)
-    incs = np.diff(values)
-    incs = np.maximum(incs, 0.0)
-    tail = abs(values[-1])
-    if incs[-1] <= _STABLE_RTOL * (1.0 + tail):
-        return FinitenessProbe(True, tuple(values), 0.0)
-    ratios = [incs[m] / incs[m - 1]
-              for m in range(len(incs) - 3, len(incs))
-              if incs[m - 1] > 0.0]
-    ratio = float(np.median(ratios)) if ratios else 0.0
-    return FinitenessProbe(ratio <= _DECAY_RATIO_MAX, tuple(values), ratio)
+def _classify(values) -> list[FinitenessProbe]:
+    """The verdicts of every row of ``values`` (rows x rungs) at once."""
+    ratio = np.zeros(values.shape[0])
+    if values.shape[1] > 1:  # one rung: a finite support, summed exactly
+        with np.errstate(over="ignore", invalid="ignore"):
+            incs = np.maximum(np.diff(values, axis=1), 0.0)
+            den, num = incs[:, -4:-1], incs[:, -3:]
+            # ratios over a denominator <= 0 sort last as inf, so the median
+            # of the others is 0, the first, the mean of two or the second
+            ratios = np.sort(np.divide(num, den, where=den > 0.0,
+                                       out=np.full(num.shape, math.inf)))
+            ratio = np.choose(np.count_nonzero(den > 0.0, axis=1), (
+                0.0, ratios[:, 0], (ratios[:, 0] + ratios[:, 1]) / 2,
+                ratios[:, 1]))
+            tail = np.abs(values[:, -1])
+            ratio[incs[:, -1] <= _STABLE_RTOL * (1.0 + tail)] = 0.0
+        ratio[~np.all(np.isfinite(values), axis=1)] = math.inf
+    return [FinitenessProbe(*verdict) for verdict in
+            zip((ratio <= _DECAY_RATIO_MAX).tolist(),
+                map(tuple, values.tolist()), ratio.tolist())]
 
 
 def _underflow_edges(x, w, support) -> np.ndarray:
@@ -390,7 +398,7 @@ class Ladder:
                 cut = (np.max(contrib[:, self.edge], axis=1)
                        > _STABLE_RTOL * (1.0 + np.abs(total)))
                 values[-1] = np.where(cut, math.inf, total)
-        return [_classify(row) for row in np.column_stack(values)]
+        return _classify(np.column_stack(values))
 
 
 def probe(spec, weight, cfg: EngineConfig | None = None) -> FinitenessProbe:

@@ -5,7 +5,9 @@ summation written directly in the tests, and scalar reductions of the
 matrix statements.
 """
 
+import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -13,11 +15,12 @@ import pytest
 
 from varbounds import (ContinuousIP, FunctionTuple, Quadratic, catalog,
                        eigenvalues, parse_function, polynomial)
-from varbounds import bounds, linalg
+from varbounds import bounds, expectation, linalg
 from varbounds.bounds import (_bessel_weight, _Grid, bound_report,
                               bound_reports, check_class,
                               poincare_coefficient)
 from varbounds.calculus import SmoothFunction, forward_difference
+from varbounds.cli import _parse_dist
 from varbounds.errors import ClassMembershipError, SingularCoefficientError
 from tests.conftest import make_bernoulli_member, make_heavy_member
 
@@ -345,6 +348,26 @@ def test_class_ladder_table(member, expr, cfg, heavy_member):
                 assert got == want
 
 
+# check_class(spec, g, 3, cls) on the 7 catalog families at mild parameters
+# and the benchmark's 8 hard members, each with the benchmark's three
+# catalog-sweep tuple shapes, recorded while each ladder row was judged in
+# its own call (commit 96e5d5b)
+CLASS_REPORTS = json.loads(
+    pathlib.Path(__file__).with_name("class_reports.json").read_text())
+
+
+@pytest.mark.parametrize("case", CLASS_REPORTS, ids=lambda case: (
+    f"{case['dist']}|{','.join(case['functions'])}|{case['class']}"))
+def test_class_reports_recorded(case, cfg):
+    report = check_class(_parse_dist(case["dist"]),
+                         tuple_of(*case["functions"]), case["n"],
+                         case["class"], cfg)
+    assert report.verdicts == tuple(map(tuple, case["verdicts"]))
+    assert [[r.hex() for r in row] for row in report.ratios] == \
+        [[float(r).hex() for r in row] for row in case["ratios"]]
+    assert report.implies_other == case["implies_other"]
+
+
 class TestBoundReport:
     def test_full_run_normal(self, cfg):
         g = tuple_of("x", "x^2", "exp(0.5*x)", "sin(x)")
@@ -536,6 +559,28 @@ class TestOnePass:
                              cfg)
         assert report.ok and report.implies_other == (cls == "H")
         assert len(ladder_builds) == 1
+
+    @pytest.mark.parametrize("member", [
+        ("normal", {}), ("poisson", {"lam": 3}), ("beta", {"a": 2, "b": 3}),
+        ("binomial", {"n": 12, "theta": 0.35})])
+    def test_one_verdict_pass_per_ladder_pass(self, cfg, monkeypatch,
+                                              member):
+        # every row of the class check, moment rows included, is judged in
+        # one call, however many functions and orders there are
+        calls = []
+        original = expectation._classify
+
+        def counted(values):
+            calls.append(values.shape[0])
+            return original(values)
+
+        monkeypatch.setattr(expectation, "_classify", counted)
+        spec = catalog(*member)
+        g = tuple_of("x", "x^2", "exp(0.2*x)", "sin(x)", "x*cos(x)")
+        check_class(spec, g, 3, "B", cfg)
+        unbounded = not all(map(math.isfinite, spec.support))
+        # order 0's square row serves B too; orders 1-3 add |d^k g| rows
+        assert calls == [5 * 4 + 4 * unbounded]
 
     @pytest.mark.parametrize("theorems", [("poincare", "bessel"),
                                           ("poincare",)])

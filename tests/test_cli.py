@@ -366,6 +366,22 @@ class TestMcVerify:
         assert code == 0
         assert "EXCEEDS" not in capsys.readouterr().out
 
+    def test_dropped_function_is_not_sampled(self, tmp_path, capsys):
+        # E[exp(1.2 X)] diverges for gamma(2, 1), so exp(0.6*x) is dropped
+        # and the Monte Carlo side compares the 2 x 2 matrices of the rest
+        fns, out = tmp_path / "g.json", tmp_path / "out.json"
+        fns.write_text(json.dumps({"functions": [
+            {"expr": "x"}, {"expr": "x^2"}, {"expr": "exp(0.6*x)"}]}))
+        code = main(["mc-verify", "--dist", "gamma:shape=2,scale=1",
+                     "--functions", str(fns), "--n", "1",
+                     "--mc-samples", "50000", "--on-class-failure", "drop",
+                     "--out-json", str(out)])
+        assert code == 0
+        assert "dropped functions [2]" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert doc["dropped_functions"] == [2]
+        assert [c["ok"] for c in doc["comparisons"]] == [True] * 3
+
     def test_byte_identical_reruns(self, fns_path, tmp_path):
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         for out in (out1, out2):

@@ -18,9 +18,10 @@ from varbounds.cli import _mc_matrices
 from varbounds.distributions import (_pmf_table, _table_sampler,
                                      infer_quadratic)
 from varbounds.errors import NoSamplerError, TruncationError
-from varbounds.expectation import (Z_99, EngineConfig, Ladder,
-                                   _unit_interval, probe, sample,
-                                   splitmix64_uniforms, truncated_support)
+from varbounds.expectation import (Z_99, EngineConfig, FinitenessProbe,
+                                   Ladder, _classify, _unit_interval, probe,
+                                   sample, splitmix64_uniforms,
+                                   truncated_support)
 
 MASK = (1 << 64) - 1
 
@@ -346,6 +347,93 @@ class TestProbes:
 
         assert probe(spec, weight, cfg).finite
         assert len(calls) == 1
+
+
+def classify_reference(values) -> FinitenessProbe:
+    """The verdict of one ladder row, judged on its own: the scalar rule
+    the array pass applies to every row at once."""
+    values = [float(v) for v in values]
+    if len(values) == 1:  # a finite discrete support is summed exactly
+        return FinitenessProbe(True, tuple(values), 0.0)
+    if not np.all(np.isfinite(values)):
+        return FinitenessProbe(False, tuple(values), math.inf)
+    incs = np.diff(values)
+    incs = np.maximum(incs, 0.0)
+    tail = abs(values[-1])
+    if incs[-1] <= 1e-9 * (1.0 + tail):
+        return FinitenessProbe(True, tuple(values), 0.0)
+    ratios = [incs[m] / incs[m - 1]
+              for m in range(len(incs) - 3, len(incs))
+              if incs[m - 1] > 0.0]
+    ratio = float(np.median(ratios)) if ratios else 0.0
+    return FinitenessProbe(ratio <= 0.9, tuple(values), ratio)
+
+
+def probe_bits(p):
+    """A probe's fields with every float as its exact hex form."""
+    return (type(p.finite), p.finite, tuple(v.hex() for v in p.values),
+            type(p.decay_ratio), p.decay_ratio.hex())
+
+
+def assert_matches_reference(rows):
+    rows = np.asarray(rows, dtype=float)
+    got = _classify(rows)
+    # the scalar rule warns where a ratio overflows; inf is its verdict
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [classify_reference(row) for row in rows]
+    assert [probe_bits(p) for p in got] == [probe_bits(p) for p in want]
+    return got
+
+
+class TestClassifyRule:
+    """The array pass against the scalar rule, bit for bit."""
+
+    def test_one_rung_is_finite(self):
+        got = assert_matches_reference([[2.5], [0.0], [math.inf]])
+        assert all(p.finite and p.decay_ratio == 0.0 for p in got)
+
+    def test_non_finite_rows_diverge(self):
+        # a nan rung, and a row cut off at the underflow edge (last rung inf)
+        got = assert_matches_reference([[1, 2, math.nan, 3, 4, 5, 6],
+                                        [1, 1.5, 1.75, 1.8, 1.81, 1.811,
+                                         math.inf]])
+        assert [(p.finite, p.decay_ratio) for p in got] == \
+            [(False, math.inf)] * 2
+
+    def test_stable_last_increment(self):
+        got = assert_matches_reference([[1, 2, 4, 8, 16, 32, 32 + 3e-8],
+                                        [0, 1, 2, 3, 4, 5, 5]])
+        assert [(p.finite, p.decay_ratio) for p in got] == [(True, 0.0)] * 2
+
+    @pytest.mark.parametrize("incs, ratio", [
+        ((1, 1, 0, 0, 0, 1), 0.0),  # no positive denominator
+        ((1, 1, 0, 0, 2, 1), 0.5),  # one
+        ((1, 1, 1, 0, 1, 0.5), 0.25),  # two: the mean of 0 and 0.5
+        ((1, 1, 2, 2, 1, 0.25), 0.5),  # three: the middle of 1, 0.5, 0.25
+        ((1000, 1000, 1000, 900, 810, 729), 0.9),  # exactly 0.9 is finite
+        ((1, 1, 1, 1, 1, 1), 1.0),  # constant increments: log divergence
+        ((1, 1, 1, -1, 1, 1), 0.5),  # a negative increment counts as 0
+        # two ratios, 0 and one that overflows: the mean is inf
+        ((1e-300, 1e-300, 1e-300, 0, 1e-300, 1e300), math.inf),
+    ])
+    def test_median_of_positive_denominators(self, incs, ratio):
+        (got,) = assert_matches_reference([np.cumsum((0.0,) + incs)])
+        assert got.decay_ratio == ratio
+        assert got.finite == (ratio <= 0.9)
+
+    def test_seeded_random_rows(self):
+        rng = np.random.default_rng(20260301)
+        kinds = (lambda n: rng.exponential(size=n),
+                 lambda n: 0.9 ** np.arange(n) * rng.uniform(0.5, 2.0),
+                 lambda n: rng.choice((0.0, 1.0, 2.0, -1.0), size=n),
+                 lambda n: rng.exponential(size=n) * 1e-12,
+                 lambda n: 10.0 ** rng.integers(-300, 300, size=n))
+        for _ in range(20):
+            rows = np.array([np.cumsum(kinds[rng.integers(len(kinds))](7))
+                             for _ in range(200)])
+            rows[rng.random(rows.shape) < 0.005] = math.inf
+            rows[rng.random(rows.shape) < 0.002] = math.nan
+            assert_matches_reference(rows)
 
 
 class TestConfig:
