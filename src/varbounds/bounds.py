@@ -26,8 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import expectation as ex
-from .calculus import (FunctionTuple, SmoothFunction, difference_of_rows,
-                       rising_q)
+from .calculus import FunctionTuple, difference_of_rows, rising_q
 from .distributions import Spec, moment_criterion
 from .errors import (ClassMembershipError, InvalidParameterError,
                      NonFiniteIntegrandError, SingularCoefficientError)
@@ -52,23 +51,27 @@ class _Grid:
     to pmf underflow (``expectation.truncated_support``, which the class
     ladder uses too), and ``from_samples`` the grid of N Monte Carlo
     samples.  The power q^k (q^[k]), the weight w_k, E[w_k] and each row
-    d^k g_i are evaluated on it once, when first asked for; on a discrete
-    member each g_i is evaluated once at each shift x + j, and its forward
-    differences of every order combine those rows."""
+    d^k g_i are evaluated on it once, when first asked for.  ``top`` is the
+    highest order a request reads on the grid: the bases of a tuple's
+    derivative table for every order up to it (on a discrete member its
+    rows g_i(x + j), j = 0..top, whose forward differences are the rows)
+    are evaluated together on the first read and kept.  A grid without one
+    evaluates what each read needs and keeps nothing of it."""
 
-    def __init__(self, spec, x, w, tail=0.0, counts=None):
+    def __init__(self, spec, x, w, tail=0.0, counts=None, top=None):
         self.spec, self.x, self.w, self.tail = spec, x, w, tail
-        self.counts = counts
-        self._q, self._w, self._eq, self._d, self._shifts = {}, {}, {}, {}, {}
+        self.counts, self.top = counts, top
+        self._q, self._w, self._eq, self._d = {}, {}, {}, {}
+        self._evaluated = {}  # id(table) -> (table, top, bases or shifts)
 
     @classmethod
-    def build(cls, spec, cfg=None, n_nodes=None):
+    def build(cls, spec, cfg=None, n_nodes=None, top=None):
         cfg = cfg or ex.EngineConfig()
         if spec.is_discrete:
             x, w, tail, _ = ex.truncated_support(spec)
-            return cls(spec, x, w, tail)
+            return cls(spec, x, w, tail, top=top)
         x, w = ex.continuous_grid(spec, cfg, n_nodes)
-        return cls(spec, x, w)
+        return cls(spec, x, w, top=top)
 
     @classmethod
     def from_samples(cls, spec, xs):
@@ -116,41 +119,48 @@ class _Grid:
         return self._eq[k]
 
     def values(self, g, k):
-        """Rows of d^k g_i, each function evaluated once per order."""
-        have = self._d.setdefault(k, {})
-        new = [gi for gi in g if id(gi) not in have]
-        if new:
-            have.update(zip(map(id, new), self.deriv_values(new, k)))
-        return np.vstack([have[id(gi)] for gi in g])
+        """Rows of d^k g_i, evaluated once per tuple and order."""
+        key = (id(g.table), k)
+        if key not in self._d:
+            self._d[key] = (g.table, self.deriv_values(g, k))
+        return self._d[key][1]
 
     def deriv_values(self, g, k):
         """Rows of d^k g_i over the grid (exact derivative or forward
-        difference)."""
-        rows = []
-        for gi in g:
-            if self.spec.is_discrete:
-                shifted = self._shifted(gi, k)
-                rows.append(shifted[0] if k == 0
-                            else difference_of_rows(shifted, k))
-            elif k == 0:
-                rows.append(np.asarray(gi(self.x), dtype=float))
-            elif not isinstance(gi, SmoothFunction):
-                raise TypeError("continuous test functions need exact "
-                                "derivatives; got a bare callable")
-            else:
-                rows.append(np.asarray(gi.derivative_value(k, self.x),
-                                       dtype=float))
-        return np.vstack(rows)
+        difference) from the derivative table of the tuple ``g``."""
+        table = g.table
+        if self.spec.is_discrete:
+            shifted = self._kept(table, k, self._shifted)
+            return shifted[0] if k == 0 else difference_of_rows(
+                shifted[:k + 1], k)
+        if self.top is None:
+            return table.evaluate(self.x, k)
+        return table.rows(self._kept(table, k, self._bases), k)
 
-    def _shifted(self, gi, k):
-        """The rows g_i(x), g_i(x + 1), ..., g_i(x + k), each evaluated
-        once per grid."""
-        _, rows = self._shifts.setdefault(id(gi), (gi, []))
-        while len(rows) <= k:
-            j = len(rows)
-            rows.append(np.asarray(gi(self.x + j if j else self.x),
-                                   dtype=float))
-        return rows
+    def _kept(self, table, k, evaluate):
+        """``evaluate(table, top)`` for top = max(k, self.top), kept for the
+        later reads of the grid's request; on a grid without a top, for
+        top = k and not kept."""
+        _, top, kept = self._evaluated.get(id(table), (None, -1, None))
+        if top < k:
+            top = k if self.top is None else max(k, self.top)
+            kept = evaluate(table, top)
+            if self.top is not None:
+                self._evaluated[id(table)] = (table, top, kept)
+        return kept
+
+    def _bases(self, table, top):
+        """The bases of the orders up to ``top`` at the grid points."""
+        return table.bases(self.x, range(top + 1))
+
+    def _shifted(self, table, top):
+        """The (top + 1, p, N) rows g_i(x + j), j = 0..top, from one
+        evaluation of the bases at every shift."""
+        shifts = np.concatenate([self.x + j if j else self.x
+                                 for j in range(top + 1)])
+        rows = table.rows(table.bases(shifts, (0,)), 0)
+        return np.ascontiguousarray(
+            rows.reshape(len(rows), top + 1, self.x.size).swapaxes(0, 1))
 
 
 def _nonnegative(qk, k):
@@ -296,8 +306,9 @@ class _ClassCheck:
     outer-product class 'B', both or neither, and the numerical half of the
     moment gate, from one ladder of the spec, built when first needed: w_k
     and every d^k g_i are evaluated once on its nodes (the grid ``nodes``),
-    and the rows of an order are classified together with its moment row
-    |x|^(2k).  On a discrete member ``nodes`` is the summation grid too."""
+    and the rows of every order are classified together with the moment
+    rows |x|^(2k).  On a discrete member ``nodes`` is the summation grid
+    too."""
 
     def __init__(self, spec, g, classes, cfg):
         self.spec, self.g, self.cfg = spec, g, cfg
@@ -306,13 +317,19 @@ class _ClassCheck:
         self.ladder = self.nodes = None
         self.probes = {cls: [] for cls in self.classes}  # [k][i]
         self.moments = []  # [k]: E|X|^(2k) verdict, None if bounded
+        self.refusal = None  # (k, error) of the first weight refused
 
-    def upto(self, n):
-        """Classify the rows of every order up to n not classified yet."""
+    def classify(self, n):
+        """Classify, in one ladder pass, the rows of every order up to n
+        not classified yet.  An order whose weight is refused as negative
+        ends the pass: the orders before it are classified, and its error
+        is kept for ``upto``."""
         if self.ladder is None:
             self.ladder = ex.Ladder.build(self.spec, self.cfg)
             self.nodes = _Grid(self.spec, self.ladder.x, self.ladder.w,
-                               self.ladder.tail)
+                               self.ladder.tail, top=n)
+        if self.refusal is not None:
+            return self
         ladder, nodes, p = self.ladder, self.nodes, len(self.g)
         root_w = np.sqrt(ladder.w)
         orders = range(len(self.moments), n + 1)
@@ -320,7 +337,12 @@ class _ClassCheck:
         # divergent integrands are fed on purpose; inf is a verdict, not a bug
         with np.errstate(over="ignore", invalid="ignore"):
             for k in orders if self.classes else ():
-                base = _nonnegative(nodes.q_power(k), k)
+                try:
+                    base = _nonnegative(nodes.q_power(k), k)
+                except ClassMembershipError as err:  # raised at order k
+                    self.refusal = (k, err)
+                    orders = range(orders.start, k)
+                    break
                 d = nodes.values(self.g, k)
                 at = {}
                 if "H" in self.classes or k == 0:  # B needs Var[g] < inf too
@@ -341,6 +363,13 @@ class _ClassCheck:
         for cls, block in slots:
             self.probes[cls].append(probes[block * p:(block + 1) * p])
         self.moments += probes[len(rows) * p:] or [None] * len(orders)
+        return self
+
+    def upto(self, n):
+        """``classify(n)``, raising the error of a refused order up to n."""
+        self.classify(n)
+        if self.refusal is not None and self.refusal[0] <= n:
+            raise self.refusal[1]
         return self
 
     def moment_finite(self, n) -> bool:
@@ -464,14 +493,15 @@ class _Pass:
     coefficients of every order, and per set of functions kept, D and, for
     H and B, the terms H_k (B_k) with their entry brackets, the prefix sums
     S_n (L_n) and the running maxima of the brackets.  A discrete member's
-    summation grid is ``full``, the class check's when it built one."""
+    summation grid is ``full``, the class check's when it built one.  The
+    grids read derivative rows up to order ``top``."""
 
-    def __init__(self, spec, cfg, theorems, tol_scale, full=None):
+    def __init__(self, spec, cfg, theorems, tol_scale, top, full=None):
         self.spec, self.cfg = spec, cfg
         self.theorems, self.tol_scale = theorems, tol_scale
-        self.full = full or _Grid.build(spec, cfg)
+        self.full = full or _Grid.build(spec, cfg, top=top)
         self.half = self.full if spec.is_discrete else _Grid.build(
-            spec, cfg, max(10, cfg.quad_nodes // 2))
+            spec, cfg, max(10, cfg.quad_nodes // 2), top)
         self.weights = {"H": [], "B": []}  # TermWeight of order 1, 2, ...
         self.subsets = {}
 
@@ -548,10 +578,11 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
     Each report is the one ``bound_report`` gives for its order alone, but
     the grids, derivative rows, the one ladder of the moment gate and class
     checks (on a discrete member also the summation grid), and the matrices
-    are shared: S_n and L_n are prefix sums of one set of H_k and B_k.
-    Orders are gated in ascending order, each as its own call would gate it
-    (moment gate, class checks on the prefix k <= n, coefficients), so a
-    refused order raises what its own call raises.
+    are shared: S_n and L_n are prefix sums of one set of H_k and B_k, and
+    every order's class rows are classified in one ladder pass.  Orders are
+    gated in ascending order, each as its own call would gate it (moment
+    gate, class checks on the prefix k <= n, coefficients), so a refused
+    order raises what its own call raises.
     ``class_policy`` is as in ``bound_report``; with 'drop' each order keeps
     the functions that pass its own checks.
     """
@@ -571,6 +602,8 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
     check = _ClassCheck(spec, g, [
         cls for name, cls in (("poincare", "H"), ("bessel", "B"))
         if name in theorems and class_policy != "skip"], cfg)
+    if check.classes or check.unbounded:
+        check.classify(max(orders))
     assembly = None
     done = {}
     for n in sorted(set(orders)):
@@ -595,8 +628,8 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
                     raise ClassMembershipError(
                         "no test function passes the class checks", ())
         assembly = assembly or _Pass(spec, cfg, theorems, tol_scale,
-                                     check.nodes if spec.is_discrete
-                                     else None)
+                                     max(orders), check.nodes
+                                     if spec.is_discrete else None)
         kept = g.subset(sorted(keep)) if dropped else g
         done[n] = assembly.report(n, kept, dropped)
     return [done[n] for n in orders]

@@ -5,28 +5,33 @@ rising quadratic product.
 Continuous test functions are sums of terms c*u(x)*v(x) whose factors are
 primitives with a closed-form derivative of every order (polynomials, and
 exp/sin/cos/log of an affine argument).  The k-th derivative is the binomial
-Leibniz sum over those closed forms, O(k) primitive evaluations per term.  No
-numeric differentiation happens on the main path; squared high-order
-derivatives would otherwise contaminate eigenvalue margins near equality
-cases.  Discrete test functions can be arbitrary evaluators, since forward
-differences need only point values.
+Leibniz sum over those closed forms.  A tuple of functions compiles once into
+a ``DerivativeTable``: its distinct bases (exp, sin and cos of each distinct
+affine argument, log powers, polynomial derivative coefficients) and, per
+order, each row's summands as (scale, base, base).  On a set of points the
+bases of the orders asked for are evaluated once, grouped by kind, and each
+order's rows are a gather-multiply of them.  No numeric
+differentiation happens on the main path; squared high-order derivatives
+would otherwise contaminate eigenvalue margins near equality cases.  Discrete
+test functions can be arbitrary evaluators, since forward differences need
+only point values.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 MAX_DIFFERENCE_ORDER = 20
 
 
 # ---------------------------------------------------------------------------
-# closed-form primitives and term sums
+# closed-form primitives and derivative tables
 # ---------------------------------------------------------------------------
 
 class _Factor:
@@ -46,31 +51,39 @@ class _Factor:
             nz = np.nonzero(c)[0]
             self.derivs = [c[: nz[-1] + 1] if nz.size else np.zeros(1)]
             while len(self.derivs[-1]) > 1:
-                self.derivs.append(npoly.polyder(self.derivs[-1]))
+                # numpy.polynomial.polynomial.polyder: j * c[j]
+                c = self.derivs[-1]
+                self.derivs.append(c[1:] * np.arange(1.0, c.size))
             self.top = len(self.derivs) - 1
 
 
-def _factor_value(f: _Factor, j: int, x):
-    """j-th derivative of the primitive f at x (j <= f.top), as a scalar and
-    an array whose product it is; callers fold the scalars of a Leibniz
-    summand into one multiply."""
+_ONE = ("one",)  # the base of the constant 1
+# points per block of DerivativeTable.evaluate: the bases and products of a
+# block stay in cache, and a 200k-sample grid adds no more than its rows to
+# the peak memory of mc-verify
+_BLOCK = 8192
+
+
+def _primitive(f: _Factor, j: int):
+    """The j-th derivative of the primitive f (j <= f.top) as a scale and
+    the key of the base it multiplies: ("poly", coefficient bytes),
+    ("exp" | "sin" | "cos", a, b) or ("log", a, b, j)."""
     if f.kind == "poly":
-        return 1.0, npoly.polyval(x, f.derivs[j])
-    t = f.a * x + f.b
+        return 1.0, ("poly", f.derivs[j].tobytes())
     if f.kind == "exp":
-        return f.a ** j, np.exp(t)
+        return f.a ** j, ("exp", f.a, f.b)
     if f.kind == "sin":
         # the j-th derivative of sin turns it by j quarter periods
         q = (f.quarter + j) % 4
         return (f.a ** j if q < 2 else -f.a ** j,
-                np.sin(t) if q % 2 == 0 else np.cos(t))
+                ("sin" if q % 2 == 0 else "cos", f.a, f.b))
     if j == 0:
-        return 1.0, np.log(t)
+        return 1.0, ("log", f.a, f.b, 0)
     # d^j log(ax+b) = (-1)^(j-1) (j-1)! a^j (ax+b)^(-j)
     scale = f.a ** j
     for m in range(1, j):
         scale *= -m
-    return scale, t ** -j
+    return scale, ("log", f.a, f.b, j)
 
 
 class SmoothFunction:
@@ -80,9 +93,9 @@ class SmoothFunction:
     cos, log of an affine argument}; a single-factor term has no v.  The k-th
     derivative of a term is the binomial Leibniz sum
     c * sum_i C(k,i) u^(i) v^(k-i) over closed-form primitive derivatives,
-    skipping the orders where a polynomial factor vanishes, so it costs O(k)
-    primitive evaluations and builds nothing per order.  Evaluation is
-    vectorized over numpy arrays.
+    skipping the orders where a polynomial factor vanishes.  Values come
+    from the function's one-entry ``DerivativeTable``, vectorized over numpy
+    arrays.
     """
 
     def __init__(self, terms, label: str, expr: str | None = None):
@@ -91,32 +104,34 @@ class SmoothFunction:
         self._expr = expr  # grammar text, kept by parse_function
 
     def __call__(self, x):
-        return self._derivative(0, x)
+        return self.derivative_value(0, x)
 
     def derivative_value(self, k: int, x):
         """Value of the exact k-th derivative at x (scalar or array)."""
         if k < 0:
             raise ValueError("derivative order must be nonnegative")
-        return self._derivative(k, x)
-
-    def _derivative(self, k, x):
         x = np.asarray(x, dtype=float)
-        out = None
+        return self._table.evaluate(x.reshape(-1), k)[0].reshape(x.shape)[()]
+
+    @functools.cached_property
+    def _table(self) -> "DerivativeTable":
+        return DerivativeTable([self])
+
+    def _leibniz(self, k):
+        """The summands (scale, base key of u^(i), base key of v^(k-i)) of
+        d^k, in order; a single-factor term's v is the constant 1."""
+        out = []
         for c, u, v in self._terms:
             if v is None:
-                orders = range(k, k + 1) if k <= u.top else range(0)
-            else:
-                orders = range(max(0, k - v.top), min(k, u.top) + 1)
-            for i in orders:
-                scale, val = _factor_value(u, i, x)
-                scale *= c
-                if v is not None:
-                    sv, vv = _factor_value(v, k - i, x)
-                    scale, val = scale * sv * math.comb(k, i), val * vv
-                if scale != 1.0:
-                    val = scale * val
-                out = val if out is None else out + val
-        return np.zeros(x.shape) if out is None else out
+                if k <= u.top:
+                    su, bu = _primitive(u, k)
+                    out.append((su * c, bu, _ONE))
+                continue
+            for i in range(max(0, k - v.top), min(k, u.top) + 1):
+                su, bu = _primitive(u, i)
+                sv, bv = _primitive(v, k - i)
+                out.append((su * c * sv * math.comb(k, i), bu, bv))
+        return out
 
     def to_json(self):
         if self._expr is not None:
@@ -126,6 +141,175 @@ class SmoothFunction:
 
     def __repr__(self):
         return f"SmoothFunction({self.label})"
+
+
+class DerivativeTable:
+    """The rows d^k g_i of a tuple of functions, compiled once into tables
+    and evaluated on any points.
+
+    The bases are the distinct primitive values the rows need, numbered in
+    order of first use: the constant 1 (base 0), exp, sin and cos of each
+    distinct affine argument, the powers (ax+b)^(-j) and log(ax+b) of a
+    log, and each distinct polynomial derivative coefficient vector.  For
+    order k, ``summands(k)`` lists the slots of the Leibniz summands: slot
+    s holds, for every row i, a scale and the bases u and v of the
+    summand scale * (u * v), and row i of d^k is the in-order sum over the
+    slots.  A row with fewer summands is padded with -0.0 * (1 * 1), which
+    leaves a sum bit for bit as it was, and a row with none is +0.0; so
+    every row is, to the last bit, the Leibniz sum of its terms taken one
+    at a time.  A slot stores v as None where it is 1 in every row, and
+    the scale as None where it is 1.0 in every row: those products change
+    no bit.
+
+    A bare callable entry (a discrete member's evaluator) has the row f(x)
+    at order 0 and no derivatives.
+    """
+
+    def __init__(self, functions):
+        self.functions = list(functions)
+        self._index = {_ONE: 0}  # base key -> base number
+        self._keys = [_ONE]  # base number -> key
+        self._orders = []  # order k -> [(u, v or None, scale or None)]
+        self._plans = {}  # orders -> how to evaluate their bases
+
+    def _base(self, key):
+        b = self._index.get(key)
+        if b is None:
+            b = self._index[key] = len(self._keys)
+            self._keys.append(key)
+        return b
+
+    def summands(self, k):
+        """The slots (u, v, scale) of order k, compiled when first asked
+        for: u and v are base numbers of shape (p,), scale is (p, 1)."""
+        while len(self._orders) <= k:
+            self._orders.append(self._compile(len(self._orders)))
+        return self._orders[k]
+
+    def _compile(self, k):
+        rows = []
+        for i, f in enumerate(self.functions):
+            if isinstance(f, SmoothFunction):
+                terms = f._leibniz(k)
+            elif k == 0:
+                terms = [(1.0, ("call", i), _ONE)]
+            else:
+                raise TypeError("continuous test functions need exact "
+                                "derivatives; got a bare callable")
+            rows.append([(s, self._base(u), self._base(v))
+                         for s, u, v in terms] or [(0.0, 0, 0)])
+        pad = (-0.0, 0, 0)
+        table = np.array([[row[s] if s < len(row) else pad for row in rows]
+                          for s in range(max(map(len, rows)))])
+        slots = []
+        for scale, u, v in zip(table[..., 0], table[..., 1].astype(np.intp),
+                               table[..., 2].astype(np.intp)):
+            slots.append((u, v if v.any() else None,
+                          scale[:, None] if np.any(scale != 1.0) else None))
+        return slots
+
+    def _plan(self, orders):
+        """(pos, number of bases, steps) for the bases of ``orders``: base b
+        goes to row pos[b], and each step evaluates one kind into a block
+        of rows."""
+        key = tuple(orders)
+        if key not in self._plans:
+            used = np.unique(np.concatenate(
+                [a for k in key for slot in self.summands(k)
+                 for a in slot[:2] if a is not None]))
+            groups = {}
+            for b in used.tolist():
+                groups.setdefault(self._keys[b][0], []).append(b)
+            pos = np.zeros(len(self._keys), dtype=np.intp)
+            steps, start = [], 0
+            for kind, members in groups.items():
+                stop = start + len(members)
+                pos[members] = range(start, stop)
+                steps.append((kind, slice(start, stop), _operands(
+                    kind, [self._keys[b] for b in members])))
+                start = stop
+            self._plans[key] = (pos, start, steps)
+        return self._plans[key]
+
+    def bases(self, x, orders):
+        """Every base the rows of ``orders`` use, at the points x (1-d), as
+        (values, pos): base b is row pos[b] of values.  Bases of one kind
+        are evaluated together: one exp, sin and cos call over the stacked
+        affine arguments and one Horner pass over the zero-padded
+        coefficient matrix; log powers and callables one at a time."""
+        pos, size, steps = self._plan(orders)
+        values = np.empty((size, x.size))
+        for kind, rows, operands in steps:
+            out = values[rows]
+            if kind == "one":
+                out[:] = 1.0
+            elif kind == "poly":
+                # Horner's rule as numpy.polynomial.polynomial.polyval runs
+                # it; above a row's degree the sum stays a signed zero, to
+                # which the leading coefficient adds exactly, so each row is
+                # its own polyval to the last bit
+                acc = operands[:, -1:] + x * 0
+                for j in range(operands.shape[1] - 2, -1, -1):
+                    acc = operands[:, j:j + 1] + acc * x
+                out[:] = acc
+            elif kind == "log":
+                for row, (a, b, j) in zip(out, operands):
+                    t = a * x + b
+                    row[:] = np.log(t) if j == 0 else t ** -j
+            elif kind == "call":
+                for row, i in zip(out, operands):
+                    row[:] = self.functions[i](x)
+            else:  # exp, sin or cos of the stacked affine arguments
+                a, b = operands
+                getattr(np, kind)(a * x + b, out=out)
+        return values, pos
+
+    def evaluate(self, x, k):
+        """The (p, N) rows of d^k at the points x (1-d), a block of points
+        at a time, so that the bases and products of a long x are never
+        all held at once."""
+        out = np.empty((len(self.functions), x.size))
+        for lo in range(0, x.size, _BLOCK):
+            part = x[lo:lo + _BLOCK]
+            out[:, lo:lo + _BLOCK] = self.rows(self.bases(part, (k,)), k)
+        return out
+
+    def rows(self, bases, k):
+        """The (p, N) rows of d^k from ``bases`` (of a set of orders that
+        includes k): one gather-multiply per summand slot, summed in
+        order."""
+        values, pos = bases
+        out = None
+        for u, v, scale in self.summands(k):
+            term = values[pos[u]]
+            if v is not None:
+                term *= values[pos[v]]
+            if scale is not None:
+                term *= scale
+            if out is None:
+                out = term
+            else:
+                out += term
+        return out
+
+
+def _operands(kind, keys):
+    """What ``DerivativeTable.bases`` needs to evaluate the bases ``keys``
+    of one kind: the zero-padded coefficient matrix of polynomials, the
+    stacked rates and offsets of exp, sin or cos, (a, b, j) of log powers,
+    the entry numbers of callables; nothing for the constant 1."""
+    if kind == "poly":
+        coeffs = [np.frombuffer(key[1]) for key in keys]
+        c = np.zeros((len(coeffs), max(map(len, coeffs))))
+        for row, ci in zip(c, coeffs):
+            row[:ci.size] = ci
+        return c
+    if kind in ("exp", "sin", "cos"):
+        return (np.array([key[1] for key in keys])[:, None],
+                np.array([key[2] for key in keys])[:, None])
+    if kind == "log":
+        return [key[1:] for key in keys]
+    return [key[1] for key in keys] if kind == "call" else None
 
 
 def polynomial(coeffs: Sequence[float], label: str | None = None) -> SmoothFunction:
@@ -160,6 +344,11 @@ class FunctionTuple:
 
     def __len__(self):
         return len(self.entries)
+
+    @functools.cached_property
+    def table(self) -> DerivativeTable:
+        """The tuple's derivative table, compiled when first asked for."""
+        return DerivativeTable(self.entries)
 
     def subset(self, keep) -> "FunctionTuple":
         return FunctionTuple([self.entries[i] for i in keep])

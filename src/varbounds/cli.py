@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -109,9 +110,9 @@ def _load_config(args):
 
 
 def _dump_json(path, payload):
+    text = json.dumps(payload, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _dump_csv(path, header, rows):
@@ -379,9 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call in a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.handler(args)
     except SingularCoefficientError as err:

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 from varbounds import ContinuousIP, DiscreteCO, EngineConfig, Quadratic
+from varbounds.calculus import DerivativeTable
 from varbounds.expectation import Ladder
 
 
@@ -27,6 +28,21 @@ def ladder_builds(monkeypatch):
 
     monkeypatch.setattr(Ladder, "build", classmethod(counted))
     return builds
+
+
+@pytest.fixture
+def base_evaluations(monkeypatch):
+    """(points, orders) of every ``DerivativeTable.bases`` call made while
+    the test runs."""
+    calls = []
+    original = DerivativeTable.bases
+
+    def counted(self, x, orders):
+        calls.append((x, tuple(orders)))
+        return original(self, x, orders)
+
+    monkeypatch.setattr(DerivativeTable, "bases", counted)
+    return calls
 
 
 def make_heavy_member(delta=0.3, gamma=1.0):

@@ -13,14 +13,14 @@ import warnings
 import numpy as np
 import pytest
 
-from varbounds import (ContinuousIP, FunctionTuple, Quadratic, catalog,
-                       eigenvalues, parse_function, polynomial)
+from varbounds import (ContinuousIP, DiscreteCO, FunctionTuple, Quadratic,
+                       catalog, eigenvalues, parse_function, polynomial)
 from varbounds import bounds, expectation, linalg
 from varbounds.bounds import (_bessel_weight, _Grid, bound_report,
                               bound_reports, check_class,
                               poincare_coefficient)
-from varbounds.calculus import SmoothFunction, forward_difference
-from varbounds.cli import _parse_dist
+from varbounds.calculus import DerivativeTable, forward_difference
+from varbounds.cli import _parse_dist, main
 from varbounds.errors import ClassMembershipError, SingularCoefficientError
 from tests.conftest import make_bernoulli_member, make_heavy_member
 
@@ -254,21 +254,25 @@ class TestClassChecks:
         report = check_class(spec, tuple_of("exp(0.4*x)"), 1, "H", cfg)
         assert report.verdicts == ((False, False),)
 
-    def test_one_evaluation_per_function_and_order(self, cfg, monkeypatch):
-        calls = []
-        original = SmoothFunction.derivative_value
+    def test_one_evaluation_per_function_and_order(self, cfg, monkeypatch,
+                                                   base_evaluations):
+        rows = []
+        original = DerivativeTable.rows
 
-        def counted(self, k, x):
-            calls.append((id(self), k))
-            return original(self, k, x)
+        def counted(self, bases, k):
+            rows.append(k)
+            return original(self, bases, k)
 
-        monkeypatch.setattr(SmoothFunction, "derivative_value", counted)
+        monkeypatch.setattr(DerivativeTable, "rows", counted)
         g = tuple_of("x^3", "exp(0.4*x)", "x*sin(2*x)")
         for cls in ("H", "B"):
-            calls.clear()
+            rows.clear()
+            base_evaluations.clear()
             check_class(catalog("normal"), g, 3, cls, cfg)
-            assert sorted(calls) == sorted((id(gi), k) for gi in g
-                                           for k in (1, 2, 3))
+            # the bases of every order once, and each order's rows once
+            assert [orders for _, orders in base_evaluations] == \
+                [(0, 1, 2, 3)]
+            assert rows == [0, 1, 2, 3]
 
 
 # every member x function pair of the table below, with the check_class
@@ -464,36 +468,80 @@ class TestOnePass:
     """A multi-order request is one pass: every row, ladder and term is
     computed once, and each order's report is the one its own call gives."""
 
-    def test_one_derivative_evaluation_per_grid(self, cfg, monkeypatch):
-        calls = []
-        original = SmoothFunction.derivative_value
-
-        def counted(self, k, x):
-            calls.append((id(self), k))
-            return original(self, k, x)
-
-        monkeypatch.setattr(SmoothFunction, "derivative_value", counted)
+    def test_one_derivative_evaluation_per_grid(self, cfg,
+                                                base_evaluations):
         g = tuple_of("x^3", "exp(0.4*x)", "x*sin(2*x)")
         bound_report(catalog("normal"), g, 3, cfg)
-        # once each on the class ladder, the full grid and the half grid
-        assert sorted(calls) == sorted((id(gi), k) for gi in g
-                                       for k in (1, 2, 3) for _ in range(3))
+        # the bases of orders 0-3 once each on the class ladder, the full
+        # grid and the half grid
+        assert [orders for _, orders in base_evaluations] == \
+            [(0, 1, 2, 3)] * 3
+        assert len({x.size for x, _ in base_evaluations}) == 3
 
     def test_one_evaluation_per_shift_on_discrete_grids(self, cfg,
-                                                         monkeypatch):
-        calls = []
-        original = SmoothFunction.__call__
-
-        def counted(self, x):
-            calls.append(id(self))
-            return original(self, x)
-
-        monkeypatch.setattr(SmoothFunction, "__call__", counted)
+                                                         base_evaluations):
         g = tuple_of("x", "x*sin(2*x)", "x^2*exp(0.25*x)")
         bound_reports(catalog("poisson", {"lam": 3.815}), g, range(1, 9), cfg)
-        # at x, x + 1, ..., x + 8 on the one grid the class ladder and the
-        # assembly share, which is its own half-resolution grid
-        assert sorted(calls) == sorted(id(gi) for gi in g for _ in range(9))
+        # at x, x + 1, ..., x + 8 together, on the one grid the class ladder
+        # and the assembly share, which is its own half-resolution grid
+        (x, orders), = base_evaluations
+        shifts = x.reshape(9, -1)
+        assert orders == (0,)
+        assert np.all(shifts - shifts[0] == np.arange(9)[:, None])
+
+    @pytest.mark.parametrize("dist,grids", [("normal", 3),
+                                            ("poisson:lam=3.815", 1)])
+    def test_chain_evaluates_bases_once_per_grid(self, tmp_path, monkeypatch,
+                                                 base_evaluations, dist,
+                                                 grids):
+        passes = []
+        original = expectation.Ladder.classify
+
+        def counted(self, contrib):
+            passes.append(len(contrib))
+            return original(self, contrib)
+
+        monkeypatch.setattr(expectation.Ladder, "classify", counted)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"functions": [
+            {"expr": e} for e in ("x", "x*sin(2*x)", "x^2*exp(0.25*x)")]}))
+        assert main(["chain", "--dist", dist, "--functions", str(path),
+                     "--n", "8", "--quiet"]) == 0
+        # each grid evaluates the tuple's bases once, and the class rows of
+        # all nine orders are judged in one ladder pass
+        assert len(base_evaluations) == grids
+        assert len({x.size for x, _ in base_evaluations}) == grids
+        assert len(passes) == 1
+
+    def test_wide_tuple_evaluates_bases_once_per_grid(self, cfg,
+                                                      base_evaluations):
+        rates = np.linspace(0.15, 0.25, 10)
+        g = tuple_of("x", "x^2", "x^3",
+                     *[e for r in rates for e in (
+                         f"exp({r:.3f}*x)", f"sin({4 * r:.3f}*x)",
+                         f"x*cos({5 * r:.3f}*x)")][:29])
+        assert g.p == 32
+        bound_report(catalog("normal"), g, 2, cfg)
+        assert [orders for _, orders in base_evaluations] == [(0, 1, 2)] * 3
+
+    def test_refused_order_does_not_preempt_an_earlier_one(self, cfg):
+        # q(j) = 60.5 - j is positive up to j = 60, so on the support grid
+        # 0..59 the rising product q^[3] is negative only at x = 59, and
+        # q^[1], q^[2] nowhere; exp(0.5*x) leaves the Gram class at order 0
+        def pmf(k):
+            k = np.asarray(k, dtype=float)
+            return np.where((k >= 0) & (k <= 59), 0.5 ** (k + 1), 0.0)
+
+        spec = DiscreteCO(1.0, Quadratic(0.0, -1.0, 60.5), (0.0, math.inf),
+                          pmf)
+        with pytest.raises(ClassMembershipError, match="class H check"):
+            bound_reports(spec, tuple_of("exp(0.5*x)"), [1, 3], cfg)
+        with pytest.raises(ClassMembershipError, match="weight of order 3"):
+            bound_reports(spec, tuple_of("exp(0.5*x)"), [3], cfg)
+        with pytest.raises(ClassMembershipError, match="weight of order 3"):
+            bound_reports(spec, tuple_of("x"), [2, 1, 3], cfg)
+        assert [r.n for r in bound_reports(spec, tuple_of("x"), [2, 1],
+                                           cfg)] == [2, 1]
 
     def test_one_q_power_per_order_on_discrete_grids(self, cfg, monkeypatch):
         calls = []

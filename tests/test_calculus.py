@@ -9,10 +9,12 @@ binomial-sum formula, and hand values everywhere they are cheap.
 import json
 import pathlib
 
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from varbounds import calculus
 from varbounds.calculus import (ExpressionError, FunctionTuple,
                                 forward_difference, load_function_tuple,
                                 parse_function, polynomial, rising_q)
@@ -47,6 +49,130 @@ def iterated_delta(f, k, j):
     for _ in range(k):
         out = step(out)
     return out(j)
+
+
+def _factor_reference(f, j, x):
+    """j-th derivative of the primitive f at x as a scalar and an array."""
+    if f.kind == "poly":
+        return 1.0, npoly.polyval(x, npoly.polyder(f.derivs[0], j))
+    t = f.a * x + f.b
+    if f.kind == "exp":
+        return f.a ** j, np.exp(t)
+    if f.kind == "sin":
+        q = (f.quarter + j) % 4
+        return (f.a ** j if q < 2 else -f.a ** j,
+                np.sin(t) if q % 2 == 0 else np.cos(t))
+    if j == 0:
+        return 1.0, np.log(t)
+    scale = f.a ** j
+    for m in range(1, j):
+        scale *= -m
+    return scale, t ** -j
+
+
+def derivative_reference(f, k, x):
+    """d^k f at x by the per-term Leibniz loop that the derivative tables
+    replaced: each summand evaluates its own factors, and the summands are
+    added term by term, in order."""
+    x = np.asarray(x, dtype=float)
+    out = None
+    for c, u, v in f._terms:
+        if v is None:
+            orders = range(k, k + 1) if k <= u.top else range(0)
+        else:
+            orders = range(max(0, k - v.top), min(k, u.top) + 1)
+        for i in orders:
+            scale, val = _factor_reference(u, i, x)
+            scale *= c
+            if v is not None:
+                sv, vv = _factor_reference(v, k - i, x)
+                scale, val = scale * sv * math.comb(k, i), val * vv
+            if scale != 1.0:
+                val = scale * val
+            out = val if out is None else out + val
+    return np.zeros(x.shape) if out is None else out
+
+
+def random_expression(rng):
+    """A grammar string of one to three terms: constants, powers of x, and
+    products of at most two factors among x^m and exp, sin, cos, log of an
+    affine argument (log's positive on [0.1, 2])."""
+    def factor():
+        kind = rng.choice(["x^m", "exp", "sin", "cos", "log"])
+        if kind == "x^m":
+            return f"x^{rng.integers(1, 5)}"
+        a, b = rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0)
+        if kind == "log":
+            a, b = rng.uniform(0.2, 2.0), rng.uniform(0.5, 3.0)
+        return f"{kind}({a!r}*x+{b!r})".replace("+-", "-")
+
+    terms = []
+    for _ in range(rng.integers(1, 4)):
+        shape = rng.integers(0, 3)
+        coef = f"{rng.uniform(0.1, 3.0)!r}"
+        terms.append(coef if shape == 0 else
+                     "*".join([coef] + [factor() for _ in range(shape)]))
+    return " + ".join(terms)
+
+
+class TestDerivativeTable:
+    """The batched rows equal the per-term Leibniz loop bit for bit."""
+
+    XS = np.linspace(0.1, 2.0, 37)
+
+    def test_rows_match_reference_bits(self):
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            g = FunctionTuple([parse_function(random_expression(rng))
+                               for _ in range(4)])
+            table, top = g.table, 16
+            # every order from one evaluation of the bases, as on a grid
+            bases = table.bases(self.XS, range(top + 1))
+            for k in range(top + 1):
+                rows = table.rows(bases, k)
+                for gi, row in zip(g, rows):
+                    ref = derivative_reference(gi, k, self.XS)
+                    np.testing.assert_array_equal(
+                        row.view(np.uint64), ref.view(np.uint64),
+                        err_msg=f"{gi.label}, k={k}")
+                    # and one function at one order
+                    np.testing.assert_array_equal(
+                        gi.derivative_value(k, self.XS).view(np.uint64),
+                        ref.view(np.uint64), err_msg=f"{gi.label}, k={k}")
+
+    @pytest.mark.parametrize("exprs", [
+        ("log(2*x+5)", "cos(0.7*x)*log(x+3)", "3.5", "x*cos(2*x)"),
+        ("exp(x)*sin(x)", "2 - 0.5*x + x*cos(2*x)", "x^2*exp(0.25*x)"),
+    ])
+    def test_named_tuples_match_reference_bits(self, exprs):
+        g = FunctionTuple([parse_function(e) for e in exprs])
+        bases = g.table.bases(self.XS, range(17))
+        for k in range(17):
+            for gi, row in zip(g, g.table.rows(bases, k)):
+                np.testing.assert_array_equal(
+                    row.view(np.uint64),
+                    derivative_reference(gi, k, self.XS).view(np.uint64))
+
+    def test_orders_past_every_degree_are_positive_zero(self):
+        g = FunctionTuple([polynomial([1.0, -3.0, 0.0, 2.0]),
+                           parse_function("x^2 - 4"), parse_function("7"),
+                           parse_function("-2.5*x")])
+        bases = g.table.bases(self.XS, range(17))
+        for k in range(4, 17):
+            assert not np.any(g.table.rows(bases, k).view(np.uint64))
+
+    def test_scalar_and_shaped_points(self):
+        f = parse_function("x*exp(0.3*x) + log(x+2)")
+        xs = self.XS.reshape(37, 1)
+        assert f.derivative_value(2, xs).shape == (37, 1)
+        assert f.derivative_value(2, 0.4) == derivative_reference(f, 2, 0.4)
+
+    def test_bare_callable_has_values_only(self):
+        g = FunctionTuple([parse_function("x^2"), np.sin])
+        rows = g.table.rows(g.table.bases(self.XS, (0,)), 0)
+        np.testing.assert_array_equal(rows, [self.XS ** 2, np.sin(self.XS)])
+        with pytest.raises(TypeError):
+            g.table.summands(1)
 
 
 class TestDerivatives:
@@ -101,23 +227,19 @@ class TestDerivatives:
                 f.derivative_value(k, np.array(ref["x"])), row,
                 rtol=1e-12, atol=1e-12, err_msg=f"{expr}, k={k}")
 
-    @pytest.mark.parametrize("expr", [
-        "x*sin(2*x)", "x^2*exp(0.25*x)", "exp(x)*sin(x)", "cos(x)*log(x+3)",
+    @pytest.mark.parametrize("expr,bound", [
+        ("x*sin(2*x)", (1 + 1) + 2), ("x^2*exp(0.25*x)", (2 + 1) + 2),
+        ("exp(x)*sin(x)", (0 + 1) + 2), ("cos(x)*log(x+3)", (16 + 1) + 2),
     ])
-    def test_linear_cost_at_order_16(self, expr, monkeypatch):
-        # one product term: the Leibniz sum takes at most k + 1 values of
-        # each factor
-        calls = []
-        original = calculus._factor_value
-
-        def counted(f, j, x):
-            calls.append(j)
-            return original(f, j, x)
-
-        monkeypatch.setattr(calculus, "_factor_value", counted)
+    def test_linear_cost_at_order_16(self, expr, bound):
+        # one product term: k + 1 Leibniz summands at most, over at most
+        # (degree + 1) + 2 distinct bases: the derivatives of the polynomial
+        # factor (of log: one power per order), and exp or sin and cos
         k = 16
-        parse_function(expr).derivative_value(k, np.linspace(0.1, 2.0, 200))
-        assert 0 < len(calls) <= 2 * (k + 1)
+        table = parse_function(expr)._table
+        values, _ = table.bases(np.linspace(0.1, 2.0, 200), (k,))
+        assert 0 < len(values) <= bound
+        assert len(table.summands(k)) <= k + 1
 
     def test_order_16_closed_form(self):
         # d^16 [x sin 2x] = 2^16 (x sin 2x - 8 cos 2x)

@@ -288,26 +288,19 @@ class TestChain:
 class TestOnePass:
     """``chain`` and ``bounds --n a,b,c`` run every order in one pass."""
 
-    def test_chain_evaluates_each_derivative_once_per_grid(self, tmp_path,
-                                                           monkeypatch):
-        from varbounds.calculus import SmoothFunction
-        calls = []
-        original = SmoothFunction.derivative_value
-
-        def counted(self, k, x):
-            calls.append((self.label, k))
-            return original(self, k, x)
-
-        monkeypatch.setattr(SmoothFunction, "derivative_value", counted)
+    def test_chain_evaluates_each_derivative_once_per_grid(
+            self, tmp_path, base_evaluations):
         exprs = ("x^3", "exp(0.4*x)", "x*sin(2*x)")
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"functions": [{"expr": e}
                                                   for e in exprs]}))
         assert main(["chain", "--dist", "normal", "--functions", str(path),
                      "--n", "4", "--quiet"]) == 0
-        # once each on the class ladder, the full grid and the half grid
-        assert sorted(calls) == sorted((e, k) for e in exprs
-                                       for k in range(1, 5) for _ in range(3))
+        # the bases of orders 0-4, once each on the class ladder, the full
+        # grid and the half grid
+        assert [orders for _, orders in base_evaluations] == \
+            [tuple(range(5))] * 3
+        assert len({x.size for x, _ in base_evaluations}) == 3
 
     @pytest.mark.parametrize("theorems", ["poincare,bessel", "poincare"])
     @pytest.mark.parametrize("dist,params,exprs,policy", [
@@ -451,6 +444,32 @@ class TestScipyImport:
         assert fresh == "[]\n" + capsys.readouterr().out + "0 ['scipy']\n"
         assert ((tmp_path / "fresh.json").read_bytes()
                 == (tmp_path / "here.json").read_bytes())
+
+
+class TestRepeatedMain:
+    def test_repeated_calls_match_a_fresh_interpreter(self, fns_path,
+                                                       tmp_path):
+        # main builds its parser once per process; a second call in the
+        # process gives the exit codes and files of a fresh one
+        def argvs(tag):
+            out = str(tmp_path / tag)
+            return [["chain", "--dist", "poisson:lam=3", "--functions",
+                     fns_path, "--n", "3", "--quiet", "--out-json",
+                     out + "-chain.json", "--out-csv", out + "-chain.csv"],
+                    ["bounds", "--dist", "normal", "--functions", fns_path,
+                     "--n", "1,2", "--quiet", "--out-json",
+                     out + "-bounds.json"],
+                    ["bounds", "--dist", "cauchy", "--functions", fns_path,
+                     "--n", "1"]]
+
+        fresh = [int(line.split()[0])
+                 for line in run_fresh(*argvs("fresh")).splitlines()[1:]]
+        assert fresh == [0, 0, 1]
+        for tag in ("first", "second"):
+            assert [main(argv) for argv in argvs(tag)] == fresh
+            for name in ("chain.json", "chain.csv", "bounds.json"):
+                assert ((tmp_path / f"{tag}-{name}").read_bytes()
+                        == (tmp_path / f"fresh-{name}").read_bytes())
 
 
 class TestDistParsing:

@@ -7,7 +7,6 @@ since log must depend on x).
 """
 
 import json
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from varbounds import calculus  # noqa: E402
 from varbounds.calculus import (FunctionTuple, load_function_tuple,  # noqa: E402
                                 parse_function)
 
@@ -80,13 +78,12 @@ def test_round_trip_keeps_every_derivative(case):
 @hypothesis.settings(max_examples=100, deadline=None)
 @hypothesis.given(_expr())
 def test_order_16_cost_is_linear(case):
-    # at most k + 1 values of each factor per source term; lone monomials
-    # and constants share one polynomial term
+    # at most k + 1 summands per source term, each over two bases; lone
+    # monomials and constants share one polynomial term
     text, n_terms = case
-    f = parse_function(text)
+    table = parse_function(text)._table
     k = 16
-    with mock.patch.object(calculus, "_factor_value",
-                           wraps=calculus._factor_value) as spy, \
-            np.errstate(all="ignore"):
-        f.derivative_value(k, np.linspace(0.1, 1.0, 5))
-    assert spy.call_count <= 2 * (k + 1) * n_terms
+    with np.errstate(all="ignore"):
+        values, _ = table.bases(np.linspace(0.1, 1.0, 5), (k,))
+    assert len(table.summands(k)) <= (k + 1) * n_terms
+    assert len(values) <= 2 * (k + 1) * n_terms

@@ -2,10 +2,13 @@
 
 Usage (from the repository root):
 
-    python3 tools/output_digest.py --seeds 1 2 3 \
-        --workloads catalog-sweep wide-tuple high-order
-    python3 tools/output_digest.py --seeds 1 2 3 4 5 6 7 8 9 10 \
-        --workloads mc-crosscheck
+    python3 tools/output_digest.py
+    python3 tools/output_digest.py --workloads high-order --seeds 1 2
+
+With no options it digests the standard set, 633 requests: seeds 1-3 of
+``catalog-sweep``, ``wide-tuple`` and ``high-order`` and seeds 1-10 of
+``mc-crosscheck``.  ``--seeds`` replaces every workload's seeds and
+``--workloads`` picks workloads.
 
 The requests are the ones ``perfbench/workloads.py`` builds for each seed,
 issued once each, untimed.  The digest of a workload covers, request by
@@ -71,14 +74,20 @@ def digest(workload, seeds):
     return count, sha.hexdigest()
 
 
+# the seeds digested when none are given
+STANDARD_SEEDS = {"catalog-sweep": range(1, 4), "wide-tuple": range(1, 4),
+                  "high-order": range(1, 4), "mc-crosscheck": range(1, 11)}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+")
     parser.add_argument("--workloads", nargs="+", default=workloads.WORKLOADS,
                         choices=workloads.WORKLOADS)
     args = parser.parse_args(argv)
     for workload in args.workloads:
-        count, hexdigest = digest(workload, args.seeds)
+        count, hexdigest = digest(workload,
+                                  args.seeds or STANDARD_SEEDS[workload])
         print(f"{workload}  {count} requests  {hexdigest}", flush=True)
 
 
