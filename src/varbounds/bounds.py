@@ -38,6 +38,9 @@ from .linalg import loewner_leq  # noqa: F401
 COEFFICIENT_FACTOR_GUARD = 1e-10
 NULL_EXPECTATION_TOL = 1e-12
 DEFAULT_TOL_SCALE = 1e-6
+# samples per block of a Monte Carlo grid: a block's bases and products stay
+# in cache, and what a request holds beside its rows g_i does not grow with N
+_BLOCK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -49,23 +52,23 @@ class _Grid:
     sum(w * phi(x)) ~ E[phi(X)], plus the tail bound for discrete members.
     ``build`` gives the quadrature nodes or the positive-pmf support down
     to pmf underflow (``expectation.truncated_support``, which the class
-    ladder uses too), and ``from_samples`` the grid of N Monte Carlo
+    ladder uses too), and ``from_samples`` the grids of N Monte Carlo
     samples.  The power q^k (q^[k]), the weight w_k, E[w_k] and each row
     d^k g_i are evaluated on it once, when first asked for.  ``top`` is the
     highest order a request reads on the grid: the bases of a tuple's
     derivative table for every order up to it (on a discrete member its
     rows g_i(x + j), j = 0..top, whose forward differences are the rows)
-    are evaluated together on the first read and kept.  A grid without one
-    evaluates what each read needs and keeps nothing of it."""
+    are evaluated together on the first read and kept; a read above it
+    evaluates and keeps them up to its own order."""
 
-    def __init__(self, spec, x, w, tail=0.0, counts=None, top=None):
+    def __init__(self, spec, x, w, tail=0.0, counts=None, top=0):
         self.spec, self.x, self.w, self.tail = spec, x, w, tail
         self.counts, self.top = counts, top
         self._q, self._w, self._eq, self._d = {}, {}, {}, {}
         self._evaluated = {}  # id(table) -> (table, top, bases or shifts)
 
     @classmethod
-    def build(cls, spec, cfg=None, n_nodes=None, top=None):
+    def build(cls, spec, cfg=None, n_nodes=None, top=0):
         cfg = cfg or ex.EngineConfig()
         if spec.is_discrete:
             x, w, tail, _ = ex.truncated_support(spec)
@@ -74,15 +77,20 @@ class _Grid:
         return cls(spec, x, w, top=top)
 
     @classmethod
-    def from_samples(cls, spec, xs):
-        """The grid of the N samples ``xs``, each of weight 1/N.  A discrete
-        member's samples take a few dozen values, so they collapse to the
-        distinct values with weights count/N, and the integer ``counts``
-        are kept for exact sample sums."""
+    def from_samples(cls, spec, xs, top):
+        """The grids of the N samples ``xs``, each of weight 1/N, reading
+        rows up to order ``top`` and carrying the integer ``counts`` of
+        their points: one grid of a discrete member's few distinct values,
+        with weights count/N, or one per ``_BLOCK`` of a continuous
+        member's samples, made as they are read."""
         if spec.is_discrete:
             x, counts = np.unique(xs, return_counts=True)
-            return cls(spec, x, counts / xs.size, counts=counts)
-        return cls(spec, xs, 1.0 / xs.size)
+            yield cls(spec, x, counts / xs.size, counts=counts, top=top)
+            return
+        ones = np.ones(min(xs.size, _BLOCK))
+        for lo in range(0, xs.size, _BLOCK):
+            x = xs[lo:lo + _BLOCK]
+            yield cls(spec, x, 1.0 / xs.size, counts=ones[:x.size], top=top)
 
     def q_power(self, k):
         """q^k (continuous) or the rising product q^[k] (discrete) at the
@@ -133,20 +141,16 @@ class _Grid:
             shifted = self._kept(table, k, self._shifted)
             return shifted[0] if k == 0 else difference_of_rows(
                 shifted[:k + 1], k)
-        if self.top is None:
-            return table.evaluate(self.x, k)
         return table.rows(self._kept(table, k, self._bases), k)
 
     def _kept(self, table, k, evaluate):
         """``evaluate(table, top)`` for top = max(k, self.top), kept for the
-        later reads of the grid's request; on a grid without a top, for
-        top = k and not kept."""
+        later reads of the grid's request."""
         _, top, kept = self._evaluated.get(id(table), (None, -1, None))
         if top < k:
-            top = k if self.top is None else max(k, self.top)
+            top = max(k, self.top)
             kept = evaluate(table, top)
-            if self.top is not None:
-                self._evaluated[id(table)] = (table, top, kept)
+            self._evaluated[id(table)] = (table, top, kept)
         return kept
 
     def _bases(self, table, top):
@@ -605,7 +609,7 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
     if check.classes or check.unbounded:
         check.classify(max(orders))
     assembly = None
-    done = {}
+    done, subsets = {}, {}  # one tuple, with one table, per kept set
     for n in sorted(set(orders)):
         if not check.moment_finite(n):
             raise ClassMembershipError(
@@ -630,7 +634,10 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
         assembly = assembly or _Pass(spec, cfg, theorems, tol_scale,
                                      max(orders), check.nodes
                                      if spec.is_discrete else None)
-        kept = g.subset(sorted(keep)) if dropped else g
+        key = tuple(sorted(keep))
+        if dropped and key not in subsets:
+            subsets[key] = g.subset(key)
+        kept = subsets[key] if dropped else g
         done[n] = assembly.report(n, kept, dropped)
     return [done[n] for n in orders]
 

@@ -58,10 +58,6 @@ class _Factor:
 
 
 _ONE = ("one",)  # the base of the constant 1
-# points per block of DerivativeTable.evaluate: the bases and products of a
-# block stay in cache, and a 200k-sample grid adds no more than its rows to
-# the peak memory of mc-verify
-_BLOCK = 8192
 
 
 def _primitive(f: _Factor, j: int):
@@ -111,7 +107,9 @@ class SmoothFunction:
         if k < 0:
             raise ValueError("derivative order must be nonnegative")
         x = np.asarray(x, dtype=float)
-        return self._table.evaluate(x.reshape(-1), k)[0].reshape(x.shape)[()]
+        table = self._table
+        row = table.rows(table.bases(x.reshape(-1), (k,)), k)[0]
+        return row.reshape(x.shape)[()]
 
     @functools.cached_property
     def _table(self) -> "DerivativeTable":
@@ -247,11 +245,12 @@ class DerivativeTable:
                 # Horner's rule as numpy.polynomial.polynomial.polyval runs
                 # it; above a row's degree the sum stays a signed zero, to
                 # which the leading coefficient adds exactly, so each row is
-                # its own polyval to the last bit
-                acc = operands[:, -1:] + x * 0
+                # its own polyval to the last bit; in place, because a new
+                # array per step costs more than the step on a wide block
+                np.add(operands[:, -1:], x * 0, out=out)
                 for j in range(operands.shape[1] - 2, -1, -1):
-                    acc = operands[:, j:j + 1] + acc * x
-                out[:] = acc
+                    out *= x
+                    out += operands[:, j:j + 1]
             elif kind == "log":
                 for row, (a, b, j) in zip(out, operands):
                     t = a * x + b
@@ -263,16 +262,6 @@ class DerivativeTable:
                 a, b = operands
                 getattr(np, kind)(a * x + b, out=out)
         return values, pos
-
-    def evaluate(self, x, k):
-        """The (p, N) rows of d^k at the points x (1-d), a block of points
-        at a time, so that the bases and products of a long x are never
-        all held at once."""
-        out = np.empty((len(self.functions), x.size))
-        for lo in range(0, x.size, _BLOCK):
-            part = x[lo:lo + _BLOCK]
-            out[:, lo:lo + _BLOCK] = self.rows(self.bases(part, (k,)), k)
-        return out
 
     def rows(self, bases, k):
         """The (p, N) rows of d^k from ``bases`` (of a set of orders that

@@ -489,6 +489,15 @@ class TestOnePass:
         assert orders == (0,)
         assert np.all(shifts - shifts[0] == np.arange(9)[:, None])
 
+    def test_one_subset_per_kept_set(self, cfg, base_evaluations):
+        bound_reports(catalog("gamma", {"shape": 1.5}),
+                      tuple_of("x", "x^2", "log(x)"), range(1, 5), cfg,
+                      class_policy="drop")
+        # log(x) leaves the Gram class at k = 2: the whole tuple's bases on
+        # the class ladder and, for order 1, on the full and half grids; the
+        # one subset (x, x^2) of orders 2-4 on the full and half grids
+        assert len(base_evaluations) == 5
+
     @pytest.mark.parametrize("dist,grids", [("normal", 3),
                                             ("poisson:lam=3.815", 1)])
     def test_chain_evaluates_bases_once_per_grid(self, tmp_path, monkeypatch,

@@ -180,6 +180,9 @@ class TestBounds:
                          "--quiet"]) == 0
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
+        # one line of compact JSON with sorted keys
+        doc = json.loads(outs[0])
+        assert outs[0] == (json.dumps(doc, sort_keys=True) + "\n").encode()
 
     def test_config_document(self, tmp_path):
         cfg_doc = {

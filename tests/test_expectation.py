@@ -7,6 +7,7 @@ and Poisson factorial moments.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from varbounds import (DiscreteCO, FunctionTuple, Quadratic, catalog,
                        parse_function, polynomial)
 from varbounds.bounds import _Grid, bound_report, bound_reports
+from varbounds.calculus import forward_difference, rising_q
 from varbounds.cli import _mc_matrices
 from varbounds.distributions import (_pmf_table, _table_sampler,
                                      infer_quadratic)
@@ -183,6 +185,9 @@ class TestDiscrete:
             truncated_support(spec)
 
 
+DISCRETE_TUPLE = ("x", "x^2", "exp(0.1*x)", "sin(0.7*x)")
+
+
 def sixty_point_table():
     """A tabulated 60-point member: the binomial(59, 0.3) pmf."""
     table = [[k, math.comb(59, k) * 0.3**k * 0.7**(59 - k)] for k in range(60)]
@@ -192,7 +197,10 @@ def sixty_point_table():
 
 
 def sample_sums(spec, g, n, cfg):
-    """``_mc_matrices`` as sums over all N samples, each of weight 1/N."""
+    """``_mc_matrices`` as sums over all N samples, each of weight 1/N, with
+    each row evaluated over the whole sample array one function at a time:
+    the exact derivative of a continuous member's function, the forward
+    difference of a discrete member's."""
     def mean_ci(v):
         return v.mean(), Z_99 * v.std(ddof=1) / math.sqrt(v.size)
 
@@ -206,21 +214,30 @@ def sample_sums(spec, g, n, cfg):
         return mat, vec
 
     xs = sample(spec, cfg)
-    grid = _Grid(spec, xs, 1.0 / xs.size)
-    rows = grid.deriv_values(g, 0)
-    d, _ = entries(rows - rows.mean(axis=1, keepdims=True), 1.0)
+
+    def rows(k):
+        return np.array([forward_difference(gi, k, xs) if spec.is_discrete
+                         else gi.derivative_value(k, xs) for gi in g])
+
+    def weight(k):
+        return rising_q(spec.q, k, xs) if spec.is_discrete \
+            else spec.q(xs) ** k
+
+    first = rows(0)
+    d, _ = entries(first - first.mean(axis=1, keepdims=True), 1.0)
     hs, bs = [], []
     for k in range(1, n + 1):
-        h, (v, v_ci) = entries(grid.deriv_values(g, k), grid.q_power(k))
+        h, (v, v_ci) = entries(rows(k), weight(k))
         hs.append(h)
         bs.append((np.outer(v, v),
                    np.outer(np.abs(v), v_ci) + np.outer(v_ci, np.abs(v))))
     return d, hs, bs
 
 
-def flatten(matrices):
+def estimates(matrices):
+    """The (means, half-widths) pairs of D, every H_k and every B_k."""
     d, hs, bs = matrices
-    return [*d, *(a for h in hs for a in h), *(a for b in bs for a in b)]
+    return [d, *hs, *bs]
 
 
 class TestMonteCarlo:
@@ -260,19 +277,67 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(b, [[0.0, 0.0], [0.0, (2 * 3.25)**2]])
         assert not h_ci.any() and not b_ci.any()
 
-    @pytest.mark.parametrize("spec", [
-        catalog("poisson", {"lam": 3.815}),
-        catalog("binomial", {"n": 14, "theta": 0.4}),
-        catalog("negative-binomial", {"r": 3.2, "theta": 0.55}),
-        catalog("hypergeometric", {"N": 50, "K": 20, "n": 10}),
-        sixty_point_table()], ids=lambda spec: spec.name)
-    def test_counted_grid_matches_sample_sums(self, spec, cfg):
-        g = tuple_of("x", "x^2", "exp(0.1*x)", "sin(0.7*x)")
+    @pytest.mark.parametrize("spec,exprs", [
+        (catalog("poisson", {"lam": 3.815}), DISCRETE_TUPLE),
+        (catalog("binomial", {"n": 14, "theta": 0.4}), DISCRETE_TUPLE),
+        (catalog("negative-binomial", {"r": 3.2, "theta": 0.55}),
+         DISCRETE_TUPLE),
+        (catalog("hypergeometric", {"N": 50, "K": 20, "n": 10}),
+         DISCRETE_TUPLE),
+        (sixty_point_table(), DISCRETE_TUPLE),
+        (catalog("normal", {"mean": 0.3, "var": 1.7}),
+         ("x", "exp(0.3*x)", "sin(0.7*x)", "x*cos(0.9*x)")),
+        (catalog("gamma", {"shape": 2.5, "scale": 1.2}),
+         ("x^2", "exp(0.1*x)", "sin(x)", "x*cos(0.9*x)")),
+        (catalog("beta", {"a": 2, "b": 3}),
+         ("x", "exp(0.5*x)", "x*cos(0.9*x)", "log(x) - log(1-x)")),
+    ], ids=lambda v: v.name if hasattr(v, "name") else "g")
+    # samples in one block, at either side of a block edge, and in three
+    # blocks and a part
+    @pytest.mark.parametrize("size", [None, 2, 8191, 8193, 3 * 8192 + 17])
+    def test_sample_grids_match_sample_sums(self, spec, exprs, size, cfg):
+        if size is not None:
+            cfg = cfg.override(mc_samples=size)
+        g = tuple_of(*exprs)
         got = _mc_matrices(spec, g, 2, cfg)
         want = sample_sums(spec, g, 2, cfg)
-        for a, b in zip(flatten(got), flatten(want)):
+        for (a, a_ci), (b, b_ci) in zip(estimates(got), estimates(want)):
             np.testing.assert_allclose(a, b, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(b)))
+            # with 2 samples D's centred products are equal at both, so
+            # their half-widths are roundoff on the scale of the means
+            scale = b if size == 2 else b_ci
+            np.testing.assert_allclose(a_ci, b_ci, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(scale)))
+
+    # past sampling, the rows g_i are the one (p, N) array held, beside one
+    # buffer of a block's p(p+1)/2 + p entries and the block's bases: at
+    # p = 3, n = 2 and 200k samples 0.3 MB over the peak of sampling (whole-
+    # sample rows per order read 11.2 MB; the bound fails if one more
+    # (p, N) array is held); at p = 16, n = 4 35 MB (whole-sample rows per
+    # order read 56 MB, a buffer of every order's entries 107 MB)
+    @pytest.mark.parametrize("exprs,n,bound", [
+        (("x", "exp(0.1*x)", "x*cos(0.9*x)"), 2, lambda p, m, size: p * size),
+        (("x", "x^2", "exp(0.1*x)", "exp(-0.2*x)", "sin(0.7*x)",
+          "cos(1.1*x)", "x*cos(0.9*x)", "x*sin(0.3*x)", "x^3",
+          "x*exp(0.05*x)", "sin(0.2*x)", "cos(0.4*x)", "exp(0.3*x)",
+          "x^2*sin(0.5*x)", "x*cos(0.6*x)", "exp(0.15*x)*x"), 4,
+         lambda p, m, size: p * size + 2 * (m + p) * 8192),
+    ], ids=["p3", "p16"])
+    def test_memory_over_sampling(self, exprs, n, bound, cfg):
+        spec, g = catalog("normal"), tuple_of(*exprs)
+        _mc_matrices(spec, g, n, cfg)
+        tracemalloc.start()
+        try:
+            sample(spec, cfg)
+            sampling = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            _mc_matrices(spec, g, n, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = g.p * (g.p + 1) // 2
+        assert peak - sampling < 8 * bound(g.p, m, cfg.mc_samples)
 
     def test_reproducible(self, cfg):
         a = sample(catalog("normal"), cfg)

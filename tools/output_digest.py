@@ -4,6 +4,8 @@ Usage (from the repository root):
 
     python3 tools/output_digest.py
     python3 tools/output_digest.py --workloads high-order --seeds 1 2
+    python3 tools/output_digest.py --dump DIR
+    python3 tools/output_digest.py --compare DIR_A DIR_B
 
 With no options it digests the standard set, 633 requests: seeds 1-3 of
 ``catalog-sweep``, ``wide-tuple`` and ``high-order`` and seeds 1-10 of
@@ -19,13 +21,27 @@ workload produced byte-identical outputs on it, so a refactor that must not
 change results is checked by running this on the parent commit and on the
 change.  The program is imported from ``src/`` of the checkout this file
 sits in.
+
+``--dump DIR`` also writes, per workload, ``DIR/<workload>.json``: every
+request's outputs parsed (exit code, JSON document, CSV rows with their
+numbers read, or the refusal text), keyed by seed and request key.
+``--compare DIR_A DIR_B`` runs no request; it reads two such dumps and
+prints per workload the number of requests whose non-numeric content
+differs (flags, verdicts, exit codes, names, keys, integers, text, or a
+request missing from one dump) and the largest relative move of any
+floating-point number, with its request.  That checks a change that may
+move numbers in their last digits, or that changes the bytes of a document
+but none of its values.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -39,28 +55,53 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import workloads  # noqa: E402
 from varbounds.errors import ClassMembershipError  # noqa: E402
 
+# what the digest takes in front of each kind of output
+_PREFIX = {"refused": b"refused: ", "report": b"", "exit": b"exit ",
+           "out.json": b"out.json", "out.csv": b"out.csv"}
+
 
 def _outputs(requests, case):
-    """The bytes one request leaves: its report or refusal, or its exit
-    code and the files it wrote."""
+    """(kind, bytes) of each output one request leaves: its report or
+    refusal, or its exit code and the files it wrote."""
     outcome = requests.issue(case)
     if isinstance(outcome, ClassMembershipError):
-        yield f"refused: {outcome}".encode()
+        yield "refused", str(outcome).encode()
     elif case.kind == "report":
-        yield json.dumps(outcome.to_json_dict(), sort_keys=True).encode()
+        yield "report", json.dumps(outcome.to_json_dict(),
+                                   sort_keys=True).encode()
     else:
-        yield f"exit {outcome}".encode()
+        yield "exit", str(outcome).encode()
         for suffix in ("out.json", "out.csv"):
             path = requests._path(case, suffix)
             if os.path.exists(path):
                 with open(path, "rb") as fh:
-                    yield suffix.encode() + fh.read()
+                    yield suffix, fh.read()
                 os.remove(path)
 
 
-def digest(workload, seeds):
+def _cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _parsed(kind, data):
+    text = data.decode()
+    if kind in ("report", "out.json"):
+        return json.loads(text)
+    if kind == "out.csv":
+        rows = csv.reader(io.StringIO(text))
+        return [[_cell(c) for c in row] for row in rows]
+    return int(text) if kind == "exit" else text
+
+
+def digest(workload, seeds, dump=None):
     """(number of requests, SHA-256 hex digest) of ``workload`` over
-    ``seeds``."""
+    ``seeds``; with a ``dump`` dict, each request's parsed outputs go into
+    it under "seed/key"."""
     sha, count = hashlib.sha256(), 0
     for seed in seeds:
         cases = workloads.build_cases(workload, seed)
@@ -68,10 +109,68 @@ def digest(workload, seeds):
             requests = workloads.Requests(cases, workdir)
             for case in cases:
                 sha.update(f"\0{seed}/{case.key}\0".encode())
-                for chunk in _outputs(requests, case):
+                parsed = {}
+                for kind, data in _outputs(requests, case):
+                    chunk = _PREFIX[kind] + data
                     sha.update(len(chunk).to_bytes(8, "little") + chunk)
+                    parsed[kind] = _parsed(kind, data)
+                if dump is not None:
+                    dump[f"{seed}/{case.key}"] = parsed
                 count += 1
     return count, sha.hexdigest()
+
+
+def _difference(a, b):
+    """(whether a non-numeric part differs, largest relative move of a
+    float) between two parsed outputs."""
+    if isinstance(a, float) and isinstance(b, float):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return False, 0.0
+        if not (math.isfinite(a) and math.isfinite(b)):
+            return True, 0.0
+        return False, abs(a - b) / max(abs(a), abs(b))
+    if type(a) is not type(b):
+        return True, 0.0
+    if isinstance(a, dict):
+        pairs = [(a[k], b[k]) for k in a.keys() & b.keys()]
+        differs = a.keys() != b.keys()
+    elif isinstance(a, list):
+        pairs, differs = list(zip(a, b)), len(a) != len(b)
+    else:
+        return a != b, 0.0
+    move = 0.0
+    for x, y in pairs:
+        d, m = _difference(x, y)
+        differs, move = differs or d, max(move, m)
+    return differs, move
+
+
+def compare(dir_a, dir_b):
+    """Print, per workload dumped in both, the requests whose non-numeric
+    content differs and the largest relative move of a float."""
+    for name in sorted(os.listdir(dir_a)):
+        path_b = os.path.join(dir_b, name)
+        if not name.endswith(".json") or not os.path.exists(path_b):
+            continue
+        with open(os.path.join(dir_a, name), encoding="utf-8") as fh:
+            a = json.load(fh)
+        with open(path_b, encoding="utf-8") as fh:
+            b = json.load(fh)
+        changed, move, where = [], 0.0, "-"
+        for key in sorted(a.keys() | b.keys()):
+            if key not in a or key not in b:
+                changed.append(key)
+                continue
+            differs, m = _difference(a[key], b[key])
+            if differs:
+                changed.append(key)
+            if m > move:
+                move, where = m, key
+        print(f"{name[:-5]}  {len(a.keys() | b.keys())} requests  "
+              f"{len(changed)} with non-numeric changes  "
+              f"largest relative move {move:.3e} at {where}", flush=True)
+        for key in changed:
+            print(f"  changed: {key}")
 
 
 # the seeds digested when none are given
@@ -84,11 +183,25 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+")
     parser.add_argument("--workloads", nargs="+", default=workloads.WORKLOADS,
                         choices=workloads.WORKLOADS)
+    parser.add_argument("--dump", metavar="DIR",
+                        help="also write each workload's parsed outputs here")
+    parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="compare two dumps instead of running requests")
     args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return
+    if args.dump:
+        os.makedirs(args.dump, exist_ok=True)
     for workload in args.workloads:
+        dump = {} if args.dump else None
         count, hexdigest = digest(workload,
-                                  args.seeds or STANDARD_SEEDS[workload])
+                                  args.seeds or STANDARD_SEEDS[workload], dump)
         print(f"{workload}  {count} requests  {hexdigest}", flush=True)
+        if dump is not None:
+            with open(os.path.join(args.dump, workload + ".json"), "w",
+                      encoding="utf-8") as fh:
+                json.dump(dump, fh, sort_keys=True)
 
 
 if __name__ == "__main__":
