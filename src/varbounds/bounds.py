@@ -38,9 +38,6 @@ from .linalg import loewner_leq  # noqa: F401
 COEFFICIENT_FACTOR_GUARD = 1e-10
 NULL_EXPECTATION_TOL = 1e-12
 DEFAULT_TOL_SCALE = 1e-6
-# samples per block of a Monte Carlo grid: a block's bases and products stay
-# in cache, and what a request holds beside its rows g_i does not grow with N
-_BLOCK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -81,15 +78,15 @@ class _Grid:
         """The grids of the N samples ``xs``, each of weight 1/N, reading
         rows up to order ``top`` and carrying the integer ``counts`` of
         their points: one grid of a discrete member's few distinct values,
-        with weights count/N, or one per ``_BLOCK`` of a continuous
-        member's samples, made as they are read."""
+        with weights count/N, or one per ``expectation.BLOCK`` of a
+        continuous member's samples, made as they are read."""
         if spec.is_discrete:
             x, counts = np.unique(xs, return_counts=True)
             yield cls(spec, x, counts / xs.size, counts=counts, top=top)
             return
-        ones = np.ones(min(xs.size, _BLOCK))
-        for lo in range(0, xs.size, _BLOCK):
-            x = xs[lo:lo + _BLOCK]
+        ones = np.ones(min(xs.size, ex.BLOCK))
+        for lo in range(0, xs.size, ex.BLOCK):
+            x = xs[lo:lo + ex.BLOCK]
             yield cls(spec, x, 1.0 / xs.size, counts=ones[:x.size], top=top)
 
     def q_power(self, k):

@@ -163,6 +163,10 @@ def _lgamma(x):
 # by linear interpolation in that table, and finish with Halley steps on the
 # forward function.  They import ``scipy.special`` where they use it, so
 # that only sampling loads scipy.
+#
+# Past the table, every draw's arithmetic is its own, so the samplers run it
+# over ``expectation.BLOCK`` draws at a time: the temporaries of a block stay
+# in cache, and each block writes its variates into one array of all N.
 
 _QUANTILE_NODES = 2048
 # a relative Halley step below this leaves an error of the order of its
@@ -170,6 +174,11 @@ _QUANTILE_NODES = 2048
 # larger, for at most _HALLEY_ROUNDS steps
 _HALLEY_STEP = 1e-5
 _HALLEY_ROUNDS = 4
+
+
+def _blocks(size):
+    """Slices of ``expectation.BLOCK`` consecutive draws covering ``size``."""
+    return [slice(lo, lo + ex.BLOCK) for lo in range(0, size, ex.BLOCK)]
 
 
 def _by_tail(u, c, lower, upper):
@@ -182,21 +191,37 @@ def _by_tail(u, c, lower, upper):
     return out
 
 
-def _table_seeds(u, inverse):
+class _SeedTable:
     """``inverse(p, 1 - p)`` tabulated at _QUANTILE_NODES points evenly
-    spaced in logit(p) over the range of the draws u, and interpolated
-    linearly at each draw."""
-    from scipy import special
-    t = np.log(u) - np.log1p(-u)
-    lo, hi = float(t.min()), float(t.max())
-    nodes = np.linspace(lo, hi, _QUANTILE_NODES)
-    values = inverse(special.expit(nodes), special.expit(-nodes))
-    # the nodes are evenly spaced, so a draw's cell is found by arithmetic
-    pos = (t - lo) * ((_QUANTILE_NODES - 1) / (hi - lo) if hi > lo else 0.0)
-    i = np.minimum(pos.astype(np.intp), _QUANTILE_NODES - 2)
-    # a node whose quantile underflowed gives a nan seed
-    with np.errstate(invalid="ignore"):
-        return values[i] + (pos - i) * np.diff(values)[i]
+    spaced in logit(p) over the range of the draws u.
+
+    The table is built once from the whole stream, since its range is that
+    of all the draws; ``seeds`` interpolates it linearly at a block of them.
+    """
+
+    def __init__(self, u, inverse):
+        from scipy import special
+        # logit(u) = log(u) - log1p(-u), with one scratch array
+        self.t = np.log(u)
+        scratch = np.negative(u)
+        self.t -= np.log1p(scratch, out=scratch)
+        self.lo, hi = float(self.t.min()), float(self.t.max())
+        nodes = np.linspace(self.lo, hi, _QUANTILE_NODES)
+        self.values = inverse(special.expit(nodes), special.expit(-nodes))
+        # a node whose quantile underflowed gives a nan slope
+        with np.errstate(invalid="ignore"):
+            self.slopes = np.diff(self.values)
+        # the nodes are evenly spaced, so a draw's cell is found by arithmetic
+        self.scale = ((_QUANTILE_NODES - 1) / (hi - self.lo)
+                      if hi > self.lo else 0.0)
+
+    def seeds(self, block):
+        """The interpolated inverses at the draws u[block]."""
+        pos = (self.t[block] - self.lo) * self.scale
+        i = np.minimum(pos.astype(np.intp), _QUANTILE_NODES - 2)
+        # a nan slope gives a nan seed
+        with np.errstate(invalid="ignore"):
+            return self.values[i] + (pos - i) * self.slopes[i]
 
 
 def _halley(z, target, cdf, sign, log_zpdf, kappa):
@@ -230,18 +255,18 @@ def _gamma_quantile(a, u):
 
     Halley steps on P(a, x) = u, or above x = max(1, a) on the complement
     Q(a, x) = 1 - u (scipy's Q costs 10-40x P below x = 1 for small a).
-    A draw that does not settle takes the library inverse.
+    A draw that does not settle takes the library inverse.  After the
+    seed table, the draws are taken a block at a time.
     """
     from scipy import special
     u = np.asarray(u, dtype=float).ravel()
-    c = 1.0 - u
 
     def inverse(p, q):
         return _by_tail(p, q, lambda p: special.gammaincinv(a, p),
                         lambda q: special.gammainccinv(a, q))
 
     with np.errstate(divide="ignore"):
-        x = np.exp(_table_seeds(u, lambda p, q: np.log(inverse(p, q))))
+        table = _SeedTable(u, lambda p, q: np.log(inverse(p, q)))
     log_norm = special.gammaln(a)
 
     def log_xpdf(z):
@@ -250,17 +275,24 @@ def _gamma_quantile(a, u):
     def kappa(z):
         return a - 1.0 - z
 
-    upper = x > max(1.0, a)
-    stray = []
-    for part, cdf, target, sign in (
-            (~upper, lambda z: special.gammainc(a, z), u, 1.0),
-            (upper, lambda z: special.gammaincc(a, z), c, -1.0)):
-        idx = np.flatnonzero(part)
-        z = x[idx]
-        stray.append(idx[_halley(z, target[idx], cdf, sign, log_xpdf, kappa)])
-        x[idx] = z
-    stray = np.concatenate(stray)
-    x[stray] = inverse(u[stray], c[stray])
+    x = np.empty(u.size)
+    for block in _blocks(u.size):
+        ub, xb = u[block], x[block]
+        c = 1.0 - ub
+        with np.errstate(divide="ignore"):
+            np.exp(table.seeds(block), out=xb)
+        upper = xb > max(1.0, a)
+        stray = []
+        for part, cdf, target, sign in (
+                (~upper, lambda z: special.gammainc(a, z), ub, 1.0),
+                (upper, lambda z: special.gammaincc(a, z), c, -1.0)):
+            idx = np.flatnonzero(part)
+            z = xb[idx]
+            stray.append(idx[_halley(z, target[idx], cdf, sign, log_xpdf,
+                                     kappa)])
+            xb[idx] = z
+        stray = np.concatenate(stray)
+        xb[stray] = inverse(ub[stray], c[stray])
     return x
 
 
@@ -280,31 +312,38 @@ def _beta_quantile(a, b, u):
 
     Halley steps on I_x(a, b) = u below the mean; above it, on
     I_y(b, a) = 1 - u in y = 1 - x, so both come out to relative accuracy.
-    A draw that does not settle takes the library inverse.
+    A draw that does not settle takes the library inverse.  After the
+    seed table, the draws are taken a block at a time.
     """
     from scipy import special
     u = np.asarray(u, dtype=float).ravel()
-    c = 1.0 - u
 
     def logit_inverse(p, q):
         return _by_tail(
             p, q, lambda p: special.logit(special.betaincinv(a, b, p)),
             lambda q: -special.logit(special.betaincinv(b, a, q)))
 
-    s = _table_seeds(u, logit_inverse)
-    x, y = special.expit(s), special.expit(-s)
-    upper = x > a / (a + b)
-    stray = []
-    for part, z, params, target in ((~upper, x, (a, b), u),
-                                    (upper, y, (b, a), c)):
-        idx = np.flatnonzero(part)
-        zi = z[idx]
-        stray.append(idx[_beta_halley(*params, zi, target[idx])])
-        z[idx] = zi
-    x, y = np.where(upper, 1.0 - y, x), np.where(upper, y, 1.0 - x)
-    stray = np.concatenate(stray)
-    s = logit_inverse(u[stray], c[stray])
-    x[stray], y[stray] = special.expit(s), special.expit(-s)
+    table = _SeedTable(u, logit_inverse)
+    x, y = np.empty(u.size), np.empty(u.size)
+    for block in _blocks(u.size):
+        ub, xb, yb = u[block], x[block], y[block]
+        c = 1.0 - ub
+        s = table.seeds(block)
+        special.expit(s, out=xb)
+        special.expit(np.negative(s, out=s), out=yb)
+        upper = xb > a / (a + b)
+        stray = []
+        for part, z, params, target in ((~upper, xb, (a, b), ub),
+                                        (upper, yb, (b, a), c)):
+            idx = np.flatnonzero(part)
+            zi = z[idx]
+            stray.append(idx[_beta_halley(*params, zi, target[idx])])
+            z[idx] = zi
+        xb[:], yb[:] = (np.where(upper, 1.0 - yb, xb),
+                        np.where(upper, yb, 1.0 - xb))
+        stray = np.concatenate(stray)
+        s = logit_inverse(ub[stray], c[stray])
+        xb[stray], yb[stray] = special.expit(s), special.expit(-s)
     return x, y
 
 
@@ -331,13 +370,20 @@ def _normal(params):
     v = float(_param(params, "var", default=1.0))
     _require(v > 0, "normal variance must be positive")
     norm = 1.0 / math.sqrt(2.0 * math.pi * v)
+    sd = math.sqrt(v)
 
     def density(x):
         return norm * np.exp(-0.5 * (np.asarray(x, dtype=float) - m) ** 2 / v)
 
     def sampler(u):
         from scipy import special
-        return m + math.sqrt(v) * special.ndtri(u)
+        u = np.asarray(u, dtype=float).ravel()
+        x = np.empty(u.size)
+        for block in _blocks(u.size):
+            xb = special.ndtri(u[block], out=x[block])
+            xb *= sd
+            xb += m
+        return x
 
     return ContinuousIP(m, Quadratic(0.0, 0.0, v), (-math.inf, math.inf),
                         density, sampler, "normal", {"mean": m, "var": v})
@@ -358,7 +404,9 @@ def _gamma(params):
         return out
 
     def sampler(u):
-        return th * _gamma_quantile(a, u)
+        x = _gamma_quantile(a, u)
+        x *= th
+        return x
 
     return ContinuousIP(a * th, Quadratic(0.0, th, 0.0), (0.0, math.inf),
                         density, sampler, "gamma", {"shape": a, "scale": th})
@@ -404,7 +452,14 @@ def _mask_pmf(log_pmf, valid):
 
 def _table_sampler(spec_pmf, support):
     """Inverse-CDF sampler backed by a cumulative table over the summation
-    nodes (built lazily)."""
+    nodes (built lazily).
+
+    A draw u takes the first node whose cumulative mass reaches u, and a
+    draw above the last cumulative value takes the last node.  The draws
+    in each cell are counted from one sort of the stream, and the sampler
+    returns each node repeated by its count: the variates come back in
+    ascending order, not in the order of the draws.
+    """
     state = {}
 
     def sampler(u):
@@ -414,8 +469,12 @@ def _table_sampler(spec_pmf, support):
             js, pm, _, _ = ex.truncated_support(holder)
             state["js"] = js
             state["cdf"] = np.cumsum(pm)
-        idx = np.searchsorted(state["cdf"], u, side="left")
-        return state["js"][np.clip(idx, 0, len(state["js"]) - 1)]
+        u = np.asarray(u, dtype=float).ravel()
+        # the draws at or below each cumulative value; the last cell takes
+        # every draw above the one before it
+        ends = np.searchsorted(np.sort(u), state["cdf"], side="right")
+        ends[-1] = u.size
+        return np.repeat(state["js"], np.diff(ends, prepend=0))
 
     return sampler
 

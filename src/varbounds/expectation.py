@@ -65,16 +65,20 @@ def splitmix64_uniforms(seed: int, count: int) -> np.ndarray:
     """Uniforms in (0, 1) from the counter-mode splitmix64 stream.
 
     Draw i (1-based) mixes the state ``seed + i * 0x9E3779B97F4A7C15`` and maps
-    the top 53 bits to the open interval through ``_unit_interval``.
+    the top 53 bits to the open interval through ``_unit_interval``.  The
+    states are mixed in place, with one scratch array for the shifts.
     """
-    golden = np.uint64(0x9E3779B97F4A7C15)
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * golden
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-    return _unit_interval(z >> np.uint64(11))
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    shifted = np.empty_like(z)
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9),
+                              (27, 0x94D049BB133111EB)):
+        z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+        z *= np.uint64(multiplier)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    z >>= np.uint64(11)
+    return _unit_interval(z)
 
 
 def _unit_interval(bits) -> np.ndarray:
@@ -83,8 +87,10 @@ def _unit_interval(bits) -> np.ndarray:
     The top pattern 2**53 - 1 alone would round to exactly 1.0; it maps to
     1 - 2**-53, a value no other pattern gives.
     """
-    u = (np.asarray(bits).astype(np.float64) + 0.5) * 2.0**-53
-    return np.minimum(u, 1.0 - 2.0**-53)
+    u = np.asarray(bits).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return np.minimum(u, 1.0 - 2.0**-53, out=u)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +205,13 @@ def _cap_error():
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
+# draws per block of a Monte Carlo pass: the samplers' inverse transforms
+# and a sample grid's bases and products run a block at a time, so their
+# temporaries stay in cache and what a pass holds beside its N-arrays does
+# not grow with N
+BLOCK = 8192
+
+
 def sample(spec, cfg: EngineConfig | None = None) -> np.ndarray:
     """Draw ``cfg.mc_samples`` variates from the stream seeded by
     ``cfg.mc_seed`` through the spec's inverse-transform sampler.
@@ -206,10 +219,13 @@ def sample(spec, cfg: EngineConfig | None = None) -> np.ndarray:
     Normal members invert with ``ndtri``; gamma and beta members with
     quantiles seeded from a table of library inverses and refined by Halley
     steps on the forward function, which agree with ``gammaincinv`` and
-    ``betaincinv`` to about 1e-13 relative; discrete members by lookup in
-    their cumulative table.  These library functions are scipy's, and the
-    first continuous draw is what imports ``scipy.special``: nothing else
-    in the package loads scipy.
+    ``betaincinv`` to about 1e-13 relative.  These three run over
+    ``BLOCK`` draws at a time and write into one array of N variates.  A
+    discrete member counts the draws in each cell of its cumulative table
+    from one sort of the stream, so its variates come back in ascending
+    order; their values and counts are those of a lookup per draw.  These
+    library functions are scipy's, and the first continuous draw is what
+    imports ``scipy.special``: nothing else in the package loads scipy.
     """
     cfg = cfg or EngineConfig()
     if getattr(spec, "sampler", None) is None:

@@ -266,6 +266,64 @@ class TestQuantiles:
                                       _beta_quantile(2.5, 2.2, u)[0])
 
 
+# the first draw, both sides of the first block edge, the start of the third
+# block and the last draw of three blocks and a part
+EDGE_POSITIONS = (0, 8191, 8192, 16384, 3 * 8192 + 16)
+EXTREME_DRAWS = sampler_draws()[-6:]
+
+
+def edge_stream(draw):
+    """The stream of 3 * 8192 + 17 draws with ``draw`` at EDGE_POSITIONS."""
+    u = splitmix64_uniforms(EngineConfig().mc_seed, 3 * 8192 + 17)
+    u[list(EDGE_POSITIONS)] = draw
+    return u
+
+
+class TestBlockEdges:
+    """The quantiles of an extreme draw at the edges of the blocks the
+    samplers run over, against the library inverse."""
+
+    @pytest.mark.parametrize("draw", EXTREME_DRAWS.tolist())
+    @pytest.mark.parametrize("a", [0.05, 0.4, 2.67, 3.7, 40])
+    def test_gamma(self, a, draw):
+        x = _gamma_quantile(a, edge_stream(draw))[list(EDGE_POSITIONS)]
+        want = library_inverse(np.full(x.size, draw),
+                               lambda p: special.gammaincinv(a, p),
+                               lambda q: special.gammainccinv(a, q))
+        assert_relative(x, want, 1e-12 if a < 0.1 else 1e-13)
+
+    @pytest.mark.parametrize("draw", EXTREME_DRAWS.tolist())
+    @pytest.mark.parametrize("a,b", [(0.3, 4), (0.5, 0.5), (2, 2),
+                                     (2.5, 2.2), (3, 3), (40, 3)])
+    def test_beta(self, a, b, draw):
+        x, y = _beta_quantile(a, b, edge_stream(draw))
+        x, y = x[list(EDGE_POSITIONS)], y[list(EDGE_POSITIONS)]
+        r = library_inverse(np.full(x.size, draw),
+                            lambda p: special.betaincinv(a, b, p),
+                            lambda q: special.betaincinv(b, a, q))
+        low = draw <= 0.5
+        assert_relative(x, np.where(low, r, 1.0 - r), 1e-13)
+        assert_relative(y, np.where(low, 1.0 - r, r), 1e-13)
+
+    def test_underflowed_seed_takes_the_library_inverse(self, monkeypatch):
+        # gamma(0.05) at u = 2^-54: the quantile underflows to 0, so the
+        # table seed does, and no Halley step can start from it
+        calls = []
+        inverse = special.gammaincinv
+
+        def spy(a, p):
+            calls.append(np.array(p, dtype=float))
+            return inverse(a, p)
+
+        monkeypatch.setattr(special, "gammaincinv", spy)
+        x = _gamma_quantile(0.05, edge_stream(2.0**-54))
+        assert x[list(EDGE_POSITIONS)].tolist() == [0.0] * 5
+        # the first call tabulates; each later one inverts one block's
+        # unsettled draws
+        fallback = np.concatenate(calls[1:])
+        assert np.count_nonzero(fallback == 2.0**-54) == len(EDGE_POSITIONS)
+
+
 # every catalog member with a log Gamma in its density or pmf that the suite
 # builds, with the benchmark's hard discrete members (poisson(300),
 # binomial(200, 0.02), negative-binomial(0.5, 0.9))

@@ -6,7 +6,10 @@ moment identity, closed-form Beta moments, exact finite sums via math.comb,
 and Poisson factorial moments.
 """
 
+import hashlib
+import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -20,10 +23,10 @@ from varbounds.cli import _mc_matrices
 from varbounds.distributions import (_pmf_table, _table_sampler,
                                      infer_quadratic)
 from varbounds.errors import NoSamplerError, TruncationError
-from varbounds.expectation import (Z_99, EngineConfig, FinitenessProbe,
-                                   Ladder, _classify, _unit_interval, probe,
-                                   sample, splitmix64_uniforms,
-                                   truncated_support)
+from varbounds.expectation import (BLOCK, Z_99, EngineConfig,
+                                   FinitenessProbe, Ladder, _classify,
+                                   _unit_interval, probe, sample,
+                                   splitmix64_uniforms, truncated_support)
 
 MASK = (1 << 64) - 1
 
@@ -196,6 +199,99 @@ def sixty_point_table():
                       pmf, _table_sampler(pmf, (0.0, 59.0)), "table-60")
 
 
+def sampled_cases():
+    """What ``sample`` draws and how a test reads it, per case name:
+    (spec, mc_samples, counted).  A counted case is read as its counted
+    grid, the distinct values with their counts; the others as the
+    variates in stream order."""
+    cases = {"normal": (catalog("normal"), None, False)}
+    for a in (0.05, 0.4, 2.67, 3.7, 40):
+        cases[f"gamma:shape={a}"] = (catalog("gamma", {"shape": a}), None,
+                                     False)
+    for a, b in ((0.3, 4), (0.5, 0.5), (2, 2), (2.5, 2.2), (3, 3), (40, 3)):
+        cases[f"beta:a={a},b={b}"] = (catalog("beta", {"a": a, "b": b}),
+                                      None, False)
+    # every discrete catalog family, the benchmark's hard discrete members
+    # and a tabulated member
+    for name, params in (
+            ("poisson", {"lam": 1}), ("poisson", {"lam": 7}),
+            ("poisson", {"lam": 300}), ("binomial", {"n": 10, "theta": 0.3}),
+            ("binomial", {"n": 200, "theta": 0.02}),
+            ("negative-binomial", {"r": 3, "theta": 0.4}),
+            ("negative-binomial", {"r": 0.5, "theta": 0.9}),
+            ("hypergeometric", {"N": 30, "K": 12, "n": 8})):
+        key = ",".join(f"{k}={v}" for k, v in params.items())
+        cases[f"{name}:{key}"] = (catalog(name, params), None, True)
+    cases["table-60"] = (sixty_point_table(), None, True)
+    # one block, either side of a block edge, three blocks and a part
+    for size in (2, 8191, 8193, 3 * 8192 + 17):
+        cases[f"gamma:shape=2.67@{size}"] = (
+            catalog("gamma", {"shape": 2.67}), size, False)
+        cases[f"beta:a=2.5,b=2.2@{size}"] = (
+            catalog("beta", {"a": 2.5, "b": 2.2}), size, False)
+    return cases
+
+
+def sample_digest(spec, size, counted):
+    """SHA-256 of the variates' float bits, or of a counted case's grid."""
+    cfg = EngineConfig() if size is None else EngineConfig(mc_samples=size)
+    xs = sample(spec, cfg)
+    arrays = [xs]
+    if counted:
+        grid = next(_Grid.from_samples(spec, xs, 0))
+        arrays = [grid.x, grid.counts]
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+SAMPLE_CASES = sampled_cases()
+# recorded from the unstreamed samplers: the whole stream through each
+# inverse transform at once, and a binary search per discrete draw.  The
+# bits are those of the numpy and scipy builds they were recorded with
+# (numpy 2.4.6, scipy 1.17.1); another build may round its log, exp or
+# special functions differently
+with open(os.path.join(os.path.dirname(__file__),
+                       "sample_digests.json")) as fh:
+    SAMPLE_DIGESTS = json.load(fh)
+
+
+def test_sample_digests_cover_every_case():
+    assert sorted(SAMPLE_DIGESTS) == sorted(SAMPLE_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_CASES))
+def test_variates_keep_their_bits(name):
+    assert sample_digest(*SAMPLE_CASES[name]) == SAMPLE_DIGESTS[name]
+
+
+def lookup_reference(js, cdf, u):
+    """The node of each draw by a binary search in the cumulative table."""
+    return js[np.clip(np.searchsorted(cdf, u, "left"), 0, js.size - 1)]
+
+
+@pytest.mark.parametrize("spec", [
+    catalog("poisson", {"lam": 2}),
+    catalog("binomial", {"n": 12, "theta": 0.35}),
+    catalog("hypergeometric", {"N": 50, "K": 20, "n": 10}),
+    sixty_point_table()], ids=lambda spec: spec.name)
+def test_discrete_counts_match_a_lookup_per_draw(spec, cfg):
+    js, pm, _, _ = truncated_support(spec)
+    cdf = np.cumsum(pm)
+    # every cumulative value, its neighbours and the draws above the last
+    edges = np.concatenate([cdf, np.nextafter(cdf, 0.0),
+                            np.nextafter(cdf, 1.0), [1.0 - 2.0**-53]])
+    u = np.concatenate([splitmix64_uniforms(cfg.mc_seed, cfg.mc_samples),
+                        edges[(edges > 0.0) & (edges < 1.0)]])
+    want = lookup_reference(js, cdf, u)
+    got = spec.sampler(u)
+    np.testing.assert_array_equal(got, np.sort(want))
+    for a, b in zip(np.unique(got, return_counts=True),
+                    np.unique(want, return_counts=True)):
+        np.testing.assert_array_equal(a, b)
+
+
 def sample_sums(spec, g, n, cfg):
     """``_mc_matrices`` as sums over all N samples, each of weight 1/N, with
     each row evaluated over the whole sample array one function at a time:
@@ -338,6 +434,27 @@ class TestMonteCarlo:
             tracemalloc.stop()
         m = g.p * (g.p + 1) // 2
         assert peak - sampling < 8 * bound(g.p, m, cfg.mc_samples)
+
+    # the N-arrays a sampler holds at its peak: the stream, with the mixing
+    # scratch while it is made, and the variates; gamma and beta also hold
+    # logit(u), and beta 1 - x.  Whole-stream temporaries read 12.9 MB on
+    # gamma(2.67), 15.8 on beta(2.5, 2.2) and 8.0 on normal and poisson.
+    @pytest.mark.parametrize("spec,arrays", [
+        (catalog("gamma", {"shape": 2.67}), 3),
+        (catalog("beta", {"a": 2.5, "b": 2.2}), 4),
+        (catalog("normal"), 3),
+        (catalog("poisson", {"lam": 2}), 3),
+    ], ids=lambda v: v.name if hasattr(v, "name") else str(v))
+    def test_memory_of_sampling(self, spec, arrays, cfg):
+        sample(spec, cfg)  # loads scipy and builds any table first
+        tracemalloc.start()
+        try:
+            sample(spec, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # with room for 32 block-sized temporaries
+        assert peak < 8 * (arrays * cfg.mc_samples + 32 * BLOCK)
 
     def test_reproducible(self, cfg):
         a = sample(catalog("normal"), cfg)
