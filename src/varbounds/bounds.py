@@ -16,6 +16,16 @@ product) in the discrete case.  The certified inequalities are
 
 both in the Loewner order.  Whenever E[w_k] vanishes (possible for discrete
 members) the k-th summand is the null matrix by convention.
+
+A request assembles every order up to its highest at once (``_Pass``).  On
+each grid the (top, N) weights w_k and the (top + 1, p, N) rows d^k g_i are
+stacks (``_Grid.powers``, ``_Grid.rows``); D and every H_k come from one
+stacked Gram product and every B_k from one stacked mat-vec; the checks,
+the symmetrisation, the entry brackets, the prefix sums S_n and L_n and the
+tested matrices A_n and D - L_n are array operations over the stacks; and
+D and every tested matrix are solved in one batched eigen-solve
+(``linalg.solve_spectra``).  Every value is, bit for bit, the one an order
+assembled on its own gets.
 """
 
 from __future__ import annotations
@@ -30,7 +40,8 @@ from .calculus import FunctionTuple, difference_of_rows, rising_q
 from .distributions import Spec, moment_criterion
 from .errors import (ClassMembershipError, InvalidParameterError,
                      NonFiniteIntegrandError, SingularCoefficientError)
-from .linalg import SymMatrix, eigenvalues, is_psd, spectral_radius
+from .linalg import (SymMatrix, eigenvalues, is_psd, solve_spectra,
+                     spectral_radius, symmetrized)
 # unused here: perfbench/tracing.py wraps these names in this module
 from .calculus import forward_difference  # noqa: F401
 from .linalg import loewner_leq  # noqa: F401
@@ -50,18 +61,20 @@ class _Grid:
     ``build`` gives the quadrature nodes or the positive-pmf support down
     to pmf underflow (``expectation.truncated_support``, which the class
     ladder uses too), and ``from_samples`` the grids of N Monte Carlo
-    samples.  The power q^k (q^[k]), the weight w_k, E[w_k] and each row
-    d^k g_i are evaluated on it once, when first asked for.  ``top`` is the
-    highest order a request reads on the grid: the bases of a tuple's
-    derivative table for every order up to it (on a discrete member its
-    rows g_i(x + j), j = 0..top, whose forward differences are the rows)
-    are evaluated together on the first read and kept; a read above it
-    evaluates and keeps them up to its own order."""
+    samples.
+
+    A request reads two stacks off a grid, each evaluated once, for every
+    order up to ``top`` (the highest order the request reads), and kept:
+    the (top + 1, N) powers q^k (q^[k]) and, per tuple, the (top + 1, p, N)
+    rows d^k g_i, written order by order into one array from the bases of
+    the tuple's derivative table for every order up to ``top`` (on a
+    discrete member its rows g_i(x + j), j = 0..top, whose forward
+    differences are the rows).  A read above ``top`` extends them."""
 
     def __init__(self, spec, x, w, tail=0.0, counts=None, top=0):
         self.spec, self.x, self.w, self.tail = spec, x, w, tail
         self.counts, self.top = counts, top
-        self._q, self._w, self._eq, self._d = {}, {}, {}, {}
+        self._q, self._eq, self._rows = None, {}, {}
         self._evaluated = {}  # id(table) -> (table, top, bases or shifts)
 
     @classmethod
@@ -89,23 +102,32 @@ class _Grid:
             x = xs[lo:lo + ex.BLOCK]
             yield cls(spec, x, 1.0 / xs.size, counts=ones[:x.size], top=top)
 
+    def powers(self, top):
+        """The read-only stack of q^k (continuous) or the rising products
+        q^[k] (discrete) at the grid points, k = 0..max(top, self.top)."""
+        q = self._q
+        if q is None or len(q) <= top:
+            done, top = 0 if q is None else len(q), max(top, self.top)
+            stack = np.empty((top + 1, self.x.size))
+            if done:
+                stack[:done] = q
+            if not self.spec.is_discrete:
+                qx = self.spec.q(self.x)
+            # a power past the largest float is a divergent weight, which
+            # the reads of the stack report
+            with np.errstate(over="ignore"):
+                for k in range(done, top + 1):
+                    stack[k] = (1.0 if k == 0 else
+                                rising_q(self.spec.q, k, self.x)
+                                if self.spec.is_discrete else qx ** k)
+            stack.setflags(write=False)
+            self._q = q = stack
+        return q
+
     def q_power(self, k):
         """q^k (continuous) or the rising product q^[k] (discrete) at the
         grid points."""
-        if k not in self._q:
-            if k == 0:
-                self._q[k] = np.ones_like(self.x)
-            elif self.spec.is_discrete:
-                self._q[k] = rising_q(self.spec.q, k, self.x)
-            else:
-                self._q[k] = self.spec.q(self.x) ** k
-        return self._q[k]
-
-    def weight(self, k):
-        """Grid weights times w_k, so that E[w_k phi] ~ sum(weight(k) phi)."""
-        if k not in self._w:
-            self._w[k] = self.w * _nonnegative(self.q_power(k), k)
-        return self._w[k]
+        return self.powers(k)[k]
 
     def expectation(self, k):
         """E[w_k], the grid sum of q^k (q^[k]) without clipping; a
@@ -123,22 +145,35 @@ class _Grid:
             self._eq[k] = float(contrib.sum())
         return self._eq[k]
 
-    def values(self, g, k):
-        """Rows of d^k g_i, evaluated once per tuple and order."""
-        key = (id(g.table), k)
-        if key not in self._d:
-            self._d[key] = (g.table, self.deriv_values(g, k))
-        return self._d[key][1]
-
-    def deriv_values(self, g, k):
-        """Rows of d^k g_i over the grid (exact derivative or forward
-        difference) from the derivative table of the tuple ``g``."""
+    def rows(self, g, top):
+        """The read-only stack of the rows d^k g_i of the tuple ``g``,
+        k = 0..max(top, self.top), written order by order by
+        ``deriv_values``."""
         table = g.table
-        if self.spec.is_discrete:
-            shifted = self._kept(table, k, self._shifted)
-            return shifted[0] if k == 0 else difference_of_rows(
-                shifted[:k + 1], k)
-        return table.rows(self._kept(table, k, self._bases), k)
+        _, stack = self._rows.get(id(table), (None, ()))
+        if len(stack) <= top:
+            self.top = top = max(top, self.top)
+            stack = np.empty((top + 1, len(table.functions), self.x.size))
+            for k in range(top + 1):
+                self.deriv_values(g, k, stack[k])
+            stack.setflags(write=False)
+            self._rows[id(table)] = (table, stack)
+        return stack
+
+    def deriv_values(self, g, k, out=None):
+        """Rows of d^k g_i over the grid (exact derivative or forward
+        difference) from the derivative table of the tuple ``g``, written
+        into ``out`` when it is given."""
+        table = g.table
+        if not self.spec.is_discrete:
+            return table.rows(self._kept(table, k, self._bases), k, out)
+        shifted = self._kept(table, k, self._shifted)
+        rows = shifted[0] if k == 0 else difference_of_rows(
+            shifted[:k + 1], k)
+        if out is None:
+            return rows
+        out[...] = rows
+        return out
 
     def _kept(self, table, k, evaluate):
         """``evaluate(table, top)`` for top = max(k, self.top), kept for the
@@ -164,39 +199,45 @@ class _Grid:
             rows.reshape(len(rows), top + 1, self.x.size).swapaxes(0, 1))
 
 
-def _nonnegative(qk, k):
-    """Weights clipped at zero; genuinely negative weights mean the spec
-    violates its family contract."""
-    scale = float(np.max(np.abs(qk))) or 1.0
-    if float(np.min(qk)) < -1e-12 * scale:
-        raise ClassMembershipError(
-            f"weight of order {k} is negative on the support grid; "
-            f"the spec is outside its family")
-    return np.maximum(qk, 0.0)
+def _refused(powers) -> np.ndarray:
+    """Whether each row of ``powers`` is negative on the grid beyond
+    roundoff: a negative weight w_k means the spec violates its family
+    contract."""
+    scale = np.max(np.abs(powers), axis=1)
+    scale[scale == 0.0] = 1.0
+    return np.min(powers, axis=1) < -1e-12 * scale
 
 
-def _gram(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    u = values * np.sqrt(weights)
-    return u @ u.T
+def _negative_weight(k) -> ClassMembershipError:
+    return ClassMembershipError(
+        f"weight of order {k} is negative on the support grid; "
+        f"the spec is outside its family")
 
 
-# ---------------------------------------------------------------------------
-# matrices
-# ---------------------------------------------------------------------------
-
-def _dispersion_array(grid: _Grid, g) -> np.ndarray:
-    vals = grid.values(g, 0)
+def _grid_terms(grid, g, keep, top, kinds):
+    """Raw D, H_k and B_k, k = 1..top, of the functions ``keep`` of ``g``
+    (all of them if None) on one grid, as (G, B): G[0] is D and G[k] H_k
+    (G is D alone without 'H' in ``kinds``), B[k - 1] is B_k (None
+    without 'B').  The rows u of every Gram form (the centred rows g_i for
+    D, the rows d^k g_i for H_k, each times the square root of its weights)
+    fill one (top + 1, p, N) array, and one stacked product u u^T gives
+    every form; one stacked mat-vec gives every E[w_k d^k g]."""
+    rows = grid.rows(g, top)[:top + 1]
+    if keep is not None:
+        rows = rows[:, keep]
+    weights = grid.w * np.maximum(grid.powers(top)[1:top + 1], 0.0)
+    vals = rows[0]
     means = (vals @ grid.w) / float(grid.w.sum())
-    return _gram(vals - means[:, None], grid.w)
-
-
-def _h_array(grid: _Grid, g, k) -> np.ndarray:
-    return _gram(grid.values(g, k), grid.weight(k))
-
-
-def _b_array(grid: _Grid, g, k) -> np.ndarray:
-    v = grid.values(g, k) @ grid.weight(k)
-    return np.outer(v, v)
+    u = np.empty((top + 1 if "H" in kinds else 1,) + vals.shape)
+    np.subtract(vals, means[:, None], out=u[0])
+    u[0] *= np.sqrt(grid.w)
+    if "H" in kinds:
+        np.multiply(rows[1:], np.sqrt(weights)[:, None, :], out=u[1:])
+    grams = u @ u.transpose(0, 2, 1)
+    if "B" not in kinds:
+        return grams, None
+    v = (rows[1:] @ weights[:, :, None])[..., 0]
+    return grams, v[:, :, None] * v[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -256,20 +297,6 @@ def _bessel_weight(spec, k, eq) -> TermWeight:
     return TermWeight(k, 1.0 / (math.factorial(k) * eq * prod), eq)
 
 
-def _pair(full: _Grid, half: _Grid, build, what):
-    """A matrix on the full grid and its bracket: the largest entry defect
-    against the half-resolution grid (none on discrete members, whose
-    summation has no coarser rule).  A non-finite entry on the full grid is
-    a divergent expectation and raises ``ClassMembershipError`` naming
-    ``what``; the overflow that produces it is not warned about."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = build(full)
-        if not np.all(np.isfinite(a)):
-            raise ClassMembershipError(f"divergent {what}")
-        b = a if half is full else build(half)
-    return a, float(np.max(np.abs(a - b)))
-
-
 # ---------------------------------------------------------------------------
 # class membership
 # ---------------------------------------------------------------------------
@@ -322,48 +349,63 @@ class _ClassCheck:
 
     def classify(self, n):
         """Classify, in one ladder pass, the rows of every order up to n
-        not classified yet.  An order whose weight is refused as negative
-        ends the pass: the orders before it are classified, and its error
-        is kept for ``upto``."""
+        not classified yet, built as stacks over those orders: the squares
+        w_k (d^k g_i)^2 (for 'H', and at k = 0 for 'B', which needs
+        Var[g] < inf too), the absolute values w_k |d^k g_i| (for 'B',
+        k > 0) and the moment rows |x|^(2k).  An order whose weight is
+        refused as negative ends the pass: the orders before it are
+        classified, and its error is kept for ``upto``."""
         if self.ladder is None:
             self.ladder = ex.Ladder.build(self.spec, self.cfg)
             self.nodes = _Grid(self.spec, self.ladder.x, self.ladder.w,
                                self.ladder.tail, top=n)
         if self.refusal is not None:
             return self
-        ladder, nodes, p = self.ladder, self.nodes, len(self.g)
-        root_w = np.sqrt(ladder.w)
-        orders = range(len(self.moments), n + 1)
-        rows, slots = [], []
+        ladder, classes, p = self.ladder, self.classes, len(self.g)
+        start, stop = len(self.moments), n + 1
+        squares = absolutes = range(0)
+        if classes and start < stop:
+            powers = self.nodes.powers(n)[start:stop]
+            refused = _refused(powers)
+            if refused.any():
+                stop = start + int(np.argmax(refused))
+                self.refusal = (stop, _negative_weight(stop))
+            squares = range(start, stop if "H" in classes else min(stop, 1))
+            absolutes = range(max(start, 1), stop if "B" in classes else 0)
+        moments = range(start, stop) if self.unbounded else range(0)
+        size = p * (len(squares) + len(absolutes))
+        contrib = np.empty((size + len(moments), ladder.x.size))
         # divergent integrands are fed on purpose; inf is a verdict, not a bug
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in orders if self.classes else ():
-                try:
-                    base = _nonnegative(nodes.q_power(k), k)
-                except ClassMembershipError as err:  # raised at order k
-                    self.refusal = (k, err)
-                    orders = range(orders.start, k)
-                    break
-                d = nodes.values(self.g, k)
-                at = {}
-                if "H" in self.classes or k == 0:  # B needs Var[g] < inf too
-                    # the node weight goes inside the square, as in _gram,
-                    # so a weighted square overflows only where it is itself
-                    # huge
-                    u = root_w * d
-                    at["H"] = at["B"] = len(rows)
-                    rows.append(base * (u * u))
-                if "B" in self.classes and k > 0:
-                    at["B"] = len(rows)
-                    rows.append(ladder.w * (base * np.abs(d)))
-                slots += [(cls, at[cls]) for cls in self.classes]
-            moments = [ladder.w * np.abs(ladder.x) ** (2 * k) for k in orders
-                       if self.unbounded]
-        probes = ladder.classify(np.vstack(rows + moments)) \
-            if rows or moments else []
-        for cls, block in slots:
-            self.probes[cls].append(probes[block * p:(block + 1) * p])
-        self.moments += probes[len(rows) * p:] or [None] * len(orders)
+            if size:
+                base = np.maximum(powers, 0.0)[:, None, :]
+                rows = self.nodes.rows(self.g, n)
+            if squares:
+                # the node weight goes inside the square, as in the Gram
+                # product, so a weighted square overflows only where it is
+                # itself huge
+                out = contrib[:p * len(squares)].reshape(len(squares), p, -1)
+                np.multiply(np.sqrt(ladder.w),
+                            rows[squares.start:squares.stop], out=out)
+                np.multiply(out, out, out=out)
+                np.multiply(base[:len(squares)], out, out=out)
+            if absolutes:
+                out = contrib[p * len(squares):size].reshape(len(absolutes), p,
+                                                             -1)
+                np.abs(rows[absolutes.start:absolutes.stop], out=out)
+                np.multiply(base[absolutes.start - start:stop - start], out,
+                            out=out)
+                np.multiply(ladder.w, out, out=out)
+            ax = np.abs(ladder.x)
+            for row, k in zip(contrib[size:], moments):
+                np.multiply(ladder.w, ax ** (2 * k), out=row)
+        probes = ladder.classify(contrib) if len(contrib) else []
+        for k in range(start, stop):
+            for cls in classes:
+                at = (k - squares.start if cls == "H" or k == 0
+                      else len(squares) + k - absolutes.start) * p
+                self.probes[cls].append(probes[at:at + p])
+        self.moments += probes[size:] or [None] * (stop - start)
         return self
 
     def upto(self, n):
@@ -442,14 +484,26 @@ class BoundReport:
     tol: float = 0.0
     provenance: dict = field(default_factory=dict)
     _d_minus_l: SymMatrix | None = field(default=None, repr=False)
+    # id(matrix) -> (matrix, nested list), shared by the reports of a pass
+    _lists: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
         return all(v.ok for v in self.verdicts.values())
 
     def to_json_dict(self) -> dict:
+        """The report as JSON data.  Each matrix's nested list is built
+        once and shared by the documents of the reports of one request, so
+        a caller must not modify it."""
+        lists = self._lists
+
         def arr(m):
-            return None if m is None else m.to_array().tolist()
+            if m is None:
+                return None
+            held = lists.get(id(m))
+            if held is None:
+                held = lists[id(m)] = (m, m._a.tolist())
+            return held[1]
 
         def weights(ws):
             return [{"k": tw.k, "weight": tw.weight, "null": tw.null,
@@ -489,75 +543,175 @@ class BoundReport:
         return rows
 
 
-class _Pass:
-    """One request's assembly: the full and half-resolution grids, the
-    coefficients of every order, and per set of functions kept, D and, for
-    H and B, the terms H_k (B_k) with their entry brackets, the prefix sums
-    S_n (L_n) and the running maxima of the brackets.  A discrete member's
-    summation grid is ``full``, the class check's when it built one.  The
-    grids read derivative rows up to order ``top``."""
+_THEOREMS = (("poincare", "H"), ("bessel", "B"))
 
-    def __init__(self, spec, cfg, theorems, tol_scale, top, full=None):
-        self.spec, self.cfg = spec, cfg
-        self.theorems, self.tol_scale = theorems, tol_scale
+
+class _Terms:
+    """The terms of one kind ('H': Gram, 'B': outer product) of one set of
+    functions kept, for every order 1..top, computed over their stacks at
+    once: the symmetrised terms, their faults, the running maxima of their
+    entry brackets (``worst[k]`` over the orders up to k), the prefix sums
+    and the tested matrices (A_n or D - L_n)."""
+
+    def __init__(self, kind, raw, half, sym, weights, d, refused):
+        """From the (top, p, p) raw terms on the full and the half grid,
+        their symmetrised stack, the TermWeight (or error) of each order,
+        the symmetrised D and whether w_k is refused on each grid."""
+        top = len(raw)
+        self.kind, self.sym = kind, sym
+        # per order k, in the order a report meets them: w_k negative on the
+        # full grid, a non-finite entry there, w_k negative on the half grid
+        # and a non-finite symmetrised entry
+        self.faults = np.array([
+            refused[0], ~np.isfinite(raw).all(axis=(1, 2)),
+            refused[1], ~np.isfinite(sym).all(axis=(1, 2))])
+        worst = np.zeros(top + 1)
+        worst[1:] = np.max(np.abs(raw - half), axis=(1, 2))
+        # fmax passes over a NaN bracket (an overflow on the half grid only)
+        self.worst = np.fmax.accumulate(worst)
+        # S_n (L_n): one running sum of the weighted terms after a zero; a
+        # null term adds zeros, and so does an order whose coefficient is
+        # refused, which no report reads past
+        sums = np.empty((top + 1,) + d.shape)
+        sums[0] = 0.0
+        np.multiply(np.array([
+            tw.weight if isinstance(tw, TermWeight) and not tw.null else 0.0
+            for tw in weights])[:, None, None], raw, out=sums[1:])
+        self.total = symmetrized(np.cumsum(sums, axis=0, out=sums)[1:])
+        if kind == "H":
+            signs = np.where(np.arange(1, top + 1) % 2, -1.0, 1.0)
+            self.tested = (d - self.total) * signs[:, None, None] + 0.0
+        else:
+            self.tested = d - self.total + 0.0
+        self.overflow = ~(np.isfinite(self.total).all(axis=(1, 2))
+                          & np.isfinite(self.tested).all(axis=(1, 2)))
+        for a in (sym, self.total, self.tested):
+            a.setflags(write=False)
+        self.mats = [None] * top  # the SymMatrix of each order, once read
+
+    def read(self, n):
+        """The terms of orders 1..n and the order-n prefix sum and tested
+        matrix, raising the first fault among them."""
+        faults = self.faults[:, :n]
+        if faults.any():
+            k = int(np.argmax(faults.any(axis=0)))
+            fault = int(np.argmax(faults[:, k]))
+            if fault in (0, 2):
+                raise _negative_weight(k + 1)
+            if fault == 1:
+                what = "Gram matrix" if self.kind == "H" else "outer product"
+                raise ClassMembershipError(
+                    f"divergent entry in order-{k + 1} {what}")
+        if faults.any() or self.overflow[n - 1]:  # beyond the largest float
+            raise ValueError("matrix entries must be finite")
+        for k in range(n):
+            if self.mats[k] is None:
+                self.mats[k] = SymMatrix._view(self.sym[k])
+        return (self.mats[:n], SymMatrix._view(self.total[n - 1]),
+                SymMatrix._view(self.tested[n - 1]))
+
+
+class _Pass:
+    """One request's assembly, every order up to ``top`` at once.
+
+    It holds the full and half-resolution grids (a discrete member's
+    summation grid is ``full``, the class check's when it built one), the
+    coefficients of every order and, per set of functions kept, D and the
+    ``_Terms`` of H and B.  On each grid the stacks of weights w_k and rows
+    d^k g_i give D and every H_k in one stacked Gram product and every B_k
+    in one stacked mat-vec (``_grid_terms``); then, over the stacks at
+    once, come the finiteness checks, the symmetrisation, the entry
+    brackets (the running maxima of |full - half|), the prefix sums S_n
+    and L_n (one cumulative sum of the weighted terms) and the tested
+    matrices A_n and D - L_n.  A fault of any order is found then but
+    raised only when a report reads its order, in the order a report
+    reads: dispersion matrix, then per theorem the coefficients of orders
+    1..n and the terms of orders 1..n.  ``judge`` solves D and the tested
+    matrices of every report in one batched eigen-solve."""
+
+    def __init__(self, spec, cfg, g, theorems, tol_scale, top, full=None):
+        self.spec, self.g, self.top = spec, g, top
+        self.tol_scale = tol_scale
+        self.kinds = [kind for name, kind in _THEOREMS if name in theorems]
         self.full = full or _Grid.build(spec, cfg, top=top)
         self.half = self.full if spec.is_discrete else _Grid.build(
             spec, cfg, max(10, cfg.quad_nodes // 2), top)
-        self.weights = {"H": [], "B": []}  # TermWeight of order 1, 2, ...
-        self.subsets = {}
+        self.engine = asdict(cfg)
+        self.lists = {}  # nested lists of the matrices, shared by the JSON
+        self.weights = {}  # kind -> TermWeight, or its error, of each order
+        self.sets = {}  # kept functions -> (D, its bracket, its fault, terms)
 
-    def _subset(self, g):
-        key = tuple(map(id, g))
-        if key not in self.subsets:
-            d, bracket = _pair(self.full, self.half,
-                               lambda grid: _dispersion_array(grid, g),
-                               "second moment in dispersion matrix")
-            d = SymMatrix.from_array(d)
-            zeros = np.zeros((g.p, g.p))
-            self.subsets[key] = (d, bracket, spectral_radius(d),
-                                 {kind: ([], [0.0], [zeros]) for kind in "HB"})
-        return self.subsets[key]
+    def _weights(self, kind):
+        """The TermWeight of every order 1..top, or the error its own
+        call raises."""
+        if kind not in self.weights:
+            spec, full, out = self.spec, self.full, []
+            for k in range(1, self.top + 1):
+                try:
+                    out.append(_poincare_weight(spec, full, k) if kind == "H"
+                               else _bessel_weight(spec, k,
+                                                   full.expectation(k)))
+                except (NonFiniteIntegrandError,
+                        SingularCoefficientError) as err:
+                    out.append(err)
+            self.weights[kind] = out
+        return self.weights[kind]
 
-    def report(self, n, g, dropped) -> BoundReport:
-        spec, cfg = self.spec, self.cfg
-        d, d_bracket, rho, terms = self._subset(g)
-        report = BoundReport(n=n, p=g.p, D=d,
-                             tol=self.tol_scale * (1.0 + rho))
+    def _assemble(self, keep):
+        """D, its bracket and fault, and the ``_Terms`` of each kind, of the
+        functions ``keep``: a subset reads its rows off the whole tuple's."""
+        top, full, half = self.top, self.full, self.half
+        sel = None if len(keep) == self.g.p else list(keep)
+        refused = [_refused(grid.powers(top)[1:top + 1])
+                   for grid in (full, half)]
+        # a divergent entry is a fault to report, not a numerical accident
+        with np.errstate(over="ignore", invalid="ignore"):
+            grams, outer = _grid_terms(full, self.g, sel, top, self.kinds)
+            half_grams, half_outer = (grams, outer) if half is full else \
+                _grid_terms(half, self.g, sel, top, self.kinds)
+            sym = symmetrized(grams)
+            d = sym[0]
+            fault = None
+            if not np.isfinite(grams[0]).all():
+                fault = ClassMembershipError(
+                    "divergent second moment in dispersion matrix")
+            elif not np.isfinite(d).all():
+                fault = ValueError("matrix entries must be finite")
+            terms = {kind: _Terms(kind, *(
+                (grams[1:], half_grams[1:], sym[1:]) if kind == "H" else
+                (outer, half_outer, symmetrized(outer))),
+                self._weights(kind), d, refused) for kind in self.kinds}
+            bracket = float(np.max(np.abs(grams[0] - half_grams[0])))
+        d.setflags(write=False)
+        return SymMatrix._view(d), bracket, fault, terms
+
+    def report(self, n, keep, dropped) -> BoundReport:
+        """The order-n report on the functions ``keep`` of the tuple, all
+        but its verdicts, which ``judge`` gives."""
+        if keep not in self.sets:
+            self.sets[keep] = self._assemble(keep)
+        d, d_bracket, fault, terms = self.sets[keep]
+        if fault is not None:
+            raise fault
+        report = BoundReport(n=n, p=len(keep), D=d, _lists=self.lists)
         brackets = {"D": d_bracket}
-        for name, kind in (("poincare", "H"), ("bessel", "B")):
-            if name not in self.theorems:
-                continue
-            weights = self.weights[kind]
-            for k in range(len(weights) + 1, n + 1):
-                weights.append(
-                    _poincare_weight(spec, self.full, k) if kind == "H"
-                    else _bessel_weight(spec, k, self.full.expectation(k)))
-            build, what = ((_h_array, "Gram matrix") if kind == "H"
-                           else (_b_array, "outer product"))
-            mats, worst, sums = terms[kind]
-            for tw in weights[len(mats):n]:
-                arr, bracket = _pair(self.full, self.half,
-                                     lambda grid: build(grid, g, tw.k),
-                                     f"entry in order-{tw.k} {what}")
-                mats.append(SymMatrix.from_array(arr))
-                worst.append(max(worst[-1], bracket))
-                sums.append(sums[-1] if tw.null else sums[-1] + tw.weight * arr)
-            total = SymMatrix.from_array(sums[n])
-            brackets[kind + "_max"] = worst[n]
+        for kind in self.kinds:
+            weights = self._weights(kind)[:n]
+            for tw in weights:
+                if not isinstance(tw, TermWeight):
+                    raise tw
+            mats, total, tested = terms[kind].read(n)
+            brackets[kind + "_max"] = float(terms[kind].worst[n])
             if kind == "H":
-                report.poincare_weights, report.H = weights[:n], mats[:n]
-                sign = 1.0 if n % 2 == 0 else -1.0
-                report.S, report.A = total, sign * (d - total)
-                report.verdicts[name] = is_psd(report.A, report.tol)
+                report.poincare_weights, report.H = weights, mats
+                report.S, report.A = total, tested
             else:
-                report.bessel_weights, report.B = weights[:n], mats[:n]
-                report.L, report._d_minus_l = total, d - total
-                report.verdicts[name] = is_psd(report._d_minus_l, report.tol)
-
+                report.bessel_weights, report.B = weights, mats
+                report.L, report._d_minus_l = total, tested
         report.provenance = {
-            "engine": asdict(cfg),
+            "engine": self.engine,
             "tol_scale": self.tol_scale,
-            "spectral_radius_D": rho,
+            "spectral_radius_D": None,  # set by judge
             "entry_brackets": brackets,
             "discrete_tail_bound": self.full.tail,
             "dropped_functions": dropped,
@@ -566,6 +720,21 @@ class _Pass:
                            if tw.null],
         }
         return report
+
+    def judge(self, reports):
+        """Solve D and the tested matrices of ``reports`` in one batched
+        eigen-solve, and give each report its tolerance and verdicts."""
+        solve_spectra([m for r in reports for m in (r.D, r.A, r._d_minus_l)
+                       if m is not None])
+        for report in reports:
+            rho = spectral_radius(report.D)
+            report.tol = self.tol_scale * (1.0 + rho)
+            report.provenance["spectral_radius_D"] = rho
+            if report.A is not None:
+                report.verdicts["poincare"] = is_psd(report.A, report.tol)
+            if report._d_minus_l is not None:
+                report.verdicts["bessel"] = is_psd(report._d_minus_l,
+                                                   report.tol)
 
 
 def bound_reports(spec: Spec, g: FunctionTuple, orders,
@@ -600,13 +769,13 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
         raise ValueError(f"unknown theorems {sorted(unknown)}")
     if class_policy not in ("raise", "drop", "skip"):
         raise ValueError("class_policy must be 'raise', 'drop' or 'skip'")
-    check = _ClassCheck(spec, g, [
-        cls for name, cls in (("poincare", "H"), ("bessel", "B"))
-        if name in theorems and class_policy != "skip"], cfg)
+    check = _ClassCheck(spec, g, [cls for name, cls in _THEOREMS
+                                  if name in theorems
+                                  and class_policy != "skip"], cfg)
     if check.classes or check.unbounded:
         check.classify(max(orders))
     assembly = None
-    done, subsets = {}, {}  # one tuple, with one table, per kept set
+    done = {}
     for n in sorted(set(orders)):
         if not check.moment_finite(n):
             raise ClassMembershipError(
@@ -628,14 +797,11 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
                 if not keep:
                     raise ClassMembershipError(
                         "no test function passes the class checks", ())
-        assembly = assembly or _Pass(spec, cfg, theorems, tol_scale,
+        assembly = assembly or _Pass(spec, cfg, g, theorems, tol_scale,
                                      max(orders), check.nodes
                                      if spec.is_discrete else None)
-        key = tuple(sorted(keep))
-        if dropped and key not in subsets:
-            subsets[key] = g.subset(key)
-        kept = subsets[key] if dropped else g
-        done[n] = assembly.report(n, kept, dropped)
+        done[n] = assembly.report(n, tuple(sorted(keep)), dropped)
+    assembly.judge(list(done.values()))
     return [done[n] for n in orders]
 
 

@@ -263,22 +263,22 @@ class DerivativeTable:
                 getattr(np, kind)(a * x + b, out=out)
         return values, pos
 
-    def rows(self, bases, k):
+    def rows(self, bases, k, out=None):
         """The (p, N) rows of d^k from ``bases`` (of a set of orders that
         includes k): one gather-multiply per summand slot, summed in
-        order."""
+        order; written into ``out`` when it is given."""
         values, pos = bases
-        out = None
-        for u, v, scale in self.summands(k):
-            term = values[pos[u]]
+        for s, (u, v, scale) in enumerate(self.summands(k)):
+            term = values[pos[u]] if s else np.take(values, pos[u], axis=0,
+                                                    out=out)
             if v is not None:
                 term *= values[pos[v]]
             if scale is not None:
                 term *= scale
-            if out is None:
-                out = term
-            else:
+            if s:
                 out += term
+            else:
+                out = term
         return out
 
 

@@ -66,7 +66,8 @@ def splitmix64_uniforms(seed: int, count: int) -> np.ndarray:
 
     Draw i (1-based) mixes the state ``seed + i * 0x9E3779B97F4A7C15`` and maps
     the top 53 bits to the open interval through ``_unit_interval``.  The
-    states are mixed in place, with one scratch array for the shifts.
+    states are mixed in place, with one scratch array for the shifts, freed
+    before the float conversion: at most two count-sized arrays are held.
     """
     z = np.arange(1, count + 1, dtype=np.uint64)
     z *= np.uint64(0x9E3779B97F4A7C15)
@@ -77,6 +78,7 @@ def splitmix64_uniforms(seed: int, count: int) -> np.ndarray:
         z ^= np.right_shift(z, np.uint64(shift), out=shifted)
         z *= np.uint64(multiplier)
     z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    del shifted
     z >>= np.uint64(11)
     return _unit_interval(z)
 

@@ -5,6 +5,11 @@ predicates on it.
 Eigenvalues come from LAPACK through ``numpy.linalg.eigvalsh``.  The verdict
 tolerance is absolute (it scales with the spectral radius of D), so a solver
 with high relative accuracy for tiny eigenvalues would gain nothing.
+
+A stack of matrices is symmetrised in one pass (``symmetrized``), and
+``solve_spectra`` solves many matrices in one batched ``eigvalsh`` call per
+order.  numpy runs LAPACK on each matrix of a batch in turn, so every
+spectrum is, bit for bit, the one a call of its own gives.
 """
 
 from __future__ import annotations
@@ -32,6 +37,12 @@ class SymMatrix:
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
         a.setflags(write=False)
+        return cls._view(a)
+
+    @classmethod
+    def _view(cls, a: np.ndarray) -> "SymMatrix":
+        """A matrix over ``a``: read-only, finite, exactly symmetric and
+        free of -0.0, as the caller guarantees."""
         m = object.__new__(cls)
         object.__setattr__(m, "order", a.shape[0])
         object.__setattr__(m, "_a", a)
@@ -90,6 +101,12 @@ class SymMatrix:
         return float(np.max(np.abs(self._a)))
 
 
+def symmetrized(a: np.ndarray) -> np.ndarray:
+    """0.5 (a + a^T) + 0.0 of every matrix of a (m, p, p) stack, as
+    ``SymMatrix.from_array`` forms it of one."""
+    return 0.5 * (a + a.transpose(0, 2, 1)) + 0.0
+
+
 def eigenvalues(m: SymMatrix) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending (LAPACK ``syevd`` through
     ``numpy.linalg.eigvalsh``).  Each matrix is solved once; later calls
@@ -99,6 +116,21 @@ def eigenvalues(m: SymMatrix) -> np.ndarray:
         vals.setflags(write=False)
         object.__setattr__(m, "_eig", vals)
     return m._eig
+
+
+def solve_spectra(matrices) -> None:
+    """Solve every matrix of ``matrices`` not solved yet in one batched
+    ``eigvalsh`` call per order, and keep each spectrum on its matrix."""
+    by_order = {}
+    for m in matrices:
+        if m._eig is None:
+            by_order.setdefault(m.order, {})[id(m)] = m
+    for group in by_order.values():
+        group = list(group.values())
+        vals = eigvalsh(np.stack([m._a for m in group]))
+        vals.setflags(write=False)
+        for m, v in zip(group, vals):
+            object.__setattr__(m, "_eig", v)
 
 
 @dataclass(frozen=True)

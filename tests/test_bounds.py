@@ -259,9 +259,9 @@ class TestClassChecks:
         rows = []
         original = DerivativeTable.rows
 
-        def counted(self, bases, k):
+        def counted(self, bases, k, out=None):
             rows.append(k)
-            return original(self, bases, k)
+            return original(self, bases, k, out)
 
         monkeypatch.setattr(DerivativeTable, "rows", counted)
         g = tuple_of("x^3", "exp(0.4*x)", "x*sin(2*x)")
@@ -494,9 +494,9 @@ class TestOnePass:
                       tuple_of("x", "x^2", "log(x)"), range(1, 5), cfg,
                       class_policy="drop")
         # log(x) leaves the Gram class at k = 2: the whole tuple's bases on
-        # the class ladder and, for order 1, on the full and half grids; the
-        # one subset (x, x^2) of orders 2-4 on the full and half grids
-        assert len(base_evaluations) == 5
+        # the class ladder, the full and the half grid; the subset (x, x^2)
+        # of orders 2-4 reads its rows off the whole tuple's
+        assert len(base_evaluations) == 3
 
     @pytest.mark.parametrize("dist,grids", [("normal", 3),
                                             ("poisson:lam=3.815", 1)])
@@ -552,6 +552,65 @@ class TestOnePass:
         assert [r.n for r in bound_reports(spec, tuple_of("x"), [2, 1],
                                            cfg)] == [2, 1]
 
+    def test_divergent_term_is_raised_at_its_own_order(self, cfg):
+        # d^3 sin(1e60 x) = -1e180 cos(1e60 x): under 'skip' only the
+        # order-3 Gram entries overflow; the stacks hold them from order 1 on
+        spec, g = catalog("normal"), tuple_of("x", "sin(1e60*x)")
+        message = "divergent entry in order-3 Gram matrix"
+        for orders in ([3], [1, 3], [3, 2, 1]):
+            with pytest.raises(ClassMembershipError, match=message):
+                bound_reports(spec, g, orders, cfg, class_policy="skip")
+        assert [r.n for r in bound_reports(spec, g, [1, 2], cfg,
+                                           class_policy="skip")] == [1, 2]
+
+    def test_class_failure_precedes_an_earlier_singular_coefficient(self,
+                                                                    cfg):
+        # delta = 1 makes the order-2 coefficients singular; the third
+        # derivative of (1 - x)^2 log(1 - x) is 2 / (1 - x), whose square
+        # the uniform density on (-1, 1) does not integrate: the Gram class
+        # fails at order 3 only.  The class check of order 3 comes before
+        # the coefficients its report reads, so [1, 3] raises the failure
+        spec = ContinuousIP(0.0, Quadratic(1.0, 0.0, 1.0), (-1.0, 1.0),
+                            lambda x: np.full(np.shape(x), 0.5))
+        g = tuple_of("log(1-x) - 2*x*log(1-x) + x^2*log(1-x)")
+        assert check_class(spec, g, 3, "H", cfg).verdicts == \
+            ((True, True, True, False),)
+        with pytest.raises(ClassMembershipError,
+                           match=r"class H check failed .* \[\(0, 3\)\]"):
+            bound_reports(spec, g, [1, 3], cfg)
+        with pytest.raises(SingularCoefficientError):
+            bound_reports(spec, g, [1, 2], cfg)
+
+    def test_negative_weight_is_raised_when_its_order_is_read(self, cfg):
+        # under 'skip' no class check reads the weights first.  q(j) =
+        # (j - 2.5)(j - 3.5) on {0, 1}: q^[3](1) = q(1) q(2) q(3) < 0, but
+        # delta = 1 makes the order-2 coefficients singular, so no report
+        # reads order 3
+        def pmf(k):
+            k = np.asarray(k, dtype=float)
+            return np.where(k == 0, 0.4, np.where(k == 1, 0.6, 0.0))
+
+        spec = DiscreteCO(0.6, Quadratic(1.0, -6.0, 8.75), (0.0, 1.0), pmf)
+        for orders in ([1, 3], [3]):
+            with pytest.raises(SingularCoefficientError) as err:
+                bound_reports(spec, tuple_of("x"), orders, cfg,
+                              class_policy="skip")
+            assert (err.value.k, err.value.j) == (2, 1)
+        # q(j) = 60.5 - j on 0..59: q^[3] < 0 at j = 59 only
+        def pmf60(k):
+            k = np.asarray(k, dtype=float)
+            return np.where((k >= 0) & (k <= 59), 0.5 ** (k + 1), 0.0)
+
+        spec = DiscreteCO(1.0, Quadratic(0.0, -1.0, 60.5), (0.0, math.inf),
+                          pmf60)
+        for orders in ([1, 3], [3]):
+            with pytest.raises(ClassMembershipError,
+                               match="weight of order 3"):
+                bound_reports(spec, tuple_of("x"), orders, cfg,
+                              class_policy="skip")
+        assert len(bound_reports(spec, tuple_of("x"), [1, 2], cfg,
+                                 class_policy="skip")) == 2
+
     def test_one_q_power_per_order_on_discrete_grids(self, cfg, monkeypatch):
         calls = []
         original = bounds.rising_q
@@ -578,11 +637,15 @@ class TestOnePass:
         g = tuple_of("x", "x*sin(2*x)", "x^2*exp(0.25*x)")
         reports = bound_reports(catalog("poisson", {"lam": 3}), g,
                                 range(1, 9), cfg)
+        # D and every order's A and D - L in one batched call
+        assert solves == [(1 + 8 * 2, 3, 3)]
         for report in reports:
             report.eigen_rows()
-        # D once; per order A, D - L (verdict and eigen_rows), S and L;
-        # each H_k and B_k once, shared by the reports of every order >= k
-        assert len(solves) == 1 + 8 * 4 + 8 * 2
+        # then S and L of every order, and each H_k and B_k once, shared by
+        # the reports of every order >= k
+        assert sum(s[0] if len(s) == 3 else 1 for s in solves) == \
+            1 + 8 * 4 + 8 * 2
+        assert [s for s in solves if len(s) == 3] == [(17, 3, 3)]
 
     def test_differences_of_shifted_rows_are_forward_differences(self, cfg):
         g = tuple_of("x^3", "exp(0.3*x)", "x*cos(0.8*x)")

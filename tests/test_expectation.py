@@ -406,44 +406,44 @@ class TestMonteCarlo:
             np.testing.assert_allclose(a_ci, b_ci, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(scale)))
 
-    # past sampling, the rows g_i are the one (p, N) array held, beside one
-    # buffer of a block's p(p+1)/2 + p entries and the block's bases: at
-    # p = 3, n = 2 and 200k samples 0.3 MB over the peak of sampling (whole-
-    # sample rows per order read 11.2 MB; the bound fails if one more
-    # (p, N) array is held); at p = 16, n = 4 35 MB (whole-sample rows per
-    # order read 56 MB, a buffer of every order's entries 107 MB)
-    @pytest.mark.parametrize("exprs,n,bound", [
-        (("x", "exp(0.1*x)", "x*cos(0.9*x)"), 2, lambda p, m, size: p * size),
+    # the pass holds the N samples, the rows g_i as one (p, N) array, and
+    # per block one buffer of its p(p+1)/2 + p entries beside the block's
+    # derivative rows, bases and powers: bounded by the buffer, twice the
+    # p (n + 1) rows of orders 0..n and 16 more block-sized rows.  That is
+    # 9.2 MB at p = 3, n = 2 and 200k samples (the pass reads 8.5 MB; one
+    # more (p, N) array would take it past the bound) and 48.7 MB at p = 16,
+    # n = 4 (reads 43.8 MB; whole-sample rows per order read 56 MB over
+    # sampling, a buffer of every order's entries 107 MB)
+    @pytest.mark.parametrize("exprs,n", [
+        (("x", "exp(0.1*x)", "x*cos(0.9*x)"), 2),
         (("x", "x^2", "exp(0.1*x)", "exp(-0.2*x)", "sin(0.7*x)",
           "cos(1.1*x)", "x*cos(0.9*x)", "x*sin(0.3*x)", "x^3",
           "x*exp(0.05*x)", "sin(0.2*x)", "cos(0.4*x)", "exp(0.3*x)",
-          "x^2*sin(0.5*x)", "x*cos(0.6*x)", "exp(0.15*x)*x"), 4,
-         lambda p, m, size: p * size + 2 * (m + p) * 8192),
+          "x^2*sin(0.5*x)", "x*cos(0.6*x)", "exp(0.15*x)*x"), 4),
     ], ids=["p3", "p16"])
-    def test_memory_over_sampling(self, exprs, n, bound, cfg):
+    def test_memory_of_the_pass(self, exprs, n, cfg):
         spec, g = catalog("normal"), tuple_of(*exprs)
-        _mc_matrices(spec, g, n, cfg)
+        _mc_matrices(spec, g, n, cfg)  # loads and builds what it caches
         tracemalloc.start()
         try:
-            sample(spec, cfg)
-            sampling = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
             _mc_matrices(spec, g, n, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        m = g.p * (g.p + 1) // 2
-        assert peak - sampling < 8 * bound(g.p, m, cfg.mc_samples)
+        p, size = g.p, cfg.mc_samples
+        block = p * (p + 1) // 2 + p + 2 * p * (n + 1) + 16
+        assert peak < 8 * (size + p * size + block * BLOCK)
 
-    # the N-arrays a sampler holds at its peak: the stream, with the mixing
-    # scratch while it is made, and the variates; gamma and beta also hold
-    # logit(u), and beta 1 - x.  Whole-stream temporaries read 12.9 MB on
-    # gamma(2.67), 15.8 on beta(2.5, 2.2) and 8.0 on normal and poisson.
+    # the N-arrays a sampler holds at its peak: the stream and its uniforms
+    # while they are converted (the mixing scratch is freed first); gamma
+    # and beta also hold logit(u) and the variates, and beta 1 - x.
+    # Whole-stream temporaries read 12.9 MB on gamma(2.67), 15.8 on
+    # beta(2.5, 2.2) and 8.0 on normal and poisson.
     @pytest.mark.parametrize("spec,arrays", [
         (catalog("gamma", {"shape": 2.67}), 3),
         (catalog("beta", {"a": 2.5, "b": 2.2}), 4),
-        (catalog("normal"), 3),
-        (catalog("poisson", {"lam": 2}), 3),
+        (catalog("normal"), 2),
+        (catalog("poisson", {"lam": 2}), 2),
     ], ids=lambda v: v.name if hasattr(v, "name") else str(v))
     def test_memory_of_sampling(self, spec, arrays, cfg):
         sample(spec, cfg)  # loads scipy and builds any table first

@@ -8,8 +8,9 @@ import pathlib
 import numpy as np
 import pytest
 
+from varbounds import linalg
 from varbounds.linalg import (SymMatrix, eigenvalues, is_psd, loewner_leq,
-                              spectral_radius)
+                              solve_spectra, spectral_radius, symmetrized)
 
 
 def cofactor_det(a):
@@ -164,3 +165,56 @@ class TestSymMatrix:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             SymMatrix.from_array([[np.inf, 0.0], [0.0, 1.0]])
+
+
+class TestStacks:
+    """A stack is symmetrised and solved as each of its matrices alone."""
+
+    @pytest.mark.parametrize("p", [1, 3, 4, 16, 32])
+    def test_batched_spectra_equal_single_solves_bit_for_bit(self, p,
+                                                             monkeypatch):
+        rng = np.random.default_rng(p)
+        stack = rng.normal(size=(9, p, p)) * 10.0 ** rng.integers(-8, 8, 9)[
+            :, None, None]
+        stack[4] = 0.0  # a null matrix among them
+        singles = [SymMatrix.from_array(a + a.T) for a in stack]
+        batched = [SymMatrix.from_array(a + a.T) for a in stack]
+        calls = []
+        original = linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(linalg, "eigvalsh", counted)
+        eigenvalues(batched[0])  # solved already: not solved again
+        solve_spectra(batched + batched[:2])
+        assert calls == [(p, p), (8, p, p)]
+        for one, many in zip(singles, batched):
+            assert eigenvalues(one).tobytes() == eigenvalues(many).tobytes()
+
+    def test_one_call_per_order(self, monkeypatch):
+        calls = []
+        original = linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(linalg, "eigvalsh", counted)
+        mats = [SymMatrix.from_array(np.eye(p) * (i + 1))
+                for i, p in enumerate((2, 3, 2, 3, 3))]
+        solve_spectra(mats)
+        assert sorted(calls) == [(2, 2, 2), (3, 3, 3)]
+        assert [float(eigenvalues(m)[0]) for m in mats] == [1, 2, 3, 4, 5]
+
+    def test_symmetrized_as_from_array(self):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(5, 4, 4))
+        a = a + a.transpose(0, 2, 1)
+        a[2] = -0.0  # turned into +0.0
+        a[3] += np.triu(a[3]) * 1e-13  # symmetric within tolerance
+        sym = symmetrized(a)
+        for one, many in zip(a, sym):
+            assert SymMatrix.from_array(one).to_array().tobytes() == \
+                many.tobytes()
