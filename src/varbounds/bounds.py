@@ -17,15 +17,17 @@ product) in the discrete case.  The certified inequalities are
 both in the Loewner order.  Whenever E[w_k] vanishes (possible for discrete
 members) the k-th summand is the null matrix by convention.
 
-A request assembles every order up to its highest at once (``_Pass``).  On
-each grid the (top, N) weights w_k and the (top + 1, p, N) rows d^k g_i are
-stacks (``_Grid.powers``, ``_Grid.rows``); D and every H_k come from one
-stacked Gram product and every B_k from one stacked mat-vec; the checks,
-the symmetrisation, the entry brackets, the prefix sums S_n and L_n and the
-tested matrices A_n and D - L_n are array operations over the stacks; and
-D and every tested matrix are solved in one batched eigen-solve
-(``linalg.solve_spectra``).  Every value is, bit for bit, the one an order
-assembled on its own gets.
+A request assembles every order up to its highest, top, at once
+(``_Pass``).  Each grid is built for top and read only as two whole stacks,
+the (top + 1, N) weights w_k and the (top + 1, p, N) rows d^k g_i
+(``_Grid.powers``, ``_Grid.rows``), and the class check classifies every
+order up to top in one ladder pass on its first read (``_ClassCheck``).
+D and every H_k come from one stacked Gram product and every B_k from one
+stacked mat-vec; the checks, the symmetrisation, the entry brackets, the
+prefix sums S_n and L_n and the tested matrices A_n and D - L_n are array
+operations over the stacks; and D and every tested matrix are solved in one
+batched eigen-solve (``linalg.solve_spectra``).  Every value is, bit for
+bit, the one an order assembled on its own gets.
 """
 
 from __future__ import annotations
@@ -63,19 +65,19 @@ class _Grid:
     ladder uses too), and ``from_samples`` the grids of N Monte Carlo
     samples.
 
-    A request reads two stacks off a grid, each evaluated once, for every
-    order up to ``top`` (the highest order the request reads), and kept:
-    the (top + 1, N) powers q^k (q^[k]) and, per tuple, the (top + 1, p, N)
-    rows d^k g_i, written order by order into one array from the bases of
-    the tuple's derivative table for every order up to ``top`` (on a
-    discrete member its rows g_i(x + j), j = 0..top, whose forward
-    differences are the rows).  A read above ``top`` extends them."""
+    A grid is built for the highest order ``top`` its request reads, and
+    it is read as two stacks over the orders 0..top, each evaluated once
+    and kept: the (top + 1, N) powers q^k (q^[k]) and, per tuple, the
+    (top + 1, p, N) rows d^k g_i, written order by order into one array
+    from one evaluation of the bases of the tuple's derivative table for
+    every order (on a discrete member its rows g_i(x + j), j = 0..top,
+    whose forward differences are the rows).  No order above ``top`` is
+    read."""
 
     def __init__(self, spec, x, w, tail=0.0, counts=None, top=0):
         self.spec, self.x, self.w, self.tail = spec, x, w, tail
         self.counts, self.top = counts, top
         self._q, self._eq, self._rows = None, {}, {}
-        self._evaluated = {}  # id(table) -> (table, top, bases or shifts)
 
     @classmethod
     def build(cls, spec, cfg=None, n_nodes=None, top=0):
@@ -88,11 +90,11 @@ class _Grid:
 
     @classmethod
     def from_samples(cls, spec, xs, top):
-        """The grids of the N samples ``xs``, each of weight 1/N, reading
-        rows up to order ``top`` and carrying the integer ``counts`` of
-        their points: one grid of a discrete member's few distinct values,
-        with weights count/N, or one per ``expectation.BLOCK`` of a
-        continuous member's samples, made as they are read."""
+        """The grids of the N samples ``xs``, each of weight 1/N, read up to
+        order ``top`` and carrying the integer ``counts`` of their points:
+        one grid of a discrete member's few distinct values, with weights
+        count/N, or one per ``expectation.BLOCK`` of a continuous member's
+        samples, made as they are read."""
         if spec.is_discrete:
             x, counts = np.unique(xs, return_counts=True)
             yield cls(spec, x, counts / xs.size, counts=counts, top=top)
@@ -102,38 +104,29 @@ class _Grid:
             x = xs[lo:lo + ex.BLOCK]
             yield cls(spec, x, 1.0 / xs.size, counts=ones[:x.size], top=top)
 
-    def powers(self, top):
-        """The read-only stack of q^k (continuous) or the rising products
-        q^[k] (discrete) at the grid points, k = 0..max(top, self.top)."""
-        q = self._q
-        if q is None or len(q) <= top:
-            done, top = 0 if q is None else len(q), max(top, self.top)
-            stack = np.empty((top + 1, self.x.size))
-            if done:
-                stack[:done] = q
+    def powers(self):
+        """The read-only (top + 1, N) stack of q^k (continuous) or the
+        rising products q^[k] (discrete) at the grid points."""
+        if self._q is None:
+            stack = np.empty((self.top + 1, self.x.size))
             if not self.spec.is_discrete:
                 qx = self.spec.q(self.x)
             # a power past the largest float is a divergent weight, which
             # the reads of the stack report
             with np.errstate(over="ignore"):
-                for k in range(done, top + 1):
+                for k in range(self.top + 1):
                     stack[k] = (1.0 if k == 0 else
                                 rising_q(self.spec.q, k, self.x)
                                 if self.spec.is_discrete else qx ** k)
             stack.setflags(write=False)
-            self._q = q = stack
-        return q
-
-    def q_power(self, k):
-        """q^k (continuous) or the rising product q^[k] (discrete) at the
-        grid points."""
-        return self.powers(k)[k]
+            self._q = stack
+        return self._q
 
     def expectation(self, k):
         """E[w_k], the grid sum of q^k (q^[k]) without clipping; a
         non-finite term raises ``NonFiniteIntegrandError``."""
         if k not in self._eq:
-            qk = self.q_power(k)
+            qk = self.powers()[k]
             contrib = self.w * qk
             bad = ~np.isfinite(contrib)
             if np.any(bad):
@@ -145,53 +138,39 @@ class _Grid:
             self._eq[k] = float(contrib.sum())
         return self._eq[k]
 
-    def rows(self, g, top):
-        """The read-only stack of the rows d^k g_i of the tuple ``g``,
-        k = 0..max(top, self.top), written order by order by
-        ``deriv_values``."""
+    def rows(self, g):
+        """The read-only (top + 1, p, N) stack of the rows d^k g_i of the
+        tuple ``g``, written order by order by ``deriv_values``."""
         table = g.table
-        _, stack = self._rows.get(id(table), (None, ()))
-        if len(stack) <= top:
-            self.top = top = max(top, self.top)
+        _, stack = self._rows.get(id(table), (None, None))
+        if stack is None:
+            top = self.top
+            if self.spec.is_discrete:
+                evaluated = self._shifted(table)
+            else:
+                evaluated = table.bases(self.x, range(top + 1))
             stack = np.empty((top + 1, len(table.functions), self.x.size))
             for k in range(top + 1):
-                self.deriv_values(g, k, stack[k])
+                self.deriv_values(table, evaluated, k, stack[k])
             stack.setflags(write=False)
             self._rows[id(table)] = (table, stack)
         return stack
 
-    def deriv_values(self, g, k, out=None):
-        """Rows of d^k g_i over the grid (exact derivative or forward
-        difference) from the derivative table of the tuple ``g``, written
-        into ``out`` when it is given."""
-        table = g.table
+    def deriv_values(self, table, evaluated, k, out):
+        """The rows of d^k g_i over the grid (exact derivative or forward
+        difference), written into ``out`` from the derivative ``table``'s
+        bases of every order up to ``top`` (continuous) or from its rows at
+        every shift (discrete)."""
         if not self.spec.is_discrete:
-            return table.rows(self._kept(table, k, self._bases), k, out)
-        shifted = self._kept(table, k, self._shifted)
-        rows = shifted[0] if k == 0 else difference_of_rows(
-            shifted[:k + 1], k)
-        if out is None:
-            return rows
-        out[...] = rows
+            return table.rows(evaluated, k, out)
+        out[...] = evaluated[0] if k == 0 else difference_of_rows(
+            evaluated[:k + 1], k)
         return out
 
-    def _kept(self, table, k, evaluate):
-        """``evaluate(table, top)`` for top = max(k, self.top), kept for the
-        later reads of the grid's request."""
-        _, top, kept = self._evaluated.get(id(table), (None, -1, None))
-        if top < k:
-            top = max(k, self.top)
-            kept = evaluate(table, top)
-            self._evaluated[id(table)] = (table, top, kept)
-        return kept
-
-    def _bases(self, table, top):
-        """The bases of the orders up to ``top`` at the grid points."""
-        return table.bases(self.x, range(top + 1))
-
-    def _shifted(self, table, top):
+    def _shifted(self, table):
         """The (top + 1, p, N) rows g_i(x + j), j = 0..top, from one
         evaluation of the bases at every shift."""
+        top = self.top
         shifts = np.concatenate([self.x + j if j else self.x
                                  for j in range(top + 1)])
         rows = table.rows(table.bases(shifts, (0,)), 0)
@@ -214,7 +193,7 @@ def _negative_weight(k) -> ClassMembershipError:
         f"the spec is outside its family")
 
 
-def _grid_terms(grid, g, keep, top, kinds):
+def _grid_terms(grid, g, keep, kinds):
     """Raw D, H_k and B_k, k = 1..top, of the functions ``keep`` of ``g``
     (all of them if None) on one grid, as (G, B): G[0] is D and G[k] H_k
     (G is D alone without 'H' in ``kinds``), B[k - 1] is B_k (None
@@ -222,13 +201,13 @@ def _grid_terms(grid, g, keep, top, kinds):
     D, the rows d^k g_i for H_k, each times the square root of its weights)
     fill one (top + 1, p, N) array, and one stacked product u u^T gives
     every form; one stacked mat-vec gives every E[w_k d^k g]."""
-    rows = grid.rows(g, top)[:top + 1]
+    rows = grid.rows(g)
     if keep is not None:
         rows = rows[:, keep]
-    weights = grid.w * np.maximum(grid.powers(top)[1:top + 1], 0.0)
+    weights = grid.w * np.maximum(grid.powers()[1:], 0.0)
     vals = rows[0]
     means = (vals @ grid.w) / float(grid.w.sum())
-    u = np.empty((top + 1 if "H" in kinds else 1,) + vals.shape)
+    u = np.empty((len(rows) if "H" in kinds else 1,) + vals.shape)
     np.subtract(vals, means[:, None], out=u[0])
     u[0] *= np.sqrt(grid.w)
     if "H" in kinds:
@@ -332,14 +311,15 @@ class ClassReport:
 class _ClassCheck:
     """Class verdicts of one tuple for the Gram class 'H', the
     outer-product class 'B', both or neither, and the numerical half of the
-    moment gate, from one ladder of the spec, built when first needed: w_k
-    and every d^k g_i are evaluated once on its nodes (the grid ``nodes``),
-    and the rows of every order are classified together with the moment
-    rows |x|^(2k).  On a discrete member ``nodes`` is the summation grid
-    too."""
+    moment gate, for every order up to ``top``, from one ladder of the spec.
+    The ladder is built, and every order classified once, on the first
+    read (``upto``): w_k and every d^k g_i are evaluated once on its nodes
+    (the grid ``nodes``), and the rows of every order are classified
+    together with the moment rows |x|^(2k).  On a discrete member
+    ``nodes`` is the summation grid too."""
 
-    def __init__(self, spec, g, classes, cfg):
-        self.spec, self.g, self.cfg = spec, g, cfg
+    def __init__(self, spec, g, classes, cfg, top):
+        self.spec, self.g, self.cfg, self.top = spec, g, cfg, top
         self.classes = tuple(classes)
         self.unbounded = not all(map(math.isfinite, spec.support))
         self.ladder = self.nodes = None
@@ -347,70 +327,64 @@ class _ClassCheck:
         self.moments = []  # [k]: E|X|^(2k) verdict, None if bounded
         self.refusal = None  # (k, error) of the first weight refused
 
-    def classify(self, n):
-        """Classify, in one ladder pass, the rows of every order up to n
-        not classified yet, built as stacks over those orders: the squares
+    def classify(self):
+        """Classify, in one ladder pass, the rows of every order up to
+        ``top``, built as stacks over the orders: the squares
         w_k (d^k g_i)^2 (for 'H', and at k = 0 for 'B', which needs
         Var[g] < inf too), the absolute values w_k |d^k g_i| (for 'B',
         k > 0) and the moment rows |x|^(2k).  An order whose weight is
         refused as negative ends the pass: the orders before it are
         classified, and its error is kept for ``upto``."""
-        if self.ladder is None:
-            self.ladder = ex.Ladder.build(self.spec, self.cfg)
-            self.nodes = _Grid(self.spec, self.ladder.x, self.ladder.w,
-                               self.ladder.tail, top=n)
-        if self.refusal is not None:
-            return self
-        ladder, classes, p = self.ladder, self.classes, len(self.g)
-        start, stop = len(self.moments), n + 1
+        ladder = self.ladder = ex.Ladder.build(self.spec, self.cfg)
+        self.nodes = _Grid(self.spec, ladder.x, ladder.w, ladder.tail,
+                           top=self.top)
+        classes, p, stop = self.classes, len(self.g), self.top + 1
         squares = absolutes = range(0)
-        if classes and start < stop:
-            powers = self.nodes.powers(n)[start:stop]
+        if classes:
+            powers = self.nodes.powers()
             refused = _refused(powers)
             if refused.any():
-                stop = start + int(np.argmax(refused))
+                stop = int(np.argmax(refused))
                 self.refusal = (stop, _negative_weight(stop))
-            squares = range(start, stop if "H" in classes else min(stop, 1))
-            absolutes = range(max(start, 1), stop if "B" in classes else 0)
-        moments = range(start, stop) if self.unbounded else range(0)
+            squares = range(stop if "H" in classes else min(stop, 1))
+            absolutes = range(1, stop if "B" in classes else 0)
+        moments = range(stop) if self.unbounded else range(0)
         size = p * (len(squares) + len(absolutes))
         contrib = np.empty((size + len(moments), ladder.x.size))
         # divergent integrands are fed on purpose; inf is a verdict, not a bug
         with np.errstate(over="ignore", invalid="ignore"):
             if size:
                 base = np.maximum(powers, 0.0)[:, None, :]
-                rows = self.nodes.rows(self.g, n)
+                rows = self.nodes.rows(self.g)
             if squares:
                 # the node weight goes inside the square, as in the Gram
                 # product, so a weighted square overflows only where it is
                 # itself huge
                 out = contrib[:p * len(squares)].reshape(len(squares), p, -1)
-                np.multiply(np.sqrt(ladder.w),
-                            rows[squares.start:squares.stop], out=out)
+                np.multiply(np.sqrt(ladder.w), rows[:len(squares)], out=out)
                 np.multiply(out, out, out=out)
                 np.multiply(base[:len(squares)], out, out=out)
             if absolutes:
                 out = contrib[p * len(squares):size].reshape(len(absolutes), p,
                                                              -1)
-                np.abs(rows[absolutes.start:absolutes.stop], out=out)
-                np.multiply(base[absolutes.start - start:stop - start], out,
-                            out=out)
+                np.abs(rows[1:stop], out=out)
+                np.multiply(base[1:stop], out, out=out)
                 np.multiply(ladder.w, out, out=out)
             ax = np.abs(ladder.x)
             for row, k in zip(contrib[size:], moments):
                 np.multiply(ladder.w, ax ** (2 * k), out=row)
         probes = ladder.classify(contrib) if len(contrib) else []
-        for k in range(start, stop):
+        for k in range(stop):
             for cls in classes:
-                at = (k - squares.start if cls == "H" or k == 0
-                      else len(squares) + k - absolutes.start) * p
+                at = (k if cls == "H" or k == 0 else len(squares) + k - 1) * p
                 self.probes[cls].append(probes[at:at + p])
-        self.moments += probes[size:] or [None] * (stop - start)
-        return self
+        self.moments = probes[size:] or [None] * stop
 
     def upto(self, n):
-        """``classify(n)``, raising the error of a refused order up to n."""
-        self.classify(n)
+        """The check of the orders up to n <= ``top``, classified on the
+        first read, raising the error of a refused order up to n."""
+        if self.ladder is None:
+            self.classify()
         if self.refusal is not None and self.refusal[0] <= n:
             raise self.refusal[1]
         return self
@@ -435,7 +409,8 @@ def moment_finiteness(spec: Spec, n: int,
     (``distributions.moment_criterion``) and, where it admits order n on an
     unbounded support, the stabilization of the truncated moment on the
     spec's ladder, so that a wrong edge case cannot silently pass."""
-    return _ClassCheck(spec, (), (), cfg or ex.EngineConfig()).moment_finite(n)
+    return _ClassCheck(spec, (), (), cfg or ex.EngineConfig(),
+                       n).moment_finite(n)
 
 
 def check_class(spec: Spec, g: FunctionTuple, n: int, class_name: str,
@@ -453,7 +428,7 @@ def check_class(spec: Spec, g: FunctionTuple, n: int, class_name: str,
     cfg = cfg or ex.EngineConfig()
     if class_name not in ("H", "B"):
         raise ValueError("class must be 'H' or 'B'")
-    check = _ClassCheck(spec, g, (class_name,), cfg).upto(n)
+    check = _ClassCheck(spec, g, (class_name,), cfg, n).upto(n)
     report = check.report(class_name, n)
     if class_name == "H" and report.ok:
         return check.report(class_name, n, check.moment_finite(n))
@@ -660,15 +635,14 @@ class _Pass:
     def _assemble(self, keep):
         """D, its bracket and fault, and the ``_Terms`` of each kind, of the
         functions ``keep``: a subset reads its rows off the whole tuple's."""
-        top, full, half = self.top, self.full, self.half
+        full, half = self.full, self.half
         sel = None if len(keep) == self.g.p else list(keep)
-        refused = [_refused(grid.powers(top)[1:top + 1])
-                   for grid in (full, half)]
+        refused = [_refused(grid.powers()[1:]) for grid in (full, half)]
         # a divergent entry is a fault to report, not a numerical accident
         with np.errstate(over="ignore", invalid="ignore"):
-            grams, outer = _grid_terms(full, self.g, sel, top, self.kinds)
+            grams, outer = _grid_terms(full, self.g, sel, self.kinds)
             half_grams, half_outer = (grams, outer) if half is full else \
-                _grid_terms(half, self.g, sel, top, self.kinds)
+                _grid_terms(half, self.g, sel, self.kinds)
             sym = symmetrized(grams)
             d = sym[0]
             fault = None
@@ -771,9 +745,8 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
         raise ValueError("class_policy must be 'raise', 'drop' or 'skip'")
     check = _ClassCheck(spec, g, [cls for name, cls in _THEOREMS
                                   if name in theorems
-                                  and class_policy != "skip"], cfg)
-    if check.classes or check.unbounded:
-        check.classify(max(orders))
+                                  and class_policy != "skip"], cfg,
+                        max(orders))
     assembly = None
     done = {}
     for n in sorted(set(orders)):

@@ -274,10 +274,10 @@ def _upper_products(left, right, out):
 def _mc_matrices(spec, functions, n, cfg):
     """Monte Carlo estimates of D, H_k, B_k with per-entry 99% half-widths.
 
-    One pass over the sample grids (``bounds._Grid.from_samples``)
-    evaluates each grid's bases once for orders 0..n and adds, per order,
-    the products w_k d^k g_i d^k g_j and the rows w_k d^k g_i to that
-    order's ``_SampleMeans``.  D centres the rows g_i on their means, so
+    One pass over the sample grids (``bounds._Grid.from_samples``) reads
+    each grid's stacks of rows d^k g_i and weights w_k, k = 0..n, and adds,
+    per order, the products w_k d^k g_i d^k g_j and the rows w_k d^k g_i to
+    that order's ``_SampleMeans``.  D centres the rows g_i on their means, so
     those rows are the one (p, N) array kept, and a second pass sums D's
     products a grid at a time.  Each grid's entries are written into one
     buffer of p(p+1)/2 + p rows, whatever n.
@@ -299,17 +299,18 @@ def _mc_matrices(spec, functions, n, cfg):
         if buffer is None:  # the first grid is the largest
             buffer = np.empty((m + p, size))
         products, left = buffer[:m, :size], buffer[m:, :size]
+        stack, powers = grid.rows(functions), grid.powers()
         rows = first[:, lo:lo + size]
         lo += size
-        rows[:] = grid.deriv_values(functions, 0)
+        rows[:] = stack[0]
         kept.append((rows, grid.counts))
         left[:] = rows
         centre.add(left, grid.counts)
         for k, (h, v) in enumerate(zip(h_sums, v_sums), 1):
-            d_k = grid.deriv_values(functions, k)
-            np.multiply(grid.q_power(k), d_k, out=left)
-            h.add(_upper_products(left, d_k, products), grid.counts)
+            np.multiply(powers[k], stack[k], out=left)
+            h.add(_upper_products(left, stack[k], products), grid.counts)
             v.add(left, grid.counts)
+        del stack, powers  # not held while the next grid builds its own
     means = centre.result()[0]
     for rows, counts in kept:
         size = rows.shape[1]

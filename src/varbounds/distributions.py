@@ -307,13 +307,13 @@ def _beta_halley(a, b, z, target):
 
 
 def _beta_quantile(a, b, u):
-    """Quantiles x of beta(a, b) at the draws u in (0, 1), with 1 - x,
-    as flat arrays.
+    """Quantiles x of beta(a, b) at the draws u in (0, 1), as a flat array.
 
     Halley steps on I_x(a, b) = u below the mean; above it, on
     I_y(b, a) = 1 - u in y = 1 - x, so both come out to relative accuracy.
     A draw that does not settle takes the library inverse.  After the
-    seed table, the draws are taken a block at a time.
+    seed table, the draws are taken a block at a time, and y is held for
+    the current block only.
     """
     from scipy import special
     u = np.asarray(u, dtype=float).ravel()
@@ -324,9 +324,10 @@ def _beta_quantile(a, b, u):
             lambda q: -special.logit(special.betaincinv(b, a, q)))
 
     table = _SeedTable(u, logit_inverse)
-    x, y = np.empty(u.size), np.empty(u.size)
+    x = np.empty(u.size)
     for block in _blocks(u.size):
-        ub, xb, yb = u[block], x[block], y[block]
+        ub, xb = u[block], x[block]
+        yb = np.empty(xb.size)
         c = 1.0 - ub
         s = table.seeds(block)
         special.expit(s, out=xb)
@@ -339,12 +340,10 @@ def _beta_quantile(a, b, u):
             zi = z[idx]
             stray.append(idx[_beta_halley(*params, zi, target[idx])])
             z[idx] = zi
-        xb[:], yb[:] = (np.where(upper, 1.0 - yb, xb),
-                        np.where(upper, yb, 1.0 - xb))
+        xb[:] = np.where(upper, 1.0 - yb, xb)
         stray = np.concatenate(stray)
-        s = logit_inverse(ub[stray], c[stray])
-        xb[stray], yb[stray] = special.expit(s), special.expit(-s)
-    return x, y
+        xb[stray] = special.expit(logit_inverse(ub[stray], c[stray]))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +428,7 @@ def _beta(params):
         return out
 
     def sampler(u):
-        return _beta_quantile(a, b, u)[0]
+        return _beta_quantile(a, b, u)
 
     return ContinuousIP(a / s, Quadratic(-1.0 / s, 1.0 / s, 0.0), (0.0, 1.0),
                         density, sampler, "beta", {"a": a, "b": b})

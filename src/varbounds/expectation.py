@@ -155,8 +155,9 @@ def truncated_support(spec):
     pmf is positive, as floats, and their pmf.
 
     Toward an infinite end the support runs until the pmf underflows: a
-    support bounded below grows by blocks of 512 points, one unbounded below
-    doubles a window around the mean, until a step adds no mass.  Returns
+    support bounded below grows by blocks of 512 points until a block adds
+    no mass after some was found, and one unbounded below doubles a window
+    around the mean until a step adds no mass.  Returns
     (x, pmf, tail, edge): ``tail`` is 1 - sum(pmf), 0 on a finite support,
     where the summation is exact, and otherwise only the pmf's roundoff;
     ``edge`` holds the indices of the outermost nodes toward each infinite
@@ -168,8 +169,9 @@ def truncated_support(spec):
         js = np.arange(int(alpha), int(omega) + 1)
         pm, tail = np.asarray(spec.pmf(js), dtype=float), 0.0
     elif math.isfinite(alpha):
-        chunks, mass, added = [], 0.0, math.inf
-        while added != 0.0:
+        chunks, mass, added = [], 0.0, 0.0
+        # a pmf that underflows on the first blocks has its mass further on
+        while added != 0.0 or mass == 0.0:
             if block * len(chunks) > _SUMMATION_CAP:
                 raise _cap_error()
             js = np.arange(block) + (int(alpha) + block * len(chunks))

@@ -1,12 +1,13 @@
 """The stacked assembly against the per-order loop it replaced, bit for bit.
 
-The reference below is that loop: per order k it evaluates the rows d^k g_i
-and the clipped weights w_k on the full and the half grid, builds H_k (B_k)
-with its own Gram product (outer product), checks it, brackets it and adds
-it to a running sum, and it solves every tested matrix on its own.  Each
-kept set of functions is its own tuple.  ``bound_reports`` must give the
-same float bits for D, every H_k, B_k, S_n, L_n and A_n, the entry brackets
-and the verdict eigenvalues, or raise the same error.
+The reference below is that loop: per order k it reads the rows d^k g_i
+and the weights w_k off the stacks of the full and the half grid, clips the
+weights, builds H_k (B_k) with its own Gram product (outer product), checks
+it, brackets it and adds it to a running sum, and it solves every tested
+matrix on its own.  Each kept set of functions is its own tuple.
+``bound_reports`` must give the same float bits for D, every H_k, B_k, S_n,
+L_n and A_n, the entry brackets and the verdict eigenvalues, or raise the
+same error.
 """
 
 import math
@@ -41,7 +42,7 @@ def _nonnegative(qk, k):
 
 
 def _weight(grid, k):
-    return grid.w * _nonnegative(grid.q_power(k), k)
+    return grid.w * _nonnegative(grid.powers()[k], k)
 
 
 def _gram(values, weights):
@@ -50,17 +51,17 @@ def _gram(values, weights):
 
 
 def _dispersion_array(grid, g):
-    vals = grid.deriv_values(g, 0)
+    vals = grid.rows(g)[0]
     means = (vals @ grid.w) / float(grid.w.sum())
     return _gram(vals - means[:, None], grid.w)
 
 
 def _h_array(grid, g, k):
-    return _gram(grid.deriv_values(g, k), _weight(grid, k))
+    return _gram(grid.rows(g)[k], _weight(grid, k))
 
 
 def _b_array(grid, g, k):
-    v = grid.deriv_values(g, k) @ _weight(grid, k)
+    v = grid.rows(g)[k] @ _weight(grid, k)
     return np.outer(v, v)
 
 
@@ -133,9 +134,7 @@ def loop_reports(spec, g, orders, cfg, theorems, class_policy):
     checks and error order, one ``FunctionTuple`` per kept set."""
     check = _ClassCheck(spec, g, [
         cls for name, cls in (("poincare", "H"), ("bessel", "B"))
-        if name in theorems and class_policy != "skip"], cfg)
-    if check.classes or check.unbounded:
-        check.classify(max(orders))
+        if name in theorems and class_policy != "skip"], cfg, max(orders))
     assembly, done, subsets = None, {}, {}
     for n in sorted(set(orders)):
         if not check.moment_finite(n):

@@ -150,9 +150,10 @@ class TestCoefficients:
         lam = 2.0
         spec = catalog("poisson", {"lam": lam})
         report = skip_report(spec, tuple_of("x"), 3, cfg)
+        grid = _Grid.build(spec, cfg, top=3)
         for k in (1, 2, 3):
             # E[q^[k]] = lam^k, verified against brute-force summation
-            eq = _Grid.build(spec, cfg).expectation(k)
+            eq = grid.expectation(k)
             assert eq == pytest.approx(lam**k, rel=1e-10)
             assert report.bessel_weights[k - 1].weight == pytest.approx(
                 1.0 / (math.factorial(k) * lam**k), rel=1e-9)
@@ -170,7 +171,7 @@ class TestCoefficients:
         assert report.bessel_weights[0].weight is not None
         with pytest.raises(ClassMembershipError, match=r"E\|X\|\^4"):
             skip_report(spec, tuple_of("x"), 2, cfg)
-        eq = _Grid.build(spec, cfg).expectation(2)
+        eq = _Grid.build(spec, cfg, top=2).expectation(2)
         with pytest.raises(SingularCoefficientError) as err:
             _bessel_weight(spec, 2, eq)
         assert err.value.j == 2
@@ -650,10 +651,10 @@ class TestOnePass:
     def test_differences_of_shifted_rows_are_forward_differences(self, cfg):
         g = tuple_of("x^3", "exp(0.3*x)", "x*cos(0.8*x)")
         grid = _Grid.build(catalog("negative-binomial",
-                                   {"r": 3, "theta": 0.5}), cfg)
+                                   {"r": 3, "theta": 0.5}), cfg, top=8)
         for k in range(9):
             np.testing.assert_array_equal(
-                grid.deriv_values(g, k),
+                grid.rows(g)[k],
                 [forward_difference(gi, k, grid.x) for gi in g])
 
     @pytest.mark.parametrize("policy", ["raise", "drop", "skip"])
@@ -819,7 +820,7 @@ def test_expectation_from_the_rows_is_q_power_expectation(member, cfg,
     """E[w_k] summed over the grid against its closed form."""
     entry = LADDER_MEMBERS[member]
     spec = heavy_member if entry is None else catalog(*entry)
-    grid = _Grid.build(spec, cfg)
+    grid = _Grid.build(spec, cfg, top=8)
     # the heavy-tail member has E[q^k] < inf only for k <= 2 (see below),
     # and its integrand at k = 1, decaying like |x|^-3.33, converges slowest
     for k in (range(1, 9) if entry else (1,)):
@@ -830,7 +831,8 @@ def test_expectation_from_the_rows_is_q_power_expectation(member, cfg,
 @pytest.mark.xfail(strict=True, reason="the integrand of E[q^2] decays like "
                    "|x|^-1.33; 200 mapped Gauss-Legendre nodes miss ~3% of it")
 def test_heavy_tail_second_power_expectation(cfg, heavy_member):
-    assert _Grid.build(heavy_member, cfg).expectation(2) == pytest.approx(
+    grid = _Grid.build(heavy_member, cfg, top=2)
+    assert grid.expectation(2) == pytest.approx(
         q_power_closed_form("heavy-tail", 2), rel=1e-6)
 
 
@@ -839,7 +841,7 @@ def test_heavy_tail_second_power_expectation(cfg, heavy_member):
 def test_term_weight_expectation(member, cfg):
     spec = catalog(*LADDER_MEMBERS[member])
     report = bound_report(spec, tuple_of("x", "x^2"), 3, cfg)
-    grid = _Grid.build(spec, cfg)
+    grid = _Grid.build(spec, cfg, top=3)
     for tw in report.bessel_weights:
         assert tw.expectation == grid.expectation(tw.k)
         assert tw.expectation == pytest.approx(

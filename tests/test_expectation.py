@@ -17,6 +17,7 @@ import pytest
 
 from varbounds import (DiscreteCO, FunctionTuple, Quadratic, catalog,
                        parse_function, polynomial)
+from varbounds import bounds
 from varbounds.bounds import _Grid, bound_report, bound_reports
 from varbounds.calculus import forward_difference, rising_q
 from varbounds.cli import _mc_matrices
@@ -172,6 +173,22 @@ class TestDiscrete:
         assert all(r.verdicts["poincare"].ok and r.verdicts["bessel"].ok
                    for r in reports)
 
+    @pytest.mark.parametrize("member", [
+        ("poisson", {"lam": 2000}),
+        ("negative-binomial", {"r": 3000, "theta": 0.5})])
+    def test_support_past_underflowed_first_blocks(self, cfg, member):
+        # the pmf underflows on the whole first block of 512 points, so the
+        # support must grow until it finds the mass
+        spec = catalog(*member)
+        assert not np.any(spec.pmf(np.arange(512)))
+        grid = _Grid.build(spec, cfg)
+        assert grid.x[0] >= 512 and grid.x.size > 3000
+        assert grid.w.sum() == pytest.approx(1.0, abs=1e-11)
+        assert grid.tail < 1e-11
+        assert grid.w @ grid.x == pytest.approx(spec.mean, rel=1e-10)
+        for report in bound_reports(spec, tuple_of("x"), [1, 2], cfg):
+            assert report.passed, report.n
+
     def test_truncation_cap(self):
         # pmf ~ 1/k^2 underflows only past k ~ 1e161; the cap must trip
         c = 6.0 / math.pi**2
@@ -184,6 +201,11 @@ class TestDiscrete:
             return out
 
         spec = DiscreteCO(1.0, Quadratic(0.0, 0.0, 1.0), (1.0, math.inf), pmf)
+        with pytest.raises(TruncationError):
+            truncated_support(spec)
+        # a pmf with no mass anywhere is scanned for it up to the cap too
+        spec = DiscreteCO(1.0, Quadratic(0.0, 0.0, 1.0), (1.0, math.inf),
+                          lambda k: np.zeros(np.shape(k)))
         with pytest.raises(TruncationError):
             truncated_support(spec)
 
@@ -406,14 +428,50 @@ class TestMonteCarlo:
             np.testing.assert_allclose(a_ci, b_ci, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(scale)))
 
+    @pytest.mark.parametrize("member", [("normal", {}),
+                                        ("poisson", {"lam": 3})])
+    def test_one_evaluation_per_sample_grid(self, cfg, monkeypatch,
+                                            base_evaluations, member):
+        # a sample grid evaluates its bases once for every order (on a
+        # discrete member once over every shift) and its weights once
+        weights = []
+        rising, power = bounds.rising_q, Quadratic.__call__
+
+        def counted_rising(q, k, x):
+            weights.append(("rising", k))
+            return rising(q, k, x)
+
+        def counted_power(q, x):
+            weights.append(("q", np.size(x)))
+            return power(q, x)
+
+        monkeypatch.setattr(bounds, "rising_q", counted_rising)
+        monkeypatch.setattr(Quadratic, "__call__", counted_power)
+        spec = catalog(*member)
+        cfg = cfg.override(mc_samples=3 * BLOCK + 17)
+        _mc_matrices(spec, tuple_of("x", "exp(0.1*x)", "x*cos(0.9*x)"), 3,
+                     cfg)
+        got = [(x.size, orders) for x, orders in base_evaluations]
+        if spec.is_discrete:
+            (x, _), = base_evaluations
+            # the counted grid of the samples' distinct values, at shifts
+            # 0..3, and one rising product (of k calls of q) per order
+            assert got == [(x.size, (0,))] and x.size % 4 == 0
+            assert [w for w in weights if w[0] == "rising"] == \
+                [("rising", 1), ("rising", 2), ("rising", 3)]
+        else:
+            assert got == [(BLOCK, (0, 1, 2, 3))] * 3 + [(17, (0, 1, 2, 3))]
+            assert weights == [("q", BLOCK)] * 3 + [("q", 17)]
+
     # the pass holds the N samples, the rows g_i as one (p, N) array, and
     # per block one buffer of its p(p+1)/2 + p entries beside the block's
-    # derivative rows, bases and powers: bounded by the buffer, twice the
-    # p (n + 1) rows of orders 0..n and 16 more block-sized rows.  That is
-    # 9.2 MB at p = 3, n = 2 and 200k samples (the pass reads 8.5 MB; one
+    # stacks of rows and powers and its bases: bounded by the buffer, twice
+    # the p (n + 1) rows of orders 0..n and 16 more block-sized rows.  That
+    # is 9.2 MB at p = 3, n = 2 and 200k samples (the pass reads 8.4 MB; one
     # more (p, N) array would take it past the bound) and 48.7 MB at p = 16,
-    # n = 4 (reads 43.8 MB; whole-sample rows per order read 56 MB over
-    # sampling, a buffer of every order's entries 107 MB)
+    # n = 4 (reads 46.6 MB, 43.8 when a block held one order's rows at a
+    # time; whole-sample rows per order read 56 MB over sampling, a buffer
+    # of every order's entries 107 MB)
     @pytest.mark.parametrize("exprs,n", [
         (("x", "exp(0.1*x)", "x*cos(0.9*x)"), 2),
         (("x", "x^2", "exp(0.1*x)", "exp(-0.2*x)", "sin(0.7*x)",
@@ -436,12 +494,13 @@ class TestMonteCarlo:
 
     # the N-arrays a sampler holds at its peak: the stream and its uniforms
     # while they are converted (the mixing scratch is freed first); gamma
-    # and beta also hold logit(u) and the variates, and beta 1 - x.
-    # Whole-stream temporaries read 12.9 MB on gamma(2.67), 15.8 on
-    # beta(2.5, 2.2) and 8.0 on normal and poisson.
+    # and beta also hold logit(u) and the variates.  Whole-stream
+    # temporaries read 12.9 MB on gamma(2.67), 15.8 on beta(2.5, 2.2) and
+    # 8.0 on normal and poisson; beta read 7.0 MB while it held an N-array
+    # of 1 - x, 5.6 without it.
     @pytest.mark.parametrize("spec,arrays", [
         (catalog("gamma", {"shape": 2.67}), 3),
-        (catalog("beta", {"a": 2.5, "b": 2.2}), 4),
+        (catalog("beta", {"a": 2.5, "b": 2.2}), 3),
         (catalog("normal"), 2),
         (catalog("poisson", {"lam": 2}), 2),
     ], ids=lambda v: v.name if hasattr(v, "name") else str(v))

@@ -1,6 +1,9 @@
 """The benchmark's traced run wraps library entry points by name; every
-name it wraps must exist where it looks it up, or the traced run breaks."""
+name it wraps must exist where it looks it up, or the traced run breaks.
+Its per-layer counts read the spans of those calls, so a traced report and
+a traced ``mc-verify`` must still make the derivative-row spans it counts."""
 
+import json
 import os
 import sys
 
@@ -9,9 +12,64 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 import tracing  # noqa: E402
 
+from varbounds import (FunctionTuple, bounds, catalog, cli,  # noqa: E402
+                       parse_function)
+from varbounds.bounds import _Grid  # noqa: E402
+from varbounds.expectation import BLOCK, EngineConfig, Ladder  # noqa: E402
+
 
 def test_every_traced_name_exists():
     missing = [f"{getattr(owner, '__name__', owner)}.{name}"
                for owner, name, *_ in tracing._targets()
                if name not in vars(owner)]
     assert missing == []
+
+
+def _grid_widths(spec, cfg):
+    """The widths of the class ladder's, the full and the half grid."""
+    return [Ladder.build(spec, cfg).x.size, _Grid.build(spec, cfg).x.size,
+            _Grid.build(spec, cfg, max(10, cfg.quad_nodes // 2)).x.size]
+
+
+def _deriv_rows(spans):
+    """(parent layer, points, width) of every derivative-row span."""
+    return [(spans[parent][0], points, width)
+            for name, parent, _, _, points, width in spans
+            if name == "bounds.deriv_rows"]
+
+
+def test_traced_report_counts_its_derivative_rows():
+    # every order's row block on each grid of a report is one span as wide
+    # as its grid, so the harness's deriv_points_per_grid_point is not 0
+    cfg, spec = EngineConfig(), catalog("gamma", {"shape": 2.0})
+    g = FunctionTuple([parse_function(e) for e in ("x", "exp(0.2*x)")])
+    with tracing.Tracer().request() as spans:
+        report = bounds.bound_report(spec, g, 2, cfg)
+    rows = _deriv_rows(spans)
+    widths = _grid_widths(spec, cfg)
+    assert sorted(width for _, _, width in rows) == sorted(widths * 3)
+    assert rows == [("bounds.bound_report", 2 * width, width)
+                    for _, _, width in rows]
+    assert tracing.useful_deriv_points(spans) == \
+        report.p * (report.n + 1) * max(widths) > 0
+
+
+def test_traced_mc_verify_counts_its_derivative_rows(tmp_path):
+    cfg, spec = EngineConfig(), catalog("gamma", {"shape": 2.0})
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps(
+        {"functions": [{"expr": "x"}, {"expr": "exp(0.2*x)"}]}))
+    with tracing.Tracer().request() as spans:
+        code = cli.main(["mc-verify", "--dist", "gamma:shape=2",
+                         "--functions", str(path), "--n", "2",
+                         "--mc-samples", str(2 * BLOCK + 100), "--quiet",
+                         "--out-json", str(tmp_path / "out.json")])
+    assert code == 0
+    rows = _deriv_rows(spans)
+    # the report's grids, then orders 0..2 of each sample block
+    report = [row for row in rows if row[0] == "bounds.bound_report"]
+    assert sorted(width for _, _, width in report) == \
+        sorted(_grid_widths(spec, cfg) * 3)
+    assert rows[len(report):] == [("cli.main", 2 * width, width) for width
+                                  in [BLOCK] * 6 + [100] * 3]
+    assert tracing.useful_deriv_points(spans) > 0
