@@ -5,10 +5,14 @@ rising quadratic product.
 Continuous test functions are sums of terms c*u(x)*v(x) whose factors are
 primitives with a closed-form derivative of every order (polynomials, and
 exp/sin/cos/log of an affine argument).  The k-th derivative is the binomial
-Leibniz sum over those closed forms.  A tuple of functions compiles once into
-a ``DerivativeTable``: its distinct bases (exp, sin and cos of each distinct
-affine argument, log powers, polynomial derivative coefficients) and, per
-order, each row's summands as (scale, base, base).  On a set of points the
+Leibniz sum over those closed forms.  A grammar string becomes its terms in
+one regular-expression scan and one pass over the tokens, in plain floats; a
+polynomial factor keeps its coefficients, and its derivative vectors are
+made only for the orders a table compiles.  A tuple of functions compiles
+once into a ``DerivativeTable``: its distinct bases (exp, sin and cos of
+each distinct affine argument, log powers, polynomial derivative
+coefficients) and, per order, each row's summands as (scale, base, base),
+one index array per slot built from plain lists.  On a set of points the
 bases of the orders asked for are evaluated once, grouped by kind, and each
 order's rows are a gather-multiply of them.  No numeric
 differentiation happens on the main path; squared high-order derivatives
@@ -19,6 +23,7 @@ only point values.
 
 from __future__ import annotations
 
+import array
 import functools
 import json
 import math
@@ -38,7 +43,11 @@ class _Factor:
     """One primitive with a closed-form derivative of every order: a
     polynomial, exp(ax+b), sin(ax+b + quarter*pi/2) (cos is quarter 1) or
     log(ax+b).  ``top`` is the highest order whose derivative is not
-    identically zero (the degree of a polynomial, infinite otherwise)."""
+    identically zero (the degree of a polynomial, infinite otherwise).  A
+    polynomial keeps its coefficients, a list of floats with trailing zeros
+    trimmed, as ``derivs[0]``; ``derivs[j]`` is made when ``coefficients(j)``
+    first asks for it, so a factor of high degree costs only the orders a
+    table compiles."""
 
     def __init__(self, kind, a=1.0, b=0.0, quarter=0, coeffs=None):
         # a numpy rate lets a^j overflow to inf, as the array values do,
@@ -47,17 +56,24 @@ class _Factor:
         self.quarter = quarter
         self.top = math.inf
         if kind == "poly":
-            c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-            nz = np.nonzero(c)[0]
-            self.derivs = [c[: nz[-1] + 1] if nz.size else np.zeros(1)]
-            while len(self.derivs[-1]) > 1:
-                # numpy.polynomial.polynomial.polyder: j * c[j]
-                c = self.derivs[-1]
-                self.derivs.append(c[1:] * np.arange(1.0, c.size))
-            self.top = len(self.derivs) - 1
+            top = len(coeffs) - 1
+            while top >= 0 and not coeffs[top]:
+                top -= 1
+            self.derivs = [coeffs[:top + 1] or [0.0]]
+            self.top = max(top, 0)
+
+    def coefficients(self, j):
+        """The coefficients of the j-th derivative of a polynomial."""
+        derivs = self.derivs
+        while len(derivs) <= j:
+            # numpy.polynomial.polynomial.polyder: j * c[j], in floats
+            c = derivs[-1]
+            derivs.append([c[m] * m for m in range(1, len(c))])
+        return derivs[j]
 
 
 _ONE = ("one",)  # the base of the constant 1
+_PAD = (-0.0, 0, 0)  # the summand -0.0 * (1 * 1) that pads a short row
 
 
 def _primitive(f: _Factor, j: int):
@@ -65,7 +81,7 @@ def _primitive(f: _Factor, j: int):
     the key of the base it multiplies: ("poly", coefficient bytes),
     ("exp" | "sin" | "cos", a, b) or ("log", a, b, j)."""
     if f.kind == "poly":
-        return 1.0, ("poly", f.derivs[j].tobytes())
+        return 1.0, ("poly", array.array("d", f.coefficients(j)).tobytes())
     if f.kind == "exp":
         return f.a ** j, ("exp", f.a, f.b)
     if f.kind == "sin":
@@ -135,7 +151,7 @@ class SmoothFunction:
         if self._expr is not None:
             return {"expr": self._expr}
         # polynomial(): one single-factor polynomial term
-        return {"poly": self._terms[0][1].derivs[0].tolist()}
+        return {"poly": list(self._terms[0][1].derivs[0])}
 
     def __repr__(self):
         return f"SmoothFunction({self.label})"
@@ -165,17 +181,9 @@ class DerivativeTable:
 
     def __init__(self, functions):
         self.functions = list(functions)
-        self._index = {_ONE: 0}  # base key -> base number
-        self._keys = [_ONE]  # base number -> key
+        self._index = {_ONE: 0}  # base key -> base number, in that order
         self._orders = []  # order k -> [(u, v or None, scale or None)]
         self._plans = {}  # orders -> how to evaluate their bases
-
-    def _base(self, key):
-        b = self._index.get(key)
-        if b is None:
-            b = self._index[key] = len(self._keys)
-            self._keys.append(key)
-        return b
 
     def summands(self, k):
         """The slots (u, v, scale) of order k, compiled when first asked
@@ -185,6 +193,9 @@ class DerivativeTable:
         return self._orders[k]
 
     def _compile(self, k):
+        # a key first met takes the next number: u's before v's
+        index = self._index
+        number = index.setdefault
         rows = []
         for i, f in enumerate(self.functions):
             if isinstance(f, SmoothFunction):
@@ -194,16 +205,16 @@ class DerivativeTable:
             else:
                 raise TypeError("continuous test functions need exact "
                                 "derivatives; got a bare callable")
-            rows.append([(s, self._base(u), self._base(v))
+            rows.append([(s, number(u, len(index)), number(v, len(index)))
                          for s, u, v in terms] or [(0.0, 0, 0)])
-        pad = (-0.0, 0, 0)
-        table = np.array([[row[s] if s < len(row) else pad for row in rows]
-                          for s in range(max(map(len, rows)))])
         slots = []
-        for scale, u, v in zip(table[..., 0], table[..., 1].astype(np.intp),
-                               table[..., 2].astype(np.intp)):
-            slots.append((u, v if v.any() else None,
-                          scale[:, None] if np.any(scale != 1.0) else None))
+        for s in range(max(map(len, rows))):
+            scale, u, v = zip(*[row[s] if s < len(row) else _PAD
+                                for row in rows])
+            slots.append((np.array(u, dtype=np.intp),
+                          np.array(v, dtype=np.intp) if any(v) else None,
+                          None if scale.count(1.0) == len(scale)
+                          else np.array(scale)[:, None]))
         return slots
 
     def _plan(self, orders):
@@ -212,19 +223,23 @@ class DerivativeTable:
         of rows."""
         key = tuple(orders)
         if key not in self._plans:
-            used = np.unique(np.concatenate(
-                [a for k in key for slot in self.summands(k)
-                 for a in slot[:2] if a is not None]))
+            used = set()
+            for k in key:
+                for u, v, _ in self.summands(k):
+                    used.update(u.tolist())
+                    if v is not None:
+                        used.update(v.tolist())
+            keys = list(self._index)
             groups = {}
-            for b in used.tolist():
-                groups.setdefault(self._keys[b][0], []).append(b)
-            pos = np.zeros(len(self._keys), dtype=np.intp)
+            for b in sorted(used):
+                groups.setdefault(keys[b][0], []).append(b)
+            pos = np.zeros(len(keys), dtype=np.intp)
             steps, start = [], 0
             for kind, members in groups.items():
                 stop = start + len(members)
                 pos[members] = range(start, stop)
                 steps.append((kind, slice(start, stop), _operands(
-                    kind, [self._keys[b] for b in members])))
+                    kind, [keys[b] for b in members])))
                 start = stop
             self._plans[key] = (pos, start, steps)
         return self._plans[key]
@@ -269,8 +284,10 @@ class DerivativeTable:
         order; written into ``out`` when it is given."""
         values, pos = bases
         for s, (u, v, scale) in enumerate(self.summands(k)):
-            term = values[pos[u]] if s else np.take(values, pos[u], axis=0,
-                                                    out=out)
+            # every index is in range, and "clip" spares the copy through
+            # a buffer that the default "raise" makes when out is given
+            term = values[pos[u]] if s else np.take(
+                values, pos[u], axis=0, out=out, mode="clip")
             if v is not None:
                 term *= values[pos[v]]
             if scale is not None:
@@ -303,9 +320,10 @@ def _operands(kind, keys):
 
 def polynomial(coeffs: Sequence[float], label: str | None = None) -> SmoothFunction:
     """Polynomial from ascending coefficients [c0, c1, ...]."""
+    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float)).tolist()
     poly = _Factor("poly", coeffs=coeffs)
     if label is None:
-        label = f"poly({poly.derivs[0].tolist()})"
+        label = f"poly({poly.derivs[0]})"
     return SmoothFunction([(1.0, poly, None)], label)
 
 
@@ -412,173 +430,152 @@ def rising_q(q, k: int, x):
 #   factor  := NUMBER | "x" [ "^" INT ] | FUNC "(" affine ")"
 #   FUNC    := "exp" | "sin" | "cos" | "log"
 #   affine  := polynomial of degree <= 1 in x, e.g. "x", "1-x", "0.5*x+2"
+#
+# One regular-expression scan splits the text into tokens, with whitespace
+# allowed between and around them: a number becomes its float, a name or an
+# operator stays a string, and a character that starts no token becomes "".
+# One pass over the tokens then builds the terms.
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_]\w*)"
-    r"|(?P<op>\^|\*|\+|-|\(|\)))")
+    r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"|([A-Za-z_]\w*|[\^*+\-()])|\S)")
+_OPS = frozenset("^*+-()")
 
 
 class ExpressionError(ValueError):
     """Malformed function expression."""
 
 
-def _tokenize(text: str):
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ExpressionError(f"bad character at {text[pos:]!r}")
-        pos = m.end()
-        if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num"))))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-    tokens.append(("end", None))
+def _tokens(text: str):
+    """The tokens of ``text``, then None for its end."""
+    tokens = [float(num) if num else word
+              for num, word in _TOKEN_RE.findall(text)]
+    if "" in tokens:
+        # each match starts where the previous token ended, so the message
+        # keeps the whitespace before the bad character
+        bad = next(m for m in _TOKEN_RE.finditer(text) if m.lastindex is None)
+        raise ExpressionError(f"bad character at {text[bad.start():]!r}")
+    tokens.append(None)
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _factor(text, tokens, i):
+    """The factor whose name is tokens[i] and the index after it: a power
+    of x as its exponent, any other primitive as a ``_Factor``."""
+    name = tokens[i]
+    i += 1
+    if name == "x":
+        if tokens[i] != "^":
+            return 1, i
+        m = tokens[i + 1]
+        if m.__class__ is not float or m != int(m) or m < 0:
+            raise ExpressionError("x^m needs a nonnegative integer m")
+        return int(m), i + 2
+    if name in ("exp", "sin", "cos", "log"):
+        if tokens[i] != "(":
+            raise ExpressionError(f"expected '(' in {text!r}")
+        a, b, i = _affine(text, tokens, i + 1)
+        if name == "log" and a == 0.0:
+            raise ValueError("log argument must depend on x")
+        if name == "cos":
+            return _Factor("sin", a, b, quarter=1), i + 1
+        return _Factor(name, a, b), i + 1
+    raise ExpressionError(f"unknown symbol {name!r}")
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r} in {self.text!r}")
-
-    # expr := term { (+|-) term }
-    def parse_expr(self):
-        terms = [self.parse_term()]
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            t = self.parse_term()
-            if op == "-":
-                t = (-t[0], t[1])
-            terms.append(t)
-        return terms
-
-    # term := factor { * factor }; returns (coefficient, [factors])
-    def parse_term(self):
-        sign = 1.0
-        while self.peek() == ("op", "-") or self.peek() == ("op", "+"):
-            _, op = self.take()
-            if op == "-":
+def _affine(text, tokens, i):
+    """(a, b, index of the closing ")") of the affine argument a*x + b
+    that starts at tokens[i]."""
+    a = b = 0.0
+    sign = 1.0
+    expect_term = True
+    while True:
+        tok = tokens[i]
+        if tok == ")" and not expect_term:
+            return a, b, i
+        if tok == "+" or tok == "-":
+            i += 1
+            if tok == "-":
                 sign = -sign
-        coef, factors = sign, []
-        while True:
-            kind, val = self.peek()
-            if kind == "num":
-                self.take()
-                coef *= val
-            elif kind == "name":
-                factors.append(self.parse_symbol())
-            elif (kind, val) == ("op", "("):
-                raise ExpressionError(
-                    "parenthesized subexpressions are outside the grammar; "
-                    "distribute them into +/- terms")
-            else:
-                raise ExpressionError(f"unexpected token in {self.text!r}")
-            if self.peek() == ("op", "*"):
-                self.take()
-                continue
-            break
-        if len(factors) > 2:
-            raise ExpressionError("products are limited to two factors")
-        return coef, factors
-
-    def parse_symbol(self):
-        kind, name = self.take()
-        if name == "x":
-            power = 1
-            if self.peek() == ("op", "^"):
-                self.take()
-                k2, v2 = self.take()
-                if k2 != "num" or v2 != int(v2) or v2 < 0:
-                    raise ExpressionError("x^m needs a nonnegative integer m")
-                power = int(v2)
-            return _Factor("poly", coeffs=[0.0] * power + [1.0])
-        if name in ("exp", "sin", "cos", "log"):
-            self.expect_op("(")
-            a, b = self.parse_affine()
-            self.expect_op(")")
-            if name == "log" and a == 0.0:
-                raise ValueError("log argument must depend on x")
-            if name == "cos":
-                return _Factor("sin", a, b, quarter=1)
-            return _Factor(name, a, b)
-        raise ExpressionError(f"unknown symbol {name!r}")
-
-    # affine := degree <= 1 polynomial in x
-    def parse_affine(self):
-        a = b = 0.0
-        sign = 1.0
-        expect_term = True
-        while True:
-            kind, val = self.peek()
-            if (kind, val) == ("op", ")") and not expect_term:
-                return a, b
-            if kind == "op" and val in "+-":
-                self.take()
-                if val == "-":
-                    sign = -sign
-                expect_term = True
-                continue
-            coef = 1.0
-            kind, val = self.peek()
-            if kind == "num":
-                self.take()
-                coef = val
-                if self.peek() == ("op", "*"):
-                    self.take()
-                    kind, val = self.peek()
-                else:
-                    b += sign * coef
-                    sign, expect_term = 1.0, False
-                    continue
-            if kind == "name" and val == "x":
-                self.take()
-                a += sign * coef
+            expect_term = True
+            continue
+        coef = 1.0
+        if tok.__class__ is float:
+            coef = tok
+            i += 1
+            if tokens[i] != "*":
+                b += sign * coef
                 sign, expect_term = 1.0, False
                 continue
-            raise ExpressionError(
-                f"argument of exp/sin/cos/log must be affine in x: {self.text!r}")
+            i += 1
+            tok = tokens[i]
+        if tok == "x":
+            i += 1
+            a += sign * coef
+            sign, expect_term = 1.0, False
+            continue
+        raise ExpressionError(
+            f"argument of exp/sin/cos/log must be affine in x: {text!r}")
 
 
 def parse_function(text: str) -> SmoothFunction:
-    """Parse a primitive-grammar expression into a SmoothFunction."""
-    parser = _Parser(text)
-    parsed = parser.parse_expr()
-    if parser.peek()[0] != "end":
-        raise ExpressionError(f"trailing input in {text!r}")
+    """Parse a primitive-grammar expression into a SmoothFunction.
 
-    # constants and lone monomials collect into one polynomial term, first
-    poly = np.zeros(1)
-    terms = []
-    for coef, factors in parsed:
+    Constants and lone powers of x collect into one polynomial term, which
+    comes first; every other term keeps its place."""
+    tokens = _tokens(text)
+    poly, terms = [0.0], []
+    i, negate = 0, False
+    while True:
+        # term := factor { "*" factor }, after a run of signs
+        coef, factors = 1.0, []
+        tok = tokens[i]
+        while tok == "-" or tok == "+":
+            if tok == "-":
+                coef = -coef
+            i += 1
+            tok = tokens[i]
+        while True:
+            if tok.__class__ is float:
+                coef *= tok
+                i += 1
+            elif tok == "(":
+                raise ExpressionError(
+                    "parenthesized subexpressions are outside the grammar; "
+                    "distribute them into +/- terms")
+            elif tok is None or tok in _OPS:
+                raise ExpressionError(f"unexpected token in {text!r}")
+            else:
+                factor, i = _factor(text, tokens, i)
+                factors.append(factor)
+            tok = tokens[i]
+            if tok != "*":
+                break
+            i += 1
+            tok = tokens[i]
+        if len(factors) > 2:
+            raise ExpressionError("products are limited to two factors")
+        if negate:
+            coef = -coef
         if not factors:
             poly[0] += coef
-        elif len(factors) == 1 and factors[0].kind == "poly":
-            power = factors[0].top
+        elif len(factors) == 1 and factors[0].__class__ is int:
+            power = factors[0]
             if len(poly) <= power:
-                poly = np.concatenate([poly, np.zeros(power + 1 - len(poly))])
+                poly += [0.0] * (power + 1 - len(poly))
             poly[power] += coef
         else:
-            u, v = factors if len(factors) == 2 else (factors[0], None)
-            terms.append((coef, u, v))
-    if np.any(poly) or not terms:
+            factors = [_Factor("poly", coeffs=[0.0] * f + [1.0])
+                       if f.__class__ is int else f for f in factors]
+            terms.append((coef, factors[0],
+                          factors[1] if len(factors) == 2 else None))
+        if tok != "+" and tok != "-":
+            break
+        negate = tok == "-"
+        i += 1
+    if tok is not None:
+        raise ExpressionError(f"trailing input in {text!r}")
+    if any(poly) or not terms:
         terms.insert(0, (1.0, _Factor("poly", coeffs=poly), None))
     return SmoothFunction(terms, label=text, expr=text)
 

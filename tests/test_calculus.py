@@ -10,6 +10,8 @@ import json
 import pathlib
 
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +322,17 @@ class TestParser:
     def test_rejects_trailing_garbage(self):
         with pytest.raises(ExpressionError):
             parse_function("x^2 )")
+
+    def test_high_power_parses_fast_and_small(self):
+        # a polynomial keeps its coefficients, and a table makes only the
+        # derivative vectors of the orders it compiles: the full ladder of
+        # x^m costs O(m^2) and overflows from m = 171
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = parse_function("x^100000")
+            assert time.perf_counter() - start < 0.1
+            assert f.derivative_value(2, 1.0) == 100000.0 * 99999.0
 
     def test_negative_and_scientific_coefficients(self):
         f = parse_function("-2.5e-1*x + 1")

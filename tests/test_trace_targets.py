@@ -12,8 +12,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 import tracing  # noqa: E402
 
-from varbounds import (FunctionTuple, bounds, catalog, cli,  # noqa: E402
-                       parse_function)
+from varbounds import (FunctionTuple, bounds, calculus,  # noqa: E402
+                       catalog, cli, parse_function)
 from varbounds.bounds import _Grid  # noqa: E402
 from varbounds.expectation import BLOCK, EngineConfig, Ladder  # noqa: E402
 
@@ -52,6 +52,27 @@ def test_traced_report_counts_its_derivative_rows():
                     for _, _, width in rows]
     assert tracing.useful_deriv_points(spans) == \
         report.p * (report.n + 1) * max(widths) > 0
+
+
+def test_traced_wide_request_parses_once():
+    # a p = 32 request as the benchmark issues one: the tuple loaded from
+    # its grammar strings, then one report; the harness's parse layer is
+    # the one span of that load, and the report still reads row blocks
+    spec = cli._parse_dist("normal:mean=0.2,var=1.1")
+    exprs = ["x", "x^2", "x^3"]
+    while len(exprs) < 32:
+        exprs.append(("exp(0.2*x)", "sin(0.9*x)", "x*cos(0.8*x)")[
+            len(exprs) % 3])
+    doc = {"functions": [{"expr": e} for e in exprs]}
+    with tracing.Tracer().request() as spans:
+        g = calculus.load_function_tuple(doc)
+        report = bounds.bound_report(spec, g, 2,
+                                     theorems=("poincare", "bessel"),
+                                     class_policy="raise")
+    assert report.p == 32
+    parses = [span for span in spans if span[0] == "calculus.parse"]
+    assert [parent for _, parent, *_ in parses] == [-1]
+    assert _deriv_rows(spans)
 
 
 def test_traced_mc_verify_counts_its_derivative_rows(tmp_path):
