@@ -20,14 +20,17 @@ members) the k-th summand is the null matrix by convention.
 A request assembles every order up to its highest, top, at once
 (``_Pass``).  Each grid is built for top and read only as two whole stacks,
 the (top + 1, N) weights w_k and the (top + 1, p, N) rows d^k g_i
-(``_Grid.powers``, ``_Grid.rows``), and the class check classifies every
-order up to top in one ladder pass on its first read (``_ClassCheck``).
-D and every H_k come from one stacked Gram product and every B_k from one
-stacked mat-vec; the checks, the symmetrisation, the entry brackets, the
-prefix sums S_n and L_n and the tested matrices A_n and D - L_n are array
-operations over the stacks; and D and every tested matrix are solved in one
-batched eigen-solve (``linalg.solve_spectra``).  Every value is, bit for
-bit, the one an order assembled on its own gets.
+(``_Grid.powers``, ``_Grid.rows``).  The class checks of a catalog
+member and a tuple far inside the class are settled in closed form, from
+the member's tails, the tuple's exponential rates and a health check of
+the assembly grid (``_closed_form``); otherwise the class check classifies
+every order up to top in one ladder pass on its first read
+(``_ClassCheck``).  D and every H_k come from one stacked Gram product and
+every B_k from one stacked mat-vec; the checks, the symmetrisation, the
+entry brackets, the prefix sums S_n and L_n and the tested matrices A_n
+and D - L_n are array operations over the stacks; and D and every tested
+matrix are solved in one batched eigen-solve (``linalg.solve_spectra``).
+Every value is, bit for bit, the one an order assembled on its own gets.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import expectation as ex
-from .calculus import FunctionTuple, difference_of_rows, rising_q
+from .calculus import (FunctionTuple, SmoothFunction, difference_of_rows,
+                       rising_q)
 from .distributions import Spec, moment_criterion
 from .errors import (ClassMembershipError, InvalidParameterError,
                      NonFiniteIntegrandError, SingularCoefficientError)
@@ -51,6 +55,15 @@ from .linalg import loewner_leq  # noqa: F401
 COEFFICIENT_FACTOR_GUARD = 1e-10
 NULL_EXPECTATION_TOL = 1e-12
 DEFAULT_TOL_SCALE = 1e-6
+# the margins of the closed-form class rule (``_closed_form``): twice a
+# rate of the tuple is at most EXACT_RATE_SHARE of the member's tail rate,
+# the log of the bound on every row's expectation at most EXACT_LOG_CAP,
+# and the assembly grid's mass is within GRID_MASS_TOL of 1, its mean,
+# variance and tilted log-MGFs within GRID_RTOL relative
+EXACT_RATE_SHARE = 0.5
+EXACT_LOG_CAP = 150.0
+GRID_MASS_TOL = 1e-10
+GRID_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +74,9 @@ class _Grid:
     """Evaluation grid of one spec: points x, nonnegative weights w with
     sum(w * phi(x)) ~ E[phi(X)], plus the tail bound for discrete members.
     ``build`` gives the quadrature nodes or the positive-pmf support down
-    to pmf underflow (``expectation.truncated_support``, which the class
-    ladder uses too), and ``from_samples`` the grids of N Monte Carlo
-    samples.
+    to pmf underflow (``expectation.truncated_support``) with the ``edge``
+    of that underflow, from which a discrete member's class ladder is
+    built, and ``from_samples`` the grids of N Monte Carlo samples.
 
     A grid is built for the highest order ``top`` its request reads, and
     it is read as two stacks over the orders 0..top, each evaluated once
@@ -74,17 +87,17 @@ class _Grid:
     whose forward differences are the rows).  No order above ``top`` is
     read."""
 
-    def __init__(self, spec, x, w, tail=0.0, counts=None, top=0):
+    def __init__(self, spec, x, w, tail=0.0, counts=None, top=0, edge=None):
         self.spec, self.x, self.w, self.tail = spec, x, w, tail
-        self.counts, self.top = counts, top
+        self.counts, self.top, self.edge = counts, top, edge
         self._q, self._eq, self._rows = None, {}, {}
 
     @classmethod
     def build(cls, spec, cfg=None, n_nodes=None, top=0):
         cfg = cfg or ex.EngineConfig()
         if spec.is_discrete:
-            x, w, tail, _ = ex.truncated_support(spec)
-            return cls(spec, x, w, tail, top=top)
+            x, w, tail, edge = ex.truncated_support(spec)
+            return cls(spec, x, w, tail, top=top, edge=edge)
         x, w = ex.continuous_grid(spec, cfg, n_nodes)
         return cls(spec, x, w, top=top)
 
@@ -92,12 +105,17 @@ class _Grid:
     def from_samples(cls, spec, xs, top):
         """The grids of the N samples ``xs``, each of weight 1/N, read up to
         order ``top`` and carrying the integer ``counts`` of their points:
-        one grid of a discrete member's few distinct values, with weights
+        one grid of a discrete member's runs of equal values, with weights
         count/N, or one per ``expectation.BLOCK`` of a continuous member's
-        samples, made as they are read."""
+        samples, made as they are read.  A discrete sampler returns its
+        variates sorted, so each run is one distinct value, counted
+        without another sort."""
         if spec.is_discrete:
-            x, counts = np.unique(xs, return_counts=True)
-            yield cls(spec, x, counts / xs.size, counts=counts, top=top)
+            starts = np.flatnonzero(np.concatenate(([True],
+                                                    xs[1:] != xs[:-1])))
+            counts = np.diff(starts, append=xs.size)
+            yield cls(spec, xs[starts], counts / xs.size, counts=counts,
+                      top=top)
             return
         ones = np.ones(min(xs.size, ex.BLOCK))
         for lo in range(0, xs.size, ex.BLOCK):
@@ -308,6 +326,11 @@ class ClassReport:
         return [i for i, row in enumerate(self.verdicts) if all(row)]
 
 
+# the verdict of a row the closed-form rule settles: finite, read off no
+# rungs and no decay ratio
+_SETTLED = ex.FinitenessProbe(True, (), None)
+
+
 class _ClassCheck:
     """Class verdicts of one tuple for the Gram class 'H', the
     outer-product class 'B', both or neither, and the numerical half of the
@@ -316,14 +339,19 @@ class _ClassCheck:
     read (``upto``): w_k and every d^k g_i are evaluated once on its nodes
     (the grid ``nodes``), and the rows of every order are classified
     together with the moment rows |x|^(2k).  On a discrete member
-    ``nodes`` is the summation grid too."""
+    ``nodes`` is the summation grid too, and a summation grid given as
+    ``nodes`` is the one the ladder is built on.
 
-    def __init__(self, spec, g, classes, cfg, top):
+    A request the closed-form rule settles (``_closed_form``) is
+    ``exact``: it builds no ladder, every row is finite, and ``nodes``, the
+    assembly grid, only checks the signs of the weights."""
+
+    def __init__(self, spec, g, classes, cfg, top, nodes=None, exact=False):
         self.spec, self.g, self.cfg, self.top = spec, g, cfg, top
         self.classes = tuple(classes)
         self.unbounded = not all(map(math.isfinite, spec.support))
-        self.ladder = self.nodes = None
-        self.probes = {cls: [] for cls in self.classes}  # [k][i]
+        self.nodes, self.exact = nodes, exact
+        self.probes = None  # probes[cls][k][i], once classified
         self.moments = []  # [k]: E|X|^(2k) verdict, None if bounded
         self.refusal = None  # (k, error) of the first weight refused
 
@@ -334,11 +362,18 @@ class _ClassCheck:
         Var[g] < inf too), the absolute values w_k |d^k g_i| (for 'B',
         k > 0) and the moment rows |x|^(2k).  An order whose weight is
         refused as negative ends the pass: the orders before it are
-        classified, and its error is kept for ``upto``."""
-        ladder = self.ladder = ex.Ladder.build(self.spec, self.cfg)
-        self.nodes = _Grid(self.spec, ladder.x, ladder.w, ladder.tail,
-                           top=self.top)
+        classified, and its error is kept for ``upto``.  An ``exact``
+        check builds no ladder and reads only the signs of the weights."""
+        nodes = self.nodes
+        if not self.exact:
+            ladder = ex.Ladder.build(
+                self.spec, self.cfg, None if nodes is None else
+                (nodes.x, nodes.w, nodes.tail, nodes.edge))
+            if nodes is None:
+                self.nodes = _Grid(self.spec, ladder.x, ladder.w,
+                                   ladder.tail, top=self.top)
         classes, p, stop = self.classes, len(self.g), self.top + 1
+        self.probes = {cls: [] for cls in classes}
         squares = absolutes = range(0)
         if classes:
             powers = self.nodes.powers()
@@ -348,6 +383,10 @@ class _ClassCheck:
                 self.refusal = (stop, _negative_weight(stop))
             squares = range(stop if "H" in classes else min(stop, 1))
             absolutes = range(1, stop if "B" in classes else 0)
+        if self.exact:
+            for cls in classes:
+                self.probes[cls] = [[_SETTLED] * p] * stop
+            return
         moments = range(stop) if self.unbounded else range(0)
         size = p * (len(squares) + len(absolutes))
         contrib = np.empty((size + len(moments), ladder.x.size))
@@ -383,7 +422,7 @@ class _ClassCheck:
     def upto(self, n):
         """The check of the orders up to n <= ``top``, classified on the
         first read, raising the error of a refused order up to n."""
-        if self.ladder is None:
+        if self.probes is None:
             self.classify()
         if self.refusal is not None and self.refusal[0] <= n:
             raise self.refusal[1]
@@ -391,9 +430,11 @@ class _ClassCheck:
 
     def moment_finite(self, n) -> bool:
         """Whether E|X|^(2n) is finite: the Pearson criterion, and where it
-        admits order n on an unbounded support, the moment row of order n."""
+        admits order n on an unbounded support of a request the rule does
+        not settle, the moment row of order n."""
         return moment_criterion(self.spec, n) and (
-            not self.unbounded or self.upto(n).moments[n].finite)
+            self.exact or not self.unbounded
+            or self.upto(n).moments[n].finite)
 
     def report(self, cls, n, implies_other=False) -> ClassReport:
         rows = list(zip(*self.probes[cls][:n + 1]))  # [function][order]
@@ -401,6 +442,99 @@ class _ClassCheck:
                            tuple(tuple(p.finite for p in r) for r in rows),
                            tuple(tuple(p.decay_ratio for p in r) for r in rows),
                            implies_other)
+
+
+def _closed_form(spec, g, cfg, top):
+    """Whether the closed-form rule settles the class checks and the
+    numerical half of the moment gate of a request up to order ``top``, as
+    (the assembly grid, if the rule built it, and the verdict).
+
+    The rule takes a catalog member (one that carries ``Tails``) and a
+    tuple of grammar functions without a log factor, and admits the
+    request only with every row finite, by a margin.  A term
+    c u(x) v(x) of g_i and every derivative of it are at most
+    M (1 + |x|)^deg e^(a x), where a, the term's rate, is the sum of its
+    exp factors' rates, deg the sum of its polynomial degrees, and
+    M = |c| C_u C_v (r_u + r_v)^k, with C the 1-norm of a polynomial or
+    e^b of exp(ax + b) (1 for sin and cos) and r the degree or |a|.  So
+    the rule asks that
+    - twice the tuple's largest rate toward each infinite end be at most
+      EXACT_RATE_SHARE of the member's tail rate there;
+    - a bound on the log of every E[w_k (d^k g_i)^2] be at most
+      EXACT_LOG_CAP, so that no row overflows where the ladder would read
+      inf: twice the log of the largest M (times the most terms of one
+      function), the log-MGF at twice the rates (twice a rate times the
+      largest |x| on a bounded support) and an allowance of
+      2 (deg + 2 top) log(1 + |mu| + 10 sigma) for the powers of x and
+      of q;
+    - the assembly grid reproduce the member's mass, mean and variance
+      q(mu) / (1 - delta) and, on an unbounded support, its log-MGF at
+      twice the rates, so that no row's mass lies beyond the grid.
+    A request it does not admit takes the ladder."""
+    tails = getattr(spec, "tails", None)
+    if tails is None:
+        return None, False
+    # (log M, rate, deg) of every term, after those of the zero function,
+    # which a function of no terms is
+    terms, most = [(-math.inf, 0.0, 0)], 1
+    for f in g:
+        if not isinstance(f, SmoothFunction):
+            return None, False
+        most = max(most, len(f._terms))
+        for c, u, v in f._terms:
+            log_m = math.log(abs(c)) if c else -math.inf
+            rate = growth = 0.0
+            deg = 0
+            for factor in filter(None, (u, v)):
+                if factor.kind == "log":
+                    return None, False
+                if factor.kind == "poly":
+                    norm = sum(map(abs, factor.derivs[0]))
+                    log_m += math.log(norm) if norm else -math.inf
+                    deg += factor.top
+                    growth += factor.top
+                    continue
+                growth += abs(float(factor.a))
+                if factor.kind == "exp":
+                    rate += float(factor.a)
+                    log_m += factor.b
+            terms.append((log_m + top * math.log(max(growth, 1.0)), rate,
+                          deg))
+    log_m, rate, deg = np.array(terms).T
+    # nan (from a nan coefficient) passes no test below
+    up, down = (float(np.maximum(np.max(r), 0.0)) for r in (rate, -rate))
+    alpha, omega = spec.support
+    if math.isinf(omega) and not 2 * up <= EXACT_RATE_SHARE * tails.hi:
+        return None, False
+    if math.isinf(alpha) and not 2 * down <= EXACT_RATE_SHARE * -tails.lo:
+        return None, False
+    mu, q = spec.mean, spec.q
+    # the variance; only a one-point member (hypergeometric of population
+    # 1) has delta = 1, and none is admitted
+    var = max(q(mu), 0.0) / (1.0 - q.delta) if q.delta < 1.0 else math.inf
+    unbounded = math.isinf(alpha) or math.isinf(omega)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tilted = {t: float(tails.log_mgf(t)) for t in (2 * up, -2 * down)
+                  if t} if unbounded else {}
+    spread = max(tilted.values(), default=0.0) + math.log(2.0) \
+        if unbounded else 2 * max(up, down) * max(abs(alpha), abs(omega))
+    bound = (2 * (float(np.max(log_m)) + math.log(most)) + spread
+             + 2 * (float(np.max(deg)) + 2 * top)
+             * math.log1p(abs(mu) + 10.0 * math.sqrt(var)))
+    if not bound <= EXACT_LOG_CAP:
+        return None, False
+    full = _Grid.build(spec, cfg, top=top)
+    x, w = full.x, full.w
+    # an overflow is a failed check
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        checks = [(w.sum(), 1.0, GRID_MASS_TOL),
+                  (w @ x, mu, GRID_RTOL * (abs(mu) + math.sqrt(var))),
+                  (w @ (x - mu) ** 2, var, GRID_RTOL * var)]
+        checks += [(np.log(w @ np.exp(t * x)), want,
+                    GRID_RTOL * max(1.0, abs(want)))
+                   for t, want in tilted.items()]
+        return full, all(abs(got - want) <= tol
+                         for got, want, tol in checks)
 
 
 def moment_finiteness(spec: Spec, n: int,
@@ -723,10 +857,15 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
     the grids, derivative rows, the one ladder of the moment gate and class
     checks (on a discrete member also the summation grid), and the matrices
     are shared: S_n and L_n are prefix sums of one set of H_k and B_k, and
-    every order's class rows are classified in one ladder pass.  Orders are
-    gated in ascending order, each as its own call would gate it (moment
-    gate, class checks on the prefix k <= n, coefficients), so a refused
-    order raises what its own call raises.
+    every order's class rows are classified in one ladder pass.  A request
+    the closed-form rule settles (``_closed_form``: a catalog member, a
+    tuple of grammar functions without a log factor, rates and sizes
+    within margins and a healthy assembly grid) builds no ladder: every
+    row is finite, and only the signs of the weights on the assembly grid
+    are checked, with the ladder's error.  Orders are gated in ascending
+    order, each as its own call would gate it (moment gate, class checks
+    on the prefix k <= n, coefficients), so a refused order raises what
+    its own call raises.
     ``class_policy`` is as in ``bound_report``; with 'drop' each order keeps
     the functions that pass its own checks.
     """
@@ -743,10 +882,14 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
         raise ValueError(f"unknown theorems {sorted(unknown)}")
     if class_policy not in ("raise", "drop", "skip"):
         raise ValueError("class_policy must be 'raise', 'drop' or 'skip'")
+    top = max(orders)
+    # the assembly grid, built by the closed-form rule if it got that far,
+    # is the ladder's too on a discrete member
+    full, exact = _closed_form(spec, g, cfg, top)
     check = _ClassCheck(spec, g, [cls for name, cls in _THEOREMS
                                   if name in theorems
-                                  and class_policy != "skip"], cfg,
-                        max(orders))
+                                  and class_policy != "skip"], cfg, top,
+                        full if exact or spec.is_discrete else None, exact)
     assembly = None
     done = {}
     for n in sorted(set(orders)):
@@ -770,9 +913,9 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
                 if not keep:
                     raise ClassMembershipError(
                         "no test function passes the class checks", ())
-        assembly = assembly or _Pass(spec, cfg, g, theorems, tol_scale,
-                                     max(orders), check.nodes
-                                     if spec.is_discrete else None)
+        assembly = assembly or _Pass(spec, cfg, g, theorems, tol_scale, top,
+                                     check.nodes if spec.is_discrete
+                                     else full)
         done[n] = assembly.report(n, tuple(sorted(keep)), dropped)
     assembly.judge(list(done.values()))
     return [done[n] for n in orders]

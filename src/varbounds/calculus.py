@@ -485,7 +485,8 @@ def _factor(text, tokens, i):
 
 def _affine(text, tokens, i):
     """(a, b, index of the closing ")") of the affine argument a*x + b
-    that starts at tokens[i]."""
+    that starts at tokens[i].  A term ends at a sign or the closing ")",
+    so two terms side by side are an error, not a sum."""
     a = b = 0.0
     sign = 1.0
     expect_term = True
@@ -500,7 +501,7 @@ def _affine(text, tokens, i):
             expect_term = True
             continue
         coef = 1.0
-        if tok.__class__ is float:
+        if tok.__class__ is float and expect_term:
             coef = tok
             i += 1
             if tokens[i] != "*":
@@ -509,7 +510,7 @@ def _affine(text, tokens, i):
                 continue
             i += 1
             tok = tokens[i]
-        if tok == "x":
+        if tok == "x" and expect_term:
             i += 1
             a += sign * coef
             sign, expect_term = 1.0, False

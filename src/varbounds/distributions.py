@@ -67,6 +67,21 @@ class Quadratic:
 
 
 @dataclass(frozen=True)
+class Tails:
+    """A catalog member's tails in closed form: its moment generating
+    function E[e^(tX)] is finite exactly for ``lo`` < t < ``hi``, so the
+    density or pmf decays like e^(-hi x) toward +inf and e^(lo x) toward
+    -inf (an infinite bound: faster than any exponential, or a finite
+    end), and ``log_mgf(t)`` is log E[e^(tX)] there, in numpy arithmetic,
+    so that it overflows to inf.  ``log_mgf`` is None on a bounded
+    support, where no rate matters."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    log_mgf: Optional[Callable] = None
+
+
+@dataclass(frozen=True)
 class ContinuousIP:
     """Integrated Pearson member: mean, quadratic, open support interval,
     density evaluator and optional inverse-transform sampler."""
@@ -80,6 +95,8 @@ class ContinuousIP:
     params: dict = field(default_factory=dict)
     # the "custom" document a tabulated member was loaded from
     custom: Optional[dict] = field(default=None, repr=False, compare=False)
+    # the closed-form tails of a catalog member; None on any other spec
+    tails: Optional[Tails] = field(default=None, repr=False, compare=False)
 
     is_discrete = False
 
@@ -106,6 +123,8 @@ class DiscreteCO:
     params: dict = field(default_factory=dict)
     # the "custom" document a tabulated member was loaded from
     custom: Optional[dict] = field(default=None, repr=False, compare=False)
+    # the closed-form tails of a catalog member; None on any other spec
+    tails: Optional[Tails] = field(default=None, repr=False, compare=False)
 
     is_discrete = True
 
@@ -385,7 +404,8 @@ def _normal(params):
         return x
 
     return ContinuousIP(m, Quadratic(0.0, 0.0, v), (-math.inf, math.inf),
-                        density, sampler, "normal", {"mean": m, "var": v})
+                        density, sampler, "normal", {"mean": m, "var": v},
+                        tails=Tails(log_mgf=lambda t: m * t + 0.5 * v * t * t))
 
 
 def _gamma(params):
@@ -408,7 +428,9 @@ def _gamma(params):
         return x
 
     return ContinuousIP(a * th, Quadratic(0.0, th, 0.0), (0.0, math.inf),
-                        density, sampler, "gamma", {"shape": a, "scale": th})
+                        density, sampler, "gamma", {"shape": a, "scale": th},
+                        tails=Tails(hi=1.0 / th,
+                                    log_mgf=lambda t: -a * np.log1p(-th * t)))
 
 
 def _beta(params):
@@ -431,7 +453,8 @@ def _beta(params):
         return _beta_quantile(a, b, u)
 
     return ContinuousIP(a / s, Quadratic(-1.0 / s, 1.0 / s, 0.0), (0.0, 1.0),
-                        density, sampler, "beta", {"a": a, "b": b})
+                        density, sampler, "beta", {"a": a, "b": b},
+                        tails=Tails())
 
 
 def _mask_pmf(log_pmf, valid):
@@ -490,7 +513,8 @@ def _poisson(params):
     pmf = _mask_pmf(log_pmf, lambda k: k >= 0)
     support = (0.0, math.inf)
     return DiscreteCO(lam, Quadratic(0.0, 0.0, lam), support, pmf,
-                      _table_sampler(pmf, support), "poisson", {"lam": lam})
+                      _table_sampler(pmf, support), "poisson", {"lam": lam},
+                      tails=Tails(log_mgf=lambda t: lam * np.expm1(t)))
 
 
 def _binomial(params):
@@ -512,7 +536,7 @@ def _binomial(params):
     return DiscreteCO(trials * theta,
                       Quadratic(0.0, -theta, trials * theta), support, pmf,
                       _table_sampler(pmf, support), "binomial",
-                      {"n": trials, "theta": theta})
+                      {"n": trials, "theta": theta}, tails=Tails())
 
 
 def _negative_binomial(params):
@@ -533,7 +557,9 @@ def _negative_binomial(params):
     support = (0.0, math.inf)
     return DiscreteCO(mu, Quadratic(0.0, (1.0 - theta) / theta, mu), support,
                       pmf, _table_sampler(pmf, support), "negative-binomial",
-                      {"r": r, "theta": theta})
+                      {"r": r, "theta": theta},
+                      tails=Tails(hi=-log_rest, log_mgf=lambda t: r * (
+                          math.log(theta) - np.log1p(-np.exp(t + log_rest)))))
 
 
 def _hypergeometric(params):
@@ -562,7 +588,7 @@ def _hypergeometric(params):
     q = Quadratic(1.0 / pop, -(succ + draws) / pop, succ * draws / pop)
     return DiscreteCO(draws * succ / pop, q, support, pmf,
                       _table_sampler(pmf, support), "hypergeometric",
-                      {"N": pop, "K": succ, "n": draws})
+                      {"N": pop, "K": succ, "n": draws}, tails=Tails())
 
 
 _CATALOG = {

@@ -247,8 +247,8 @@ class FinitenessProbe:
     """Verdict of a truncated-expectation stabilization ladder.
 
     ``values`` are nested truncated integrals/sums of a nonnegative
-    integrand.  One rung is finite; a non-finite value is divergent, with
-    ratio inf; a last increment (clipped at 0) of at most
+    integrand.  A non-finite value is divergent, with ratio inf; otherwise
+    one rung is finite; a last increment (clipped at 0) of at most
     1e-9 (1 + |last value|) is finite, with ratio 0; otherwise
     ``decay_ratio`` is the median of the last three increment ratios with a
     positive denominator (0 if none) and the verdict is finite when it is
@@ -282,7 +282,8 @@ def _classify(values) -> list[FinitenessProbe]:
                 ratios[:, 1]))
             tail = np.abs(values[:, -1])
             ratio[incs[:, -1] <= _STABLE_RTOL * (1.0 + tail)] = 0.0
-        ratio[~np.all(np.isfinite(values), axis=1)] = math.inf
+    # a sum that overflows diverges, on one rung (a finite support) too
+    ratio[~np.all(np.isfinite(values), axis=1)] = math.inf
     return [FinitenessProbe(*verdict) for verdict in
             zip((ratio <= _DECAY_RATIO_MAX).tolist(),
                 map(tuple, values.tolist()), ratio.tolist())]
@@ -299,6 +300,20 @@ def _underflow_edges(x, w, support) -> np.ndarray:
             if np.any((w == 0.0) & ((x - x[i]) * math.copysign(1.0, end) > 0.0)):
                 edges.append(i)
     return np.asarray(edges, dtype=int)
+
+
+@lru_cache(maxsize=1)
+def _ladder_rules():
+    """The nodes and the half weights of a continuous ladder's segments,
+    side by side: the 96-node rule of the bulk, then the 48-node rule of
+    each shell."""
+    rules = [gauss_legendre(96)] + [gauss_legendre(48)] * (
+        2 * (_LADDER_RUNGS - 1))
+    out = (np.concatenate([s for s, _ in rules]),
+           np.concatenate([glw for _, glw in rules]) * 0.5)
+    for a in out:  # shared by every ladder
+        a.setflags(write=False)
+    return out
 
 
 class Ladder:
@@ -324,9 +339,12 @@ class Ladder:
         self.cumulative, self.edge, self.tail = cumulative, edge, tail
 
     @classmethod
-    def build(cls, spec, cfg: EngineConfig) -> "Ladder":
+    def build(cls, spec, cfg: EngineConfig, support=None) -> "Ladder":
+        """The ladder of ``spec``; a discrete member's is built on
+        ``support``, its (x, pmf, tail, edge) from ``truncated_support``,
+        when it is given."""
         if getattr(spec, "is_discrete", False):
-            return cls._discrete(spec)
+            return cls._discrete(spec, *(support or truncated_support(spec)))
         return cls._continuous(spec, cfg)
 
     @classmethod
@@ -354,34 +372,35 @@ class Ladder:
             return lo, hi
 
         lo, hi = window(0)
-        segments, rung_segments = [(lo, hi, 96)], [(0,)]
+        segments, rung_segments = [(lo, hi)], [(0,)]
         for m in range(1, _LADDER_RUNGS):
             nlo, nhi = window(m)
-            shells = [s for s in ((nlo, lo, 48), (hi, nhi, 48)) if s[1] > s[0]]
+            shells = [s for s in ((nlo, lo), (hi, nhi)) if s[1] > s[0]]
             rung_segments.append(tuple(range(len(segments),
                                              len(segments) + len(shells))))
             segments += shells
             lo, hi = nlo, nhi
 
-        xs, scales = [], []
-        for lo, hi, n_nodes in segments:
-            s, glw = gauss_legendre(n_nodes)
-            xs.append(0.5 * (hi - lo) * s + 0.5 * (hi + lo))
-            scales.append(glw * 0.5 * (hi - lo))
-        x = np.concatenate(xs)
-        w = np.concatenate(scales) * spec.density(x)
+        # each segment's nodes half * s + mid and weights half_glw * width,
+        # as one array operation over the segments' rules side by side
+        lo, hi = np.array(segments).T
+        sizes = np.full(lo.size, 48)
+        sizes[0] = 96
+        s, half_glw = _ladder_rules()
+        x = (np.repeat(0.5 * (hi - lo), sizes) * s[:sizes.sum()]
+             + np.repeat(0.5 * (hi + lo), sizes))
+        w = half_glw[:x.size] * np.repeat(hi - lo, sizes) * spec.density(x)
         # nodes where the density underflows contribute exactly nothing and
         # would turn inf * 0 into nan for growing integrands
         keep = w != 0.0
-        ends = np.cumsum(keep)[np.cumsum([v.size for v in xs]) - 1]
+        ends = np.cumsum(keep)[np.cumsum(sizes) - 1]
         bounds = [slice(int(a), int(b)) for a, b in zip([0, *ends], ends)]
         rungs = tuple(tuple(bounds[i] for i in rung) for rung in rung_segments)
         edge = np.cumsum(keep)[_underflow_edges(x, w, spec.support)] - 1
         return cls(x[keep], w[keep], rungs, True, edge)
 
     @classmethod
-    def _discrete(cls, spec):
-        x, pm, tail, edge = truncated_support(spec)
+    def _discrete(cls, spec, x, pm, tail, edge):
         alpha, omega = spec.support
         if math.isfinite(alpha) and math.isfinite(omega):
             rungs = ((slice(0, x.size),),)

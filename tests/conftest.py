@@ -1,5 +1,6 @@
 """Shared fixtures: catalog pools and hand-built family members."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,9 +23,9 @@ def ladder_builds(monkeypatch):
     builds = []
     original = Ladder.build.__func__
 
-    def counted(cls, spec, cfg):
+    def counted(cls, spec, *args):
         builds.append(spec)
-        return original(cls, spec, cfg)
+        return original(cls, spec, *args)
 
     monkeypatch.setattr(Ladder, "build", classmethod(counted))
     return builds
@@ -64,6 +65,12 @@ def make_heavy_member(delta=0.3, gamma=1.0):
 @pytest.fixture(scope="session")
 def heavy_member():
     return make_heavy_member()
+
+
+def ladder_only(spec):
+    """``spec`` without its closed-form tails, as a member built by hand
+    has none, so that the class checks of its requests take the ladder."""
+    return dataclasses.replace(spec, tails=None)
 
 
 def make_bernoulli_member(theta=0.3):

@@ -22,7 +22,8 @@ from varbounds.bounds import (_bessel_weight, _Grid, bound_report,
 from varbounds.calculus import DerivativeTable, forward_difference
 from varbounds.cli import _parse_dist, main
 from varbounds.errors import ClassMembershipError, SingularCoefficientError
-from tests.conftest import make_bernoulli_member, make_heavy_member
+from tests.conftest import (ladder_only, make_bernoulli_member,
+                            make_heavy_member)
 
 
 def tuple_of(*exprs):
@@ -472,12 +473,17 @@ class TestOnePass:
     def test_one_derivative_evaluation_per_grid(self, cfg,
                                                 base_evaluations):
         g = tuple_of("x^3", "exp(0.4*x)", "x*sin(2*x)")
-        bound_report(catalog("normal"), g, 3, cfg)
+        bound_report(ladder_only(catalog("normal")), g, 3, cfg)
         # the bases of orders 0-3 once each on the class ladder, the full
         # grid and the half grid
         assert [orders for _, orders in base_evaluations] == \
             [(0, 1, 2, 3)] * 3
         assert len({x.size for x, _ in base_evaluations}) == 3
+        # the closed-form rule settles the catalog member: no ladder
+        base_evaluations.clear()
+        bound_report(catalog("normal"), g, 3, cfg)
+        assert [orders for _, orders in base_evaluations] == \
+            [(0, 1, 2, 3)] * 2
 
     def test_one_evaluation_per_shift_on_discrete_grids(self, cfg,
                                                          base_evaluations):
@@ -499,11 +505,17 @@ class TestOnePass:
         # of orders 2-4 reads its rows off the whole tuple's
         assert len(base_evaluations) == 3
 
-    @pytest.mark.parametrize("dist,grids", [("normal", 3),
-                                            ("poisson:lam=3.815", 1)])
+    # the closed-form rule leaves a log factor, and twice a rate past half
+    # the tail rate (log 2 on negative-binomial(3, 0.5)), to the ladder; it
+    # settles the normal and poisson requests, which make no ladder pass
+    @pytest.mark.parametrize("dist,last,grids,ladders", [
+        ("beta:a=2,b=3", "log(x+1)", 3, 1),
+        ("negative-binomial:r=3,theta=0.5", "exp(0.3*x)", 1, 1),
+        ("normal", "x^2*exp(0.25*x)", 2, 0),
+        ("poisson:lam=3.815", "x^2*exp(0.25*x)", 1, 0)])
     def test_chain_evaluates_bases_once_per_grid(self, tmp_path, monkeypatch,
                                                  base_evaluations, dist,
-                                                 grids):
+                                                 last, grids, ladders):
         passes = []
         original = expectation.Ladder.classify
 
@@ -514,14 +526,14 @@ class TestOnePass:
         monkeypatch.setattr(expectation.Ladder, "classify", counted)
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"functions": [
-            {"expr": e} for e in ("x", "x*sin(2*x)", "x^2*exp(0.25*x)")]}))
+            {"expr": e} for e in ("x", "x*sin(2*x)", last)]}))
         assert main(["chain", "--dist", dist, "--functions", str(path),
                      "--n", "8", "--quiet"]) == 0
         # each grid evaluates the tuple's bases once, and the class rows of
-        # all nine orders are judged in one ladder pass
+        # all nine orders are judged in one ladder pass, if any
         assert len(base_evaluations) == grids
         assert len({x.size for x, _ in base_evaluations}) == grids
-        assert len(passes) == 1
+        assert len(passes) == ladders
 
     def test_wide_tuple_evaluates_bases_once_per_grid(self, cfg,
                                                       base_evaluations):
@@ -532,7 +544,9 @@ class TestOnePass:
                          f"x*cos({5 * r:.3f}*x)")][:29])
         assert g.p == 32
         bound_report(catalog("normal"), g, 2, cfg)
-        assert [orders for _, orders in base_evaluations] == [(0, 1, 2)] * 3
+        # the full and the half grid: the closed-form rule settles the
+        # class checks, so there is no ladder
+        assert [orders for _, orders in base_evaluations] == [(0, 1, 2)] * 2
 
     def test_refused_order_does_not_preempt_an_earlier_one(self, cfg):
         # q(j) = 60.5 - j is positive up to j = 60, so on the support grid
@@ -665,11 +679,16 @@ class TestOnePass:
         # the moment gate of every order and the class rows share one
         # ladder; a bounded support under 'skip' needs none
         spec = catalog(*member)
-        bound_reports(spec, tuple_of("x", "x^3"), [3, 1, 2], cfg,
+        bound_reports(ladder_only(spec), tuple_of("x", "x^3"), [3, 1, 2], cfg,
                       class_policy=policy)
         bounded = all(map(math.isfinite, spec.support))
         assert len(ladder_builds) == (0 if bounded and policy == "skip"
                                       else 1)
+        # the closed-form rule settles the catalog member's checks
+        ladder_builds.clear()
+        bound_reports(spec, tuple_of("x", "x^3"), [3, 1, 2], cfg,
+                      class_policy=policy)
+        assert ladder_builds == []
 
     @pytest.mark.parametrize("cls", ["H", "B"])
     @pytest.mark.parametrize("member", [

@@ -237,12 +237,22 @@ class TestChain:
         var = payload["runs"][0]["D"][0][0]
         assert var == pytest.approx(15.0, abs=1e-6)
 
-    @pytest.mark.parametrize("dist", ["normal", "poisson:lam=3"])
-    def test_one_ladder_per_chain(self, dist, fns_path, ladder_builds):
+    @pytest.mark.parametrize("dist,expr,ladders", [
+        # the closed-form rule leaves a log factor, and twice a rate past
+        # half the tail rate (here log 2), to the ladder
+        ("beta:a=2,b=3", "log(x+1)", 1),
+        ("negative-binomial:r=3,theta=0.5", "exp(0.3*x)", 1),
+        # the rule settles these: no ladder
+        ("normal", "x^2", 0), ("poisson:lam=3", "x^2", 0)])
+    def test_one_ladder_per_chain(self, dist, expr, ladders, tmp_path,
+                                  ladder_builds):
         # the eight moment gates and the class checks share one ladder
-        assert main(["chain", "--dist", dist, "--functions", fns_path,
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(
+            {"functions": [{"expr": "x"}, {"expr": expr}]}))
+        assert main(["chain", "--dist", dist, "--functions", str(path),
                      "--n", "8", "--quiet"]) == 0
-        assert len(ladder_builds) == 1
+        assert len(ladder_builds) == ladders
 
     def test_zero_order_usage_error(self, fns_path):
         assert main(["chain", "--dist", "normal", "--functions", fns_path,
@@ -299,11 +309,12 @@ class TestOnePass:
                                                   for e in exprs]}))
         assert main(["chain", "--dist", "normal", "--functions", str(path),
                      "--n", "4", "--quiet"]) == 0
-        # the bases of orders 0-4, once each on the class ladder, the full
-        # grid and the half grid
+        # the bases of orders 0-4, once each on the full grid and the half
+        # grid; the closed-form rule settles the class checks, so there is
+        # no ladder
         assert [orders for _, orders in base_evaluations] == \
-            [tuple(range(5))] * 3
-        assert len({x.size for x, _ in base_evaluations}) == 3
+            [tuple(range(5))] * 2
+        assert len({x.size for x, _ in base_evaluations}) == 2
 
     @pytest.mark.parametrize("theorems", ["poincare,bessel", "poincare"])
     @pytest.mark.parametrize("dist,params,exprs,policy", [

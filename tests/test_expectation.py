@@ -594,10 +594,10 @@ def classify_reference(values) -> FinitenessProbe:
     """The verdict of one ladder row, judged on its own: the scalar rule
     the array pass applies to every row at once."""
     values = [float(v) for v in values]
-    if len(values) == 1:  # a finite discrete support is summed exactly
-        return FinitenessProbe(True, tuple(values), 0.0)
     if not np.all(np.isfinite(values)):
         return FinitenessProbe(False, tuple(values), math.inf)
+    if len(values) == 1:  # a finite discrete support is summed exactly
+        return FinitenessProbe(True, tuple(values), 0.0)
     incs = np.diff(values)
     incs = np.maximum(incs, 0.0)
     tail = abs(values[-1])
@@ -630,8 +630,10 @@ class TestClassifyRule:
     """The array pass against the scalar rule, bit for bit."""
 
     def test_one_rung_is_finite(self):
+        # unless its sum overflows: that diverges, as on every ladder
         got = assert_matches_reference([[2.5], [0.0], [math.inf]])
-        assert all(p.finite and p.decay_ratio == 0.0 for p in got)
+        assert [(p.finite, p.decay_ratio) for p in got] == \
+            [(True, 0.0), (True, 0.0), (False, math.inf)]
 
     def test_non_finite_rows_diverge(self):
         # a nan rung, and a row cut off at the underflow edge (last rung inf)

@@ -7,6 +7,8 @@ import json
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
 
@@ -25,10 +27,12 @@ def test_every_traced_name_exists():
     assert missing == []
 
 
-def _grid_widths(spec, cfg):
-    """The widths of the class ladder's, the full and the half grid."""
-    return [Ladder.build(spec, cfg).x.size, _Grid.build(spec, cfg).x.size,
-            _Grid.build(spec, cfg, max(10, cfg.quad_nodes // 2)).x.size]
+def _grid_widths(spec, cfg, ladder):
+    """The widths of the full and the half grid, and of the class ladder
+    if ``ladder``."""
+    widths = [_Grid.build(spec, cfg).x.size,
+              _Grid.build(spec, cfg, max(10, cfg.quad_nodes // 2)).x.size]
+    return widths + [Ladder.build(spec, cfg).x.size] * ladder
 
 
 def _deriv_rows(spans):
@@ -38,15 +42,20 @@ def _deriv_rows(spans):
             if name == "bounds.deriv_rows"]
 
 
-def test_traced_report_counts_its_derivative_rows():
+@pytest.mark.parametrize("last,ladder", [
+    # the closed-form rule settles the class checks: full and half grid
+    ("exp(0.2*x)", False),
+    # a log factor takes the class ladder, a third grid
+    ("log(x+1)", True)])
+def test_traced_report_counts_its_derivative_rows(last, ladder):
     # every order's row block on each grid of a report is one span as wide
     # as its grid, so the harness's deriv_points_per_grid_point is not 0
     cfg, spec = EngineConfig(), catalog("gamma", {"shape": 2.0})
-    g = FunctionTuple([parse_function(e) for e in ("x", "exp(0.2*x)")])
+    g = FunctionTuple([parse_function(e) for e in ("x", last)])
     with tracing.Tracer().request() as spans:
         report = bounds.bound_report(spec, g, 2, cfg)
     rows = _deriv_rows(spans)
-    widths = _grid_widths(spec, cfg)
+    widths = _grid_widths(spec, cfg, ladder)
     assert sorted(width for _, _, width in rows) == sorted(widths * 3)
     assert rows == [("bounds.bound_report", 2 * width, width)
                     for _, _, width in rows]
@@ -87,10 +96,11 @@ def test_traced_mc_verify_counts_its_derivative_rows(tmp_path):
                          "--out-json", str(tmp_path / "out.json")])
     assert code == 0
     rows = _deriv_rows(spans)
-    # the report's grids, then orders 0..2 of each sample block
+    # the report's full and half grids (the closed-form rule settles its
+    # class checks), then orders 0..2 of each sample block
     report = [row for row in rows if row[0] == "bounds.bound_report"]
     assert sorted(width for _, _, width in report) == \
-        sorted(_grid_widths(spec, cfg) * 3)
+        sorted(_grid_widths(spec, cfg, False) * 3)
     assert rows[len(report):] == [("cli.main", 2 * width, width) for width
                                   in [BLOCK] * 6 + [100] * 3]
     assert tracing.useful_deriv_points(spans) > 0
