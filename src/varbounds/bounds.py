@@ -22,9 +22,9 @@ A request assembles every order up to its highest, top, at once
 the (top + 1, N) weights w_k and the (top + 1, p, N) rows d^k g_i
 (``_Grid.powers``, ``_Grid.rows``).  The class checks of a catalog
 member and a tuple far inside the class are settled in closed form, from
-the member's tails, the tuple's exponential rates and a health check of
-the assembly grid (``_closed_form``); otherwise the class check classifies
-every order up to top in one ladder pass on its first read
+the member's tails, the tuple's exponential rates and a screen of the
+assembly grid for lost mass (``_closed_form``); otherwise the class check
+classifies every order up to top in one ladder pass on its first read
 (``_ClassCheck``).  D and every H_k come from one stacked Gram product and
 every B_k from one stacked mat-vec; the checks, the symmetrisation, the
 entry brackets, the prefix sums S_n and L_n and the tested matrices A_n
@@ -58,12 +58,14 @@ DEFAULT_TOL_SCALE = 1e-6
 # the margins of the closed-form class rule (``_closed_form``): twice a
 # rate of the tuple is at most EXACT_RATE_SHARE of the member's tail rate,
 # the log of the bound on every row's expectation at most EXACT_LOG_CAP,
-# and the assembly grid's mass is within GRID_MASS_TOL of 1, its mean,
-# variance and tilted log-MGFs within GRID_RTOL relative
+# and the assembly grid's mass, mean, variance and tilted log-MGFs within
+# GRID_HEALTH_TOL, relative, of the member's.  That last gate screens for
+# grids that have lost the member's mass or overflow a tilted sum (a miss
+# of 1 or inf); it does not certify quadrature accuracy, which the grids
+# of members such as beta(0.3, 4) and normal(5, 100) miss by up to 1.4e-3
 EXACT_RATE_SHARE = 0.5
 EXACT_LOG_CAP = 150.0
-GRID_MASS_TOL = 1e-10
-GRID_RTOL = 1e-9
+GRID_HEALTH_TOL = 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +92,7 @@ class _Grid:
     def __init__(self, spec, x, w, tail=0.0, counts=None, top=0, edge=None):
         self.spec, self.x, self.w, self.tail = spec, x, w, tail
         self.counts, self.top, self.edge = counts, top, edge
-        self._q, self._eq, self._rows = None, {}, {}
+        self._q, self._refused, self._eq, self._rows = None, None, {}, {}
 
     @classmethod
     def build(cls, spec, cfg=None, n_nodes=None, top=0):
@@ -139,6 +141,30 @@ class _Grid:
             stack.setflags(write=False)
             self._q = stack
         return self._q
+
+    def refused(self):
+        """Whether each weight w_k, k = 0..top, is negative on the grid
+        beyond roundoff, judged once and kept: a negative weight means the
+        spec violates its family contract.  Roundoff is judged against
+        (max |q|)^k, the size of a product of k values of q, with q taken
+        on the grid and, on a discrete member, at the points past its last
+        node that the rising products reach; not against the row's own
+        largest value, which is itself roundoff where the row is 0 (a
+        rising product that meets a zero of q at the end of a finite
+        support)."""
+        if self._refused is None:
+            powers, top = self.powers(), self.top
+            # row 1 is q on the grid; there is none at top = 0
+            size = float(np.max(np.abs(powers[1:2]), initial=0.0))
+            if self.spec.is_discrete and top > 1:
+                beyond = self.spec.q(self.x.max() + np.arange(1.0, top))
+                size = max(size, float(np.max(np.abs(beyond))))
+            with np.errstate(over="ignore"):
+                scale = size ** np.arange(top + 1.0)
+            refused = np.min(powers, axis=1) < -1e-12 * scale
+            refused.setflags(write=False)
+            self._refused = refused
+        return self._refused
 
     def expectation(self, k):
         """E[w_k], the grid sum of q^k (q^[k]) without clipping; a
@@ -194,15 +220,6 @@ class _Grid:
         rows = table.rows(table.bases(shifts, (0,)), 0)
         return np.ascontiguousarray(
             rows.reshape(len(rows), top + 1, self.x.size).swapaxes(0, 1))
-
-
-def _refused(powers) -> np.ndarray:
-    """Whether each row of ``powers`` is negative on the grid beyond
-    roundoff: a negative weight w_k means the spec violates its family
-    contract."""
-    scale = np.max(np.abs(powers), axis=1)
-    scale[scale == 0.0] = 1.0
-    return np.min(powers, axis=1) < -1e-12 * scale
 
 
 def _negative_weight(k) -> ClassMembershipError:
@@ -377,7 +394,7 @@ class _ClassCheck:
         squares = absolutes = range(0)
         if classes:
             powers = self.nodes.powers()
-            refused = _refused(powers)
+            refused = self.nodes.refused()
             if refused.any():
                 stop = int(np.argmax(refused))
                 self.refusal = (stop, _negative_weight(stop))
@@ -469,7 +486,11 @@ def _closed_form(spec, g, cfg, top):
       of q;
     - the assembly grid reproduce the member's mass, mean and variance
       q(mu) / (1 - delta) and, on an unbounded support, its log-MGF at
-      twice the rates, so that no row's mass lies beyond the grid.
+      twice the rates, each within GRID_HEALTH_TOL relative: a screen for
+      grids that have lost the member's mass (a narrow normal far from 0,
+      whose nodes all underflow) or overflow a tilted sum (exp(2 a x) past
+      the largest float on a summation grid), not a certificate of their
+      accuracy.
     A request it does not admit takes the ladder."""
     tails = getattr(spec, "tails", None)
     if tails is None:
@@ -525,16 +546,15 @@ def _closed_form(spec, g, cfg, top):
         return None, False
     full = _Grid.build(spec, cfg, top=top)
     x, w = full.x, full.w
-    # an overflow is a failed check
+    # (value on the grid, the member's, scale); an overflow fails its check
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        checks = [(w.sum(), 1.0, GRID_MASS_TOL),
-                  (w @ x, mu, GRID_RTOL * (abs(mu) + math.sqrt(var))),
-                  (w @ (x - mu) ** 2, var, GRID_RTOL * var)]
-        checks += [(np.log(w @ np.exp(t * x)), want,
-                    GRID_RTOL * max(1.0, abs(want)))
+        checks = [(w.sum(), 1.0, 1.0),
+                  (w @ x, mu, abs(mu) + math.sqrt(var)),
+                  (w @ (x - mu) ** 2, var, var)]
+        checks += [(np.log(w @ np.exp(t * x)), want, max(1.0, abs(want)))
                    for t, want in tilted.items()]
-        return full, all(abs(got - want) <= tol
-                         for got, want, tol in checks)
+        return full, all(abs(got - want) <= GRID_HEALTH_TOL * scale
+                         for got, want, scale in checks)
 
 
 def moment_finiteness(spec: Spec, n: int,
@@ -771,7 +791,7 @@ class _Pass:
         functions ``keep``: a subset reads its rows off the whole tuple's."""
         full, half = self.full, self.half
         sel = None if len(keep) == self.g.p else list(keep)
-        refused = [_refused(grid.powers()[1:]) for grid in (full, half)]
+        refused = [grid.refused()[1:] for grid in (full, half)]
         # a divergent entry is a fault to report, not a numerical accident
         with np.errstate(over="ignore", invalid="ignore"):
             grams, outer = _grid_terms(full, self.g, sel, self.kinds)
@@ -860,9 +880,10 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
     every order's class rows are classified in one ladder pass.  A request
     the closed-form rule settles (``_closed_form``: a catalog member, a
     tuple of grammar functions without a log factor, rates and sizes
-    within margins and a healthy assembly grid) builds no ladder: every
-    row is finite, and only the signs of the weights on the assembly grid
-    are checked, with the ladder's error.  Orders are gated in ascending
+    within margins and an assembly grid that keeps the member's mass and
+    its tilted sums finite) builds no ladder: every row is finite, and
+    only the signs of the weights on the assembly grid are checked, with
+    the ladder's error.  Orders are gated in ascending
     order, each as its own call would gate it (moment gate, class checks
     on the prefix k <= n, coefficients), so a refused order raises what
     its own call raises.

@@ -342,10 +342,18 @@ class Ladder:
     def build(cls, spec, cfg: EngineConfig, support=None) -> "Ladder":
         """The ladder of ``spec``; a discrete member's is built on
         ``support``, its (x, pmf, tail, edge) from ``truncated_support``,
-        when it is given."""
+        when it is given.  A ladder with no node of positive weight, as
+        that of a normal too narrow for its distance from 0, raises
+        ``TruncationError``: no truncated expectation can be judged on
+        it."""
         if getattr(spec, "is_discrete", False):
-            return cls._discrete(spec, *(support or truncated_support(spec)))
-        return cls._continuous(spec, cfg)
+            ladder = cls._discrete(spec, *(support or truncated_support(spec)))
+        else:
+            ladder = cls._continuous(spec, cfg)
+        if not ladder.x.size:
+            raise TruncationError(
+                "the density underflows at every node of the class ladder")
+        return ladder
 
     @classmethod
     def _continuous(cls, spec, cfg):

@@ -8,6 +8,7 @@ not admit take the ladder unchanged, and so do ``check_class`` and
 ``moment_finiteness``.
 """
 
+import json
 import math
 import random
 from unittest import mock
@@ -15,11 +16,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from varbounds import (FunctionTuple, bound_report, bound_reports, bounds,
-                       catalog, check_class, parse_function)
+from varbounds import (DiscreteCO, FunctionTuple, Quadratic, bound_report,
+                       bound_reports, bounds, catalog, check_class,
+                       parse_function)
+from varbounds.cli import EXIT_IO, _parse_dist, main
 from varbounds.distributions import load_distribution
-from varbounds.errors import ClassMembershipError, VarboundsError
+from varbounds.errors import (ClassMembershipError, TruncationError,
+                              VarboundsError)
 from tests.conftest import ladder_only
+from tests.test_assembly_reference import HARD_MEMBERS
 
 
 def tuple_of(*exprs):
@@ -138,6 +143,73 @@ def test_admitted_requests_match_the_ladder():
 
 
 # ---------------------------------------------------------------------------
+# the grid-health gate
+# ---------------------------------------------------------------------------
+
+# the three tuple shapes of the benchmark's catalog sweep, as (rate, tuple)
+# at the exponential rates 0.15 and 0.35
+SWEEP_SHAPES = [(0.0, ("x", "x^2", "x^3"))] + [
+    (rate, shape) for rate in (0.15, 0.35) for shape in (
+        ("x^2", f"exp({rate}*x)", "sin(0.9*x)"),
+        ("x", f"exp({rate}*x)", "sin(0.9*x)", "x*cos(1.1*x)"))]
+
+
+@pytest.mark.parametrize("member", HARD_MEMBERS)
+def test_hard_members_match_the_ladder(member):
+    spec = _parse_dist(member)
+    for _, exprs in SWEEP_SHAPES:
+        args = (spec, tuple_of(*exprs), [1, 2, 3])
+        assert outcome(bound_reports, *args) == \
+            outcome(ladder_reports, *args), (member, exprs)
+
+
+@pytest.mark.parametrize("member", [
+    "gamma:shape=40", "gamma:shape=0.4", "beta:a=0.3,b=4",
+    "normal:mean=5,var=100"])
+def test_grids_that_keep_their_mass_are_admitted(member):
+    # these grids miss the member's mass, variance or tilted log-MGF by up
+    # to 1.4e-3, which a gate certifying accuracy to 1e-9 declined
+    spec = _parse_dist(member)
+    for rate, exprs in SWEEP_SHAPES:
+        g = tuple_of(*exprs)
+        assert admitted(spec, g, 3) == \
+            (2 * rate <= bounds.EXACT_RATE_SHARE * spec.tails.hi)
+        with mock.patch.object(bounds, "GRID_HEALTH_TOL", 1e-9):
+            assert not admitted(spec, g, 3)
+
+
+@pytest.mark.parametrize("family,params,expr", [
+    # every node of a normal this narrow this far from 0 underflows
+    ("normal", {"mean": -23.46, "var": 0.00143}, "x"),
+    ("normal", {"mean": -44.2, "var": 0.0031}, "x^2 + sin(x)"),
+    # exp(5.6 x) overflows on the summation grid
+    ("poisson", {"lam": 0.3}, "exp(2.8*x)"),
+])
+def test_degenerate_grids_are_declined(cfg, family, params, expr):
+    spec, g = catalog(family, params), tuple_of(expr)
+    assert not admitted(spec, g, 2, cfg)
+    for policy in ("raise", "skip"):
+        got = outcome(bound_reports, spec, g, [1, 2], class_policy=policy)
+        assert got == outcome(ladder_reports, spec, g, [1, 2],
+                              class_policy=policy)
+
+
+def test_a_ladder_with_no_node_raises(cfg, tmp_path):
+    spec, g = catalog("normal", {"mean": -23.46, "var": 0.00143}), \
+        tuple_of("x")
+    message = "underflows at every node"
+    for run in (bound_reports, ladder_reports):
+        with pytest.raises(TruncationError, match=message):
+            run(spec, g, [1], cfg)
+    with pytest.raises(TruncationError, match=message):
+        check_class(spec, g, 1, "H", cfg)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"functions": [{"expr": "x"}]}))
+    assert main(["bounds", "--dist", "normal:mean=-23.46,var=0.00143",
+                 "--functions", str(path), "--n", "1"]) == EXIT_IO
+
+
+# ---------------------------------------------------------------------------
 # what the rule leaves to the ladder
 # ---------------------------------------------------------------------------
 
@@ -221,19 +293,31 @@ def test_admitted_request_builds_no_ladder(cfg, ladder_builds):
     assert ladder_builds == []
 
 
-@pytest.mark.parametrize("params,orders", [
-    ({"N": 15, "K": 7, "n": 11}, [1, 2, 3, 6]),
-    ({"N": 51, "K": 23, "n": 3}, [1, 4]),
+@pytest.mark.parametrize("params,orders,null", [
+    ({"N": 15, "K": 7, "n": 11}, [1, 2, 3, 6], [5, 6]),
+    ({"N": 51, "K": 23, "n": 3}, [1, 4], [4]),
 ])
-def test_negative_weights_raise_the_ladder_error(cfg, params, orders):
-    # the rising product q^[k] of these hypergeometric members is negative
-    # beyond roundoff at some node: the request refuses it as the ladder
-    # does
+def test_roundoff_weights_are_null_terms(cfg, params, orders, null):
+    # q vanishes at the end of these hypergeometric supports, so the rising
+    # product q^[k] is 0 on the whole support from some k on, up to
+    # roundoff of either sign: a null term, not a negative weight
     spec, g = catalog("hypergeometric", params), tuple_of("x", "x^2")
     assert admitted(spec, g, max(orders))
     got = outcome(bound_reports, spec, g, orders)
     assert got == outcome(ladder_reports, spec, g, orders)
-    assert got[0] is ClassMembershipError and "is negative" in got[1]
+    assert [r["provenance"]["null_terms"] for r in got][-1] == null * 2
+
+
+def test_negative_weight_is_refused(cfg):
+    # q(j) = 5.5 - j on the support 0..9: q^[1] is negative from j = 6 on
+    def pmf(k):
+        k = np.asarray(k, dtype=float)
+        return np.where((k >= 0) & (k <= 9), 0.1, 0.0)
+
+    spec = DiscreteCO(4.5, Quadratic(0.0, -1.0, 5.5), (0.0, 9.0), pmf)
+    with pytest.raises(ClassMembershipError,
+                       match="weight of order 1 is negative"):
+        bound_report(spec, tuple_of("x"), 1, cfg)
 
 
 @pytest.mark.parametrize("family,params", [

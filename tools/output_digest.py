@@ -5,6 +5,7 @@ Usage (from the repository root):
     python3 tools/output_digest.py
     python3 tools/output_digest.py --workloads high-order --seeds 1 2
     python3 tools/output_digest.py --dump DIR
+    python3 tools/output_digest.py --ladders
     python3 tools/output_digest.py --compare DIR_A DIR_B
 
 With no options it digests the standard set, 633 requests: seeds 1-3 of
@@ -21,6 +22,11 @@ workload produced byte-identical outputs on it, so a refactor that must not
 change results is checked by running this on the parent commit and on the
 change.  The program is imported from ``src/`` of the checkout this file
 sits in.
+
+``--ladders`` also prints, under each workload's line, per seed how many of
+its requests built a class ladder (``expectation.Ladder.build``): the ones
+the closed-form class rule (``bounds._closed_form``) declines.  The digests
+are the same with it and without it.
 
 ``--dump DIR`` also writes, per workload, ``DIR/<workload>.json``: every
 request's outputs parsed (exit code, JSON document, CSV rows with their
@@ -54,6 +60,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
 from varbounds.errors import ClassMembershipError  # noqa: E402
+from varbounds.expectation import Ladder  # noqa: E402
 
 # what the digest takes in front of each kind of output
 _PREFIX = {"refused": b"refused: ", "report": b"", "exit": b"exit ",
@@ -98,26 +105,46 @@ def _parsed(kind, data):
     return int(text) if kind == "exit" else text
 
 
+# the number of ``Ladder.build`` calls made so far, once
+# ``_count_ladder_builds`` has wrapped it
+_LADDER_BUILDS = [0]
+
+
+def _count_ladder_builds():
+    build = Ladder.build.__func__
+
+    def counted(cls, *args, **kwargs):
+        _LADDER_BUILDS[0] += 1
+        return build(cls, *args, **kwargs)
+
+    Ladder.build = classmethod(counted)
+
+
 def digest(workload, seeds, dump=None):
-    """(number of requests, SHA-256 hex digest) of ``workload`` over
-    ``seeds``; with a ``dump`` dict, each request's parsed outputs go into
-    it under "seed/key"."""
-    sha, count = hashlib.sha256(), 0
+    """(number of requests, SHA-256 hex digest, {seed: (number of its
+    requests that built a class ladder, number of its requests)}) of
+    ``workload`` over ``seeds``; the ladder counts are 0 unless
+    ``_count_ladder_builds`` ran.  With a ``dump`` dict, each request's
+    parsed outputs go into it under "seed/key"."""
+    sha, count, ladders = hashlib.sha256(), 0, {}
     for seed in seeds:
         cases = workloads.build_cases(workload, seed)
+        built = 0
         with tempfile.TemporaryDirectory() as workdir:
             requests = workloads.Requests(cases, workdir)
             for case in cases:
                 sha.update(f"\0{seed}/{case.key}\0".encode())
-                parsed = {}
+                parsed, before = {}, _LADDER_BUILDS[0]
                 for kind, data in _outputs(requests, case):
                     chunk = _PREFIX[kind] + data
                     sha.update(len(chunk).to_bytes(8, "little") + chunk)
                     parsed[kind] = _parsed(kind, data)
                 if dump is not None:
                     dump[f"{seed}/{case.key}"] = parsed
+                built += _LADDER_BUILDS[0] > before
                 count += 1
-    return count, sha.hexdigest()
+        ladders[seed] = (built, len(cases))
+    return count, sha.hexdigest(), ladders
 
 
 def _difference(a, b):
@@ -187,17 +214,25 @@ def main(argv=None):
                         help="also write each workload's parsed outputs here")
     parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
                         help="compare two dumps instead of running requests")
+    parser.add_argument("--ladders", action="store_true",
+                        help="also print per seed the requests that built a "
+                             "class ladder")
     args = parser.parse_args(argv)
     if args.compare:
         compare(*args.compare)
         return
     if args.dump:
         os.makedirs(args.dump, exist_ok=True)
+    if args.ladders:
+        _count_ladder_builds()
     for workload in args.workloads:
         dump = {} if args.dump else None
-        count, hexdigest = digest(workload,
-                                  args.seeds or STANDARD_SEEDS[workload], dump)
+        seeds = args.seeds or STANDARD_SEEDS[workload]
+        count, hexdigest, ladders = digest(workload, seeds, dump)
         print(f"{workload}  {count} requests  {hexdigest}", flush=True)
+        for seed, (built, total) in ladders.items() if args.ladders else ():
+            print(f"  seed {seed}: {built} of {total} requests built a class "
+                  f"ladder", flush=True)
         if dump is not None:
             with open(os.path.join(args.dump, workload + ".json"), "w",
                       encoding="utf-8") as fh:
