@@ -20,7 +20,11 @@ members) the k-th summand is the null matrix by convention.
 A request assembles every order up to its highest, top, at once
 (``_Pass``).  Each grid is built for top and read only as two whole stacks,
 the (top + 1, N) weights w_k and the (top + 1, p, N) rows d^k g_i
-(``_Grid.powers``, ``_Grid.rows``).  The class checks of a catalog
+(``_Grid.powers``, ``_Grid.rows``), each made for every order in one pass:
+the rows in one pass over the slots of the tuple's derivative table
+compiled for the orders 0..top, on a discrete member the forward
+differences in one pass over the shifts and each rising product from the
+one before.  The class checks of a catalog
 member and a tuple far inside the class are settled in closed form, from
 the member's tails, the tuple's exponential rates and a screen of the
 assembly grid for lost mass (``_closed_form``); otherwise the class check
@@ -41,15 +45,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import expectation as ex
-from .calculus import (FunctionTuple, SmoothFunction, difference_of_rows,
-                       rising_q)
+from .calculus import (FunctionTuple, SmoothFunction, forward_differences,
+                       rising_products)
 from .distributions import Spec, moment_criterion
 from .errors import (ClassMembershipError, InvalidParameterError,
                      NonFiniteIntegrandError, SingularCoefficientError)
 from .linalg import (SymMatrix, eigenvalues, is_psd, solve_spectra,
                      spectral_radius, symmetrized)
 # unused here: perfbench/tracing.py wraps these names in this module
-from .calculus import forward_difference  # noqa: F401
+from .calculus import forward_difference, rising_q  # noqa: F401
 from .linalg import loewner_leq  # noqa: F401
 
 COEFFICIENT_FACTOR_GUARD = 1e-10
@@ -81,13 +85,14 @@ class _Grid:
     built, and ``from_samples`` the grids of N Monte Carlo samples.
 
     A grid is built for the highest order ``top`` its request reads, and
-    it is read as two stacks over the orders 0..top, each evaluated once
-    and kept: the (top + 1, N) powers q^k (q^[k]) and, per tuple, the
-    (top + 1, p, N) rows d^k g_i, written order by order into one array
-    from one evaluation of the bases of the tuple's derivative table for
-    every order (on a discrete member its rows g_i(x + j), j = 0..top,
-    whose forward differences are the rows).  No order above ``top`` is
-    read."""
+    it is read as two stacks over the orders 0..top, each made in one pass
+    and kept: the (top + 1, N) powers q^k (on a discrete member the rising
+    products q^[k], each the one before times one q) and, per tuple, the
+    (top + 1, p, N) rows d^k g_i, every order from one evaluation of the
+    bases of the tuple's derivative table and one pass over its summand
+    slots (on a discrete member its rows g_i(x + j), j = 0..top, whose
+    forward differences of every order are taken in one pass over the
+    shifts).  No order above ``top`` is read."""
 
     def __init__(self, spec, x, w, tail=0.0, counts=None, top=0, edge=None):
         self.spec, self.x, self.w, self.tail = spec, x, w, tail
@@ -128,16 +133,17 @@ class _Grid:
         """The read-only (top + 1, N) stack of q^k (continuous) or the
         rising products q^[k] (discrete) at the grid points."""
         if self._q is None:
-            stack = np.empty((self.top + 1, self.x.size))
-            if not self.spec.is_discrete:
-                qx = self.spec.q(self.x)
             # a power past the largest float is a divergent weight, which
             # the reads of the stack report
             with np.errstate(over="ignore"):
-                for k in range(self.top + 1):
-                    stack[k] = (1.0 if k == 0 else
-                                rising_q(self.spec.q, k, self.x)
-                                if self.spec.is_discrete else qx ** k)
+                if self.spec.is_discrete:
+                    stack = rising_products(self.spec.q, self.top, self.x)
+                else:
+                    stack = np.empty((self.top + 1, self.x.size))
+                    stack[0] = 1.0
+                    qx = self.spec.q(self.x)
+                    for k in range(1, self.top + 1):
+                        stack[k] = qx ** k
             stack.setflags(write=False)
             self._q = stack
         return self._q
@@ -184,42 +190,36 @@ class _Grid:
 
     def rows(self, g):
         """The read-only (top + 1, p, N) stack of the rows d^k g_i of the
-        tuple ``g``, written order by order by ``deriv_values``."""
+        tuple ``g``, every order made in one pass and kept.  The bases of
+        the tuple's derivative table are evaluated once: at the grid points
+        for every order (continuous), or at every shift x + j, j = 0..top,
+        for the rows g_i(x + j) whose forward differences are the rows
+        (discrete).  Each order is then handed out once by
+        ``deriv_values``."""
         table = g.table
         _, stack = self._rows.get(id(table), (None, None))
         if stack is None:
             top = self.top
             if self.spec.is_discrete:
-                evaluated = self._shifted(table)
+                shifts = np.concatenate([self.x + j if j else self.x
+                                         for j in range(top + 1)])
+                shifted = table.rows(table.bases(shifts, (0,)))[0]
+                stack = forward_differences(shifted.reshape(
+                    len(shifted), top + 1, self.x.size).swapaxes(0, 1))
             else:
-                evaluated = table.bases(self.x, range(top + 1))
-            stack = np.empty((top + 1, len(table.functions), self.x.size))
-            for k in range(top + 1):
-                self.deriv_values(table, evaluated, k, stack[k])
+                stack = table.rows(table.bases(self.x, range(top + 1)))
             stack.setflags(write=False)
             self._rows[id(table)] = (table, stack)
+            # one derivative-row span per order for perfbench/tracing.py,
+            # which wraps deriv_values
+            for k in range(top + 1):
+                self.deriv_values(stack, k)
         return stack
 
-    def deriv_values(self, table, evaluated, k, out):
-        """The rows of d^k g_i over the grid (exact derivative or forward
-        difference), written into ``out`` from the derivative ``table``'s
-        bases of every order up to ``top`` (continuous) or from its rows at
-        every shift (discrete)."""
-        if not self.spec.is_discrete:
-            return table.rows(evaluated, k, out)
-        out[...] = evaluated[0] if k == 0 else difference_of_rows(
-            evaluated[:k + 1], k)
-        return out
-
-    def _shifted(self, table):
-        """The (top + 1, p, N) rows g_i(x + j), j = 0..top, from one
-        evaluation of the bases at every shift."""
-        top = self.top
-        shifts = np.concatenate([self.x + j if j else self.x
-                                 for j in range(top + 1)])
-        rows = table.rows(table.bases(shifts, (0,)), 0)
-        return np.ascontiguousarray(
-            rows.reshape(len(rows), top + 1, self.x.size).swapaxes(0, 1))
+    def deriv_values(self, stack, k):
+        """The (p, N) rows of d^k g_i over the grid (exact derivative or
+        forward difference): order k of the stack that ``rows`` makes."""
+        return stack[k]
 
 
 def _negative_weight(k) -> ClassMembershipError:

@@ -8,17 +8,20 @@ exp/sin/cos/log of an affine argument).  The k-th derivative is the binomial
 Leibniz sum over those closed forms.  A grammar string becomes its terms in
 one regular-expression scan and one pass over the tokens, in plain floats; a
 polynomial factor keeps its coefficients, and its derivative vectors are
-made only for the orders a table compiles.  A tuple of functions compiles
-once into a ``DerivativeTable``: its distinct bases (exp, sin and cos of
-each distinct affine argument, log powers, polynomial derivative
-coefficients) and, per order, each row's summands as (scale, base, base),
-one index array per slot built from plain lists.  On a set of points the
-bases of the orders asked for are evaluated once, grouped by kind, and each
-order's rows are a gather-multiply of them.  No numeric
-differentiation happens on the main path; squared high-order derivatives
-would otherwise contaminate eigenvalue margins near equality cases.  Discrete
-test functions can be arbitrary evaluators, since forward differences need
-only point values.
+made only for the orders a table compiles.  A tuple of functions compiles,
+for the set of orders a grid reads, into one slot-major summand table of
+its ``DerivativeTable``: the distinct bases (exp, sin and cos of each
+distinct affine argument, log powers, polynomial derivative coefficients)
+and, slot by slot, the s-th Leibniz summand (scale, base, base) of every
+(order, function) row.  On a set of points the bases are evaluated once,
+grouped by kind, and the rows of every order are one pass over the slots:
+per slot a gather-multiply of the bases added into the whole stack.  No
+numeric differentiation happens on the main path; squared high-order
+derivatives would otherwise contaminate eigenvalue margins near equality
+cases.  Discrete test functions can be arbitrary evaluators, since forward
+differences need only point values; the forward differences and the rising
+products of every order are each made in one pass, each order of a rising
+product from the one before.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 MAX_DIFFERENCE_ORDER = 20
+# ``DerivativeTable.rows`` sums a stack's rows in blocks of at most this size
+# (or of one row): below the 128 KiB from which the C allocator may map a
+# block afresh, so that its scratch is not faulted in again on every call
+ROW_BLOCK_BYTES = 120 << 10
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +131,7 @@ class SmoothFunction:
             raise ValueError("derivative order must be nonnegative")
         x = np.asarray(x, dtype=float)
         table = self._table
-        row = table.rows(table.bases(x.reshape(-1), (k,)), k)[0]
+        row = table.rows(table.bases(x.reshape(-1), (k,)))[0, 0]
         return row.reshape(x.shape)[()]
 
     @functools.cached_property
@@ -158,22 +165,27 @@ class SmoothFunction:
 
 
 class DerivativeTable:
-    """The rows d^k g_i of a tuple of functions, compiled once into tables
-    and evaluated on any points.
+    """The rows d^k g_i of a tuple of functions, compiled into tables and
+    evaluated on any points.
 
-    The bases are the distinct primitive values the rows need, numbered in
-    order of first use: the constant 1 (base 0), exp, sin and cos of each
-    distinct affine argument, the powers (ax+b)^(-j) and log(ax+b) of a
-    log, and each distinct polynomial derivative coefficient vector.  For
-    order k, ``summands(k)`` lists the slots of the Leibniz summands: slot
-    s holds, for every row i, a scale and the bases u and v of the
-    summand scale * (u * v), and row i of d^k is the in-order sum over the
-    slots.  A row with fewer summands is padded with -0.0 * (1 * 1), which
-    leaves a sum bit for bit as it was, and a row with none is +0.0; so
-    every row is, to the last bit, the Leibniz sum of its terms taken one
-    at a time.  A slot stores v as None where it is 1 in every row, and
-    the scale as None where it is 1.0 in every row: those products change
-    no bit.
+    ``summands(orders)`` compiles the rows of a set of orders (every order
+    0..top of a grid, or the one order ``derivative_value`` asks for), once,
+    into one slot-major summand table (``_Summands``): the distinct bases
+    those rows need (the constant 1, exp, sin and cos of each distinct
+    affine argument, the powers (ax+b)^(-j) and log(ax+b) of a log, and
+    each distinct polynomial derivative coefficient vector), placed in
+    groups of one kind, and the Leibniz summands of every (order, function)
+    row, slot by slot: slot s holds, for the rows it spans, a scale and the
+    bases u and v of each row's s-th summand scale * (u * v), and a row is
+    the in-order sum over the slots.  A slot spans the rows from the first
+    to the last that have an s-th summand; a row inside the span with fewer
+    summands is padded with -0.0 * (1 * 1), and a row outside it skips the
+    slot, and either leaves the sum bit for bit as it was.  A row with no
+    summand is +0.0.  So every row is, to the last bit, the Leibniz sum of
+    its terms taken one at a time, whatever other orders share its table.
+    A slot stores v as None where it is 1 in every row it spans, and the
+    scale as None where it is 1.0 in every row: those products change no
+    bit.
 
     A bare callable entry (a discrete member's evaluator) has the row f(x)
     at order 0 and no derivatives.
@@ -181,78 +193,29 @@ class DerivativeTable:
 
     def __init__(self, functions):
         self.functions = list(functions)
-        self._index = {_ONE: 0}  # base key -> base number, in that order
-        self._orders = []  # order k -> [(u, v or None, scale or None)]
-        self._plans = {}  # orders -> how to evaluate their bases
+        self._tables = {}  # orders -> their compiled _Summands
 
-    def summands(self, k):
-        """The slots (u, v, scale) of order k, compiled when first asked
-        for: u and v are base numbers of shape (p,), scale is (p, 1)."""
-        while len(self._orders) <= k:
-            self._orders.append(self._compile(len(self._orders)))
-        return self._orders[k]
-
-    def _compile(self, k):
-        # a key first met takes the next number: u's before v's
-        index = self._index
-        number = index.setdefault
-        rows = []
-        for i, f in enumerate(self.functions):
-            if isinstance(f, SmoothFunction):
-                terms = f._leibniz(k)
-            elif k == 0:
-                terms = [(1.0, ("call", i), _ONE)]
-            else:
-                raise TypeError("continuous test functions need exact "
-                                "derivatives; got a bare callable")
-            rows.append([(s, number(u, len(index)), number(v, len(index)))
-                         for s, u, v in terms] or [(0.0, 0, 0)])
-        slots = []
-        for s in range(max(map(len, rows))):
-            scale, u, v = zip(*[row[s] if s < len(row) else _PAD
-                                for row in rows])
-            slots.append((np.array(u, dtype=np.intp),
-                          np.array(v, dtype=np.intp) if any(v) else None,
-                          None if scale.count(1.0) == len(scale)
-                          else np.array(scale)[:, None]))
-        return slots
-
-    def _plan(self, orders):
-        """(pos, number of bases, steps) for the bases of ``orders``: base b
-        goes to row pos[b], and each step evaluates one kind into a block
-        of rows."""
-        key = tuple(orders)
-        if key not in self._plans:
-            used = set()
-            for k in key:
-                for u, v, _ in self.summands(k):
-                    used.update(u.tolist())
-                    if v is not None:
-                        used.update(v.tolist())
-            keys = list(self._index)
-            groups = {}
-            for b in sorted(used):
-                groups.setdefault(keys[b][0], []).append(b)
-            pos = np.zeros(len(keys), dtype=np.intp)
-            steps, start = [], 0
-            for kind, members in groups.items():
-                stop = start + len(members)
-                pos[members] = range(start, stop)
-                steps.append((kind, slice(start, stop), _operands(
-                    kind, [keys[b] for b in members])))
-                start = stop
-            self._plans[key] = (pos, start, steps)
-        return self._plans[key]
+    def summands(self, orders):
+        """The ``_Summands`` of the rows of ``orders``, compiled when first
+        asked for.  A scale past the largest float is inf, as the rows'
+        values are, so the compile warns of no overflow."""
+        orders = tuple(orders)
+        table = self._tables.get(orders)
+        if table is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                table = self._tables[orders] = _Summands(self.functions,
+                                                         orders)
+        return table
 
     def bases(self, x, orders):
         """Every base the rows of ``orders`` use, at the points x (1-d), as
-        (values, pos): base b is row pos[b] of values.  Bases of one kind
+        (values, summands): base b is row b of values.  Bases of one kind
         are evaluated together: one exp, sin and cos call over the stacked
         affine arguments and one Horner pass over the zero-padded
         coefficient matrix; log powers and callables one at a time."""
-        pos, size, steps = self._plan(orders)
-        values = np.empty((size, x.size))
-        for kind, rows, operands in steps:
+        table = self.summands(orders)
+        values = np.empty((len(table.keys), x.size))
+        for kind, rows, operands in table.steps:
             out = values[rows]
             if kind == "one":
                 out[:] = 1.0
@@ -276,27 +239,104 @@ class DerivativeTable:
             else:  # exp, sin or cos of the stacked affine arguments
                 a, b = operands
                 getattr(np, kind)(a * x + b, out=out)
-        return values, pos
+        return values, table
 
-    def rows(self, bases, k, out=None):
-        """The (p, N) rows of d^k from ``bases`` (of a set of orders that
-        includes k): one gather-multiply per summand slot, summed in
-        order; written into ``out`` when it is given."""
-        values, pos = bases
-        for s, (u, v, scale) in enumerate(self.summands(k)):
-            # every index is in range, and "clip" spares the copy through
-            # a buffer that the default "raise" makes when out is given
-            term = values[pos[u]] if s else np.take(
-                values, pos[u], axis=0, out=out, mode="clip")
-            if v is not None:
-                term *= values[pos[v]]
-            if scale is not None:
-                term *= scale
-            if s:
-                out += term
-            else:
-                out = term
-        return out
+    def rows(self, bases):
+        """The (orders, p, N) stack of the rows of the orders ``bases`` was
+        evaluated for, in one pass over the summand slots: per slot one
+        gather of u, one of v multiplied in, one multiply by the scale, and
+        the sum into the rows the slot spans.  The rows go a block of at
+        most ``ROW_BLOCK_BYTES`` (or one row) at a time, so the two scratch
+        blocks that hold a summand and its v stay small beside the stack."""
+        values, table = bases
+        width = values.shape[1]
+        out = np.empty((len(table.orders) * len(self.functions), width))
+        step = max(1, min(len(out), ROW_BLOCK_BYTES // (8 * width or 1)))
+        spare, factor = np.empty((step, width)), np.empty((step, width))
+        for start in range(0, len(out), step):
+            stop = min(start + step, len(out))
+            for s, (lo, u, v, scale) in enumerate(table.slots):
+                # the rows of this block that the slot reaches
+                a, b = max(start, lo), min(stop, lo + len(u))
+                if a >= b:
+                    continue
+                part, acc = slice(a - lo, b - lo), out[a:b]
+                term = spare[:b - a] if s else acc
+                # every index is in range, and "clip" spares the copy
+                # through a buffer that the default "raise" makes
+                np.take(values, u[part], axis=0, out=term, mode="clip")
+                if v is not None:
+                    np.take(values, v[part], axis=0, out=factor[:b - a],
+                            mode="clip")
+                    term *= factor[:b - a]
+                if scale is not None:
+                    term *= scale[part]
+                if s:
+                    acc += term
+        return out.reshape(len(table.orders), len(self.functions), width)
+
+
+class _Summands:
+    """The compiled rows of a set of ``orders`` of a derivative table:
+    ``keys``, the base keys in the order of the values' rows, grouped by
+    kind; ``steps``, (kind, rows, operands) for evaluating each group; and
+    ``slots``, the slot-major summands (lo, u, v or None, scale or None) of
+    the len(orders) * p rows of the stack, order-major: the slot spans rows
+    lo..lo + len(u) - 1, u and v are the bases' rows in the values, and
+    scale is a column."""
+
+    def __init__(self, functions, orders):
+        self.orders = orders
+        # a key first met takes the next number: u's before v's
+        index = {_ONE: 0}
+        number = index.setdefault
+        rows = []
+        for k in orders:
+            for i, f in enumerate(functions):
+                if isinstance(f, SmoothFunction):
+                    terms = f._leibniz(k)
+                elif k == 0:
+                    terms = [(1.0, ("call", i), _ONE)]
+                else:
+                    raise TypeError("continuous test functions need exact "
+                                    "derivatives; got a bare callable")
+                rows.append([(s, number(u, len(index)), number(v, len(index)))
+                             for s, u, v in terms] or [(0.0, 0, 0)])
+        slots, used = [], set()
+        for s in range(max(map(len, rows))):
+            # the slot spans the rows from the first to the last that have
+            # an s-th summand; the rest would only add the -0.0 of a pad
+            live = [i for i, row in enumerate(rows) if len(row) > s]
+            lo = live[0]
+            scale, u, v = zip(*[row[s] if s < len(row) else _PAD
+                                for row in rows[lo:live[-1] + 1]])
+            used.update(u)
+            if any(v):
+                used.update(v)
+            slots.append((lo, u, v if any(v) else None,
+                          None if scale.count(1.0) == len(scale) else scale))
+        # the used bases in groups of one kind: base b is row pos[b]
+        keys, groups = list(index), {}
+        for b in sorted(used):
+            groups.setdefault(keys[b][0], []).append(b)
+        pos = [0] * len(keys)
+        self.keys, self.steps = [], []
+        for kind, members in groups.items():
+            start = len(self.keys)
+            for row, b in enumerate(members, start):
+                pos[b] = row
+            self.keys += [keys[b] for b in members]
+            self.steps.append((kind, slice(start, len(self.keys)),
+                               _operands(kind, self.keys[start:])))
+
+        def rows_of(bases):
+            return np.fromiter(map(pos.__getitem__, bases), np.intp,
+                               len(bases))
+
+        self.slots = [(lo, rows_of(u), None if v is None else rows_of(v),
+                       None if scale is None
+                       else np.fromiter(scale, float, len(scale))[:, None])
+                      for lo, u, v, scale in slots]
 
 
 def _operands(kind, keys):
@@ -374,16 +414,6 @@ class FunctionTuple:
 # forward differences and the rising quadratic product
 # ---------------------------------------------------------------------------
 
-def _pascal_row(k: int):
-    if k > MAX_DIFFERENCE_ORDER:
-        raise ValueError(
-            f"difference order {k} exceeds hard ceiling {MAX_DIFFERENCE_ORDER}")
-    row = [1]
-    for _ in range(k):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row
-
-
 def forward_difference(f: Evaluator, k: int, j):
     """k-th forward difference sum_{i=0..k} (-1)^(k-i) C(k,i) f(j+i).
 
@@ -393,18 +423,34 @@ def forward_difference(f: Evaluator, k: int, j):
     if k < 0:
         raise ValueError("difference order must be nonnegative")
     j = np.asarray(j, dtype=float)
-    out = difference_of_rows(
-        [np.asarray(f(j + i), dtype=float) for i in range(k + 1)], k)
+    out = forward_differences(
+        [np.asarray(f(j + i), dtype=float) for i in range(k + 1)])[k]
     return out if out.shape else float(out)
 
 
-def difference_of_rows(rows, k: int) -> np.ndarray:
-    """k-th forward difference from the rows f(j), f(j+1), ..., f(j+k):
-    sum_{i=0..k} (-1)^(k-i) C(k,i) rows[i], summed in order of i."""
-    out = np.zeros(np.shape(rows[0]))
-    for i, binom in enumerate(_pascal_row(k)):
-        sign = -1.0 if (k - i) % 2 else 1.0
-        out = out + sign * binom * rows[i]
+def forward_differences(rows) -> np.ndarray:
+    """The forward differences of every order k = 0..top from the rows
+    f(j), f(j+1), ..., f(j+top), as one (top + 1,) + f(j).shape stack, in
+    one pass over the shifts i: rows[i] times (-1)^(k-i) C(k,i) is added to
+    every order k >= i at once.  Order k >= 1 is so summed from +0.0 in
+    order of i, and order 0 is rows[0] itself, so a -0.0 keeps its sign."""
+    top = len(rows) - 1
+    if top > MAX_DIFFERENCE_ORDER:
+        raise ValueError(f"difference order {top} exceeds hard ceiling "
+                         f"{MAX_DIFFERENCE_ORDER}")
+    first = np.asarray(rows[0], dtype=float)
+    out = np.zeros((top + 1,) + first.shape)
+    out[0] = first
+    term = np.empty((top,) + first.shape)
+    shape = (-1,) + (1,) * first.ndim
+    for i in range(top + 1):
+        lo = max(i, 1)
+        signed = np.array([-math.comb(k, i) if (k - i) % 2 else
+                           math.comb(k, i) for k in range(lo, top + 1)],
+                          dtype=float)
+        part = term[:top + 1 - lo]
+        np.multiply(signed.reshape(shape), rows[i], out=part)
+        out[lo:] += part
     return out
 
 
@@ -412,11 +458,21 @@ def rising_q(q, k: int, x):
     """Rising product q(x) q(x+1) ... q(x+k-1); empty product (k=0) is 1."""
     if k < 0:
         raise ValueError("order must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    out = np.ones(x.shape)
-    for i in range(k):
-        out = out * q(x + i)
+    out = rising_products(q, k, x)[k]
     return out if out.shape else float(out)
+
+
+def rising_products(q, top: int, x) -> np.ndarray:
+    """The rising products q^[k](x) of every order k = 0..top, as one
+    (top + 1,) + x.shape stack: q^[0] = 1 and each next one the one before
+    times q(x + k - 1), the left-to-right product that ``rising_q`` names."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((top + 1,) + x.shape)
+    out[0] = 1.0
+    for k in range(1, top + 1):
+        # out[k, ...] stays a view where x is a scalar
+        np.multiply(out[k - 1], q(x + (k - 1)), out=out[k, ...])
+    return out
 
 
 # ---------------------------------------------------------------------------

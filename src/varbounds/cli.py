@@ -110,8 +110,9 @@ def _load_config(args):
 
 def _dump_json(path, payload):
     """Write ``payload`` as one line of compact JSON with sorted keys: with
-    no indent, ``json`` encodes it in C."""
-    text = json.dumps(payload, sort_keys=True)
+    no indent, ``json`` encodes it in C.  A report document is a tree, so
+    the encoder skips its check for cycles."""
+    text = json.dumps(payload, sort_keys=True, check_circular=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 

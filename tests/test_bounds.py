@@ -261,9 +261,9 @@ class TestClassChecks:
         rows = []
         original = DerivativeTable.rows
 
-        def counted(self, bases, k, out=None):
-            rows.append(k)
-            return original(self, bases, k, out)
+        def counted(self, bases):
+            rows.append(bases[1].orders)
+            return original(self, bases)
 
         monkeypatch.setattr(DerivativeTable, "rows", counted)
         g = tuple_of("x^3", "exp(0.4*x)", "x*sin(2*x)")
@@ -271,10 +271,11 @@ class TestClassChecks:
             rows.clear()
             base_evaluations.clear()
             check_class(catalog("normal"), g, 3, cls, cfg)
-            # the bases of every order once, and each order's rows once
+            # the bases of every order once, and the rows of every order
+            # in one pass over them
             assert [orders for _, orders in base_evaluations] == \
                 [(0, 1, 2, 3)]
-            assert rows == [0, 1, 2, 3]
+            assert rows == [(0, 1, 2, 3)]
 
 
 # every member x function pair of the table below, with the check_class
@@ -627,18 +628,25 @@ class TestOnePass:
                                  class_policy="skip")) == 2
 
     def test_one_q_power_per_order_on_discrete_grids(self, cfg, monkeypatch):
-        calls = []
-        original = bounds.rising_q
+        stacks, shifts = [], []
+        original = bounds.rising_products
 
-        def counted(q, k, x):
-            calls.append(k)
-            return original(q, k, x)
+        def counted(q, top, x):
+            def shifted(y):
+                shifts.append(set(np.unique(y - x).tolist()))
+                return q(y)
 
-        monkeypatch.setattr(bounds, "rising_q", counted)
+            stacks.append(top)
+            return original(shifted, top, x)
+
+        monkeypatch.setattr(bounds, "rising_products", counted)
         g = tuple_of("x", "x^2", "sin(x)")
         bound_report(catalog("poisson", {"lam": 3}), g, 3, cfg)
-        # on the one grid the class ladder, the weights and E[w_k] share
-        assert sorted(calls) == [1, 2, 3]
+        # on the one grid the class ladder, the weights and E[w_k] share,
+        # one stack of rising products, each order the one before times
+        # one evaluation of q
+        assert stacks == [3]
+        assert shifts == [{0.0}, {1.0}, {2.0}]
 
     def test_one_eigen_solve_per_matrix(self, cfg, monkeypatch):
         solves = []

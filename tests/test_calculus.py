@@ -129,9 +129,8 @@ class TestDerivativeTable:
                                for _ in range(4)])
             table, top = g.table, 16
             # every order from one evaluation of the bases, as on a grid
-            bases = table.bases(self.XS, range(top + 1))
-            for k in range(top + 1):
-                rows = table.rows(bases, k)
+            stack = table.rows(table.bases(self.XS, range(top + 1)))
+            for k, rows in enumerate(stack):
                 for gi, row in zip(g, rows):
                     ref = derivative_reference(gi, k, self.XS)
                     np.testing.assert_array_equal(
@@ -148,9 +147,9 @@ class TestDerivativeTable:
     ])
     def test_named_tuples_match_reference_bits(self, exprs):
         g = FunctionTuple([parse_function(e) for e in exprs])
-        bases = g.table.bases(self.XS, range(17))
+        stack = g.table.rows(g.table.bases(self.XS, range(17)))
         for k in range(17):
-            for gi, row in zip(g, g.table.rows(bases, k)):
+            for gi, row in zip(g, stack[k]):
                 np.testing.assert_array_equal(
                     row.view(np.uint64),
                     derivative_reference(gi, k, self.XS).view(np.uint64))
@@ -159,9 +158,8 @@ class TestDerivativeTable:
         g = FunctionTuple([polynomial([1.0, -3.0, 0.0, 2.0]),
                            parse_function("x^2 - 4"), parse_function("7"),
                            parse_function("-2.5*x")])
-        bases = g.table.bases(self.XS, range(17))
-        for k in range(4, 17):
-            assert not np.any(g.table.rows(bases, k).view(np.uint64))
+        stack = g.table.rows(g.table.bases(self.XS, range(17)))
+        assert not np.any(stack[4:].view(np.uint64))
 
     def test_scalar_and_shaped_points(self):
         f = parse_function("x*exp(0.3*x) + log(x+2)")
@@ -171,10 +169,10 @@ class TestDerivativeTable:
 
     def test_bare_callable_has_values_only(self):
         g = FunctionTuple([parse_function("x^2"), np.sin])
-        rows = g.table.rows(g.table.bases(self.XS, (0,)), 0)
+        rows = g.table.rows(g.table.bases(self.XS, (0,)))[0]
         np.testing.assert_array_equal(rows, [self.XS ** 2, np.sin(self.XS)])
         with pytest.raises(TypeError):
-            g.table.summands(1)
+            g.table.summands((0, 1))
 
 
 class TestDerivatives:
@@ -241,7 +239,17 @@ class TestDerivatives:
         table = parse_function(expr)._table
         values, _ = table.bases(np.linspace(0.1, 2.0, 200), (k,))
         assert 0 < len(values) <= bound
-        assert len(table.summands(k)) <= k + 1
+        assert len(table.summands((k,)).slots) <= k + 1
+
+    def test_scale_overflow_is_inf_without_a_warning(self):
+        # (1e200)^2 overflows while the table compiles; the derivative is
+        # inf, as the values of an overflowing row are, and nothing warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = parse_function("exp(1e200*x)")
+            assert f.derivative_value(2, 0.0) == math.inf
+            assert f.derivative_value(1, 0.0) == 1e200
+            assert FunctionTuple([f]).table.summands(range(4)).slots
 
     def test_order_16_closed_form(self):
         # d^16 [x sin 2x] = 2^16 (x sin 2x - 8 cos 2x)

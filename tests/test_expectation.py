@@ -435,17 +435,17 @@ class TestMonteCarlo:
         # a sample grid evaluates its bases once for every order (on a
         # discrete member once over every shift) and its weights once
         weights = []
-        rising, power = bounds.rising_q, Quadratic.__call__
+        rising, power = bounds.rising_products, Quadratic.__call__
 
-        def counted_rising(q, k, x):
-            weights.append(("rising", k))
-            return rising(q, k, x)
+        def counted_rising(q, top, x):
+            weights.append(("rising", top))
+            return rising(q, top, x)
 
         def counted_power(q, x):
             weights.append(("q", np.size(x)))
             return power(q, x)
 
-        monkeypatch.setattr(bounds, "rising_q", counted_rising)
+        monkeypatch.setattr(bounds, "rising_products", counted_rising)
         monkeypatch.setattr(Quadratic, "__call__", counted_power)
         spec = catalog(*member)
         cfg = cfg.override(mc_samples=3 * BLOCK + 17)
@@ -455,10 +455,11 @@ class TestMonteCarlo:
         if spec.is_discrete:
             (x, _), = base_evaluations
             # the counted grid of the samples' distinct values, at shifts
-            # 0..3, and one rising product (of k calls of q) per order
+            # 0..3, and one stack of the rising products of orders 0..3,
+            # made from one call of q per shift 0..2
             assert got == [(x.size, (0,))] and x.size % 4 == 0
-            assert [w for w in weights if w[0] == "rising"] == \
-                [("rising", 1), ("rising", 2), ("rising", 3)]
+            size = x.size // 4
+            assert weights == [("rising", 3)] + [("q", size)] * 3
         else:
             assert got == [(BLOCK, (0, 1, 2, 3))] * 3 + [(17, (0, 1, 2, 3))]
             assert weights == [("q", BLOCK)] * 3 + [("q", 17)]

@@ -85,5 +85,5 @@ def test_order_16_cost_is_linear(case):
     k = 16
     with np.errstate(all="ignore"):
         values, _ = table.bases(np.linspace(0.1, 1.0, 5), (k,))
-    assert len(table.summands(k)) <= (k + 1) * n_terms
+    assert len(table.summands((k,)).slots) <= (k + 1) * n_terms
     assert len(values) <= 2 * (k + 1) * n_terms

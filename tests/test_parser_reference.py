@@ -7,8 +7,9 @@ strategy of the round-trip tests and on named strings, both parsers must
 give the same terms: the same order, coefficients bit for bit and the same
 factor fields.  On malformed strings they must raise the same exception
 with the same message, except where the malformed corpus overrides the
-reference's verdict, and every derivative table must hold the same slots
-and bases as the reference compiles.
+reference's verdict, and a derivative table compiled for the orders
+0..16 must hold, row by row, the summands and bases the reference compiles
+for each order.
 """
 
 import json
@@ -134,23 +135,52 @@ def test_whitespace_around_and_between_tokens(text):
             reference.parse_function(text)
 
 
+# the summand -0.0 * (1 * 1) that pads a short row
+_PAD = (_bits(-0.0), reference._ONE, reference._ONE)
+
+
+def _summand(slot, row, keys):
+    """(scale bits, base key of u, base key of v) of one row of a slot."""
+    u, v, scale = slot
+    return (_bits(1.0 if scale is None else scale[row, 0]), keys[u[row]],
+            reference._ONE if v is None else keys[v[row]])
+
+
+def _summand_at(slot, row, keys):
+    """The summand of a row of the stack in a slot that spans the rows
+    lo..lo + len(u) - 1; the pad elsewhere."""
+    lo, *slot = slot
+    if lo <= row < lo + len(slot[0]):
+        return _summand(slot, row - lo, keys)
+    return _PAD
+
+
 def _assert_same_slots(texts, top=16):
-    table = DerivativeTable([parse_function(t) for t in texts])
+    # the one table of orders 0..top holds, for the rows of each order, the
+    # slots the reference compiles for that order alone, then padding
+    table = DerivativeTable([parse_function(t) for t in texts]).summands(
+        range(top + 1))
     old = [reference.parse_function(t) for t in texts]
-    index = {reference._ONE: 0}
+    index, p = {reference._ONE: 0}, len(texts)
+    used = set()
     for k in range(top + 1):
-        slots = table.summands(k)
         ref_slots, ref_keys = reference.compile_slots(old, k, index)
-        assert list(table._index) == ref_keys, (texts, k)
-        assert len(slots) == len(ref_slots), (texts, k)
-        for (u, v, scale), (ru, rv, rscale) in zip(slots, ref_slots):
-            np.testing.assert_array_equal(u, ru)
-            assert u.dtype == ru.dtype
-            for a, b in ((v, rv), (scale, rscale)):
-                assert (a is None) == (b is None), (texts, k)
-                if a is not None:
-                    assert a.shape == b.shape and a.dtype == b.dtype
-                    assert a.tobytes() == b.tobytes(), (texts, k)
+        assert len(table.slots) >= len(ref_slots), (texts, k)
+        for s, slot in enumerate(table.slots):
+            assert slot[1].dtype == np.intp
+            for i in range(p):
+                got = _summand_at(slot, k * p + i, table.keys)
+                want = (_summand(ref_slots[s], i, ref_keys)
+                        if s < len(ref_slots) else _PAD)
+                assert got == want, (texts, k, s, i)
+                used.update(got[1:])
+    # each base once, every one of them used, grouped by kind
+    assert len(set(table.keys)) == len(table.keys)
+    assert used >= set(table.keys)
+    kinds = [key[0] for key in table.keys]
+    assert [kind for kind, _, _ in table.steps] == list(dict.fromkeys(kinds))
+    for kind, rows, _ in table.steps:
+        assert set(kinds[rows]) == {kind}
 
 
 def test_random_tuples_compile_the_same_slots():

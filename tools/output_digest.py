@@ -6,6 +6,7 @@ Usage (from the repository root):
     python3 tools/output_digest.py --workloads high-order --seeds 1 2
     python3 tools/output_digest.py --dump DIR
     python3 tools/output_digest.py --ladders
+    python3 tools/output_digest.py --workloads high-order --chain-order 12
     python3 tools/output_digest.py --compare DIR_A DIR_B
 
 With no options it digests the standard set, 633 requests: seeds 1-3 of
@@ -22,6 +23,11 @@ workload produced byte-identical outputs on it, so a refactor that must not
 change results is checked by running this on the parent commit and on the
 change.  The program is imported from ``src/`` of the checkout this file
 sits in.
+
+``--chain-order N`` reissues every ``chain`` request at order N in place
+of the workload's own (``high-order`` chains to 8), so that results can be
+compared past the orders the benchmark reaches.  Other requests are issued
+as they are.
 
 ``--ladders`` also prints, under each workload's line, per seed how many of
 its requests built a class ladder (``expectation.Ladder.build``): the ones
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -120,15 +127,18 @@ def _count_ladder_builds():
     Ladder.build = classmethod(counted)
 
 
-def digest(workload, seeds, dump=None):
+def digest(workload, seeds, dump=None, chain_order=None):
     """(number of requests, SHA-256 hex digest, {seed: (number of its
     requests that built a class ladder, number of its requests)}) of
     ``workload`` over ``seeds``; the ladder counts are 0 unless
     ``_count_ladder_builds`` ran.  With a ``dump`` dict, each request's
-    parsed outputs go into it under "seed/key"."""
+    parsed outputs go into it under "seed/key".  A ``chain_order`` replaces
+    the order of every chain request."""
     sha, count, ladders = hashlib.sha256(), 0, {}
     for seed in seeds:
-        cases = workloads.build_cases(workload, seed)
+        cases = [dataclasses.replace(case, n=chain_order)
+                 if chain_order is not None and case.kind == "chain"
+                 else case for case in workloads.build_cases(workload, seed)]
         built = 0
         with tempfile.TemporaryDirectory() as workdir:
             requests = workloads.Requests(cases, workdir)
@@ -214,6 +224,8 @@ def main(argv=None):
                         help="also write each workload's parsed outputs here")
     parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
                         help="compare two dumps instead of running requests")
+    parser.add_argument("--chain-order", type=int, metavar="N",
+                        help="issue every chain request at order N")
     parser.add_argument("--ladders", action="store_true",
                         help="also print per seed the requests that built a "
                              "class ladder")
@@ -228,7 +240,8 @@ def main(argv=None):
     for workload in args.workloads:
         dump = {} if args.dump else None
         seeds = args.seeds or STANDARD_SEEDS[workload]
-        count, hexdigest, ladders = digest(workload, seeds, dump)
+        count, hexdigest, ladders = digest(workload, seeds, dump,
+                                           args.chain_order)
         print(f"{workload}  {count} requests  {hexdigest}", flush=True)
         for seed, (built, total) in ladders.items() if args.ladders else ():
             print(f"  seed {seed}: {built} of {total} requests built a class "
