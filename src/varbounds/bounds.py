@@ -24,16 +24,17 @@ the (top + 1, N) weights w_k and the (top + 1, p, N) rows d^k g_i
 the rows in one pass over the slots of the tuple's derivative table
 compiled for the orders 0..top, on a discrete member the forward
 differences in one pass over the shifts and each rising product from the
-one before.  The class checks of a catalog
-member and a tuple far inside the class are settled in closed form, from
-the member's tails, the tuple's exponential rates and a screen of the
-assembly grid for lost mass (``_closed_form``); otherwise the class check
-classifies every order up to top in one ladder pass on its first read
-(``_ClassCheck``).  D and every H_k come from one stacked Gram product and
-every B_k from one stacked mat-vec; the checks, the symmetrisation, the
-entry brackets, the prefix sums S_n and L_n and the tested matrices A_n
-and D - L_n are array operations over the stacks; and D and every tested
-matrix are solved in one batched eigen-solve (``linalg.solve_spectra``).
+one before.  A catalog member and a tuple far inside the class are
+admitted in closed form, from the member's tails, the tuple's exponential
+rates and a screen of the assembly grid for lost mass (``_closed_form``),
+and gated on the Pearson moment criterion alone; any other request's
+class check classifies every order up to top in one ladder pass on its
+first read (``_ClassCheck``).  D and every H_k come from one stacked Gram
+product and every B_k from one stacked mat-vec; the checks, the
+symmetrisation, the entry brackets, the prefix sums S_n and L_n and the
+tested matrices A_n and D - L_n are array operations over the stacks; and
+D and every tested matrix are solved in one batched eigen-solve
+(``linalg.solve_spectra``).
 Every value is, bit for bit, the one an order assembled on its own gets.
 """
 
@@ -80,9 +81,8 @@ class _Grid:
     """Evaluation grid of one spec: points x, nonnegative weights w with
     sum(w * phi(x)) ~ E[phi(X)], plus the tail bound for discrete members.
     ``build`` gives the quadrature nodes or the positive-pmf support down
-    to pmf underflow (``expectation.truncated_support``) with the ``edge``
-    of that underflow, from which a discrete member's class ladder is
-    built, and ``from_samples`` the grids of N Monte Carlo samples.
+    to pmf underflow (``expectation.truncated_support``), and
+    ``from_samples`` the grids of N Monte Carlo samples.
 
     A grid is built for the highest order ``top`` its request reads, and
     it is read as two stacks over the orders 0..top, each made in one pass
@@ -94,17 +94,17 @@ class _Grid:
     forward differences of every order are taken in one pass over the
     shifts).  No order above ``top`` is read."""
 
-    def __init__(self, spec, x, w, tail=0.0, counts=None, top=0, edge=None):
+    def __init__(self, spec, x, w, tail=0.0, counts=None, top=0):
         self.spec, self.x, self.w, self.tail = spec, x, w, tail
-        self.counts, self.top, self.edge = counts, top, edge
+        self.counts, self.top = counts, top
         self._q, self._refused, self._eq, self._rows = None, None, {}, {}
 
     @classmethod
     def build(cls, spec, cfg=None, n_nodes=None, top=0):
         cfg = cfg or ex.EngineConfig()
         if spec.is_discrete:
-            x, w, tail, edge = ex.truncated_support(spec)
-            return cls(spec, x, w, tail, top=top, edge=edge)
+            x, w, tail, _ = ex.truncated_support(spec)
+            return cls(spec, x, w, tail, top=top)
         x, w = ex.continuous_grid(spec, cfg, n_nodes)
         return cls(spec, x, w, top=top)
 
@@ -343,11 +343,6 @@ class ClassReport:
         return [i for i, row in enumerate(self.verdicts) if all(row)]
 
 
-# the verdict of a row the closed-form rule settles: finite, read off no
-# rungs and no decay ratio
-_SETTLED = ex.FinitenessProbe(True, (), None)
-
-
 class _ClassCheck:
     """Class verdicts of one tuple for the Gram class 'H', the
     outer-product class 'B', both or neither, and the numerical half of the
@@ -356,18 +351,13 @@ class _ClassCheck:
     read (``upto``): w_k and every d^k g_i are evaluated once on its nodes
     (the grid ``nodes``), and the rows of every order are classified
     together with the moment rows |x|^(2k).  On a discrete member
-    ``nodes`` is the summation grid too, and a summation grid given as
-    ``nodes`` is the one the ladder is built on.
+    ``nodes`` is the summation grid too."""
 
-    A request the closed-form rule settles (``_closed_form``) is
-    ``exact``: it builds no ladder, every row is finite, and ``nodes``, the
-    assembly grid, only checks the signs of the weights."""
-
-    def __init__(self, spec, g, classes, cfg, top, nodes=None, exact=False):
+    def __init__(self, spec, g, classes, cfg, top):
         self.spec, self.g, self.cfg, self.top = spec, g, cfg, top
         self.classes = tuple(classes)
         self.unbounded = not all(map(math.isfinite, spec.support))
-        self.nodes, self.exact = nodes, exact
+        self.nodes = None  # the ladder's grid, once classified
         self.probes = None  # probes[cls][k][i], once classified
         self.moments = []  # [k]: E|X|^(2k) verdict, None if bounded
         self.refusal = None  # (k, error) of the first weight refused
@@ -379,16 +369,10 @@ class _ClassCheck:
         Var[g] < inf too), the absolute values w_k |d^k g_i| (for 'B',
         k > 0) and the moment rows |x|^(2k).  An order whose weight is
         refused as negative ends the pass: the orders before it are
-        classified, and its error is kept for ``upto``.  An ``exact``
-        check builds no ladder and reads only the signs of the weights."""
-        nodes = self.nodes
-        if not self.exact:
-            ladder = ex.Ladder.build(
-                self.spec, self.cfg, None if nodes is None else
-                (nodes.x, nodes.w, nodes.tail, nodes.edge))
-            if nodes is None:
-                self.nodes = _Grid(self.spec, ladder.x, ladder.w,
-                                   ladder.tail, top=self.top)
+        classified, and its error is kept for ``upto``."""
+        ladder = ex.Ladder.build(self.spec, self.cfg)
+        self.nodes = _Grid(self.spec, ladder.x, ladder.w, ladder.tail,
+                           top=self.top)
         classes, p, stop = self.classes, len(self.g), self.top + 1
         self.probes = {cls: [] for cls in classes}
         squares = absolutes = range(0)
@@ -400,10 +384,6 @@ class _ClassCheck:
                 self.refusal = (stop, _negative_weight(stop))
             squares = range(stop if "H" in classes else min(stop, 1))
             absolutes = range(1, stop if "B" in classes else 0)
-        if self.exact:
-            for cls in classes:
-                self.probes[cls] = [[_SETTLED] * p] * stop
-            return
         moments = range(stop) if self.unbounded else range(0)
         size = p * (len(squares) + len(absolutes))
         contrib = np.empty((size + len(moments), ladder.x.size))
@@ -447,11 +427,9 @@ class _ClassCheck:
 
     def moment_finite(self, n) -> bool:
         """Whether E|X|^(2n) is finite: the Pearson criterion, and where it
-        admits order n on an unbounded support of a request the rule does
-        not settle, the moment row of order n."""
+        admits order n on an unbounded support, its moment row."""
         return moment_criterion(self.spec, n) and (
-            self.exact or not self.unbounded
-            or self.upto(n).moments[n].finite)
+            not self.unbounded or self.upto(n).moments[n].finite)
 
     def report(self, cls, n, implies_other=False) -> ClassReport:
         rows = list(zip(*self.probes[cls][:n + 1]))  # [function][order]
@@ -462,9 +440,9 @@ class _ClassCheck:
 
 
 def _closed_form(spec, g, cfg, top):
-    """Whether the closed-form rule settles the class checks and the
-    numerical half of the moment gate of a request up to order ``top``, as
-    (the assembly grid, if the rule built it, and the verdict).
+    """The assembly grid of a request up to order ``top`` whose class
+    checks and numerical half of the moment gate the closed-form rule
+    settles, or None if the rule does not admit it.
 
     The rule takes a catalog member (one that carries ``Tails``) and a
     tuple of grammar functions without a log factor, and admits the
@@ -494,13 +472,13 @@ def _closed_form(spec, g, cfg, top):
     A request it does not admit takes the ladder."""
     tails = getattr(spec, "tails", None)
     if tails is None:
-        return None, False
+        return None
     # (log M, rate, deg) of every term, after those of the zero function,
     # which a function of no terms is
     terms, most = [(-math.inf, 0.0, 0)], 1
     for f in g:
         if not isinstance(f, SmoothFunction):
-            return None, False
+            return None
         most = max(most, len(f._terms))
         for c, u, v in f._terms:
             log_m = math.log(abs(c)) if c else -math.inf
@@ -508,7 +486,7 @@ def _closed_form(spec, g, cfg, top):
             deg = 0
             for factor in filter(None, (u, v)):
                 if factor.kind == "log":
-                    return None, False
+                    return None
                 if factor.kind == "poly":
                     norm = sum(map(abs, factor.derivs[0]))
                     log_m += math.log(norm) if norm else -math.inf
@@ -526,9 +504,9 @@ def _closed_form(spec, g, cfg, top):
     up, down = (float(np.maximum(np.max(r), 0.0)) for r in (rate, -rate))
     alpha, omega = spec.support
     if math.isinf(omega) and not 2 * up <= EXACT_RATE_SHARE * tails.hi:
-        return None, False
+        return None
     if math.isinf(alpha) and not 2 * down <= EXACT_RATE_SHARE * -tails.lo:
-        return None, False
+        return None
     mu, q = spec.mean, spec.q
     # the variance; only a one-point member (hypergeometric of population
     # 1) has delta = 1, and none is admitted
@@ -543,7 +521,7 @@ def _closed_form(spec, g, cfg, top):
              + 2 * (float(np.max(deg)) + 2 * top)
              * math.log1p(abs(mu) + 10.0 * math.sqrt(var)))
     if not bound <= EXACT_LOG_CAP:
-        return None, False
+        return None
     full = _Grid.build(spec, cfg, top=top)
     x, w = full.x, full.w
     # (value on the grid, the member's, scale); an overflow fails its check
@@ -553,8 +531,8 @@ def _closed_form(spec, g, cfg, top):
                   (w @ (x - mu) ** 2, var, var)]
         checks += [(np.log(w @ np.exp(t * x)), want, max(1.0, abs(want)))
                    for t, want in tilted.items()]
-        return full, all(abs(got - want) <= GRID_HEALTH_TOL * scale
-                         for got, want, scale in checks)
+        return full if all(abs(got - want) <= GRID_HEALTH_TOL * scale
+                           for got, want, scale in checks) else None
 
 
 def moment_finiteness(spec: Spec, n: int,
@@ -743,8 +721,9 @@ class _Terms:
 class _Pass:
     """One request's assembly, every order up to ``top`` at once.
 
-    It holds the full and half-resolution grids (a discrete member's
-    summation grid is ``full``, the class check's when it built one), the
+    It holds the full and half-resolution grids (``full`` is the
+    closed-form rule's grid of a request it admits, and on a discrete
+    member the class ladder's nodes when the class check built them), the
     coefficients of every order and, per set of functions kept, D and the
     ``_Terms`` of H and B.  On each grid the stacks of weights w_k and rows
     d^k g_i give D and every H_k in one stacked Gram product and every B_k
@@ -878,15 +857,15 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
     checks (on a discrete member also the summation grid), and the matrices
     are shared: S_n and L_n are prefix sums of one set of H_k and B_k, and
     every order's class rows are classified in one ladder pass.  A request
-    the closed-form rule settles (``_closed_form``: a catalog member, a
+    the closed-form rule admits (``_closed_form``: a catalog member, a
     tuple of grammar functions without a log factor, rates and sizes
     within margins and an assembly grid that keeps the member's mass and
-    its tilted sums finite) builds no ladder: every row is finite, and
-    only the signs of the weights on the assembly grid are checked, with
-    the ladder's error.  Orders are gated in ascending
-    order, each as its own call would gate it (moment gate, class checks
-    on the prefix k <= n, coefficients), so a refused order raises what
-    its own call raises.
+    its tilted sums finite) builds no class check and no ladder: every
+    row is finite, each order is gated on the Pearson moment criterion
+    alone, and the assembly on the rule's grid checks the signs of the
+    weights.  Orders are gated in ascending order, each as its own call
+    would gate it (moment gate, class checks on the prefix k <= n,
+    coefficients), so a refused order raises what its own call raises.
     ``class_policy`` is as in ``bound_report``; with 'drop' each order keeps
     the functions that pass its own checks.
     """
@@ -904,22 +883,22 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
     if class_policy not in ("raise", "drop", "skip"):
         raise ValueError("class_policy must be 'raise', 'drop' or 'skip'")
     top = max(orders)
-    # the assembly grid, built by the closed-form rule if it got that far,
-    # is the ladder's too on a discrete member
-    full, exact = _closed_form(spec, g, cfg, top)
-    check = _ClassCheck(spec, g, [cls for name, cls in _THEOREMS
-                                  if name in theorems
-                                  and class_policy != "skip"], cfg, top,
-                        full if exact or spec.is_discrete else None, exact)
+    # an admitted request is gated on the Pearson criterion alone and
+    # assembled on the rule's grid; any other takes the class ladder
+    full = _closed_form(spec, g, cfg, top)
+    check = None if full is not None else _ClassCheck(
+        spec, g, [cls for name, cls in _THEOREMS
+                  if name in theorems and class_policy != "skip"], cfg, top)
     assembly = None
     done = {}
     for n in sorted(set(orders)):
-        if not check.moment_finite(n):
+        if not (moment_criterion(spec, n) if check is None
+                else check.moment_finite(n)):
             raise ClassMembershipError(
                 f"E|X|^{2 * n} is not finite for this member; order {n} "
                 f"bounds do not apply")
         keep, dropped = set(range(g.p)), []
-        if check.classes:
+        if check is not None and check.classes:
             check.upto(n)
             for cls in check.classes:
                 report = check.report(cls, n)
@@ -934,8 +913,9 @@ def bound_reports(spec: Spec, g: FunctionTuple, orders,
                 if not keep:
                     raise ClassMembershipError(
                         "no test function passes the class checks", ())
+        # a discrete member's ladder, once built, is its summation grid
         assembly = assembly or _Pass(spec, cfg, g, theorems, tol_scale, top,
-                                     check.nodes if spec.is_discrete
+                                     check.nodes if check and spec.is_discrete
                                      else full)
         done[n] = assembly.report(n, tuple(sorted(keep)), dropped)
     assembly.judge(list(done.values()))

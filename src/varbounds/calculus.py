@@ -50,7 +50,8 @@ class _Factor:
     """One primitive with a closed-form derivative of every order: a
     polynomial, exp(ax+b), sin(ax+b + quarter*pi/2) (cos is quarter 1) or
     log(ax+b).  ``top`` is the highest order whose derivative is not
-    identically zero (the degree of a polynomial, infinite otherwise).  A
+    identically zero (the degree of a polynomial, 0 for an exp, sin or cos
+    of rate a = 0, which is a constant, infinite otherwise).  A
     polynomial keeps its coefficients, a list of floats with trailing zeros
     trimmed, as ``derivs[0]``; ``derivs[j]`` is made when ``coefficients(j)``
     first asks for it, so a factor of high degree costs only the orders a
@@ -61,7 +62,7 @@ class _Factor:
         # where a Python float power would raise
         self.kind, self.a, self.b = kind, np.float64(a), float(b)
         self.quarter = quarter
-        self.top = math.inf
+        self.top = 0 if a == 0 else math.inf
         if kind == "poly":
             top = len(coeffs) - 1
             while top >= 0 and not coeffs[top]:
@@ -645,13 +646,25 @@ def load_function_tuple(doc) -> FunctionTuple:
     if isinstance(doc, str):
         with open(doc, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    if not isinstance(doc, dict) or "functions" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("functions"),
+                                                   list):
         raise ExpressionError('expected {"functions": [...]}')
     entries = []
     for item in doc["functions"]:
+        if not isinstance(item, dict):
+            raise ExpressionError(f"function entry must be an object: {item!r}")
         if "poly" in item:
-            entries.append(polynomial(item["poly"]))
+            coeffs = item["poly"]
+            if not (isinstance(coeffs, list) and all(
+                    isinstance(c, (int, float)) and not isinstance(c, bool)
+                    for c in coeffs)):
+                raise ExpressionError(
+                    f"'poly' must be a list of numbers: {coeffs!r}")
+            entries.append(polynomial(coeffs))
         elif "expr" in item:
+            if not isinstance(item["expr"], str):
+                raise ExpressionError(
+                    f"'expr' must be a string: {item['expr']!r}")
             entries.append(parse_function(item["expr"]))
         else:
             raise ExpressionError(f"function entry needs 'poly' or 'expr': {item}")

@@ -71,6 +71,18 @@ def _load_config(args):
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("a config document is a JSON object")
+        for key, kind, item, what in (
+                ("orders", list, int, "an array of integers"),
+                ("theorems", list, str, "an array of names"),
+                ("engine", dict, object, "an object"),
+                ("output", dict, str, "an object of paths")):
+            value = doc.get(key, kind())
+            if not isinstance(value, kind) or not all(
+                    isinstance(v, item) and not isinstance(v, bool)
+                    for v in (value.values() if kind is dict else value)):
+                raise ValueError(f"config {key!r} must be {what}")
 
     def from_doc(key, loader):
         value = doc.get(key)
@@ -86,7 +98,7 @@ def _load_config(args):
     if getattr(args, "n", None):
         orders = [int(v) for v in str(args.n).split(",")]
     elif "orders" in doc:
-        orders = [int(v) for v in doc["orders"]]
+        orders = list(doc["orders"])
 
     theorems = None
     if getattr(args, "theorems", None):

@@ -374,18 +374,38 @@ def _require(cond, message):
         raise InvalidParameterError(message)
 
 
-def _param(params, *names, default=None):
+def _real(value, what):
+    """``value`` as a finite float."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"{what} must be a number, got {value!r}") from None
+    _require(math.isfinite(value), f"{what} must be finite, got {value}")
+    return value
+
+
+def _param(params, *names, default=None, count=False):
+    """The first of ``names`` in ``params``, else ``default``, as a finite
+    float, or with ``count`` as the int it must equal."""
+    what = f"parameter {names[0]!r}"
     for name in names:
         if name in params:
-            return params[name]
-    if default is not None:
-        return default
-    raise InvalidParameterError(f"missing parameter {names[0]!r}")
+            value = _real(params[name], what)
+            break
+    else:
+        if default is None:
+            raise InvalidParameterError(f"missing {what}")
+        value = default
+    if count:
+        _require(value == int(value), f"{what} must be an integer, got {value}")
+        return int(value)
+    return value
 
 
 def _normal(params):
-    m = float(_param(params, "mean", default=0.0))
-    v = float(_param(params, "var", default=1.0))
+    m = _param(params, "mean", default=0.0)
+    v = _param(params, "var", default=1.0)
     _require(v > 0, "normal variance must be positive")
     norm = 1.0 / math.sqrt(2.0 * math.pi * v)
     sd = math.sqrt(v)
@@ -409,8 +429,8 @@ def _normal(params):
 
 
 def _gamma(params):
-    a = float(_param(params, "shape"))
-    th = float(_param(params, "scale", default=1.0))
+    a = _param(params, "shape")
+    th = _param(params, "scale", default=1.0)
     _require(a > 0 and th > 0, "gamma shape and scale must be positive")
     logc = -math.lgamma(a) - a * math.log(th)
 
@@ -434,8 +454,8 @@ def _gamma(params):
 
 
 def _beta(params):
-    a = float(_param(params, "a"))
-    b = float(_param(params, "b"))
+    a = _param(params, "a")
+    b = _param(params, "b")
     _require(a > 0 and b > 0, "beta parameters must be positive")
     logc = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     s = a + b
@@ -502,7 +522,7 @@ def _table_sampler(spec_pmf, support):
 
 
 def _poisson(params):
-    lam = float(_param(params, "lam", "lambda", "rate"))
+    lam = _param(params, "lam", "lambda", "rate")
     _require(lam > 0, "poisson rate must be positive")
 
     log_lam = math.log(lam)
@@ -518,8 +538,8 @@ def _poisson(params):
 
 
 def _binomial(params):
-    trials = int(_param(params, "n", "trials"))
-    theta = float(_param(params, "theta", "p"))
+    trials = _param(params, "n", "trials", count=True)
+    theta = _param(params, "theta", "p")
     _require(trials >= 1, "binomial needs at least one trial")
     _require(0.0 < theta < 1.0, "binomial theta must lie in (0, 1)")
 
@@ -540,8 +560,8 @@ def _binomial(params):
 
 
 def _negative_binomial(params):
-    r = float(_param(params, "r", "size"))
-    theta = float(_param(params, "theta", "p"))
+    r = _param(params, "r", "size")
+    theta = _param(params, "theta", "p")
     _require(r > 0, "negative-binomial r must be positive")
     _require(0.0 < theta < 1.0, "negative-binomial theta must lie in (0, 1)")
 
@@ -563,9 +583,9 @@ def _negative_binomial(params):
 
 
 def _hypergeometric(params):
-    pop = int(_param(params, "N", "population"))
-    succ = int(_param(params, "K", "successes"))
-    draws = int(_param(params, "n", "draws"))
+    pop = _param(params, "N", "population", count=True)
+    succ = _param(params, "K", "successes", count=True)
+    draws = _param(params, "n", "draws", count=True)
     _require(pop >= 1, "population must be positive")
     _require(0 <= succ <= pop, "successes must lie in [0, N]")
     _require(1 <= draws <= pop, "draws must lie in [1, N]")
@@ -882,19 +902,28 @@ def load_distribution(doc) -> Spec:
     if isinstance(doc, str):
         with open(doc, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InvalidParameterError("a distribution document is a JSON object")
     if "family" in doc:
-        return catalog(doc["family"], doc.get("params", {}))
-    if "custom" not in doc:
+        params = doc.get("params", {})
+        if not isinstance(doc["family"], str) or not isinstance(params, dict):
+            raise InvalidParameterError(
+                'expected {"family": "<name>", "params": {...}}')
+        return catalog(doc["family"], params)
+    if not isinstance(doc.get("custom"), dict):
         raise InvalidParameterError("document needs 'family' or 'custom'")
     c = doc["custom"]
     kind = c.get("kind")
-    mean = float(c["mean"])
-    quad = None
-    if c.get("quadratic") is not None:
-        quad = Quadratic(*[float(v) for v in c["quadratic"]])
-    lo, hi = c["support"]
-    lo = -math.inf if lo is None else float(lo)
-    hi = math.inf if hi is None else float(hi)
+    mean = _real(c.get("mean"), "mean")
+    quad, support = c.get("quadratic"), c.get("support")
+    if quad is not None:
+        if not (isinstance(quad, list) and len(quad) == 3):
+            raise InvalidParameterError("quadratic must be [delta, beta, gamma]")
+        quad = Quadratic(*[_real(v, "a quadratic coefficient") for v in quad])
+    if not (isinstance(support, list) and len(support) == 2):
+        raise InvalidParameterError("support must be [a, b]")
+    lo, hi = (inf if end is None else _real(end, "a support end")
+              for end, inf in zip(support, (-math.inf, math.inf)))
     if kind == "continuous":
         density = _interp_table(c["density_table"])
         return ContinuousIP(mean, quad, (lo, hi), density, custom=c)

@@ -339,15 +339,14 @@ class Ladder:
         self.cumulative, self.edge, self.tail = cumulative, edge, tail
 
     @classmethod
-    def build(cls, spec, cfg: EngineConfig, support=None) -> "Ladder":
-        """The ladder of ``spec``; a discrete member's is built on
-        ``support``, its (x, pmf, tail, edge) from ``truncated_support``,
-        when it is given.  A ladder with no node of positive weight, as
-        that of a normal too narrow for its distance from 0, raises
-        ``TruncationError``: no truncated expectation can be judged on
-        it."""
+    def build(cls, spec, cfg: EngineConfig) -> "Ladder":
+        """The ladder of ``spec``; a discrete member's is built on the
+        nodes of ``truncated_support``.  A ladder with no node of positive
+        weight, as that of a normal too narrow for its distance from 0,
+        raises ``TruncationError``: no truncated expectation can be judged
+        on it."""
         if getattr(spec, "is_discrete", False):
-            ladder = cls._discrete(spec, *(support or truncated_support(spec)))
+            ladder = cls._discrete(spec, *truncated_support(spec))
         else:
             ladder = cls._continuous(spec, cfg)
         if not ladder.x.size:

@@ -251,6 +251,18 @@ class TestDerivatives:
             assert f.derivative_value(1, 0.0) == 1e200
             assert FunctionTuple([f]).table.summands(range(4)).slots
 
+    @pytest.mark.parametrize("const", ["exp(1)", "sin(2)", "cos(0*x + 3)"])
+    def test_constant_factor_has_no_derivatives(self, const):
+        # a factor of rate 0 is a constant: its derivatives vanish and add
+        # no summand, so no 0 * inf turns an overflowing row into nan
+        f = parse_function(f"exp(1e200*x)*{const}")
+        c = parse_function(const).derivative_value(0, 0.0)
+        with np.errstate(over="ignore"):
+            for k in range(5):
+                assert f.derivative_value(k, 0.0) == math.copysign(
+                    1e200**k * c if k < 2 else math.inf, c)
+            assert parse_function(const).derivative_value(3, 0.5) == 0.0
+
     def test_order_16_closed_form(self):
         # d^16 [x sin 2x] = 2^16 (x sin 2x - 8 cos 2x)
         xs = np.linspace(-2.0, 2.0, 9)

@@ -32,13 +32,12 @@ def tuple_of(*exprs):
 
 
 def admitted(spec, g, top, cfg=None):
-    return bounds._closed_form(spec, g, cfg, top)[1]
+    return bounds._closed_form(spec, g, cfg, top) is not None
 
 
 def ladder_reports(*args, **kwargs):
     """``bound_reports`` with the closed-form rule bypassed."""
-    with mock.patch.object(bounds, "_closed_form",
-                           lambda *_: (None, False)):
+    with mock.patch.object(bounds, "_closed_form", lambda *_: None):
         return bound_reports(*args, **kwargs)
 
 
@@ -291,6 +290,49 @@ def test_admitted_request_builds_no_ladder(cfg, ladder_builds):
         assert admitted(spec, g, 2)
         bound_report(spec, g, 2, cfg)
     assert ladder_builds == []
+
+
+def test_admitted_request_builds_no_class_check(cfg):
+    spec, g = catalog("poisson", {"lam": 3}), tuple_of("x", "exp(0.2*x)")
+    assert admitted(spec, g, 2)
+    with mock.patch.object(bounds, "_ClassCheck",
+                           side_effect=AssertionError("class check built")):
+        for policy in ("raise", "drop", "skip"):
+            bound_reports(spec, g, [1, 2], cfg, class_policy=policy)
+
+
+@pytest.mark.parametrize("spec,g,policy", [
+    (catalog("poisson", {"lam": 3}), tuple_of("x", "exp(0.2*x)"), "raise"),
+    (catalog("negative-binomial", {"r": 3, "theta": 0.5}),
+     tuple_of("exp(0.3*x)"), "raise"),
+    (catalog("poisson", {"lam": 3}), FunctionTuple([lambda x: x]), "raise"),
+    (catalog("binomial", {"n": 12, "theta": 0.35}), tuple_of("x", "x^2"),
+     "skip"),
+], ids=["admitted", "declined-rate", "declined-callable", "skip"])
+def test_discrete_support_is_summed_once(cfg, spec, g, policy):
+    # the admitted request's assembly reads the rule's grid; a declined
+    # one's reads its class ladder's nodes
+    with mock.patch.object(bounds.ex, "truncated_support",
+                           wraps=bounds.ex.truncated_support) as summed:
+        bound_reports(spec, g, [1, 2], cfg, class_policy=policy)
+    assert summed.call_count == 1
+
+
+@pytest.mark.parametrize("policy", ["raise", "skip"])
+def test_moment_gate_comes_before_any_grid(cfg, policy):
+    # pmf 6 / (pi^2 (k + 1)^2) decays too slowly for its summation to
+    # reach underflow; with delta = 0.6, E|X|^4 is infinite, and the gate
+    # refuses order 2 before a grid or a ladder is built
+    def pmf(k):
+        k = np.asarray(k, dtype=float)
+        return np.where(k >= 0, 6.0 / (math.pi * (k + 1.0)) ** 2, 0.0)
+
+    spec = DiscreteCO(1.0, Quadratic(0.6, 0.0, 1.0), (0.0, math.inf), pmf)
+    with mock.patch.object(bounds.ex, "truncated_support",
+                           side_effect=AssertionError("support summed")):
+        with pytest.raises(ClassMembershipError,
+                           match=r"E\|X\|\^4 is not finite"):
+            bound_reports(spec, tuple_of("x"), [2], cfg, class_policy=policy)
 
 
 @pytest.mark.parametrize("params,orders,null", [

@@ -494,3 +494,50 @@ class TestDistParsing:
     def test_unknown_family(self, fns_path):
         assert main(["bounds", "--dist", "cauchy",
                      "--functions", fns_path, "--n", "1"]) == 1
+
+    @pytest.mark.parametrize("dist", [
+        "binomial:n=inf,theta=0.5", "hypergeometric:N=inf,K=3,n=2",
+        "binomial:n=2.7,theta=0.5", "normal:mean=inf", "gamma:shape=inf"])
+    def test_parameter_error_exit(self, fns_path, capsys, dist):
+        assert main(["bounds", "--dist", dist, "--functions", fns_path,
+                     "--n", "1", "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag,doc", [
+    ("--functions", {"functions": ["expr"]}),
+    ("--functions", {"functions": [{"expr": 5}]}),
+    ("--functions", {"functions": [{"poly": [[1, 2]]}]}),
+    ("--functions", {"functions": [{"poly": "12"}]}),
+    ("--functions", {"functions": [{"poly": [1, True]}]}),
+    ("--functions", {"functions": "x"}),
+    ("--config", {"orders": 1}),
+    ("--config", {"orders": [1.5]}),
+    ("--config", {"engine": [1]}),
+    ("--config", {"theorems": [["poincare"]]}),
+    ("--config", {"output": {"json": 5}}),
+    ("--config", []),
+    ("--dist", {"family": "normal", "params": [3]}),
+    ("--dist", {"family": ["normal"]}),
+    ("--dist", [1]),
+    ("--dist", {"custom": []}),
+    ("--dist", {"custom": {"kind": "discrete", "mean": [0.3],
+                           "support": [0, 1], "pmf_table": [[0, 1]]}}),
+    ("--dist", {"custom": {"kind": "discrete", "mean": 0.3, "support": 1,
+                           "pmf_table": [[0, 1]]}}),
+    ("--dist", {"custom": {"kind": "discrete", "mean": 0.3,
+                           "quadratic": [0, 1], "support": [0, 1],
+                           "pmf_table": [[0, 1]]}}),
+], ids=lambda v: json.dumps(v) if not isinstance(v, str) else v)
+def test_malformed_document_is_input_error(tmp_path, fns_path, capsys, flag,
+                                           doc):
+    # each document is read as one of its kind, checked for its shape, and
+    # refused with an error message rather than a traceback or a misreading
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = {"--functions": fns_path, "--dist": "normal"}
+    argv[flag] = str(path)
+    assert main(["bounds", "--n", "1", "--quiet"]
+                + [a for item in argv.items() for a in item]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(("input error:", "error:")), err

@@ -91,6 +91,27 @@ class TestCatalog:
         with pytest.raises(InvalidParameterError):
             catalog("hypergeometric", {"N": 10, "K": 20, "n": 5})
 
+    @pytest.mark.parametrize("name,params,message", [
+        ("binomial", {"n": math.inf, "theta": 0.5}, "must be finite"),
+        ("hypergeometric", {"N": math.inf, "K": 3, "n": 2}, "must be finite"),
+        ("binomial", {"n": 2.7, "theta": 0.5}, "must be an integer"),
+        ("hypergeometric", {"N": 10, "K": 3.5, "n": 2}, "must be an integer"),
+        ("normal", {"mean": math.inf}, "must be finite"),
+        ("normal", {"var": math.nan}, "must be finite"),
+        ("gamma", {"shape": math.inf}, "must be finite"),
+        ("poisson", {"lam": [3]}, "must be a number"),
+    ])
+    def test_parameters_finite_and_counts_whole(self, name, params, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            catalog(name, params)
+
+    def test_whole_float_counts(self):
+        # the form an inline --dist gives every parameter
+        spec = catalog("binomial", {"n": 200.0, "theta": 0.25})
+        assert spec.params["n"] == 200 and spec.support == (0.0, 200.0)
+        spec = catalog("hypergeometric", {"N": 20.0, "K": 7.0, "n": 5.0})
+        assert spec.params == {"N": 20, "K": 7, "n": 5}
+
 
 class TestInference:
     def test_beta_example(self, cfg):

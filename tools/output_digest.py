@@ -31,8 +31,10 @@ as they are.
 
 ``--ladders`` also prints, under each workload's line, per seed how many of
 its requests built a class ladder (``expectation.Ladder.build``): the ones
-the closed-form class rule (``bounds._closed_form``) declines.  The digests
-are the same with it and without it.
+the closed-form class rule (``bounds._closed_form``) declines; and how many
+the rule declined after building their assembly grid (``bounds._Grid.build``
+inside ``_closed_form``), whose grid the request then builds again.  The
+digests are the same with it and without it.
 
 ``--dump DIR`` also writes, per workload, ``DIR/<workload>.json``: every
 request's outputs parsed (exit code, JSON document, CSV rows with their
@@ -66,6 +68,7 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
+from varbounds import bounds  # noqa: E402
 from varbounds.errors import ClassMembershipError  # noqa: E402
 from varbounds.expectation import Ladder  # noqa: E402
 
@@ -112,26 +115,42 @@ def _parsed(kind, data):
     return int(text) if kind == "exit" else text
 
 
-# the number of ``Ladder.build`` calls made so far, once
-# ``_count_ladder_builds`` has wrapped it
-_LADDER_BUILDS = [0]
+# the number of ``Ladder.build`` calls, of ``_Grid.build`` calls and of
+# ``_closed_form`` calls that built a grid and declined, made so far, once
+# ``_count_class_paths`` has wrapped them
+_COUNTS = {"ladders": 0, "grids": 0, "declined": 0}
 
 
-def _count_ladder_builds():
-    build = Ladder.build.__func__
+def _counted(method, key):
+    build = method.__func__
 
     def counted(cls, *args, **kwargs):
-        _LADDER_BUILDS[0] += 1
+        _COUNTS[key] += 1
         return build(cls, *args, **kwargs)
 
-    Ladder.build = classmethod(counted)
+    return classmethod(counted)
+
+
+def _count_class_paths():
+    Ladder.build = _counted(Ladder.build, "ladders")
+    bounds._Grid.build = _counted(bounds._Grid.build, "grids")
+    closed_form = bounds._closed_form
+
+    def counted(*args, **kwargs):
+        before = _COUNTS["grids"]
+        grid = closed_form(*args, **kwargs)
+        _COUNTS["declined"] += grid is None and _COUNTS["grids"] > before
+        return grid
+
+    bounds._closed_form = counted
 
 
 def digest(workload, seeds, dump=None, chain_order=None):
     """(number of requests, SHA-256 hex digest, {seed: (number of its
-    requests that built a class ladder, number of its requests)}) of
-    ``workload`` over ``seeds``; the ladder counts are 0 unless
-    ``_count_ladder_builds`` ran.  With a ``dump`` dict, each request's
+    requests that built a class ladder, number the closed-form rule
+    declined after building their grid, number of its requests)}) of
+    ``workload`` over ``seeds``; the first two counts are 0 unless
+    ``_count_class_paths`` ran.  With a ``dump`` dict, each request's
     parsed outputs go into it under "seed/key".  A ``chain_order`` replaces
     the order of every chain request."""
     sha, count, ladders = hashlib.sha256(), 0, {}
@@ -139,21 +158,22 @@ def digest(workload, seeds, dump=None, chain_order=None):
         cases = [dataclasses.replace(case, n=chain_order)
                  if chain_order is not None and case.kind == "chain"
                  else case for case in workloads.build_cases(workload, seed)]
-        built = 0
+        built = declined = 0
         with tempfile.TemporaryDirectory() as workdir:
             requests = workloads.Requests(cases, workdir)
             for case in cases:
                 sha.update(f"\0{seed}/{case.key}\0".encode())
-                parsed, before = {}, _LADDER_BUILDS[0]
+                parsed, before = {}, dict(_COUNTS)
                 for kind, data in _outputs(requests, case):
                     chunk = _PREFIX[kind] + data
                     sha.update(len(chunk).to_bytes(8, "little") + chunk)
                     parsed[kind] = _parsed(kind, data)
                 if dump is not None:
                     dump[f"{seed}/{case.key}"] = parsed
-                built += _LADDER_BUILDS[0] > before
+                built += _COUNTS["ladders"] > before["ladders"]
+                declined += _COUNTS["declined"] > before["declined"]
                 count += 1
-        ladders[seed] = (built, len(cases))
+        ladders[seed] = (built, declined, len(cases))
     return count, sha.hexdigest(), ladders
 
 
@@ -228,7 +248,8 @@ def main(argv=None):
                         help="issue every chain request at order N")
     parser.add_argument("--ladders", action="store_true",
                         help="also print per seed the requests that built a "
-                             "class ladder")
+                             "class ladder, and those the closed-form rule "
+                             "declined after building their grid")
     args = parser.parse_args(argv)
     if args.compare:
         compare(*args.compare)
@@ -236,16 +257,18 @@ def main(argv=None):
     if args.dump:
         os.makedirs(args.dump, exist_ok=True)
     if args.ladders:
-        _count_ladder_builds()
+        _count_class_paths()
     for workload in args.workloads:
         dump = {} if args.dump else None
         seeds = args.seeds or STANDARD_SEEDS[workload]
         count, hexdigest, ladders = digest(workload, seeds, dump,
                                            args.chain_order)
         print(f"{workload}  {count} requests  {hexdigest}", flush=True)
-        for seed, (built, total) in ladders.items() if args.ladders else ():
+        for seed, (built, declined, total) in (ladders.items()
+                                               if args.ladders else ()):
             print(f"  seed {seed}: {built} of {total} requests built a class "
-                  f"ladder", flush=True)
+                  f"ladder, {declined} were declined after building their "
+                  f"grid", flush=True)
         if dump is not None:
             with open(os.path.join(args.dump, workload + ".json"), "w",
                       encoding="utf-8") as fh:
