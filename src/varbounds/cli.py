@@ -32,8 +32,8 @@ from .calculus import load_function_tuple
 from .calculus import forward_difference, rising_q  # noqa: F401
 from .distributions import (catalog, infer_quadratic, load_distribution,
                             spec_to_json, verify_membership)
-from .errors import (ClassMembershipError, NoSamplerError,
-                     SingularCoefficientError, VarboundsError)
+from .errors import (ClassMembershipError, InvalidParameterError,
+                     NoSamplerError, SingularCoefficientError, VarboundsError)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -60,7 +60,11 @@ def _parse_dist(text):
             if not item:
                 continue
             key, _, val = item.partition("=")
-            params[key.strip()] = float(val)
+            key = key.strip()
+            if key in params:
+                raise InvalidParameterError(
+                    f"{name.strip()} parameter {key!r} is given twice")
+            params[key] = float(val)
         return catalog(name.strip(), params)
     return catalog(text, {})
 
@@ -458,7 +462,8 @@ def main(argv=None) -> int:
     except NoSamplerError as err:
         print(f"no sampler: {err}", file=sys.stderr)
         code = EXIT_NO_SAMPLER
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as err:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError,
+            InvalidParameterError) as err:
         print(f"input error: {err}", file=sys.stderr)
         code = EXIT_IO
     except VarboundsError as err:

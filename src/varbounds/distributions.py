@@ -210,20 +210,41 @@ def _by_tail(u, c, lower, upper):
     return out
 
 
+# the member-independent forms of the stream the samplers read, each
+# derived once per stream (``expectation.Stream.form``, keyed by function)
+
+def _logit(u):
+    """logit(u) = log(u) - log1p(-u), with one scratch array."""
+    t = np.log(u)
+    scratch = np.negative(u)
+    t -= np.log1p(scratch, out=scratch)
+    return t
+
+
+def _ndtri(u):
+    """The standard normal quantiles of u."""
+    from scipy import special
+    return special.ndtri(u)
+
+
+def _sorted(u):
+    """The draws in ascending order."""
+    return np.sort(u)
+
+
 class _SeedTable:
     """``inverse(p, 1 - p)`` tabulated at _QUANTILE_NODES points evenly
-    spaced in logit(p) over the range of the draws u.
+    spaced in logit(p) over the range of the draws of ``stream``.
 
     The table is built once from the whole stream, since its range is that
     of all the draws; ``seeds`` interpolates it linearly at a block of them.
+    logit(u) is a form of the stream (``expectation.Stream``), derived
+    once for every member sampled from the same uniforms.
     """
 
-    def __init__(self, u, inverse):
+    def __init__(self, stream, inverse):
         from scipy import special
-        # logit(u) = log(u) - log1p(-u), with one scratch array
-        self.t = np.log(u)
-        scratch = np.negative(u)
-        self.t -= np.log1p(scratch, out=scratch)
+        self.t = stream.form(_logit)
         self.lo, hi = float(self.t.min()), float(self.t.max())
         nodes = np.linspace(self.lo, hi, _QUANTILE_NODES)
         self.values = inverse(special.expit(nodes), special.expit(-nodes))
@@ -278,14 +299,15 @@ def _gamma_quantile(a, u):
     seed table, the draws are taken a block at a time.
     """
     from scipy import special
-    u = np.asarray(u, dtype=float).ravel()
+    stream = ex.Stream.of(u)
+    u = stream.u
 
     def inverse(p, q):
         return _by_tail(p, q, lambda p: special.gammaincinv(a, p),
                         lambda q: special.gammainccinv(a, q))
 
     with np.errstate(divide="ignore"):
-        table = _SeedTable(u, lambda p, q: np.log(inverse(p, q)))
+        table = _SeedTable(stream, lambda p, q: np.log(inverse(p, q)))
     log_norm = special.gammaln(a)
 
     def log_xpdf(z):
@@ -335,14 +357,15 @@ def _beta_quantile(a, b, u):
     the current block only.
     """
     from scipy import special
-    u = np.asarray(u, dtype=float).ravel()
+    stream = ex.Stream.of(u)
+    u = stream.u
 
     def logit_inverse(p, q):
         return _by_tail(
             p, q, lambda p: special.logit(special.betaincinv(a, b, p)),
             lambda q: -special.logit(special.betaincinv(b, a, q)))
 
-    table = _SeedTable(u, logit_inverse)
+    table = _SeedTable(stream, logit_inverse)
     x = np.empty(u.size)
     for block in _blocks(u.size):
         ub, xb = u[block], x[block]
@@ -385,17 +408,15 @@ def _real(value, what):
     return value
 
 
-def _param(params, *names, default=None, count=False):
-    """The first of ``names`` in ``params``, else ``default``, as a finite
-    float, or with ``count`` as the int it must equal."""
-    what = f"parameter {names[0]!r}"
-    for name in names:
-        if name in params:
-            value = _real(params[name], what)
-            break
+def _param(params, name, default=None, count=False):
+    """``params[name]``, else ``default``, as a finite float, or with
+    ``count`` as the int it must equal."""
+    what = f"parameter {name!r}"
+    if name in params:
+        value = _real(params[name], what)
+    elif default is None:
+        raise InvalidParameterError(f"missing {what}")
     else:
-        if default is None:
-            raise InvalidParameterError(f"missing {what}")
         value = default
     if count:
         _require(value == int(value), f"{what} must be an integer, got {value}")
@@ -414,13 +435,9 @@ def _normal(params):
         return norm * np.exp(-0.5 * (np.asarray(x, dtype=float) - m) ** 2 / v)
 
     def sampler(u):
-        from scipy import special
-        u = np.asarray(u, dtype=float).ravel()
-        x = np.empty(u.size)
-        for block in _blocks(u.size):
-            xb = special.ndtri(u[block], out=x[block])
-            xb *= sd
-            xb += m
+        # ndtri(u) is a form of the stream, shared by every normal member
+        x = ex.Stream.of(u).form(_ndtri) * sd
+        x += m
         return x
 
     return ContinuousIP(m, Quadratic(0.0, 0.0, v), (-math.inf, math.inf),
@@ -498,9 +515,11 @@ def _table_sampler(spec_pmf, support):
 
     A draw u takes the first node whose cumulative mass reaches u, and a
     draw above the last cumulative value takes the last node.  The draws
-    in each cell are counted from one sort of the stream, and the sampler
-    returns each node repeated by its count: the variates come back in
-    ascending order, not in the order of the draws.
+    in each cell are counted from the sorted stream, a form of the stream
+    (``expectation.Stream``) sorted once for every discrete member sampled
+    from the same uniforms, and the sampler returns each node repeated by
+    its count: the variates come back in ascending order, not in the
+    order of the draws.
     """
     state = {}
 
@@ -511,18 +530,18 @@ def _table_sampler(spec_pmf, support):
             js, pm, _, _ = ex.truncated_support(holder)
             state["js"] = js
             state["cdf"] = np.cumsum(pm)
-        u = np.asarray(u, dtype=float).ravel()
+        ordered = ex.Stream.of(u).form(_sorted)
         # the draws at or below each cumulative value; the last cell takes
         # every draw above the one before it
-        ends = np.searchsorted(np.sort(u), state["cdf"], side="right")
-        ends[-1] = u.size
+        ends = np.searchsorted(ordered, state["cdf"], side="right")
+        ends[-1] = ordered.size
         return np.repeat(state["js"], np.diff(ends, prepend=0))
 
     return sampler
 
 
 def _poisson(params):
-    lam = _param(params, "lam", "lambda", "rate")
+    lam = _param(params, "lam")
     _require(lam > 0, "poisson rate must be positive")
 
     log_lam = math.log(lam)
@@ -538,8 +557,8 @@ def _poisson(params):
 
 
 def _binomial(params):
-    trials = _param(params, "n", "trials", count=True)
-    theta = _param(params, "theta", "p")
+    trials = _param(params, "n", count=True)
+    theta = _param(params, "theta")
     _require(trials >= 1, "binomial needs at least one trial")
     _require(0.0 < theta < 1.0, "binomial theta must lie in (0, 1)")
 
@@ -560,8 +579,8 @@ def _binomial(params):
 
 
 def _negative_binomial(params):
-    r = _param(params, "r", "size")
-    theta = _param(params, "theta", "p")
+    r = _param(params, "r")
+    theta = _param(params, "theta")
     _require(r > 0, "negative-binomial r must be positive")
     _require(0.0 < theta < 1.0, "negative-binomial theta must lie in (0, 1)")
 
@@ -583,9 +602,9 @@ def _negative_binomial(params):
 
 
 def _hypergeometric(params):
-    pop = _param(params, "N", "population", count=True)
-    succ = _param(params, "K", "successes", count=True)
-    draws = _param(params, "n", "draws", count=True)
+    pop = _param(params, "N", count=True)
+    succ = _param(params, "K", count=True)
+    draws = _param(params, "n", count=True)
     _require(pop >= 1, "population must be positive")
     _require(0 <= succ <= pop, "successes must lie in [0, N]")
     _require(1 <= draws <= pop, "draws must lie in [1, N]")
@@ -611,15 +630,40 @@ def _hypergeometric(params):
                       {"N": pop, "K": succ, "n": draws}, tails=Tails())
 
 
+# each family's constructor and its parameters, each parameter's name
+# first and then its aliases
 _CATALOG = {
-    "normal": _normal,
-    "gamma": _gamma,
-    "beta": _beta,
-    "poisson": _poisson,
-    "binomial": _binomial,
-    "negative-binomial": _negative_binomial,
-    "hypergeometric": _hypergeometric,
+    "normal": (_normal, (("mean",), ("var",))),
+    "gamma": (_gamma, (("shape",), ("scale",))),
+    "beta": (_beta, (("a",), ("b",))),
+    "poisson": (_poisson, (("lam", "lambda", "rate"),)),
+    "binomial": (_binomial, (("n", "trials"), ("theta", "p"))),
+    "negative-binomial": (_negative_binomial,
+                          (("r", "size"), ("theta", "p"))),
+    "hypergeometric": (_hypergeometric, (("N", "population"),
+                                         ("K", "successes"),
+                                         ("n", "draws"))),
 }
+
+
+def _named(family, params, names):
+    """``params`` keyed by each parameter's name; an unknown name, two
+    names for one parameter or params that are not a dict are refused."""
+    if not isinstance(params, dict):
+        raise InvalidParameterError(
+            f"{family} parameters must be a dict, got {params!r}")
+    alias = {a: group[0] for group in names for a in group}
+    out = {}
+    for key, value in params.items():
+        if key not in alias:
+            raise InvalidParameterError(
+                f"unknown {family} parameter {key!r}; choose from "
+                f"{sorted(alias)}")
+        if alias[key] in out:
+            raise InvalidParameterError(
+                f"{family} parameter {alias[key]!r} is given twice")
+        out[alias[key]] = value
+    return out
 
 
 def catalog(name: str, params: dict | None = None) -> Spec:
@@ -628,13 +672,16 @@ def catalog(name: str, params: dict | None = None) -> Spec:
     Families: normal, gamma, beta (continuous); poisson, binomial,
     negative-binomial, hypergeometric (discrete).  Each ships the quadratic
     of its defining identity; regression tests re-derive every one through
-    :func:`infer_quadratic`.
+    :func:`infer_quadratic`.  ``params`` is a dict keyed by parameter name
+    or alias (poisson's ``lam`` is also ``lambda`` or ``rate``); an unknown
+    name or two names for one parameter raise ``InvalidParameterError``.
     """
     key = name.lower().replace("_", "-")
     if key not in _CATALOG:
         raise UnknownDistributionError(
             f"unknown family {name!r}; choose from {sorted(_CATALOG)}")
-    return _CATALOG[key](params or {})
+    build, names = _CATALOG[key]
+    return build(_named(key, {} if params is None else params, names))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ member's ladder and summation grid share the nodes of
 
 The Monte Carlo stream is a splitmix64 counter generator (documented in the
 README) rather than a library RNG, so results are bit-reproducible from
-(seed, samples) alone.
+(seed, samples) alone; the stream of the last (seed, samples) drawn is held,
+read-only, with the forms of it the samplers derive (``stream``).
 """
 
 from __future__ import annotations
@@ -61,13 +62,22 @@ class EngineConfig:
 # splitmix64 uniform stream
 # ---------------------------------------------------------------------------
 
+# draws per block of a Monte Carlo pass: the stream's float conversion, the
+# samplers' inverse transforms and a sample grid's bases and products run a
+# block at a time, so their temporaries stay in cache and what a pass holds
+# beside its N-arrays does not grow with N
+BLOCK = 8192
+
+
 def splitmix64_uniforms(seed: int, count: int) -> np.ndarray:
     """Uniforms in (0, 1) from the counter-mode splitmix64 stream.
 
     Draw i (1-based) mixes the state ``seed + i * 0x9E3779B97F4A7C15`` and maps
     the top 53 bits to the open interval through ``_unit_interval``.  The
     states are mixed in place, with one scratch array for the shifts, freed
-    before the float conversion: at most two count-sized arrays are held.
+    before the float conversion, which writes the uniforms over the states
+    a block at a time: at most two count-sized arrays are held, and one is
+    returned.
     """
     z = np.arange(1, count + 1, dtype=np.uint64)
     z *= np.uint64(0x9E3779B97F4A7C15)
@@ -80,7 +90,10 @@ def splitmix64_uniforms(seed: int, count: int) -> np.ndarray:
     z ^= np.right_shift(z, np.uint64(31), out=shifted)
     del shifted
     z >>= np.uint64(11)
-    return _unit_interval(z)
+    u = z.view(np.float64)
+    for lo in range(0, count, BLOCK):
+        u[lo:lo + BLOCK] = _unit_interval(z[lo:lo + BLOCK])
+    return u
 
 
 def _unit_interval(bits) -> np.ndarray:
@@ -130,6 +143,19 @@ def _map_support(alpha: float, omega: float, s: np.ndarray):
     return (omega - offset if lo_inf else alpha + offset), doffset
 
 
+@lru_cache(maxsize=64)
+def _mapped_rule(alpha: float, omega: float, n: int):
+    """The ``n`` Gauss-Legendre nodes mapped onto (alpha, omega) and their
+    weights times the map's jacobian, shared read-only by every grid of
+    that support and size."""
+    s, glw = gauss_legendre(n)
+    x, dxds = _map_support(alpha, omega, s)
+    out = (x, glw * dxds)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def continuous_grid(spec, cfg: EngineConfig, n_nodes: int | None = None):
     """Quadrature nodes and weights such that sum(w * phi(x)) ~ E[phi(X)].
 
@@ -138,10 +164,8 @@ def continuous_grid(spec, cfg: EngineConfig, n_nodes: int | None = None):
     and would otherwise turn inf * 0 into nan for growing integrands).
     """
     n = n_nodes if n_nodes is not None else cfg.quad_nodes
-    s, glw = gauss_legendre(n)
-    alpha, omega = spec.support
-    x, dxds = _map_support(alpha, omega, s)
-    w = glw * dxds * spec.density(x)
+    x, scaled = _mapped_rule(*spec.support, n)
+    w = scaled * spec.density(x)
     keep = w != 0.0
     return x[keep], w[keep]
 
@@ -209,24 +233,76 @@ def _cap_error():
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-# draws per block of a Monte Carlo pass: the samplers' inverse transforms
-# and a sample grid's bases and products run a block at a time, so their
-# temporaries stay in cache and what a pass holds beside its N-arrays does
-# not grow with N
-BLOCK = 8192
+class Stream:
+    """The uniforms ``u`` of a Monte Carlo stream and the forms of them that
+    the samplers derive, such as logit(u), sorted(u) or ndtri(u).
+
+    ``form(derive)`` returns ``derive(u)``, derived the first time it is
+    asked for and kept with the stream, read-only: every member sampled
+    from the same uniforms reads the same array.
+    """
+
+    def __init__(self, u):
+        self.u = u
+        self._forms = {}
+
+    @classmethod
+    def of(cls, u) -> "Stream":
+        """The stream ``stream`` holds if ``u`` is its uniforms, else a new
+        stream over u (flattened to floats), whose forms last as long as
+        the caller keeps it."""
+        held = _held
+        if held and u is held[1].u:
+            return held[1]
+        return cls(np.asarray(u, dtype=float).ravel())
+
+    def form(self, derive) -> np.ndarray:
+        """``derive(u)``, derived once per stream; ``derive`` is the key."""
+        out = self._forms.get(derive)
+        if out is None:
+            out = self._forms[derive] = derive(self.u)
+            out.setflags(write=False)
+        return out
+
+
+# the (seed, samples) of the last stream drawn and that stream
+_held: tuple = ()
+
+
+def stream(seed: int, samples: int) -> Stream:
+    """The stream of ``samples`` uniforms from ``seed``, read-only.
+
+    The stream of the last (seed, samples) drawn is held with its forms,
+    so repeated requests draw and derive nothing; another key frees them
+    before its own uniforms are drawn.
+    """
+    global _held
+    if not _held or _held[0] != (seed, samples):
+        _held = ()
+        u = splitmix64_uniforms(seed, samples)
+        u.setflags(write=False)
+        _held = ((seed, samples), Stream(u))
+    return _held[1]
 
 
 def sample(spec, cfg: EngineConfig | None = None) -> np.ndarray:
     """Draw ``cfg.mc_samples`` variates from the stream seeded by
     ``cfg.mc_seed`` through the spec's inverse-transform sampler.
 
+    The sampler is passed the read-only uniforms of ``stream``, and the
+    catalog samplers read their member-independent forms from it
+    (``Stream.of``): ``ndtri(u)`` for normal members, logit(u) for the
+    seed tables of gamma and beta members and the sorted stream for
+    discrete ones.  These are derived on the first request for a
+    (seed, samples) and reused by the requests after it.
+
     Normal members invert with ``ndtri``; gamma and beta members with
     quantiles seeded from a table of library inverses and refined by Halley
     steps on the forward function, which agree with ``gammaincinv`` and
-    ``betaincinv`` to about 1e-13 relative.  These three run over
+    ``betaincinv`` to about 1e-13 relative.  Gamma and beta run over
     ``BLOCK`` draws at a time and write into one array of N variates.  A
     discrete member counts the draws in each cell of its cumulative table
-    from one sort of the stream, so its variates come back in ascending
+    from the sorted stream, so its variates come back in ascending
     order; their values and counts are those of a lookup per draw.  These
     library functions are scipy's, and the first continuous draw is what
     imports ``scipy.special``: nothing else in the package loads scipy.
@@ -234,7 +310,7 @@ def sample(spec, cfg: EngineConfig | None = None) -> np.ndarray:
     cfg = cfg or EngineConfig()
     if getattr(spec, "sampler", None) is None:
         raise NoSamplerError(f"no sampler available for {spec!r}")
-    u = splitmix64_uniforms(cfg.mc_seed, cfg.mc_samples)
+    u = stream(cfg.mc_seed, cfg.mc_samples).u
     return np.asarray(spec.sampler(u), dtype=float)
 
 

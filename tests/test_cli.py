@@ -486,6 +486,45 @@ class TestRepeatedMain:
                         == (tmp_path / f"fresh-{name}").read_bytes())
 
 
+class TestRepeatedMcVerify:
+    MEMBERS = ("normal:mean=0.3,var=1.2", "gamma:shape=2.5,scale=1.5",
+               "beta:a=2,b=3", "poisson:lam=3",
+               "negative-binomial:r=3,theta=0.5")
+
+    def test_cached_stream_matches_a_fresh_interpreter(self, fns_path,
+                                                       tmp_path, capsys):
+        # the requests after the first of a (seed, samples) read the stream
+        # and its forms that an earlier request drew and derived; in the
+        # fresh interpreter the seeds alternate, so each request draws and
+        # derives its own
+        def argv(dist, seed, out):
+            return ["mc-verify", "--dist", dist, "--functions", fns_path,
+                    "--n", "2", "--mc-samples", "20000", "--mc-seed",
+                    str(seed), "--out-json", str(tmp_path / out)]
+
+        cases = [(dist, seed) for dist in self.MEMBERS for seed in (11, 12)]
+        fresh = run_fresh(*[argv(dist, seed, f"fresh-{i}.json")
+                            for i, (dist, seed) in enumerate(cases)])
+        # each request's printed lines, then its exit code and scipy line
+        outputs, lines = [], []
+        for line in fresh.splitlines(keepends=True)[1:]:
+            if line.endswith("['scipy']\n"):
+                outputs.append(("".join(lines), int(line.split()[0])))
+                lines = []
+            else:
+                lines.append(line)
+        assert len(outputs) == len(cases)
+        for seed in (11, 12):
+            for repeat in range(3):
+                for i, (dist, case_seed) in enumerate(cases):
+                    if case_seed != seed:
+                        continue
+                    code = main(argv(dist, seed, "here.json"))
+                    assert (capsys.readouterr().out, code) == outputs[i]
+                    assert ((tmp_path / "here.json").read_bytes()
+                            == (tmp_path / f"fresh-{i}.json").read_bytes())
+
+
 class TestDistParsing:
     def test_inline_params(self, fns_path):
         assert main(["bounds", "--dist", "binomial:n=10,theta=0.3",
@@ -497,11 +536,21 @@ class TestDistParsing:
 
     @pytest.mark.parametrize("dist", [
         "binomial:n=inf,theta=0.5", "hypergeometric:N=inf,K=3,n=2",
-        "binomial:n=2.7,theta=0.5", "normal:mean=inf", "gamma:shape=inf"])
+        "binomial:n=2.7,theta=0.5", "normal:mean=inf", "gamma:shape=inf",
+        "normal:mu=3", "poisson:lam=2,lambda=5", "normal:mean=1,mean=2"])
     def test_parameter_error_exit(self, fns_path, capsys, dist):
         assert main(["bounds", "--dist", dist, "--functions", fns_path,
                      "--n", "1", "--quiet"]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize("params", [{"mu": 3}, [3]])
+    def test_unknown_params_in_a_document(self, tmp_path, fns_path, capsys,
+                                          params):
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps({"family": "normal", "params": params}))
+        assert main(["bounds", "--dist", str(path), "--functions", fns_path,
+                     "--n", "1", "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("input error:")
 
 
 @pytest.mark.parametrize("flag,doc", [

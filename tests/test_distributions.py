@@ -112,6 +112,33 @@ class TestCatalog:
         spec = catalog("hypergeometric", {"N": 20.0, "K": 7.0, "n": 5.0})
         assert spec.params == {"N": 20, "K": 7, "n": 5}
 
+    @pytest.mark.parametrize("name,params", [
+        ("poisson", {"lambda": 2.5}), ("poisson", {"rate": 2.5}),
+        ("binomial", {"trials": 12, "p": 0.35}),
+        ("negative-binomial", {"size": 3, "p": 0.4}),
+        ("hypergeometric", {"population": 30, "successes": 12, "draws": 8})])
+    def test_aliases_name_the_parameter(self, name, params):
+        canonical = {"poisson": {"lam": 2.5},
+                     "binomial": {"n": 12, "theta": 0.35},
+                     "negative-binomial": {"r": 3, "theta": 0.4},
+                     "hypergeometric": {"N": 30, "K": 12, "n": 8}}[name]
+        assert catalog(name, params).params == catalog(name, canonical).params
+
+    @pytest.mark.parametrize("name,params,message", [
+        ("normal", {"mu": 3}, "unknown normal parameter 'mu'"),
+        ("gamma", {"shape": 2, "rate": 1}, "unknown gamma parameter 'rate'"),
+        ("hypergeometric", {"N": 30, "K": 12, "n": 8, "k": 2},
+         "unknown hypergeometric parameter 'k'"),
+        ("poisson", {"lam": 2, "lambda": 5}, "'lam' is given twice"),
+        ("binomial", {"n": 10, "trials": 10, "theta": 0.3},
+         "'n' is given twice"),
+        ("normal", [3], "must be a dict"),
+        ("poisson", (("lam", 2),), "must be a dict"),
+    ])
+    def test_unknown_or_repeated_parameter(self, name, params, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            catalog(name, params)
+
 
 class TestInference:
     def test_beta_example(self, cfg):

@@ -6,18 +6,20 @@ moment identity, closed-form Beta moments, exact finite sums via math.comb,
 and Poisson factorial moments.
 """
 
+import gc
 import hashlib
 import json
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from varbounds import (DiscreteCO, FunctionTuple, Quadratic, catalog,
                        parse_function, polynomial)
-from varbounds import bounds
+from varbounds import bounds, distributions, expectation
 from varbounds.bounds import _Grid, bound_report, bound_reports
 from varbounds.calculus import forward_difference, rising_q
 from varbounds.cli import _mc_matrices
@@ -26,7 +28,9 @@ from varbounds.distributions import (_pmf_table, _table_sampler,
 from varbounds.errors import NoSamplerError, TruncationError
 from varbounds.expectation import (BLOCK, Z_99, EngineConfig,
                                    FinitenessProbe, Ladder, _classify,
-                                   _unit_interval, probe, sample,
+                                   _map_support, _mapped_rule,
+                                   _unit_interval, continuous_grid,
+                                   gauss_legendre, probe, sample,
                                    splitmix64_uniforms, truncated_support)
 
 MASK = (1 << 64) - 1
@@ -107,6 +111,23 @@ class TestContinuous:
         spec = catalog("beta", {"a": 2, "b": 3})
         want = (beta_moment(2, 3, 1) - beta_moment(2, 3, 2)) / 5.0
         assert grid_sum(spec, spec.q, cfg) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        catalog("normal", {"mean": 0.5, "var": 2}),
+        catalog("gamma", {"shape": 0.4}), catalog("beta", {"a": 0.3, "b": 4})],
+        ids=lambda spec: spec.name)
+    def test_grid_from_the_held_rule_keeps_its_bits(self, spec, cfg):
+        # the mapped nodes and scaled weights are held per (support, n);
+        # each grid's weights are those scaled weights times the density
+        s, glw = gauss_legendre(cfg.quad_nodes)
+        x, dxds = _map_support(*spec.support, s)
+        w = glw * dxds * spec.density(x)
+        for _ in range(2):
+            got = continuous_grid(spec, cfg)
+            for a, b in zip(got, (x[w != 0.0], w[w != 0.0])):
+                assert a.tobytes() == b.tobytes()
+        held = _mapped_rule(*spec.support, cfg.quad_nodes)
+        assert not any(a.flags.writeable for a in held)
 
     def test_doubling_nodes_within_bracket(self, cfg):
         # brackets are estimates; the contract allows 10x slack
@@ -472,7 +493,9 @@ class TestMonteCarlo:
     # more (p, N) array would take it past the bound) and 48.7 MB at p = 16,
     # n = 4 (reads 46.6 MB, 43.8 when a block held one order's rows at a
     # time; whole-sample rows per order read 56 MB over sampling, a buffer
-    # of every order's entries 107 MB)
+    # of every order's entries 107 MB).  The pass measured reads the stream
+    # its first call drew; the first pass of a (seed, samples) also draws
+    # the stream and ndtri(u), 2 N-arrays held after it (11.4 MB at p = 3)
     @pytest.mark.parametrize("exprs,n", [
         (("x", "exp(0.1*x)", "x*cos(0.9*x)"), 2),
         (("x", "x^2", "exp(0.1*x)", "exp(-0.2*x)", "sin(0.7*x)",
@@ -493,28 +516,33 @@ class TestMonteCarlo:
         block = p * (p + 1) // 2 + p + 2 * p * (n + 1) + 16
         assert peak < 8 * (size + p * size + block * BLOCK)
 
-    # the N-arrays a sampler holds at its peak: the stream and its uniforms
-    # while they are converted (the mixing scratch is freed first); gamma
-    # and beta also hold logit(u) and the variates.  Whole-stream
-    # temporaries read 12.9 MB on gamma(2.67), 15.8 on beta(2.5, 2.2) and
-    # 8.0 on normal and poisson; beta read 7.0 MB while it held an N-array
-    # of 1 - x, 5.6 without it.
-    @pytest.mark.parametrize("spec,arrays", [
-        (catalog("gamma", {"shape": 2.67}), 3),
-        (catalog("beta", {"a": 2.5, "b": 2.2}), 3),
-        (catalog("normal"), 2),
-        (catalog("poisson", {"lam": 2}), 2),
-    ], ids=lambda v: v.name if hasattr(v, "name") else str(v))
-    def test_memory_of_sampling(self, spec, arrays, cfg):
-        sample(spec, cfg)  # loads scipy and builds any table first
-        tracemalloc.start()
-        try:
-            sample(spec, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # with room for 32 block-sized temporaries
-        assert peak < 8 * (arrays * cfg.mc_samples + 32 * BLOCK)
+    # the N-arrays a sampler holds at its peak.  The first request of a
+    # (seed, samples) draws the stream and its uniforms (the mixing scratch
+    # is freed before they are converted) and derives one form of them,
+    # logit(u), ndtri(u) or the sorted stream, which it keeps beside the
+    # variates: 3 N-arrays.  Normal and poisson held 2 before the forms were
+    # kept (3.2 MB, against 4.8 now).  A request after it makes the
+    # variates alone.  Whole-stream temporaries read 12.9 MB on
+    # gamma(2.67), 15.8 on beta(2.5, 2.2) and 8.0 on normal and poisson;
+    # beta read 7.0 MB while it held an N-array of 1 - x, 5.6 without it.
+    @pytest.mark.parametrize("spec", [
+        catalog("gamma", {"shape": 2.67}),
+        catalog("beta", {"a": 2.5, "b": 2.2}),
+        catalog("normal"),
+        catalog("poisson", {"lam": 2}),
+    ], ids=lambda v: v.name)
+    def test_memory_of_sampling(self, spec, cfg):
+        # loads scipy and builds any table first, on another stream
+        sample(spec, cfg.override(mc_seed=cfg.mc_seed + 1))
+        for arrays in (3, 1):  # a first request, then one after it
+            tracemalloc.start()
+            try:
+                sample(spec, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # with room for 32 block-sized temporaries
+            assert peak < 8 * (arrays * cfg.mc_samples + 32 * BLOCK), arrays
 
     def test_reproducible(self, cfg):
         a = sample(catalog("normal"), cfg)
@@ -548,6 +576,90 @@ class TestMonteCarlo:
                                                      report.B[0])):
                     assert np.all(np.abs(mc - det.to_array())
                                   <= 4 * ci + 1e-12), (spec.name, trial)
+
+
+STREAM_MEMBERS = (catalog("normal", {"mean": 0.3, "var": 1.2}),
+                  catalog("gamma", {"shape": 2.5, "scale": 1.5}),
+                  catalog("beta", {"a": 2, "b": 3}),
+                  catalog("poisson", {"lam": 3}),
+                  catalog("negative-binomial", {"r": 3, "theta": 0.5}))
+
+
+@pytest.fixture
+def stream_calls(monkeypatch):
+    """Counts of the stream draws and of each form derived while the test
+    runs, from an empty stream cache."""
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(expectation, "splitmix64_uniforms")
+    for name in ("_logit", "_ndtri", "_sorted"):
+        counted(distributions, name)
+    monkeypatch.setattr(expectation, "_held", ())
+    return calls
+
+
+class TestStream:
+    """The stream of the last (seed, samples) and its forms, held for the
+    requests after the first."""
+
+    def test_one_draw_and_one_derivation_per_key(self, stream_calls):
+        cfg = EngineConfig(mc_samples=5000, mc_seed=3)
+        # three requests on one key, then a new seed, a new sample count
+        # and the first key again, each drawn and derived anew
+        keys = [cfg] * 3 + [cfg.override(mc_seed=4),
+                            cfg.override(mc_seed=4, mc_samples=5001), cfg]
+        for draws, key in zip((1, 1, 1, 2, 3, 4), keys):
+            for spec in STREAM_MEMBERS:
+                sample(spec, key)
+            assert stream_calls == dict.fromkeys(
+                ("splitmix64_uniforms", "_logit", "_ndtri", "_sorted"), draws)
+
+    def test_stream_and_forms_are_read_only(self, stream_calls):
+        cfg = EngineConfig(mc_samples=5000, mc_seed=3)
+        for spec in STREAM_MEMBERS:
+            sample(spec, cfg)
+        held = expectation.stream(cfg.mc_seed, cfg.mc_samples)
+        arrays = [held.u] + [held.form(derive) for derive in (
+            distributions._logit, distributions._ndtri,
+            distributions._sorted)]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+        assert stream_calls["_logit"] == 1  # asked for, not derived again
+
+    def test_one_key_is_held(self, stream_calls):
+        first = EngineConfig(mc_samples=5000, mc_seed=3)
+        for spec in STREAM_MEMBERS:
+            sample(spec, first)
+        old = expectation.stream(first.mc_seed, first.mc_samples)
+        forms = [weakref.ref(a) for a in old._forms.values()]
+        old = weakref.ref(old)
+        second = first.override(mc_seed=4)
+        sample(STREAM_MEMBERS[0], second)
+        gc.collect()
+        assert old() is None and all(form() is None for form in forms)
+        assert expectation._held[0] == (4, 5000)
+        assert list(expectation._held[1]._forms) == [distributions._ndtri]
+
+    def test_caller_arrays_are_not_held(self, stream_calls):
+        # a sampler called on an array of its own derives its forms from it
+        u = splitmix64_uniforms(3, 5000)
+        for spec in STREAM_MEMBERS:
+            np.testing.assert_array_equal(
+                spec.sampler(u.copy()),
+                sample(spec, EngineConfig(mc_samples=5000, mc_seed=3)))
+        assert u.flags.writeable and expectation._held[0] == (3, 5000)
+        assert stream_calls["_logit"] == 3  # gamma, beta, then the stream
 
 
 class TestProbes:
