@@ -17,7 +17,8 @@ from .calculus import (FunctionTuple, SmoothFunction, forward_difference,
                        rising_q)
 from .distributions import (ContinuousIP, DiscreteCO, InferredQuadratic,
                             MembershipReport, Quadratic, catalog,
-                            infer_quadratic, load_distribution, spec_to_json,
+                            clear_members, infer_quadratic,
+                            load_distribution, spec_to_json,
                             verify_membership)
 from .errors import (ClassMembershipError, InvalidParameterError,
                      NoSamplerError, NonFiniteIntegrandError,
@@ -36,7 +37,8 @@ __all__ = [
     "FunctionTuple", "SmoothFunction", "forward_difference",
     "load_function_tuple", "parse_function", "polynomial", "rising_q",
     "ContinuousIP", "DiscreteCO", "InferredQuadratic", "MembershipReport",
-    "Quadratic", "catalog", "infer_quadratic", "load_distribution",
+    "Quadratic", "catalog", "clear_members", "infer_quadratic",
+    "load_distribution",
     "spec_to_json", "verify_membership",
     "ClassMembershipError", "InvalidParameterError",
     "NoSamplerError", "NonFiniteIntegrandError", "RankDeficientFitError",

@@ -24,7 +24,10 @@ the (top + 1, N) weights w_k and the (top + 1, p, N) rows d^k g_i
 the rows in one pass over the slots of the tuple's derivative table
 compiled for the orders 0..top, on a discrete member the forward
 differences in one pass over the shifts and each rising product from the
-one before.  A catalog member and a tuple far inside the class are
+one before.  The member holds its grids, class ladder and weights
+(``_Weights``: the powers, their sign screen and E[w_k] up to each top),
+so every request on it reads the ones the first made; the rows are each
+request's own.  A catalog member and a tuple far inside the class are
 admitted in closed form, from the member's tails, the tuple's exponential
 rates and a screen of the assembly grid for lost mass (``_closed_form``),
 and gated on the Pearson moment criterion alone; any other request's
@@ -77,57 +80,27 @@ GRID_HEALTH_TOL = 1e-2
 # evaluation grids
 # ---------------------------------------------------------------------------
 
-class _Grid:
-    """Evaluation grid of one spec: points x, nonnegative weights w with
-    sum(w * phi(x)) ~ E[phi(X)], plus the tail bound for discrete members.
-    ``build`` gives the quadrature nodes or the positive-pmf support down
-    to pmf underflow (``expectation.truncated_support``), and
-    ``from_samples`` the grids of N Monte Carlo samples.
+class _Weights:
+    """The member's half of a grid, shared read-only by every request that
+    reads the grid up to the same order ``top``: points x, nonnegative
+    weights w with sum(w * phi(x)) ~ E[phi(X)], the tail bound of a
+    discrete member, and the stacks over the orders 0..top that depend on
+    the member alone, each made once: the (top + 1, N) powers q^k (on a
+    discrete member the rising products q^[k], each the one before times
+    one q), their sign screen and each E[w_k].  They keep the member's
+    quadratic, not the member, which holds them."""
 
-    A grid is built for the highest order ``top`` its request reads, and
-    it is read as two stacks over the orders 0..top, each made in one pass
-    and kept: the (top + 1, N) powers q^k (on a discrete member the rising
-    products q^[k], each the one before times one q) and, per tuple, the
-    (top + 1, p, N) rows d^k g_i, every order from one evaluation of the
-    bases of the tuple's derivative table and one pass over its summand
-    slots (on a discrete member its rows g_i(x + j), j = 0..top, whose
-    forward differences of every order are taken in one pass over the
-    shifts).  No order above ``top`` is read."""
-
-    def __init__(self, spec, x, w, tail=0.0, counts=None, top=0):
-        self.spec, self.x, self.w, self.tail = spec, x, w, tail
-        self.counts, self.top = counts, top
-        self._q, self._refused, self._eq, self._rows = None, None, {}, {}
+    def __init__(self, spec, x, w, tail=0.0, top=0):
+        self.q, self.discrete = spec.q, spec.is_discrete
+        self.x, self.w, self.tail, self.top = x, w, tail, top
+        self._q, self._refused, self._eq = None, None, {}
 
     @classmethod
-    def build(cls, spec, cfg=None, n_nodes=None, top=0):
-        cfg = cfg or ex.EngineConfig()
-        if spec.is_discrete:
-            x, w, tail, _ = ex.truncated_support(spec)
-            return cls(spec, x, w, tail, top=top)
-        x, w = ex.continuous_grid(spec, cfg, n_nodes)
-        return cls(spec, x, w, top=top)
-
-    @classmethod
-    def from_samples(cls, spec, xs, top):
-        """The grids of the N samples ``xs``, each of weight 1/N, read up to
-        order ``top`` and carrying the integer ``counts`` of their points:
-        one grid of a discrete member's runs of equal values, with weights
-        count/N, or one per ``expectation.BLOCK`` of a continuous member's
-        samples, made as they are read.  A discrete sampler returns its
-        variates sorted, so each run is one distinct value, counted
-        without another sort."""
-        if spec.is_discrete:
-            starts = np.flatnonzero(np.concatenate(([True],
-                                                    xs[1:] != xs[:-1])))
-            counts = np.diff(starts, append=xs.size)
-            yield cls(spec, xs[starts], counts / xs.size, counts=counts,
-                      top=top)
-            return
-        ones = np.ones(min(xs.size, ex.BLOCK))
-        for lo in range(0, xs.size, ex.BLOCK):
-            x = xs[lo:lo + ex.BLOCK]
-            yield cls(spec, x, 1.0 / xs.size, counts=ones[:x.size], top=top)
+    def held(cls, spec, key, top, nodes):
+        """The weights of the grid ``key`` of ``spec`` up to ``top``, made
+        from ``nodes()``, (x, w, tail), on the first call and held on the
+        spec (``expectation.held``)."""
+        return ex.held(spec, (key, top), lambda: cls(spec, *nodes(), top=top))
 
     def powers(self):
         """The read-only (top + 1, N) stack of q^k (continuous) or the
@@ -136,12 +109,12 @@ class _Grid:
             # a power past the largest float is a divergent weight, which
             # the reads of the stack report
             with np.errstate(over="ignore"):
-                if self.spec.is_discrete:
-                    stack = rising_products(self.spec.q, self.top, self.x)
+                if self.discrete:
+                    stack = rising_products(self.q, self.top, self.x)
                 else:
                     stack = np.empty((self.top + 1, self.x.size))
                     stack[0] = 1.0
-                    qx = self.spec.q(self.x)
+                    qx = self.q(self.x)
                     for k in range(1, self.top + 1):
                         stack[k] = qx ** k
             stack.setflags(write=False)
@@ -162,8 +135,8 @@ class _Grid:
             powers, top = self.powers(), self.top
             # row 1 is q on the grid; there is none at top = 0
             size = float(np.max(np.abs(powers[1:2]), initial=0.0))
-            if self.spec.is_discrete and top > 1:
-                beyond = self.spec.q(self.x.max() + np.arange(1.0, top))
+            if self.discrete and top > 1:
+                beyond = self.q(self.x.max() + np.arange(1.0, top))
                 size = max(size, float(np.max(np.abs(beyond))))
             with np.errstate(over="ignore"):
                 scale = size ** np.arange(top + 1.0)
@@ -183,10 +156,88 @@ class _Grid:
                 i = int(np.argmax(bad))
                 node = self.x[i]
                 raise NonFiniteIntegrandError(
-                    int(node) if self.spec.is_discrete else float(node),
+                    int(node) if self.discrete else float(node),
                     float(qk[i]))
             self._eq[k] = float(contrib.sum())
         return self._eq[k]
+
+
+class _Grid:
+    """Evaluation grid of one spec for one request: the member's
+    ``_Weights`` and the request's rows.  ``build`` gives the quadrature
+    nodes or the positive-pmf support down to pmf underflow
+    (``expectation.truncated_support``), whose weights the member holds,
+    so that every request on it reads the same ones; ``from_samples`` the
+    grids of N Monte Carlo samples, whose weights are their own.
+
+    A grid is built for the highest order ``top`` its request reads, and
+    it is read as two stacks over the orders 0..top, each made in one pass
+    and kept: the member's (top + 1, N) powers q^k (``_Weights.powers``)
+    and, per tuple, the (top + 1, p, N) rows d^k g_i, every order from one
+    evaluation of the bases of the tuple's derivative table and one pass
+    over its summand slots (on a discrete member its rows g_i(x + j),
+    j = 0..top, whose forward differences of every order are taken in one
+    pass over the shifts).  The rows are the request's own, keyed by the
+    id of the tuple's table, which they keep alive so that no other table
+    takes that id: on the member's shared weights they would keep every
+    tuple ever issued on it.  No order above ``top`` is read."""
+
+    def __init__(self, spec, weights, counts=None):
+        self.spec, self.weights, self.counts = spec, weights, counts
+        self.x, self.w = weights.x, weights.w
+        self.tail, self.top = weights.tail, weights.top
+        self._rows = {}
+
+    @classmethod
+    def build(cls, spec, cfg=None, n_nodes=None, top=0):
+        """The grid of ``spec`` up to ``top`` on ``n_nodes`` quadrature
+        nodes (``cfg.quad_nodes`` if None; a discrete member's summation
+        support has no count), over the weights the member holds."""
+        if spec.is_discrete:
+            key = "support"
+
+            def nodes():
+                return ex.member_support(spec)[:3]
+        else:
+            key = n_nodes if n_nodes is not None else (
+                cfg or ex.EngineConfig()).quad_nodes
+
+            def nodes():
+                # one (x, w) for every top
+                return ex.held(spec, ("nodes", key),
+                               lambda: ex.continuous_grid(spec, cfg, key))
+        return cls(spec, _Weights.held(spec, key, top, nodes))
+
+    @classmethod
+    def from_samples(cls, spec, xs, top):
+        """The grids of the N samples ``xs``, each of weight 1/N, read up to
+        order ``top`` and carrying the integer ``counts`` of their points:
+        one grid of a discrete member's runs of equal values, with weights
+        count/N, or one per ``expectation.BLOCK`` of a continuous member's
+        samples, made as they are read.  A discrete sampler returns its
+        variates sorted, so each run is one distinct value, counted
+        without another sort."""
+        if spec.is_discrete:
+            starts = np.flatnonzero(np.concatenate(([True],
+                                                    xs[1:] != xs[:-1])))
+            counts = np.diff(starts, append=xs.size)
+            yield cls(spec, _Weights(spec, xs[starts], counts / xs.size,
+                                     top=top), counts)
+            return
+        ones = np.ones(min(xs.size, ex.BLOCK))
+        for lo in range(0, xs.size, ex.BLOCK):
+            x = xs[lo:lo + ex.BLOCK]
+            yield cls(spec, _Weights(spec, x, 1.0 / xs.size, top=top),
+                      ones[:x.size])
+
+    def powers(self):
+        return self.weights.powers()
+
+    def refused(self):
+        return self.weights.refused()
+
+    def expectation(self, k):
+        return self.weights.expectation(k)
 
     def rows(self, g):
         """The read-only (top + 1, p, N) stack of the rows d^k g_i of the
@@ -369,10 +420,15 @@ class _ClassCheck:
         Var[g] < inf too), the absolute values w_k |d^k g_i| (for 'B',
         k > 0) and the moment rows |x|^(2k).  An order whose weight is
         refused as negative ends the pass: the orders before it are
-        classified, and its error is kept for ``upto``."""
-        ladder = ex.Ladder.build(self.spec, self.cfg)
-        self.nodes = _Grid(self.spec, ladder.x, ladder.w, ladder.tail,
-                           top=self.top)
+        classified, and its error is kept for ``upto``.  The ladder and
+        its weights up to ``top`` are the member's, held on it; on a
+        discrete member they are those of its summation grid."""
+        spec, cfg = self.spec, self.cfg
+        ladder = ex.held(spec, "ladder", lambda: ex.Ladder.build(spec, cfg))
+        self.nodes = _Grid.build(spec, cfg, top=self.top) \
+            if spec.is_discrete else _Grid(spec, _Weights.held(
+                spec, "ladder", self.top,
+                lambda: (ladder.x, ladder.w, ladder.tail)))
         classes, p, stop = self.classes, len(self.g), self.top + 1
         self.probes = {cls: [] for cls in classes}
         squares = absolutes = range(0)

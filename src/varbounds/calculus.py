@@ -35,6 +35,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from .errors import unique_keys
+
 MAX_DIFFERENCE_ORDER = 20
 # ``DerivativeTable.rows`` sums a stack's rows in blocks of at most this size
 # (or of one row): below the 128 KiB from which the C allocator may map a
@@ -645,7 +647,7 @@ def load_function_tuple(doc) -> FunctionTuple:
     """
     if isinstance(doc, str):
         with open(doc, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
     if not isinstance(doc, dict) or not isinstance(doc.get("functions"),
                                                    list):
         raise ExpressionError('expected {"functions": [...]}')

@@ -33,7 +33,8 @@ from .calculus import forward_difference, rising_q  # noqa: F401
 from .distributions import (catalog, infer_quadratic, load_distribution,
                             spec_to_json, verify_membership)
 from .errors import (ClassMembershipError, InvalidParameterError,
-                     NoSamplerError, SingularCoefficientError, VarboundsError)
+                     NoSamplerError, SingularCoefficientError, VarboundsError,
+                     unique_keys)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -74,7 +75,7 @@ def _load_config(args):
     doc = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
         if not isinstance(doc, dict):
             raise ValueError("a config document is a JSON object")
         for key, kind, item, what in (

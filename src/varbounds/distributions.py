@@ -24,17 +24,19 @@ deterministic path never loads scipy.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import expectation as ex
 from .errors import (InvalidParameterError, RankDeficientFitError,
-                     UnknownDistributionError)
+                     UnknownDistributionError, unique_keys)
 
 DENSITY_FLOOR = 1e-12  # relative to the max density on the grid
 CONTINUOUS_RESIDUAL_TOL = 1e-8
@@ -97,6 +99,9 @@ class ContinuousIP:
     custom: Optional[dict] = field(default=None, repr=False, compare=False)
     # the closed-form tails of a catalog member; None on any other spec
     tails: Optional[Tails] = field(default=None, repr=False, compare=False)
+    # what the member's requests hold on it (``expectation.held``)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     is_discrete = False
 
@@ -104,6 +109,7 @@ class ContinuousIP:
         alpha, omega = self.support
         if not alpha < omega:
             raise InvalidParameterError("support interval is empty")
+        _hold_params(self)
 
     def __repr__(self):
         return f"ContinuousIP({self.name}, mean={self.mean}, q={self.q})"
@@ -125,6 +131,9 @@ class DiscreteCO:
     custom: Optional[dict] = field(default=None, repr=False, compare=False)
     # the closed-form tails of a catalog member; None on any other spec
     tails: Optional[Tails] = field(default=None, repr=False, compare=False)
+    # what the member's requests hold on it (``expectation.held``)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     is_discrete = True
 
@@ -132,12 +141,19 @@ class DiscreteCO:
         alpha, omega = self.support
         if not alpha <= omega:
             raise InvalidParameterError("support interval is empty")
+        _hold_params(self)
 
     def __repr__(self):
         return f"DiscreteCO({self.name}, mean={self.mean}, q={self.q})"
 
 
 Spec = ContinuousIP | DiscreteCO
+
+
+def _hold_params(spec):
+    """Hold a copy of ``spec.params`` read-only: a member is shared by every
+    caller of ``catalog`` with its parameters, so none may change it."""
+    object.__setattr__(spec, "params", MappingProxyType(dict(spec.params)))
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +682,14 @@ def _named(family, params, names):
     return out
 
 
+# the catalog members held per process, least recently used first, keyed
+# by family and canonical parameters (``catalog``)
+_MEMBERS = 64
+_members: OrderedDict = OrderedDict()
+
+
 def catalog(name: str, params: dict | None = None) -> Spec:
-    """Construct a catalog member by family name.
+    """The catalog member of a family name and its parameters.
 
     Families: normal, gamma, beta (continuous); poisson, binomial,
     negative-binomial, hypergeometric (discrete).  Each ships the quadratic
@@ -675,13 +697,34 @@ def catalog(name: str, params: dict | None = None) -> Spec:
     :func:`infer_quadratic`.  ``params`` is a dict keyed by parameter name
     or alias (poisson's ``lam`` is also ``lambda`` or ``rate``); an unknown
     name or two names for one parameter raise ``InvalidParameterError``.
+
+    A member is held per process: every call with the same canonical
+    parameters (aliases resolved, defaults filled in, values as the member
+    reads them) returns the same immutable spec, so its requests share the
+    grids, summation support, ladder and weight powers it holds
+    (``expectation.held``).  The last _MEMBERS members used are held;
+    :func:`clear_members` lets them go.
     """
     key = name.lower().replace("_", "-")
     if key not in _CATALOG:
         raise UnknownDistributionError(
             f"unknown family {name!r}; choose from {sorted(_CATALOG)}")
     build, names = _CATALOG[key]
-    return build(_named(key, {} if params is None else params, names))
+    spec = build(_named(key, {} if params is None else params, names))
+    # repr tells -0.0 from 0.0, which a report prints
+    ident = (key, tuple((k, repr(v)) for k, v in spec.params.items()))
+    spec = _members.pop(ident, spec)
+    _members[ident] = spec
+    if len(_members) > _MEMBERS:
+        _members.popitem(last=False)
+    return spec
+
+
+def clear_members():
+    """Let go of the catalog members held by :func:`catalog`: the next call
+    builds each member anew, with nothing held.  A member still referenced
+    elsewhere keeps what it holds for as long as it lives."""
+    _members.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +991,7 @@ def load_distribution(doc) -> Spec:
     """
     if isinstance(doc, str):
         with open(doc, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
     if not isinstance(doc, dict):
         raise InvalidParameterError("a distribution document is a JSON object")
     if "family" in doc:
@@ -983,14 +1026,15 @@ def load_distribution(doc) -> Spec:
 def spec_to_json(spec: Spec) -> dict:
     """Descriptive document of a spec; catalog members also carry the
     ``family`` key and tabulated ones their ``custom`` document, so
-    :func:`load_distribution` reads the document back."""
+    :func:`load_distribution` reads the document back.  The document is
+    the caller's own: editing it leaves the spec as it was."""
     doc = {"kind": "discrete" if spec.is_discrete else "continuous",
-           "name": spec.name, "params": spec.params, "mean": spec.mean,
+           "name": spec.name, "params": dict(spec.params), "mean": spec.mean,
            "support": [None if math.isinf(s) else s for s in spec.support]}
     if spec.name in _CATALOG:
         doc["family"] = spec.name
     if spec.custom is not None:
-        doc["custom"] = spec.custom
+        doc["custom"] = copy.deepcopy(spec.custom)
     if spec.q is not None:
         doc["quadratic"] = list(spec.q.as_tuple())
     return doc

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON object reader
+that refuses a repeated key."""
 
 
 class VarboundsError(Exception):
@@ -51,3 +52,16 @@ class ClassMembershipError(VarboundsError):
     def __init__(self, message, failures=()):
         self.failures = tuple(failures)
         super().__init__(message)
+
+
+def unique_keys(pairs):
+    """``object_pairs_hook`` of every JSON document the package reads: the
+    object as a dict, with ``InvalidParameterError`` on a repeated key,
+    which plain ``json`` would read as its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InvalidParameterError(
+                f"key {key!r} is repeated in a JSON object")
+        out[key] = value
+    return out

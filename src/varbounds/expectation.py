@@ -5,7 +5,9 @@ underflow, and the Monte Carlo cross-check a seeded sample; ``bounds._Grid``
 holds one of them and sums each expectation over it.  The ``Ladder`` of
 nested windows judges whether an expectation is finite at all; a discrete
 member's ladder and summation grid share the nodes of
-``truncated_support``.
+``truncated_support``.  What depends on the member alone, such as its
+grids and its summation support, is held on the member (``held``), so each
+is made once per member.
 
 The Monte Carlo stream is a splitmix64 counter generator (documented in the
 README) rather than a library RNG, so results are bit-reproducible from
@@ -143,6 +145,13 @@ def _map_support(alpha: float, omega: float, s: np.ndarray):
     return (omega - offset if lo_inf else alpha + offset), doffset
 
 
+def _read_only(*arrays):
+    """``arrays``, each made read-only, as a tuple."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=64)
 def _mapped_rule(alpha: float, omega: float, n: int):
     """The ``n`` Gauss-Legendre nodes mapped onto (alpha, omega) and their
@@ -150,24 +159,41 @@ def _mapped_rule(alpha: float, omega: float, n: int):
     that support and size."""
     s, glw = gauss_legendre(n)
     x, dxds = _map_support(alpha, omega, s)
-    out = (x, glw * dxds)
-    for a in out:
-        a.setflags(write=False)
-    return out
+    return _read_only(x, glw * dxds)
 
 
 def continuous_grid(spec, cfg: EngineConfig, n_nodes: int | None = None):
-    """Quadrature nodes and weights such that sum(w * phi(x)) ~ E[phi(X)].
+    """Quadrature nodes and weights such that sum(w * phi(x)) ~ E[phi(X)],
+    both read-only.
 
     Weights already include the map jacobian and the density; nodes where the
     density underflows to zero are dropped (they contribute exactly nothing
     and would otherwise turn inf * 0 into nan for growing integrands).
+    Each call evaluates the density afresh; a request reads a member's grid
+    of each node count once per member (``bounds._Grid.build``, ``held``).
     """
     n = n_nodes if n_nodes is not None else cfg.quad_nodes
     x, scaled = _mapped_rule(*spec.support, n)
     w = scaled * spec.density(x)
     keep = w != 0.0
-    return x[keep], w[keep]
+    return _read_only(x[keep], w[keep])
+
+
+def held(spec, key, make):
+    """``make()``, made on the first call for ``key`` and then kept in the
+    memo of ``spec``, a catalog or hand-built member, and handed to every
+    later call: the member's grids, its ladder and their weight powers,
+    which depend on the member alone.  ``catalog`` hands out one member per
+    parameters, so its requests share them; any other spec keeps them for
+    as long as it lives.  A stand-in without a memo gets ``make()`` each
+    time.  What is held is never written: its arrays are read-only."""
+    memo = getattr(spec, "_memo", None)
+    if memo is None:
+        return make()
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = make()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +202,10 @@ def continuous_grid(spec, cfg: EngineConfig, n_nodes: int | None = None):
 
 def truncated_support(spec):
     """The summation nodes of a discrete member: the support points whose
-    pmf is positive, as floats, and their pmf.
+    pmf is positive, as floats, and their pmf, both read-only.  Each call
+    sums the pmf afresh; a request reads a member's support once per
+    member (``bounds._Grid.build``, ``held``), and its class ladder is
+    built on the same nodes.
 
     Toward an infinite end the support runs until the pmf underflows: a
     support bounded below grows by blocks of 512 points until a block adds
@@ -220,8 +249,15 @@ def truncated_support(spec):
                 raise _cap_error()
         tail = max(0.0, 1.0 - float(pm.sum()))
     keep = pm != 0.0
-    edge = np.cumsum(keep)[_underflow_edges(js, pm, spec.support)] - 1
-    return js[keep].astype(float), pm[keep], tail, edge
+    x, pm, edge = _read_only(
+        js[keep].astype(float), pm[keep],
+        np.cumsum(keep)[_underflow_edges(js, pm, spec.support)] - 1)
+    return x, pm, tail, edge
+
+
+def member_support(spec):
+    """``truncated_support(spec)``, summed once per member (``held``)."""
+    return held(spec, "support", lambda: truncated_support(spec))
 
 
 def _cap_error():
@@ -385,11 +421,9 @@ def _ladder_rules():
     each shell."""
     rules = [gauss_legendre(96)] + [gauss_legendre(48)] * (
         2 * (_LADDER_RUNGS - 1))
-    out = (np.concatenate([s for s, _ in rules]),
-           np.concatenate([glw for _, glw in rules]) * 0.5)
-    for a in out:  # shared by every ladder
-        a.setflags(write=False)
-    return out
+    # shared by every ladder
+    return _read_only(np.concatenate([s for s, _ in rules]),
+                      np.concatenate([glw for _, glw in rules]) * 0.5)
 
 
 class Ladder:
@@ -417,12 +451,13 @@ class Ladder:
     @classmethod
     def build(cls, spec, cfg: EngineConfig) -> "Ladder":
         """The ladder of ``spec``; a discrete member's is built on the
-        nodes of ``truncated_support``.  A ladder with no node of positive
+        nodes of ``truncated_support``, the ones the member holds
+        (``member_support``).  A ladder with no node of positive
         weight, as that of a normal too narrow for its distance from 0,
         raises ``TruncationError``: no truncated expectation can be judged
         on it."""
         if getattr(spec, "is_discrete", False):
-            ladder = cls._discrete(spec, *truncated_support(spec))
+            ladder = cls._discrete(spec, *member_support(spec))
         else:
             ladder = cls._continuous(spec, cfg)
         if not ladder.x.size:
@@ -479,8 +514,10 @@ class Ladder:
         ends = np.cumsum(keep)[np.cumsum(sizes) - 1]
         bounds = [slice(int(a), int(b)) for a, b in zip([0, *ends], ends)]
         rungs = tuple(tuple(bounds[i] for i in rung) for rung in rung_segments)
-        edge = np.cumsum(keep)[_underflow_edges(x, w, spec.support)] - 1
-        return cls(x[keep], w[keep], rungs, True, edge)
+        x, w, edge = _read_only(
+            x[keep], w[keep],
+            np.cumsum(keep)[_underflow_edges(x, w, spec.support)] - 1)
+        return cls(x, w, rungs, True, edge)
 
     @classmethod
     def _discrete(cls, spec, x, pm, tail, edge):

@@ -15,7 +15,7 @@ import pytest
 
 from varbounds import (ContinuousIP, DiscreteCO, FunctionTuple, Quadratic,
                        catalog, eigenvalues, parse_function, polynomial)
-from varbounds import bounds, expectation, linalg
+from varbounds import bounds, clear_members, expectation, linalg
 from varbounds.bounds import (_bessel_weight, _Grid, bound_report,
                               bound_reports, check_class,
                               poincare_coefficient)
@@ -641,12 +641,17 @@ class TestOnePass:
 
         monkeypatch.setattr(bounds, "rising_products", counted)
         g = tuple_of("x", "x^2", "sin(x)")
+        clear_members()
         bound_report(catalog("poisson", {"lam": 3}), g, 3, cfg)
         # on the one grid the class ladder, the weights and E[w_k] share,
         # one stack of rising products, each order the one before times
         # one evaluation of q
         assert stacks == [3]
         assert shifts == [{0.0}, {1.0}, {2.0}]
+        # the member holds the stack: a repeat request, on another tuple
+        # too, makes none
+        bound_report(catalog("poisson", {"lam": 3}), tuple_of("x"), 3, cfg)
+        assert stacks == [3]
 
     def test_one_eigen_solve_per_matrix(self, cfg, monkeypatch):
         solves = []
@@ -703,10 +708,14 @@ class TestOnePass:
         ("normal", {}), ("poisson", {"lam": 3}), ("beta", {"a": 2, "b": 3})])
     def test_one_ladder_per_class_check(self, cfg, ladder_builds, member,
                                         cls):
-        report = check_class(catalog(*member), tuple_of("x", "x^3"), 3, cls,
-                             cfg)
-        assert report.ok and report.implies_other == (cls == "H")
-        assert len(ladder_builds) == 1
+        # one ladder per member: the first check builds it, and the member
+        # holds it for every check after
+        clear_members()
+        for _ in range(2):
+            report = check_class(catalog(*member), tuple_of("x", "x^3"), 3,
+                                 cls, cfg)
+            assert report.ok and report.implies_other == (cls == "H")
+            assert len(ladder_builds) == 1
 
     @pytest.mark.parametrize("member", [
         ("normal", {}), ("poisson", {"lam": 3}), ("beta", {"a": 2, "b": 3}),

@@ -20,6 +20,7 @@ from numpy.polynomial import polynomial as npoly
 from varbounds.calculus import (ExpressionError, FunctionTuple,
                                 forward_difference, load_function_tuple,
                                 parse_function, polynomial, rising_q)
+from varbounds.errors import InvalidParameterError
 
 REFERENCE = json.loads(
     (pathlib.Path(__file__).with_name("derivative_values.json")).read_text())
@@ -383,6 +384,15 @@ class TestParser:
             for k in range(4):
                 np.testing.assert_array_equal(g1.derivative_value(k, xs),
                                               g2.derivative_value(k, xs))
+
+    @pytest.mark.parametrize("text", [
+        '{"functions": [{"expr": "x", "expr": "x^2"}]}',
+        '{"functions": [{"expr": "x"}], "functions": [{"expr": "x^2"}]}'])
+    def test_repeated_key_is_refused(self, tmp_path, text):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        with pytest.raises(InvalidParameterError, match="is repeated"):
+            load_function_tuple(str(path))
 
     def test_tuple_requires_entry(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ import pytest
 
 from varbounds import (DiscreteCO, FunctionTuple, Quadratic, bound_report,
                        bound_reports, bounds, catalog, check_class,
-                       parse_function)
+                       clear_members, parse_function)
 from varbounds.cli import EXIT_IO, _parse_dist, main
 from varbounds.distributions import load_distribution
 from varbounds.errors import (ClassMembershipError, TruncationError,
@@ -249,27 +249,34 @@ def _custom_table():
         "density_table": [[x, 12.0 * x * (1 - x) ** 2] for x in xs]}})
 
 
-@pytest.mark.parametrize("spec,g", [
-    (_custom_table(), tuple_of("x", "x^2")),
-    (load_distribution({"custom": {
+@pytest.mark.parametrize("make,g", [
+    (_custom_table, tuple_of("x", "x^2")),
+    (lambda: load_distribution({"custom": {
         "kind": "discrete", "mean": 0.3, "quadratic": [0.0, -0.3, 0.3],
         "support": [0, 1], "pmf_table": [[0, 0.7], [1, 0.3]]}}),
      tuple_of("x")),
-    (ladder_only(catalog("normal")), tuple_of("x", "x^2")),
-    (ladder_only(catalog("poisson", {"lam": 3})), tuple_of("x", "x^2")),
-    (catalog("poisson", {"lam": 3}), FunctionTuple([lambda x: x])),
-    (catalog("beta", {"a": 2, "b": 3}), tuple_of("x", "log(x+1)")),
-    (catalog("gamma", {"shape": 2}), tuple_of("x*log(x+2)")),
+    (lambda: ladder_only(catalog("normal")), tuple_of("x", "x^2")),
+    (lambda: ladder_only(catalog("poisson", {"lam": 3})),
+     tuple_of("x", "x^2")),
+    (lambda: catalog("poisson", {"lam": 3}), FunctionTuple([lambda x: x])),
+    (lambda: catalog("beta", {"a": 2, "b": 3}), tuple_of("x", "log(x+1)")),
+    (lambda: catalog("gamma", {"shape": 2}), tuple_of("x*log(x+2)")),
 ], ids=["custom-table", "custom-pmf", "hand-built-normal",
         "hand-built-poisson", "bare-callable", "log-term", "log-product"])
-def test_other_inputs_take_the_ladder(cfg, ladder_builds, spec, g):
+def test_other_inputs_take_the_ladder(cfg, ladder_builds, make, g):
+    # one ladder per member: built by the first request on a member that
+    # holds nothing yet, and held for the repeat
+    clear_members()
+    spec = make()
     assert not admitted(spec, g, 2, cfg)
-    bound_reports(spec, g, [1, 2], cfg)
-    assert len(ladder_builds) == 1
+    for _ in range(2):
+        bound_reports(spec, g, [1, 2], cfg)
+        assert len(ladder_builds) == 1
 
 
 def test_check_class_and_moment_finiteness_stay_on_the_ladder(
         cfg, ladder_builds):
+    clear_members()
     spec, g = catalog("normal"), tuple_of("x", "exp(0.3*x)")
     assert admitted(spec, g, 2)
     report = check_class(spec, g, 2, "H", cfg)
@@ -277,7 +284,8 @@ def test_check_class_and_moment_finiteness_stay_on_the_ladder(
     assert report.ok and report.implies_other
     assert all(isinstance(r, float) for row in report.ratios for r in row)
     assert bounds.moment_finiteness(spec, 3, cfg)
-    assert len(ladder_builds) == 2
+    # both read the one ladder the member holds
+    assert len(ladder_builds) == 1
 
 
 def test_admitted_request_builds_no_ladder(cfg, ladder_builds):
@@ -301,21 +309,24 @@ def test_admitted_request_builds_no_class_check(cfg):
             bound_reports(spec, g, [1, 2], cfg, class_policy=policy)
 
 
-@pytest.mark.parametrize("spec,g,policy", [
-    (catalog("poisson", {"lam": 3}), tuple_of("x", "exp(0.2*x)"), "raise"),
-    (catalog("negative-binomial", {"r": 3, "theta": 0.5}),
+@pytest.mark.parametrize("member,g,policy", [
+    (("poisson", {"lam": 3}), tuple_of("x", "exp(0.2*x)"), "raise"),
+    (("negative-binomial", {"r": 3, "theta": 0.5}),
      tuple_of("exp(0.3*x)"), "raise"),
-    (catalog("poisson", {"lam": 3}), FunctionTuple([lambda x: x]), "raise"),
-    (catalog("binomial", {"n": 12, "theta": 0.35}), tuple_of("x", "x^2"),
-     "skip"),
+    (("poisson", {"lam": 3}), FunctionTuple([lambda x: x]), "raise"),
+    (("binomial", {"n": 12, "theta": 0.35}), tuple_of("x", "x^2"), "skip"),
 ], ids=["admitted", "declined-rate", "declined-callable", "skip"])
-def test_discrete_support_is_summed_once(cfg, spec, g, policy):
-    # the admitted request's assembly reads the rule's grid; a declined
-    # one's reads its class ladder's nodes
+def test_discrete_support_is_summed_once(cfg, member, g, policy):
+    # once per member: the admitted request's assembly reads the rule's
+    # grid, a declined one's its class ladder's nodes, and both read the
+    # support the member holds, which a repeat request sums no more
+    clear_members()
     with mock.patch.object(bounds.ex, "truncated_support",
                            wraps=bounds.ex.truncated_support) as summed:
-        bound_reports(spec, g, [1, 2], cfg, class_policy=policy)
-    assert summed.call_count == 1
+        for _ in range(2):
+            bound_reports(catalog(*member), g, [1, 2], cfg,
+                          class_policy=policy)
+            assert summed.call_count == 1
 
 
 @pytest.mark.parametrize("policy", ["raise", "skip"])

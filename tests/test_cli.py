@@ -246,13 +246,16 @@ class TestChain:
         ("normal", "x^2", 0), ("poisson:lam=3", "x^2", 0)])
     def test_one_ladder_per_chain(self, dist, expr, ladders, tmp_path,
                                   ladder_builds):
-        # the eight moment gates and the class checks share one ladder
+        # the eight moment gates and the class checks share one ladder,
+        # which the member holds: a second chain on it builds none
         path = tmp_path / "g.json"
         path.write_text(json.dumps(
             {"functions": [{"expr": "x"}, {"expr": expr}]}))
-        assert main(["chain", "--dist", dist, "--functions", str(path),
-                     "--n", "8", "--quiet"]) == 0
-        assert len(ladder_builds) == ladders
+        varbounds.clear_members()
+        for _ in range(2):
+            assert main(["chain", "--dist", dist, "--functions", str(path),
+                         "--n", "8", "--quiet"]) == 0
+            assert len(ladder_builds) == ladders
 
     def test_zero_order_usage_error(self, fns_path):
         assert main(["chain", "--dist", "normal", "--functions", fns_path,
@@ -551,6 +554,27 @@ class TestDistParsing:
         assert main(["bounds", "--dist", str(path), "--functions", fns_path,
                      "--n", "1", "--quiet"]) == 1
         assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("--dist", '{"family": "normal", "params": {"mean": 1, "mean": 2}}'),
+    ("--functions", '{"functions": [{"expr": "x", "expr": "x^2"}]}'),
+    ("--config", '{"orders": [1], "orders": [2]}'),
+    ("--config", '{"distribution": {"family": "normal", "params": '
+                 '{"var": 1, "var": 2}}}'),
+])
+def test_repeated_key_is_input_error(tmp_path, fns_path, capsys, flag, text):
+    # plain json would read the last value; every document reader refuses
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = {"--functions": fns_path, "--dist": "normal"}
+    if flag == "--config":
+        del argv["--dist"]
+    argv[flag] = str(path)
+    assert main(["bounds", "--n", "1", "--quiet"]
+                + [a for item in argv.items() for a in item]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "is repeated" in err
 
 
 @pytest.mark.parametrize("flag,doc", [

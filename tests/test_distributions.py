@@ -501,6 +501,18 @@ class TestJsonDocuments:
         spec = load_distribution(doc)
         assert verify_membership(spec, cfg).passed
 
+    @pytest.mark.parametrize("text", [
+        '{"family": "normal", "params": {"mean": 1, "mean": 2}}',
+        '{"family": "normal", "family": "gamma", "params": {"shape": 2}}',
+        '{"custom": {"kind": "discrete", "mean": 0.3, "mean": 0.5, '
+        '"support": [0, 1], "pmf_table": [[0, 0.7], [1, 0.3]]}}'])
+    def test_repeated_key_is_refused(self, tmp_path, text):
+        # read with its last value, a repeated key would give normal(2, 1)
+        path = tmp_path / "dist.json"
+        path.write_text(text)
+        with pytest.raises(InvalidParameterError, match="is repeated"):
+            load_distribution(str(path))
+
     def test_bad_documents(self):
         with pytest.raises(InvalidParameterError):
             load_distribution({"nonsense": 1})

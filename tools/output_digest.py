@@ -6,6 +6,7 @@ Usage (from the repository root):
     python3 tools/output_digest.py --workloads high-order --seeds 1 2
     python3 tools/output_digest.py --dump DIR
     python3 tools/output_digest.py --ladders
+    python3 tools/output_digest.py --cold
     python3 tools/output_digest.py --workloads high-order --chain-order 12
     python3 tools/output_digest.py --compare DIR_A DIR_B
 
@@ -24,6 +25,13 @@ change results is checked by running this on the parent commit and on the
 change.  The program is imported from ``src/`` of the checkout this file
 sits in.
 
+By default the requests run one after another in one process, so the
+catalog members they name, and the grids those hold, are built by the
+first request on each member and shared by the ones after it, as in the
+benchmark.  ``--cold`` lets every held member go before each request
+(``distributions.clear_members``), so that each request builds its member
+and its grids anew; both print the same digests.
+
 ``--chain-order N`` reissues every ``chain`` request at order N in place
 of the workload's own (``high-order`` chains to 8), so that results can be
 compared past the orders the benchmark reaches.  Other requests are issued
@@ -31,10 +39,11 @@ as they are.
 
 ``--ladders`` also prints, under each workload's line, per seed how many of
 its requests built a class ladder (``expectation.Ladder.build``): the ones
-the closed-form class rule (``bounds._closed_form``) declines; and how many
-the rule declined after building their assembly grid (``bounds._Grid.build``
-inside ``_closed_form``), whose grid the request then builds again.  The
-digests are the same with it and without it.
+the closed-form class rule (``bounds._closed_form``) declines, on a member
+that holds no ladder yet (with ``--cold``, every one the rule declines);
+and how many the rule declined after building their assembly grid
+(``bounds._Grid.build`` inside ``_closed_form``).  The digests are the same
+with it and without it.
 
 ``--dump DIR`` also writes, per workload, ``DIR/<workload>.json``: every
 request's outputs parsed (exit code, JSON document, CSV rows with their
@@ -68,7 +77,7 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
-from varbounds import bounds  # noqa: E402
+from varbounds import bounds, distributions  # noqa: E402
 from varbounds.errors import ClassMembershipError  # noqa: E402
 from varbounds.expectation import Ladder  # noqa: E402
 
@@ -145,14 +154,15 @@ def _count_class_paths():
     bounds._closed_form = counted
 
 
-def digest(workload, seeds, dump=None, chain_order=None):
+def digest(workload, seeds, dump=None, chain_order=None, cold=False):
     """(number of requests, SHA-256 hex digest, {seed: (number of its
     requests that built a class ladder, number the closed-form rule
     declined after building their grid, number of its requests)}) of
     ``workload`` over ``seeds``; the first two counts are 0 unless
     ``_count_class_paths`` ran.  With a ``dump`` dict, each request's
     parsed outputs go into it under "seed/key".  A ``chain_order`` replaces
-    the order of every chain request."""
+    the order of every chain request.  With ``cold``, the held catalog
+    members are let go before each request."""
     sha, count, ladders = hashlib.sha256(), 0, {}
     for seed in seeds:
         cases = [dataclasses.replace(case, n=chain_order)
@@ -162,6 +172,8 @@ def digest(workload, seeds, dump=None, chain_order=None):
         with tempfile.TemporaryDirectory() as workdir:
             requests = workloads.Requests(cases, workdir)
             for case in cases:
+                if cold:
+                    distributions.clear_members()
                 sha.update(f"\0{seed}/{case.key}\0".encode())
                 parsed, before = {}, dict(_COUNTS)
                 for kind, data in _outputs(requests, case):
@@ -246,6 +258,9 @@ def main(argv=None):
                         help="compare two dumps instead of running requests")
     parser.add_argument("--chain-order", type=int, metavar="N",
                         help="issue every chain request at order N")
+    parser.add_argument("--cold", action="store_true",
+                        help="let the held catalog members go before each "
+                             "request")
     parser.add_argument("--ladders", action="store_true",
                         help="also print per seed the requests that built a "
                              "class ladder, and those the closed-form rule "
@@ -262,7 +277,7 @@ def main(argv=None):
         dump = {} if args.dump else None
         seeds = args.seeds or STANDARD_SEEDS[workload]
         count, hexdigest, ladders = digest(workload, seeds, dump,
-                                           args.chain_order)
+                                           args.chain_order, args.cold)
         print(f"{workload}  {count} requests  {hexdigest}", flush=True)
         for seed, (built, declined, total) in (ladders.items()
                                                if args.ladders else ()):
