@@ -20,7 +20,7 @@ members) the k-th summand is the null matrix by convention.
 A request assembles every order up to its highest, top, at once
 (``_Pass``).  Each grid is built for top and read only as two whole stacks,
 the (top + 1, N) weights w_k and the (top + 1, p, N) rows d^k g_i
-(``_Grid.powers``, ``_Grid.rows``), each made for every order in one pass:
+(``_Weights.powers``, ``_Grid.rows``), each made for every order in one pass:
 the rows in one pass over the slots of the tuple's derivative table
 compiled for the orders 0..top, on a discrete member the forward
 differences in one pass over the shifts and each rising product from the
@@ -90,17 +90,10 @@ class _Weights:
     one q), their sign screen and each E[w_k].  They keep the member's
     quadratic, not the member, which holds them."""
 
-    def __init__(self, spec, x, w, tail=0.0, top=0):
+    def __init__(self, spec, top, x, w, tail=0.0):
         self.q, self.discrete = spec.q, spec.is_discrete
         self.x, self.w, self.tail, self.top = x, w, tail, top
         self._q, self._refused, self._eq = None, None, {}
-
-    @classmethod
-    def held(cls, spec, key, top, nodes):
-        """The weights of the grid ``key`` of ``spec`` up to ``top``, made
-        from ``nodes()``, (x, w, tail), on the first call and held on the
-        spec (``expectation.held``)."""
-        return ex.held(spec, (key, top), lambda: cls(spec, *nodes(), top=top))
 
     def powers(self):
         """The read-only (top + 1, N) stack of q^k (continuous) or the
@@ -164,11 +157,13 @@ class _Weights:
 
 class _Grid:
     """Evaluation grid of one spec for one request: the member's
-    ``_Weights`` and the request's rows.  ``build`` gives the quadrature
-    nodes or the positive-pmf support down to pmf underflow
-    (``expectation.truncated_support``), whose weights the member holds,
-    so that every request on it reads the same ones; ``from_samples`` the
-    grids of N Monte Carlo samples, whose weights are their own.
+    ``_Weights`` (``weights``, where every caller reads the points, the
+    weights, the tail and the stacks of q) and the request's rows.
+    ``build`` gives the quadrature nodes or the positive-pmf support down
+    to pmf underflow (``expectation.truncated_support``), whose weights
+    the member holds, so that every request on it reads the same ones;
+    ``from_samples`` the grids of N Monte Carlo samples, whose weights are
+    their own.
 
     A grid is built for the highest order ``top`` its request reads, and
     it is read as two stacks over the orders 0..top, each made in one pass
@@ -184,8 +179,6 @@ class _Grid:
 
     def __init__(self, spec, weights, counts=None):
         self.spec, self.weights, self.counts = spec, weights, counts
-        self.x, self.w = weights.x, weights.w
-        self.tail, self.top = weights.tail, weights.top
         self._rows = {}
 
     @classmethod
@@ -194,19 +187,15 @@ class _Grid:
         nodes (``cfg.quad_nodes`` if None; a discrete member's summation
         support has no count), over the weights the member holds."""
         if spec.is_discrete:
-            key = "support"
-
-            def nodes():
-                return ex.member_support(spec)[:3]
+            key, nodes = "support", ex.member_support(spec)[:3]
         else:
             key = n_nodes if n_nodes is not None else (
                 cfg or ex.EngineConfig()).quad_nodes
-
-            def nodes():
-                # one (x, w) for every top
-                return ex.held(spec, ("nodes", key),
-                               lambda: ex.continuous_grid(spec, cfg, key))
-        return cls(spec, _Weights.held(spec, key, top, nodes))
+            # one (x, w) for every top
+            nodes = ex.held(spec, ("nodes", key), ex.continuous_grid, spec,
+                            cfg, key)
+        return cls(spec, ex.held(spec, (key, top), _Weights, spec, top,
+                                 *nodes))
 
     @classmethod
     def from_samples(cls, spec, xs, top):
@@ -221,23 +210,14 @@ class _Grid:
             starts = np.flatnonzero(np.concatenate(([True],
                                                     xs[1:] != xs[:-1])))
             counts = np.diff(starts, append=xs.size)
-            yield cls(spec, _Weights(spec, xs[starts], counts / xs.size,
-                                     top=top), counts)
+            yield cls(spec, _Weights(spec, top, xs[starts],
+                                     counts / xs.size), counts)
             return
         ones = np.ones(min(xs.size, ex.BLOCK))
         for lo in range(0, xs.size, ex.BLOCK):
             x = xs[lo:lo + ex.BLOCK]
-            yield cls(spec, _Weights(spec, x, 1.0 / xs.size, top=top),
+            yield cls(spec, _Weights(spec, top, x, 1.0 / xs.size),
                       ones[:x.size])
-
-    def powers(self):
-        return self.weights.powers()
-
-    def refused(self):
-        return self.weights.refused()
-
-    def expectation(self, k):
-        return self.weights.expectation(k)
 
     def rows(self, g):
         """The read-only (top + 1, p, N) stack of the rows d^k g_i of the
@@ -250,15 +230,15 @@ class _Grid:
         table = g.table
         _, stack = self._rows.get(id(table), (None, None))
         if stack is None:
-            top = self.top
+            x, top = self.weights.x, self.weights.top
             if self.spec.is_discrete:
-                shifts = np.concatenate([self.x + j if j else self.x
+                shifts = np.concatenate([x + j if j else x
                                          for j in range(top + 1)])
                 shifted = table.rows(table.bases(shifts, (0,)))[0]
                 stack = forward_differences(shifted.reshape(
-                    len(shifted), top + 1, self.x.size).swapaxes(0, 1))
+                    len(shifted), top + 1, x.size).swapaxes(0, 1))
             else:
-                stack = table.rows(table.bases(self.x, range(top + 1)))
+                stack = table.rows(table.bases(x, range(top + 1)))
             stack.setflags(write=False)
             self._rows[id(table)] = (table, stack)
             # one derivative-row span per order for perfbench/tracing.py,
@@ -290,12 +270,13 @@ def _grid_terms(grid, g, keep, kinds):
     rows = grid.rows(g)
     if keep is not None:
         rows = rows[:, keep]
-    weights = grid.w * np.maximum(grid.powers()[1:], 0.0)
+    w = grid.weights.w
+    weights = w * np.maximum(grid.weights.powers()[1:], 0.0)
     vals = rows[0]
-    means = (vals @ grid.w) / float(grid.w.sum())
+    means = (vals @ w) / float(w.sum())
     u = np.empty((len(rows) if "H" in kinds else 1,) + vals.shape)
     np.subtract(vals, means[:, None], out=u[0])
-    u[0] *= np.sqrt(grid.w)
+    u[0] *= np.sqrt(w)
     if "H" in kinds:
         np.multiply(rows[1:], np.sqrt(weights)[:, None, :], out=u[1:])
     grams = u @ u.transpose(0, 2, 1)
@@ -347,9 +328,9 @@ class TermWeight:
         return self.weight is None
 
 
-def _poincare_weight(spec, grid: _Grid, k) -> TermWeight:
+def _poincare_weight(spec, weights: _Weights, k) -> TermWeight:
     if spec.is_discrete:
-        eq = grid.expectation(k)
+        eq = weights.expectation(k)
         if abs(eq) <= NULL_EXPECTATION_TOL:
             return TermWeight(k, None, eq)
     return TermWeight(k, poincare_coefficient(spec.q.delta, k))
@@ -424,17 +405,17 @@ class _ClassCheck:
         its weights up to ``top`` are the member's, held on it; on a
         discrete member they are those of its summation grid."""
         spec, cfg = self.spec, self.cfg
-        ladder = ex.held(spec, "ladder", lambda: ex.Ladder.build(spec, cfg))
+        ladder = ex.held(spec, "ladder", ex.Ladder.build, spec, cfg)
         self.nodes = _Grid.build(spec, cfg, top=self.top) \
-            if spec.is_discrete else _Grid(spec, _Weights.held(
-                spec, "ladder", self.top,
-                lambda: (ladder.x, ladder.w, ladder.tail)))
+            if spec.is_discrete else _Grid(spec, ex.held(
+                spec, ("ladder", self.top), _Weights, spec, self.top,
+                ladder.x, ladder.w, ladder.tail))
         classes, p, stop = self.classes, len(self.g), self.top + 1
         self.probes = {cls: [] for cls in classes}
         squares = absolutes = range(0)
         if classes:
-            powers = self.nodes.powers()
-            refused = self.nodes.refused()
+            powers = self.nodes.weights.powers()
+            refused = self.nodes.weights.refused()
             if refused.any():
                 stop = int(np.argmax(refused))
                 self.refusal = (stop, _negative_weight(stop))
@@ -579,7 +560,7 @@ def _closed_form(spec, g, cfg, top):
     if not bound <= EXACT_LOG_CAP:
         return None
     full = _Grid.build(spec, cfg, top=top)
-    x, w = full.x, full.w
+    x, w = full.weights.x, full.weights.w
     # (value on the grid, the member's, scale); an overflow fails its check
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         checks = [(w.sum(), 1.0, 1.0),
@@ -809,7 +790,7 @@ class _Pass:
         """The TermWeight of every order 1..top, or the error its own
         call raises."""
         if kind not in self.weights:
-            spec, full, out = self.spec, self.full, []
+            spec, full, out = self.spec, self.full.weights, []
             for k in range(1, self.top + 1):
                 try:
                     out.append(_poincare_weight(spec, full, k) if kind == "H"
@@ -826,7 +807,7 @@ class _Pass:
         functions ``keep``: a subset reads its rows off the whole tuple's."""
         full, half = self.full, self.half
         sel = None if len(keep) == self.g.p else list(keep)
-        refused = [grid.refused()[1:] for grid in (full, half)]
+        refused = [grid.weights.refused()[1:] for grid in (full, half)]
         # a divergent entry is a fault to report, not a numerical accident
         with np.errstate(over="ignore", invalid="ignore"):
             grams, outer = _grid_terms(full, self.g, sel, self.kinds)
@@ -876,7 +857,7 @@ class _Pass:
             "tol_scale": self.tol_scale,
             "spectral_radius_D": None,  # set by judge
             "entry_brackets": brackets,
-            "discrete_tail_bound": self.full.tail,
+            "discrete_tail_bound": self.full.weights.tail,
             "dropped_functions": dropped,
             "null_terms": [tw.k for tw in
                            report.poincare_weights + report.bessel_weights

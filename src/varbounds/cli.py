@@ -313,11 +313,11 @@ def _mc_matrices(spec, functions, n, cfg):
     v_sums = [_SampleMeans() for _ in range(n)]
     buffer, lo = None, 0
     for grid in bnd._Grid.from_samples(spec, xs, n):
-        size = grid.x.size
+        size = grid.weights.x.size
         if buffer is None:  # the first grid is the largest
             buffer = np.empty((m + p, size))
         products, left = buffer[:m, :size], buffer[m:, :size]
-        stack, powers = grid.rows(functions), grid.powers()
+        stack, powers = grid.rows(functions), grid.weights.powers()
         rows = first[:, lo:lo + size]
         lo += size
         rows[:] = stack[0]

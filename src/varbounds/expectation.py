@@ -179,20 +179,18 @@ def continuous_grid(spec, cfg: EngineConfig, n_nodes: int | None = None):
     return _read_only(x[keep], w[keep])
 
 
-def held(spec, key, make):
-    """``make()``, made on the first call for ``key`` and then kept in the
-    memo of ``spec``, a catalog or hand-built member, and handed to every
-    later call: the member's grids, its ladder and their weight powers,
-    which depend on the member alone.  ``catalog`` hands out one member per
-    parameters, so its requests share them; any other spec keeps them for
-    as long as it lives.  A stand-in without a memo gets ``make()`` each
-    time.  What is held is never written: its arrays are read-only."""
-    memo = getattr(spec, "_memo", None)
-    if memo is None:
-        return make()
+def held(spec, key, make, *args):
+    """``make(*args)``, made on the first call for ``key`` and then kept in
+    the memo of ``spec``, a catalog or hand-built member, and handed to
+    every later call: the member's grids, its ladder and their weight
+    powers, which depend on the member alone.  ``catalog`` hands out one
+    member per parameters, so its requests share them; any other spec
+    keeps them for as long as it lives.  What is held is never written:
+    its arrays are read-only."""
+    memo = spec._memo
     out = memo.get(key)
     if out is None:
-        out = memo[key] = make()
+        out = memo[key] = make(*args)
     return out
 
 
@@ -257,7 +255,7 @@ def truncated_support(spec):
 
 def member_support(spec):
     """``truncated_support(spec)``, summed once per member (``held``)."""
-    return held(spec, "support", lambda: truncated_support(spec))
+    return held(spec, "support", truncated_support, spec)
 
 
 def _cap_error():

@@ -166,7 +166,7 @@ def rising_q(q, k, x):
 
 def reference_rows(grid, g):
     """The (top + 1, p, N) rows d^k g_i of ``grid``, order by order."""
-    table, top, x = ReferenceTable(g.entries), grid.top, grid.x
+    table, top, x = ReferenceTable(g.entries), grid.weights.top, grid.weights.x
     stack = np.empty((top + 1, len(g), x.size))
     if grid.spec.is_discrete:
         shifts = np.concatenate([x + j if j else x for j in range(top + 1)])
@@ -185,7 +185,7 @@ def reference_rows(grid, g):
 
 def reference_powers(grid):
     """The (top + 1, N) weights q^k (q^[k]) of ``grid``, order by order."""
-    spec, top, x = grid.spec, grid.top, grid.x
+    spec, top, x = grid.spec, grid.weights.top, grid.weights.x
     stack = np.empty((top + 1, x.size))
     if not spec.is_discrete:
         qx = spec.q(x)

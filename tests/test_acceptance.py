@@ -106,7 +106,7 @@ def test_c4_poisson_closing_inequality():
             # truncated support against the mean over the seeded sample
             # grid, within 4x the 99% CI
             cfg = EngineConfig(mc_seed=4000 + i)
-            grid = _Grid.build(spec, cfg)
+            grid = _Grid.build(spec, cfg).weights
             xs = sample(spec, cfg)
             probes = [raw[0], raw[1],
                       lambda k: raw[0](k) * raw[1](k),

@@ -42,7 +42,7 @@ def _nonnegative(qk, k):
 
 
 def _weight(grid, k):
-    return grid.w * _nonnegative(grid.powers()[k], k)
+    return grid.weights.w * _nonnegative(grid.weights.powers()[k], k)
 
 
 def _gram(values, weights):
@@ -52,8 +52,9 @@ def _gram(values, weights):
 
 def _dispersion_array(grid, g):
     vals = grid.rows(g)[0]
-    means = (vals @ grid.w) / float(grid.w.sum())
-    return _gram(vals - means[:, None], grid.w)
+    w = grid.weights.w
+    means = (vals @ w) / float(w.sum())
+    return _gram(vals - means[:, None], w)
 
 
 def _h_array(grid, g, k):
@@ -101,11 +102,11 @@ class _LoopPass:
         for name, kind in (("poincare", "H"), ("bessel", "B")):
             if name not in self.theorems:
                 continue
-            weights = self.weights[kind]
+            weights, full = self.weights[kind], self.full.weights
             for k in range(len(weights) + 1, n + 1):
                 weights.append(
-                    _poincare_weight(spec, self.full, k) if kind == "H"
-                    else _bessel_weight(spec, k, self.full.expectation(k)))
+                    _poincare_weight(spec, full, k) if kind == "H"
+                    else _bessel_weight(spec, k, full.expectation(k)))
             build, what = ((_h_array, "Gram matrix") if kind == "H"
                            else (_b_array, "outer product"))
             mats, worst, sums = terms[kind]

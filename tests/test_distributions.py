@@ -241,14 +241,14 @@ class TestGridHealth:
     def test_q_positive_on_quadrature_grid(self, name, params, cfg):
         # on the nodes every matrix is assembled on
         spec = catalog(name, params)
-        assert np.min(spec.q(_Grid.build(spec, cfg).x)) > 0.0
+        assert np.min(spec.q(_Grid.build(spec, cfg).weights.x)) > 0.0
 
     @pytest.mark.parametrize("name,params", [c for c in CATALOG_CASES
                                              if c[0] not in ("normal", "gamma",
                                                              "beta")])
     def test_rising_product_nonnegative(self, name, params, cfg):
         spec = catalog(name, params)
-        x = _Grid.build(spec, cfg).x
+        x = _Grid.build(spec, cfg).weights.x
         assert min(np.min(rising_q(spec.q, k, x)) for k in range(4)) >= -1e-12
 
 
@@ -448,7 +448,7 @@ class TestLogGamma:
         if spec.is_discrete:
             x, got = truncated_support(spec)[:2]
         else:
-            x = np.concatenate([_Grid.build(spec, cfg).x,
+            x = np.concatenate([_Grid.build(spec, cfg).weights.x,
                                 Ladder.build(spec, cfg).x])
             got = spec.density(x)
         log_want = scipy_log_mass(name, spec.params, x)

@@ -56,7 +56,7 @@ def gaussian_even_moment(m):
 
 def grid_sum(spec, phi, cfg):
     """E[phi(X)] as the weighted sum over the spec's grid."""
-    grid = _Grid.build(spec, cfg)
+    grid = _Grid.build(spec, cfg).weights
     return grid.w @ phi(grid.x)
 
 
@@ -99,7 +99,7 @@ class TestSplitmix:
 
 class TestContinuous:
     def test_normal_variance(self, cfg):
-        grid = _Grid.build(catalog("normal"), cfg)
+        grid = _Grid.build(catalog("normal"), cfg).weights
         assert abs(grid.w @ grid.x**2 - 1.0) < 1e-10
         assert grid.tail == 0.0
 
@@ -149,12 +149,13 @@ class TestContinuous:
 
 class TestDiscrete:
     def test_poisson_mean_and_normalization(self, cfg):
-        grid = _Grid.build(catalog("poisson", {"lam": 2}), cfg)
+        grid = _Grid.build(catalog("poisson", {"lam": 2}), cfg).weights
         assert abs(grid.w @ grid.x - 2.0) < 1e-10
         assert grid.w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_binomial_second_moment_exact(self, cfg):
-        grid = _Grid.build(catalog("binomial", {"n": 10, "theta": 0.3}), cfg)
+        grid = _Grid.build(catalog("binomial", {"n": 10, "theta": 0.3}),
+                           cfg).weights
         direct = sum(k**2 * math.comb(10, k) * 0.3**k * 0.7**(10 - k)
                      for k in range(11))
         assert grid.w @ grid.x**2 == pytest.approx(direct, abs=1e-12)
@@ -162,12 +163,12 @@ class TestDiscrete:
 
     def test_hypergeometric_exact_bracket(self, cfg):
         grid = _Grid.build(catalog("hypergeometric", {"N": 30, "K": 10, "n": 8}),
-                           cfg)
+                           cfg).weights
         assert grid.tail == 0.0
         assert grid.w @ grid.x == pytest.approx(8 * 10 / 30, abs=1e-12)
 
     def test_infinite_support_bracket(self, cfg):
-        grid = _Grid.build(catalog("poisson", {"lam": 7}), cfg)
+        grid = _Grid.build(catalog("poisson", {"lam": 7}), cfg).weights
         cubes = grid.x**3
         # the discarded tail times the largest of the last ten terms
         assert 0.0 <= np.max(np.abs(cubes[-10:])) * grid.tail < 1e-6
@@ -180,7 +181,7 @@ class TestDiscrete:
         spec = DiscreteCO(-4.0, Quadratic(0.0, -1.0, 0.0), (-math.inf, 0.0),
                           lambda k: pmf(-np.asarray(k, dtype=float)),
                           name="reflected-poisson")
-        grid = _Grid.build(spec, cfg)
+        grid = _Grid.build(spec, cfg).weights
         mean = grid.w @ grid.x
         assert mean == pytest.approx(-4.0, abs=1e-12)
         assert grid.w @ (grid.x - mean) ** 2 == pytest.approx(4.0, abs=1e-12)
@@ -202,7 +203,7 @@ class TestDiscrete:
         # support must grow until it finds the mass
         spec = catalog(*member)
         assert not np.any(spec.pmf(np.arange(512)))
-        grid = _Grid.build(spec, cfg)
+        grid = _Grid.build(spec, cfg).weights
         assert grid.x[0] >= 512 and grid.x.size > 3000
         assert grid.w.sum() == pytest.approx(1.0, abs=1e-11)
         assert grid.tail < 1e-11
@@ -282,7 +283,7 @@ def sample_digest(spec, size, counted):
     arrays = [xs]
     if counted:
         grid = next(_Grid.from_samples(spec, xs, 0))
-        arrays = [grid.x, grid.counts]
+        arrays = [grid.weights.x, grid.counts]
     digest = hashlib.sha256()
     for a in arrays:
         digest.update(np.ascontiguousarray(a).tobytes())

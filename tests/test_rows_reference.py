@@ -50,7 +50,7 @@ def _same_bits(got, want, what):
 def _check(grid, g, what):
     with np.errstate(all="ignore"):  # log outside its domain is nan on both
         _same_bits(grid.rows(g), reference_rows(grid, g), what)
-        _same_bits(grid.powers(), reference_powers(grid), what)
+        _same_bits(grid.weights.powers(), reference_powers(grid), what)
 
 
 @pytest.mark.parametrize("member", CONTINUOUS + DISCRETE,
@@ -85,10 +85,10 @@ def test_discrete_stacks_are_differences_and_rising_products(member):
     g = FunctionTuple([parse_function("x*exp(0.3*x)"),
                        parse_function("x^3 - 2*x"), np.cos])
     grid = _Grid.build(spec, cfg, top=12)
-    rows, powers = grid.rows(g), grid.powers()
+    rows, powers, x = grid.rows(g), grid.weights.powers(), grid.weights.x
     for k in range(13):
-        _same_bits(powers[k], np.broadcast_to(rising_q(spec.q, k, grid.x),
-                                              grid.x.shape), f"q^[{k}]")
+        _same_bits(powers[k], np.broadcast_to(rising_q(spec.q, k, x),
+                                              x.shape), f"q^[{k}]")
         for gi, row in zip(g, rows[k]):
-            _same_bits(row, forward_difference(gi, k, grid.x),
+            _same_bits(row, forward_difference(gi, k, x),
                        f"{gi}, k={k}")

@@ -30,8 +30,9 @@ def test_every_traced_name_exists():
 def _grid_widths(spec, cfg, ladder):
     """The widths of the full and the half grid, and of the class ladder
     if ``ladder``."""
-    widths = [_Grid.build(spec, cfg).x.size,
-              _Grid.build(spec, cfg, max(10, cfg.quad_nodes // 2)).x.size]
+    half = max(10, cfg.quad_nodes // 2)
+    widths = [_Grid.build(spec, cfg, n).weights.x.size
+              for n in (cfg.quad_nodes, half)]
     return widths + [Ladder.build(spec, cfg).x.size] * ladder
 
 
