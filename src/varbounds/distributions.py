@@ -27,9 +27,10 @@ from __future__ import annotations
 import copy
 import json
 import math
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 from typing import Callable, Optional
 
 import numpy as np
@@ -142,6 +143,8 @@ class DiscreteCO:
         if not alpha <= omega:
             raise InvalidParameterError("support interval is empty")
         _hold_params(self)
+        if isinstance(self.sampler, _TableSampler):
+            object.__setattr__(self, "sampler", _TableSampler(self))
 
     def __repr__(self):
         return f"DiscreteCO({self.name}, mean={self.mean}, q={self.q})"
@@ -193,22 +196,29 @@ def _lgamma(x):
 # ---------------------------------------------------------------------------
 #
 # scipy's inverse incomplete gamma and beta functions cost up to 20x their
-# forward functions per draw.  The samplers call them only at the nodes of a
-# table evenly spaced in logit(u) over the range of the draws, seed each draw
-# by linear interpolation in that table, and finish with Halley steps on the
-# forward function.  They import ``scipy.special`` where they use it, so
-# that only sampling loads scipy.
+# forward functions per draw.  The samplers call them only to build a table
+# of y(t), t = logit(u), where y = log x for gamma and logit x for beta, at
+# _QUANTILE_NODES nodes evenly spaced in t over the range of the draws.
+# y' and y'' at the nodes are in closed form from the density, so each cell
+# between two nodes holds the quintic Hermite interpolant of y (Hörmann and
+# Leydold, ACM TOMACS 13(4), 2003), and a draw costs one polynomial and no
+# call of the forward or inverse function.  Every cell is checked against
+# the library inverse at its midpoint, where the interpolant's error term,
+# proportional to s^3 (1 - s)^3 across the cell, peaks; a draw in a cell
+# that misses by _CELL_TOL or more in y, or whose interpolant is not
+# finite, takes the library inverse.  An absolute error in y is a relative
+# error in x (for beta, at most that).  The samplers import
+# ``scipy.special`` where they use it, so that only sampling loads scipy.
 #
 # Past the table, every draw's arithmetic is its own, so the samplers run it
 # over ``expectation.BLOCK`` draws at a time: the temporaries of a block stay
 # in cache, and each block writes its variates into one array of all N.
 
 _QUANTILE_NODES = 2048
-# a relative Halley step below this leaves an error of the order of its
-# cube, which is roundoff; a draw is stepped again while its last step was
-# larger, for at most _HALLEY_ROUNDS steps
-_HALLEY_STEP = 1e-5
-_HALLEY_ROUNDS = 4
+# a cell passes when its interpolant is closer than this to the library
+# inverse in y at its midpoint: a third of the 1e-13 relative error the
+# tested members meet, leaving room for the library's roundoff at a draw
+_CELL_TOL = 3e-14
 
 
 def _blocks(size):
@@ -216,11 +226,11 @@ def _blocks(size):
     return [slice(lo, lo + ex.BLOCK) for lo in range(0, size, ex.BLOCK)]
 
 
-def _by_tail(u, c, lower, upper):
-    """A library inverse at u: ``lower(u)`` for u <= 1/2, and ``upper(c)``
-    on the complement c = 1 - u, which is exact there, for u > 1/2."""
+def _by_tail(u, c, lower, upper, split=0.5):
+    """A library inverse at u: ``lower(u)`` for u <= split, and ``upper(c)``
+    on the complement c = 1 - u above; c is exact there if split >= 1/2."""
     out = np.empty(u.shape)
-    low = u <= 0.5
+    low = u <= split
     out[low] = lower(u[low])
     out[~low] = upper(c[~low])
     return out
@@ -248,160 +258,151 @@ def _sorted(u):
     return np.sort(u)
 
 
-class _SeedTable:
-    """``inverse(p, 1 - p)`` tabulated at _QUANTILE_NODES points evenly
-    spaced in logit(p) over the range of the draws of ``stream``.
-
-    The table is built once from the whole stream, since its range is that
-    of all the draws; ``seeds`` interpolates it linearly at a block of them.
-    logit(u) is a form of the stream (``expectation.Stream``), derived
-    once for every member sampled from the same uniforms.
+class _QuantileTable:
+    """Quintic Hermite interpolants of y(t), t = logit(u), over the draws
+    of ``stream``, from ``y_of(p, q)``, y at the probabilities p with
+    complements q = 1 - p from the library inverse, and ``slopes(t, y)``,
+    (y', y'') at t.  ``coef`` holds each cell's Horner coefficients in s in
+    [0, 1] across it, and ``bad`` marks the cells that failed their check.
     """
 
-    def __init__(self, stream, inverse):
+    def __init__(self, stream, y_of, slopes):
         from scipy import special
         self.t = stream.form(_logit)
         self.lo, hi = float(self.t.min()), float(self.t.max())
-        nodes = np.linspace(self.lo, hi, _QUANTILE_NODES)
-        self.values = inverse(special.expit(nodes), special.expit(-nodes))
-        # a node whose quantile underflowed gives a nan slope
-        with np.errstate(invalid="ignore"):
-            self.slopes = np.diff(self.values)
+        # the nodes and, between them, the cells' midpoints
+        t = np.linspace(self.lo, hi, 2 * _QUANTILE_NODES - 1)
+        # an underflowed quantile gives an infinite y and nan slopes
+        with np.errstate(all="ignore"):
+            y = y_of(special.expit(t), special.expit(-t))
+            y, mid, t = y[::2], y[1::2], t[::2]
+            h = t[1] - t[0]
+            d1, d2 = slopes(t, y)
+            d1 *= h
+            d2 *= 0.5 * h * h
+            # what the cubic, quartic and quintic terms must add at s = 1
+            # to the quadratic part's y, h y' and h^2 y'' / 2, formed from
+            # the differences of y: from its values they would cancel
+            rest = np.diff(y) - d1[:-1] - d2[:-1]
+            turn = d1[1:] - d1[:-1] - 2.0 * d2[:-1]
+            bend = d2[1:] - d2[:-1]
+            self.coef = np.stack((
+                y[:-1], d1[:-1], d2[:-1], 10.0 * rest - 4.0 * turn + bend,
+                -15.0 * rest + 7.0 * turn - 2.0 * bend,
+                6.0 * rest - 3.0 * turn + bend))
+            self.bad = ~(np.abs(self._horner(self.coef, 0.5) - mid)
+                         < _CELL_TOL)
+        # a failing cell's draws are evaluated with the rest and then
+        # replaced; zeros keep inf and nan out of that arithmetic
+        self.coef[:, self.bad] = 0.0
         # the nodes are evenly spaced, so a draw's cell is found by arithmetic
         self.scale = ((_QUANTILE_NODES - 1) / (hi - self.lo)
                       if hi > self.lo else 0.0)
 
-    def seeds(self, block):
-        """The interpolated inverses at the draws u[block]."""
+    @staticmethod
+    def _horner(c, s):
+        """The interpolants of coefficients c at s."""
+        y = c[5] * s
+        for k in (4, 3, 2, 1):
+            y += c[k]
+            y *= s
+        y += c[0]
+        return y
+
+    def cells(self, block):
+        """The cell of each draw u[block], and where in it the draw lies."""
         pos = (self.t[block] - self.lo) * self.scale
         i = np.minimum(pos.astype(np.intp), _QUANTILE_NODES - 2)
-        # a nan slope gives a nan seed
-        with np.errstate(invalid="ignore"):
-            return self.values[i] + (pos - i) * self.slopes[i]
+        pos -= i
+        return i, pos
+
+    def values(self, block):
+        """y at the draws u[block], 0 in a failing cell, and the indices in
+        the block of the draws in failing cells."""
+        i, s = self.cells(block)
+        y = self._horner(self.coef.take(i, axis=1), s)
+        return y, np.flatnonzero(self.bad[i])
 
 
-def _halley(z, target, cdf, sign, log_zpdf, kappa):
-    """Halley steps toward cdf(z) = target, in place on the seeds z.
+def _quantiles(u, inverse, y_of, slopes, x_of):
+    """Quantiles x = x_of(y) at the draws u in (0, 1), as a flat array,
+    from a ``_QuantileTable`` of y; a draw in a failing cell takes the
+    library ``inverse(p, 1 - p)``.  After the table, the draws are taken a
+    block at a time."""
+    stream = ex.Stream.of(u)
+    u = stream.u
+    table = _QuantileTable(stream, y_of, slopes)
+    x = np.empty(u.size)
+    for block in _blocks(u.size):
+        xb = x[block]
+        y, stray = table.values(block)
+        x_of(y, out=xb)
+        ub = u[block][stray]
+        xb[stray] = inverse(ub, 1.0 - ub)
+    return x
 
-    The step is taken in relative form, z <- z (1 - d / (1 - d kappa / 2))
-    with d = sign (cdf(z) - target) / (z pdf(z)) and kappa = z pdf'/pdf;
-    ``sign`` is -1 when ``cdf`` is the complement.  Returns the indices of
-    the draws that did not settle: a seed that is not a positive normal
-    number, or steps that did not shrink below _HALLEY_STEP.
-    """
-    settled = np.zeros(z.shape, dtype=bool)
-    todo = np.flatnonzero(z >= np.finfo(float).tiny)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(_HALLEY_ROUNDS):
-            if not todo.size:
-                break
-            zt = z[todo]
-            d = sign * (cdf(zt) - target[todo]) * np.exp(-log_zpdf(zt))
-            step = d / (1.0 - 0.5 * d * kappa(zt))
-            z[todo] = zt * (1.0 - step)
-            done = np.abs(step) <= _HALLEY_STEP
-            settled[todo[done]] = True
-            todo = todo[~done]
-    return np.flatnonzero(~settled)
+
+def _log_spread(t):
+    """log(u (1 - u)) at t = logit(u), where dt/du = 1 / (u (1 - u))."""
+    return -(np.logaddexp(0.0, t) + np.logaddexp(0.0, -t))
 
 
 def _gamma_quantile(a, u):
     """Quantiles of the unit-scale gamma(a) at the draws u in (0, 1), as
-    a flat array.
+    a flat array, interpolated in y = log x (``_quantiles``).
 
-    Halley steps on P(a, x) = u, or above x = max(1, a) on the complement
-    Q(a, x) = 1 - u (scipy's Q costs 10-40x P below x = 1 for small a).
-    A draw that does not settle takes the library inverse.  After the
-    seed table, the draws are taken a block at a time.
+    y' = u (1 - u) / (x f(x)) and y'' = y' ((1 - 2u) - (a - x) y').  The
+    library inverse is ``gammaincinv``, or ``gammainccinv`` on 1 - u above
+    u = 1/2.
     """
     from scipy import special
-    stream = ex.Stream.of(u)
-    u = stream.u
+    log_norm = special.gammaln(a)
 
     def inverse(p, q):
         return _by_tail(p, q, lambda p: special.gammaincinv(a, p),
                         lambda q: special.gammainccinv(a, q))
 
-    with np.errstate(divide="ignore"):
-        table = _SeedTable(stream, lambda p, q: np.log(inverse(p, q)))
-    log_norm = special.gammaln(a)
+    def slopes(t, y):
+        x = np.exp(y)
+        d1 = np.exp(_log_spread(t) + log_norm + x - a * y)
+        return d1, d1 * (np.tanh(-0.5 * t) - (a - x) * d1)
 
-    def log_xpdf(z):
-        return a * np.log(z) - z - log_norm
-
-    def kappa(z):
-        return a - 1.0 - z
-
-    x = np.empty(u.size)
-    for block in _blocks(u.size):
-        ub, xb = u[block], x[block]
-        c = 1.0 - ub
-        with np.errstate(divide="ignore"):
-            np.exp(table.seeds(block), out=xb)
-        upper = xb > max(1.0, a)
-        stray = []
-        for part, cdf, target, sign in (
-                (~upper, lambda z: special.gammainc(a, z), ub, 1.0),
-                (upper, lambda z: special.gammaincc(a, z), c, -1.0)):
-            idx = np.flatnonzero(part)
-            z = xb[idx]
-            stray.append(idx[_halley(z, target[idx], cdf, sign, log_xpdf,
-                                     kappa)])
-            xb[idx] = z
-        stray = np.concatenate(stray)
-        xb[stray] = inverse(ub[stray], c[stray])
-    return x
-
-
-def _beta_halley(a, b, z, target):
-    """``_halley`` on I_z(a, b) = target."""
-    from scipy import special
-    log_norm = special.betaln(a, b)
-    return _halley(
-        z, target, lambda v: special.betainc(a, b, v), 1.0,
-        lambda v: a * np.log(v) + (b - 1.0) * np.log1p(-v) - log_norm,
-        lambda v: (a - 1.0) - (b - 1.0) * v / (1.0 - v))
+    return _quantiles(u, inverse, lambda p, q: np.log(inverse(p, q)),
+                      slopes, np.exp)
 
 
 def _beta_quantile(a, b, u):
-    """Quantiles x of beta(a, b) at the draws u in (0, 1), as a flat array.
+    """Quantiles x of beta(a, b) at the draws u in (0, 1), as a flat array,
+    interpolated in y = logit x (``_quantiles``).
 
-    Halley steps on I_x(a, b) = u below the mean; above it, on
-    I_y(b, a) = 1 - u in y = 1 - x, so both come out to relative accuracy.
-    A draw that does not settle takes the library inverse.  After the
-    seed table, the draws are taken a block at a time, and y is held for
-    the current block only.
+    y' = u (1 - u) / (x (1 - x) f(x)) and
+    y'' = y' ((1 - 2u) - (a - (a + b) x) y').  The library inverse is
+    ``betaincinv(a, b, u)``, or 1 - ``betaincinv(b, a, 1 - u)`` above
+    u = max(1/2, I_1/2(a, b)), where 1 - u is exact and x > 1/2; y is
+    tabulated there as -logit of the latter, so that it keeps the
+    precision of 1 - x.
     """
     from scipy import special
-    stream = ex.Stream.of(u)
-    u = stream.u
+    log_norm = special.betaln(a, b)
+    split = max(0.5, float(special.betainc(a, b, 0.5)))
 
-    def logit_inverse(p, q):
+    def inverse(p, q):
+        return _by_tail(p, q, lambda p: special.betaincinv(a, b, p),
+                        lambda q: 1.0 - special.betaincinv(b, a, q), split)
+
+    def y_of(p, q):
         return _by_tail(
             p, q, lambda p: special.logit(special.betaincinv(a, b, p)),
-            lambda q: -special.logit(special.betaincinv(b, a, q)))
+            lambda q: -special.logit(special.betaincinv(b, a, q)), split)
 
-    table = _SeedTable(stream, logit_inverse)
-    x = np.empty(u.size)
-    for block in _blocks(u.size):
-        ub, xb = u[block], x[block]
-        yb = np.empty(xb.size)
-        c = 1.0 - ub
-        s = table.seeds(block)
-        special.expit(s, out=xb)
-        special.expit(np.negative(s, out=s), out=yb)
-        upper = xb > a / (a + b)
-        stray = []
-        for part, z, params, target in ((~upper, xb, (a, b), ub),
-                                        (upper, yb, (b, a), c)):
-            idx = np.flatnonzero(part)
-            zi = z[idx]
-            stray.append(idx[_beta_halley(*params, zi, target[idx])])
-            z[idx] = zi
-        xb[:] = np.where(upper, 1.0 - yb, xb)
-        stray = np.concatenate(stray)
-        xb[stray] = special.expit(logit_inverse(ub[stray], c[stray]))
-    return x
+    def slopes(t, y):
+        # log x = -log(1 + e^-y) and log(1 - x) = -log(1 + e^y)
+        d1 = np.exp(_log_spread(t) + log_norm + a * np.logaddexp(0.0, -y)
+                    + b * np.logaddexp(0.0, y))
+        tilt = a * special.expit(-y) - b * special.expit(y)
+        return d1, d1 * (np.tanh(-0.5 * t) - tilt * d1)
+
+    return _quantiles(u, inverse, y_of, slopes, special.expit)
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +526,9 @@ def _mask_pmf(log_pmf, valid):
     return pmf
 
 
-def _table_sampler(spec_pmf, support):
-    """Inverse-CDF sampler backed by a cumulative table over the summation
-    nodes (built lazily).
+class _TableSampler:
+    """Inverse-CDF sampler of a discrete member over the summation nodes it
+    holds (``expectation.member_support``).
 
     A draw u takes the first node whose cumulative mass reaches u, and a
     draw above the last cumulative value takes the last node.  The draws
@@ -536,24 +537,24 @@ def _table_sampler(spec_pmf, support):
     from the same uniforms, and the sampler returns each node repeated by
     its count: the variates come back in ascending order, not in the
     order of the draws.
-    """
-    state = {}
 
-    def sampler(u):
-        if "cdf" not in state:
-            # the spec does not exist yet; finite lower ends need no mean
-            holder = SimpleNamespace(pmf=spec_pmf, support=support)
-            js, pm, _, _ = ex.truncated_support(holder)
-            state["js"] = js
-            state["cdf"] = np.cumsum(pm)
+    A member given ``_TableSampler()``, or a ``dataclasses.replace`` copy
+    of one, binds a sampler of its own (``DiscreteCO.__post_init__``),
+    which holds it by weak reference: nothing a member holds refers back
+    to it, so a sampler samples while its member lives.
+    """
+
+    def __init__(self, spec=None):
+        self._member = None if spec is None else weakref.ref(spec)
+
+    def __call__(self, u):
+        js, pm = ex.member_support(self._member())[:2]
         ordered = ex.Stream.of(u).form(_sorted)
         # the draws at or below each cumulative value; the last cell takes
         # every draw above the one before it
-        ends = np.searchsorted(ordered, state["cdf"], side="right")
+        ends = np.searchsorted(ordered, np.cumsum(pm), side="right")
         ends[-1] = ordered.size
-        return np.repeat(state["js"], np.diff(ends, prepend=0))
-
-    return sampler
+        return np.repeat(js, np.diff(ends, prepend=0))
 
 
 def _poisson(params):
@@ -566,9 +567,8 @@ def _poisson(params):
         return -lam + k * log_lam - _lgamma(k + 1.0)
 
     pmf = _mask_pmf(log_pmf, lambda k: k >= 0)
-    support = (0.0, math.inf)
-    return DiscreteCO(lam, Quadratic(0.0, 0.0, lam), support, pmf,
-                      _table_sampler(pmf, support), "poisson", {"lam": lam},
+    return DiscreteCO(lam, Quadratic(0.0, 0.0, lam), (0.0, math.inf), pmf,
+                      _TableSampler(), "poisson", {"lam": lam},
                       tails=Tails(log_mgf=lambda t: lam * np.expm1(t)))
 
 
@@ -587,10 +587,8 @@ def _binomial(params):
                 + (trials - k) * log_rest)
 
     pmf = _mask_pmf(log_pmf, lambda k: (k >= 0) & (k <= trials))
-    support = (0.0, float(trials))
-    return DiscreteCO(trials * theta,
-                      Quadratic(0.0, -theta, trials * theta), support, pmf,
-                      _table_sampler(pmf, support), "binomial",
+    return DiscreteCO(trials * theta, Quadratic(0.0, -theta, trials * theta),
+                      (0.0, float(trials)), pmf, _TableSampler(), "binomial",
                       {"n": trials, "theta": theta}, tails=Tails())
 
 
@@ -609,10 +607,9 @@ def _negative_binomial(params):
 
     pmf = _mask_pmf(log_pmf, lambda k: k >= 0)
     mu = r * (1.0 - theta) / theta
-    support = (0.0, math.inf)
-    return DiscreteCO(mu, Quadratic(0.0, (1.0 - theta) / theta, mu), support,
-                      pmf, _table_sampler(pmf, support), "negative-binomial",
-                      {"r": r, "theta": theta},
+    return DiscreteCO(mu, Quadratic(0.0, (1.0 - theta) / theta, mu),
+                      (0.0, math.inf), pmf, _TableSampler(),
+                      "negative-binomial", {"r": r, "theta": theta},
                       tails=Tails(hi=-log_rest, log_mgf=lambda t: r * (
                           math.log(theta) - np.log1p(-np.exp(t + log_rest)))))
 
@@ -639,10 +636,9 @@ def _hypergeometric(params):
     lo = max(0, draws + succ - pop)
     hi = min(draws, succ)
     pmf = _mask_pmf(log_pmf, lambda k: (k >= lo) & (k <= hi))
-    support = (float(lo), float(hi))
     q = Quadratic(1.0 / pop, -(succ + draws) / pop, succ * draws / pop)
-    return DiscreteCO(draws * succ / pop, q, support, pmf,
-                      _table_sampler(pmf, support), "hypergeometric",
+    return DiscreteCO(draws * succ / pop, q, (float(lo), float(hi)), pmf,
+                      _TableSampler(), "hypergeometric",
                       {"N": pop, "K": succ, "n": draws}, tails=Tails())
 
 

@@ -5,11 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import varbounds
+from varbounds import (bound_report, catalog, expectation,
+                       load_function_tuple)
 from varbounds.cli import main
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
@@ -375,6 +378,18 @@ class TestMcVerify:
                      "--functions", str(path), "--n", "2"])
         assert code == 0
         assert "EXCEEDS" not in capsys.readouterr().out
+
+    def test_a_discrete_member_sums_its_support_once(self, fns_path, cfg):
+        # the report and the sampler read the support the member holds
+        varbounds.clear_members()
+        with mock.patch.object(expectation, "truncated_support",
+                               wraps=expectation.truncated_support) as summed:
+            bound_report(catalog("poisson", {"lam": 2.5}),
+                         load_function_tuple(fns_path), 1, cfg)
+            assert main(["mc-verify", "--dist", "poisson:lam=2.5",
+                         "--functions", fns_path, "--n", "1",
+                         "--mc-samples", "50000", "--quiet"]) == 0
+        assert summed.call_count == 1
 
     def test_dropped_function_is_not_sampled(self, tmp_path, capsys):
         # E[exp(1.2 X)] diverges for gamma(2, 1), so exp(0.6*x) is dropped

@@ -13,9 +13,9 @@ import pytest
 from scipy import special
 
 from varbounds import (ContinuousIP, DiscreteCO, EngineConfig, Quadratic,
-                       catalog, infer_quadratic, load_distribution,
-                       moment_finiteness, spec_to_json, splitmix64_uniforms,
-                       verify_membership)
+                       catalog, distributions, infer_quadratic,
+                       load_distribution, moment_finiteness, spec_to_json,
+                       splitmix64_uniforms, verify_membership)
 from varbounds.bounds import _Grid
 from varbounds.calculus import rising_q
 from varbounds.distributions import (_beta_quantile, _gamma_quantile,
@@ -260,10 +260,10 @@ def sampler_draws():
         [2.0**-54, 2.0**-40, 1e-9, 0.5, 1.0 - 1e-9, 1.0 - 2.0**-53]])
 
 
-def library_inverse(u, lower, upper):
-    """The library quantile: ``lower(u)`` for u <= 1/2, ``upper(1 - u)``
-    on the complement (exact there) above."""
-    out, low = np.empty(u.shape), u <= 0.5
+def library_inverse(u, lower, upper, split=0.5):
+    """The library quantile: ``lower(u)`` for u <= split, ``upper(1 - u)``
+    on the complement (exact there for a split of at least 1/2) above."""
+    out, low = np.empty(u.shape), u <= split
     out[low], out[~low] = lower(u[low]), upper(1.0 - u[~low])
     return out
 
@@ -275,7 +275,8 @@ def assert_relative(got, want, tol):
 
 class TestQuantiles:
     """The gamma and beta samplers against scipy's inverse incomplete gamma
-    and beta functions, which they call only at their table nodes."""
+    and beta functions, which they call only to build their quantile table
+    and for the draws in its failing cells."""
 
     @pytest.mark.parametrize("a", [0.05, 0.4, 2.67, 3.7, 40])
     def test_gamma(self, a):
@@ -310,6 +311,62 @@ class TestQuantiles:
                                       1.5 * _gamma_quantile(2.5, u))
         np.testing.assert_array_equal(beta.sampler(u),
                                       _beta_quantile(2.5, 2.2, u))
+
+    @pytest.mark.parametrize("name", ["gammainc", "gammaincc", "betainc"])
+    def test_draws_call_no_forward_function(self, monkeypatch, name):
+        # the beta table asks for I_1/2(a, b) once, a scalar
+        original = getattr(special, name)
+
+        def scalar_only(*args):
+            assert np.ndim(args[-1]) == 0, f"{name} called on the draws"
+            return original(*args)
+
+        monkeypatch.setattr(special, name, scalar_only)
+        u = sampler_draws()
+        for a in (0.05, 2.67, 40):
+            _gamma_quantile(a, u)
+        for a, b in ((0.3, 4), (2.5, 2.2)):
+            _beta_quantile(a, b, u)
+
+    def test_every_cell_failing_gives_the_library_inverse(self, monkeypatch):
+        # no cell passes a check to 0, so every draw takes the library
+        # inverse, bit for bit
+        monkeypatch.setattr(distributions, "_CELL_TOL", 0.0)
+        u = sampler_draws()
+        for a in (0.05, 2.67):
+            np.testing.assert_array_equal(
+                _gamma_quantile(a, u),
+                library_inverse(u, lambda p: special.gammaincinv(a, p),
+                                lambda q: special.gammainccinv(a, q)))
+        for a, b in ((0.3, 4), (2.5, 2.2)):
+            # the complement where it is exact and x > 1/2
+            split = max(0.5, special.betainc(a, b, 0.5))
+            r = library_inverse(u, lambda p: special.betaincinv(a, b, p),
+                                lambda q: special.betaincinv(b, a, q), split)
+            np.testing.assert_array_equal(_beta_quantile(a, b, u),
+                                          np.where(u <= split, r, 1.0 - r))
+
+    def test_failing_cells_take_the_library_inverse(self, monkeypatch):
+        tables = []
+
+        class Kept(distributions._QuantileTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        monkeypatch.setattr(distributions, "_QuantileTable", Kept)
+        u = sampler_draws()
+        x = _gamma_quantile(0.05, u)
+        (table,) = tables
+        # gamma(0.05)'s lower tail takes log x below -500, where the
+        # rounding of log x alone exceeds the check's tolerance
+        assert 0 < np.count_nonzero(table.bad) < table.bad.size // 2
+        fell = table.bad[table.cells(slice(None))[0]]
+        assert np.any(fell)
+        np.testing.assert_array_equal(
+            x[fell], library_inverse(u[fell],
+                                     lambda p: special.gammaincinv(0.05, p),
+                                     lambda q: special.gammainccinv(0.05, q)))
 
 
 # the first draw, both sides of the first block edge, the start of the third
@@ -349,9 +406,9 @@ class TestBlockEdges:
         low = draw <= 0.5
         assert_relative(x, np.where(low, r, 1.0 - r), 1e-13)
 
-    def test_underflowed_seed_takes_the_library_inverse(self, monkeypatch):
+    def test_underflowed_node_takes_the_library_inverse(self, monkeypatch):
         # gamma(0.05) at u = 2^-54: the quantile underflows to 0, so the
-        # table seed does, and no Halley step can start from it
+        # table's first node has log x = -inf and its cell fails
         calls = []
         inverse = special.gammaincinv
 
@@ -363,7 +420,7 @@ class TestBlockEdges:
         x = _gamma_quantile(0.05, edge_stream(2.0**-54))
         assert x[list(EDGE_POSITIONS)].tolist() == [0.0] * 5
         # the first call tabulates; each later one inverts one block's
-        # unsettled draws
+        # draws in failing cells
         fallback = np.concatenate(calls[1:])
         assert np.count_nonzero(fallback == 2.0**-54) == len(EDGE_POSITIONS)
 

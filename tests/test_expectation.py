@@ -23,7 +23,7 @@ from varbounds import bounds, distributions, expectation
 from varbounds.bounds import _Grid, bound_report, bound_reports
 from varbounds.calculus import forward_difference, rising_q
 from varbounds.cli import _mc_matrices
-from varbounds.distributions import (_pmf_table, _table_sampler,
+from varbounds.distributions import (_pmf_table, _TableSampler,
                                      infer_quadratic)
 from varbounds.errors import NoSamplerError, TruncationError
 from varbounds.expectation import (BLOCK, Z_99, EngineConfig,
@@ -240,7 +240,7 @@ def sixty_point_table():
     table = [[k, math.comb(59, k) * 0.3**k * 0.7**(59 - k)] for k in range(60)]
     pmf = _pmf_table(table)
     return DiscreteCO(59 * 0.3, Quadratic(0.0, -0.3, 59 * 0.3), (0.0, 59.0),
-                      pmf, _table_sampler(pmf, (0.0, 59.0)), "table-60")
+                      pmf, _TableSampler(), "table-60")
 
 
 def sampled_cases():
@@ -291,11 +291,13 @@ def sample_digest(spec, size, counted):
 
 
 SAMPLE_CASES = sampled_cases()
-# recorded from the unstreamed samplers: the whole stream through each
-# inverse transform at once, and a binary search per discrete draw.  The
-# bits are those of the numpy and scipy builds they were recorded with
-# (numpy 2.4.6, scipy 1.17.1); another build may round its log, exp or
-# special functions differently
+# the normal and discrete entries recorded from the unstreamed samplers:
+# the whole stream through each inverse transform at once, and a binary
+# search per discrete draw; the gamma and beta entries from the quintic
+# quantile tables (``distributions._QuantileTable``).  The bits are those
+# of the numpy and scipy builds they were recorded with (numpy 2.4.6,
+# scipy 1.17.1); another build may round its log, exp or special
+# functions differently
 with open(os.path.join(os.path.dirname(__file__),
                        "sample_digests.json")) as fh:
     SAMPLE_DIGESTS = json.load(fh)

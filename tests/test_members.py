@@ -14,7 +14,7 @@ from varbounds import (bound_report, catalog, clear_members, distributions,
                        load_distribution, spec_to_json)
 from varbounds.bounds import _Grid, _Weights
 from varbounds.calculus import FunctionTuple, parse_function
-from varbounds.expectation import Ladder
+from varbounds.expectation import Ladder, sample
 from tests.conftest import ladder_only
 
 
@@ -202,6 +202,8 @@ def test_a_copy_or_custom_member_reads_only_its_own_grids(cfg):
     mixed = dataclasses.replace(spec, pmf=other.pmf, mean=other.mean,
                                 q=other.q, tails=other.tails)
     assert report_json(mixed, g, 2, cfg) == report_json(other, g, 2, cfg)
+    # and samples the pmf it has
+    np.testing.assert_array_equal(sample(mixed, cfg), sample(other, cfg))
     normal, wide = catalog("normal"), catalog("normal", {"var": 4})
     bound_report(normal, g, 2, cfg)
     mixed = dataclasses.replace(normal, density=wide.density, q=wide.q,
