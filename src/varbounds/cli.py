@@ -30,7 +30,8 @@ from . import expectation as ex
 from .calculus import load_function_tuple
 # unused here: perfbench/tracing.py wraps both names in this module
 from .calculus import forward_difference, rising_q  # noqa: F401
-from .distributions import (catalog, infer_quadratic, load_distribution,
+from .distributions import (CONTINUOUS_RESIDUAL_TOL, DISCRETE_RESIDUAL_TOL,
+                            catalog, infer_quadratic, load_distribution,
                             spec_to_json, verify_membership)
 from .errors import (ClassMembershipError, InvalidParameterError,
                      NoSamplerError, SingularCoefficientError, VarboundsError,
@@ -54,20 +55,16 @@ def _parse_dist(text):
     """--dist accepts a JSON path or an inline 'family:key=value,...' form."""
     if text.endswith(".json"):
         return load_distribution(text)
-    if ":" in text:
-        name, _, rest = text.partition(":")
-        params = {}
-        for item in rest.split(","):
-            if not item:
-                continue
-            key, _, val = item.partition("=")
-            key = key.strip()
-            if key in params:
-                raise InvalidParameterError(
-                    f"{name.strip()} parameter {key!r} is given twice")
-            params[key] = float(val)
-        return catalog(name.strip(), params)
-    return catalog(text, {})
+    name, _, rest = text.partition(":")
+    params = {}
+    for item in filter(None, rest.split(",")):
+        key, _, val = item.partition("=")
+        key = key.strip()
+        if key in params:
+            raise InvalidParameterError(
+                f"{name.strip()} parameter {key!r} is given twice")
+        params[key] = val
+    return catalog(name.strip(), params)
 
 
 def _load_config(args):
@@ -146,13 +143,13 @@ def _dump_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 
 def cmd_infer_q(args) -> int:
-    spec, *_ = _load_config(args)
+    spec, _, _, _, cfg, _ = _load_config(args)
     if spec is None:
         print("infer-q: no distribution supplied", file=sys.stderr)
         return EXIT_IO
-    result = infer_quadratic(spec)
-    tol = args.tol if args.tol is not None else \
-        (1e-10 if spec.is_discrete else 1e-8)
+    result = infer_quadratic(spec, cfg)
+    tol = args.tol if args.tol is not None else (
+        DISCRETE_RESIDUAL_TOL if spec.is_discrete else CONTINUOUS_RESIDUAL_TOL)
     quad = result.quadratic
     _emit(args, f"delta={quad.delta:.12g} beta={quad.beta:.12g} "
                 f"gamma={quad.gamma:.12g}")
@@ -162,11 +159,11 @@ def cmd_infer_q(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec, *_ = _load_config(args)
+    spec, _, _, _, cfg, _ = _load_config(args)
     if spec is None:
         print("verify: no distribution supplied", file=sys.stderr)
         return EXIT_IO
-    report = verify_membership(spec, tol=args.tol)
+    report = verify_membership(spec, cfg, tol=args.tol)
     _emit(args, f"max_residual={report.max_residual:.6e} "
                 f"mean_residual={report.mean_residual:.6e} tol={report.tol:.1e}")
     _emit(args, "PASS" if report.passed else "FAIL")

@@ -28,7 +28,7 @@ import copy
 import json
 import math
 import weakref
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Optional
@@ -42,6 +42,8 @@ from .errors import (InvalidParameterError, RankDeficientFitError,
 DENSITY_FLOOR = 1e-12  # relative to the max density on the grid
 CONTINUOUS_RESIDUAL_TOL = 1e-8
 DISCRETE_RESIDUAL_TOL = 1e-10
+# mass quantiles of a continuous member the defining identity is checked at
+_IDENTITY_POINTS = 33
 
 
 @dataclass(frozen=True)
@@ -425,25 +427,11 @@ def _real(value, what):
     return value
 
 
-def _param(params, name, default=None, count=False):
-    """``params[name]``, else ``default``, as a finite float, or with
-    ``count`` as the int it must equal."""
-    what = f"parameter {name!r}"
-    if name in params:
-        value = _real(params[name], what)
-    elif default is None:
-        raise InvalidParameterError(f"missing {what}")
-    else:
-        value = default
-    if count:
-        _require(value == int(value), f"{what} must be an integer, got {value}")
-        return int(value)
-    return value
-
+# each constructor checks the ranges of its canonical parameters (``_read``)
+# and hands them on as the member's ``params``
 
 def _normal(params):
-    m = _param(params, "mean", default=0.0)
-    v = _param(params, "var", default=1.0)
+    m, v = params["mean"], params["var"]
     _require(v > 0, "normal variance must be positive")
     norm = 1.0 / math.sqrt(2.0 * math.pi * v)
     sd = math.sqrt(v)
@@ -458,13 +446,12 @@ def _normal(params):
         return x
 
     return ContinuousIP(m, Quadratic(0.0, 0.0, v), (-math.inf, math.inf),
-                        density, sampler, "normal", {"mean": m, "var": v},
+                        density, sampler, "normal", params,
                         tails=Tails(log_mgf=lambda t: m * t + 0.5 * v * t * t))
 
 
 def _gamma(params):
-    a = _param(params, "shape")
-    th = _param(params, "scale", default=1.0)
+    a, th = params["shape"], params["scale"]
     _require(a > 0 and th > 0, "gamma shape and scale must be positive")
     logc = -math.lgamma(a) - a * math.log(th)
 
@@ -482,14 +469,13 @@ def _gamma(params):
         return x
 
     return ContinuousIP(a * th, Quadratic(0.0, th, 0.0), (0.0, math.inf),
-                        density, sampler, "gamma", {"shape": a, "scale": th},
+                        density, sampler, "gamma", params,
                         tails=Tails(hi=1.0 / th,
                                     log_mgf=lambda t: -a * np.log1p(-th * t)))
 
 
 def _beta(params):
-    a = _param(params, "a")
-    b = _param(params, "b")
+    a, b = params["a"], params["b"]
     _require(a > 0 and b > 0, "beta parameters must be positive")
     logc = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     s = a + b
@@ -507,7 +493,7 @@ def _beta(params):
         return _beta_quantile(a, b, u)
 
     return ContinuousIP(a / s, Quadratic(-1.0 / s, 1.0 / s, 0.0), (0.0, 1.0),
-                        density, sampler, "beta", {"a": a, "b": b},
+                        density, sampler, "beta", params,
                         tails=Tails())
 
 
@@ -558,9 +544,8 @@ class _TableSampler:
 
 
 def _poisson(params):
-    lam = _param(params, "lam")
+    lam = params["lam"]
     _require(lam > 0, "poisson rate must be positive")
-
     log_lam = math.log(lam)
 
     def log_pmf(k):
@@ -568,13 +553,12 @@ def _poisson(params):
 
     pmf = _mask_pmf(log_pmf, lambda k: k >= 0)
     return DiscreteCO(lam, Quadratic(0.0, 0.0, lam), (0.0, math.inf), pmf,
-                      _TableSampler(), "poisson", {"lam": lam},
+                      _TableSampler(), "poisson", params,
                       tails=Tails(log_mgf=lambda t: lam * np.expm1(t)))
 
 
 def _binomial(params):
-    trials = _param(params, "n", count=True)
-    theta = _param(params, "theta")
+    trials, theta = params["n"], params["theta"]
     _require(trials >= 1, "binomial needs at least one trial")
     _require(0.0 < theta < 1.0, "binomial theta must lie in (0, 1)")
 
@@ -589,12 +573,11 @@ def _binomial(params):
     pmf = _mask_pmf(log_pmf, lambda k: (k >= 0) & (k <= trials))
     return DiscreteCO(trials * theta, Quadratic(0.0, -theta, trials * theta),
                       (0.0, float(trials)), pmf, _TableSampler(), "binomial",
-                      {"n": trials, "theta": theta}, tails=Tails())
+                      params, tails=Tails())
 
 
 def _negative_binomial(params):
-    r = _param(params, "r")
-    theta = _param(params, "theta")
+    r, theta = params["r"], params["theta"]
     _require(r > 0, "negative-binomial r must be positive")
     _require(0.0 < theta < 1.0, "negative-binomial theta must lie in (0, 1)")
 
@@ -609,15 +592,13 @@ def _negative_binomial(params):
     mu = r * (1.0 - theta) / theta
     return DiscreteCO(mu, Quadratic(0.0, (1.0 - theta) / theta, mu),
                       (0.0, math.inf), pmf, _TableSampler(),
-                      "negative-binomial", {"r": r, "theta": theta},
+                      "negative-binomial", params,
                       tails=Tails(hi=-log_rest, log_mgf=lambda t: r * (
                           math.log(theta) - np.log1p(-np.exp(t + log_rest)))))
 
 
 def _hypergeometric(params):
-    pop = _param(params, "N", count=True)
-    succ = _param(params, "K", count=True)
-    draws = _param(params, "n", count=True)
+    pop, succ, draws = params["N"], params["K"], params["n"]
     _require(pop >= 1, "population must be positive")
     _require(0 <= succ <= pop, "successes must lie in [0, N]")
     _require(1 <= draws <= pop, "draws must lie in [1, N]")
@@ -638,43 +619,60 @@ def _hypergeometric(params):
     pmf = _mask_pmf(log_pmf, lambda k: (k >= lo) & (k <= hi))
     q = Quadratic(1.0 / pop, -(succ + draws) / pop, succ * draws / pop)
     return DiscreteCO(draws * succ / pop, q, (float(lo), float(hi)), pmf,
-                      _TableSampler(), "hypergeometric",
-                      {"N": pop, "K": succ, "n": draws}, tails=Tails())
+                      _TableSampler(), "hypergeometric", params, tails=Tails())
 
 
-# each family's constructor and its parameters, each parameter's name
-# first and then its aliases
+# a catalog parameter: its name, its aliases, its default (None when it
+# must be given) and whether it counts, a whole number read as an int
+_Param = namedtuple("_Param", "name aliases default count",
+                    defaults=((), None, False))
+
+# each family's constructor and its parameters, in the order of its params
 _CATALOG = {
-    "normal": (_normal, (("mean",), ("var",))),
-    "gamma": (_gamma, (("shape",), ("scale",))),
-    "beta": (_beta, (("a",), ("b",))),
-    "poisson": (_poisson, (("lam", "lambda", "rate"),)),
-    "binomial": (_binomial, (("n", "trials"), ("theta", "p"))),
-    "negative-binomial": (_negative_binomial,
-                          (("r", "size"), ("theta", "p"))),
-    "hypergeometric": (_hypergeometric, (("N", "population"),
-                                         ("K", "successes"),
-                                         ("n", "draws"))),
+    "normal": (_normal, (_Param("mean", default=0.0),
+                         _Param("var", default=1.0))),
+    "gamma": (_gamma, (_Param("shape"), _Param("scale", default=1.0))),
+    "beta": (_beta, (_Param("a"), _Param("b"))),
+    "poisson": (_poisson, (_Param("lam", ("lambda", "rate")),)),
+    "binomial": (_binomial, (_Param("n", ("trials",), count=True),
+                             _Param("theta", ("p",)))),
+    "negative-binomial": (_negative_binomial, (_Param("r", ("size",)),
+                                               _Param("theta", ("p",)))),
+    "hypergeometric": (_hypergeometric,
+                       (_Param("N", ("population",), count=True),
+                        _Param("K", ("successes",), count=True),
+                        _Param("n", ("draws",), count=True))),
 }
 
 
-def _named(family, params, names):
-    """``params`` keyed by each parameter's name; an unknown name, two
-    names for one parameter or params that are not a dict are refused."""
+def _read(family, params, schema):
+    """``params``, a dict keyed by parameter name or alias, as the canonical
+    parameters of ``family`` and its ``schema``: keyed by name in schema
+    order, each a finite float (an int for a count), defaults filled in."""
     if not isinstance(params, dict):
         raise InvalidParameterError(
             f"{family} parameters must be a dict, got {params!r}")
-    alias = {a: group[0] for group in names for a in group}
-    out = {}
+    alias = {a: p.name for p in schema for a in (p.name, *p.aliases)}
+    given = {}
     for key, value in params.items():
         if key not in alias:
             raise InvalidParameterError(
                 f"unknown {family} parameter {key!r}; choose from "
                 f"{sorted(alias)}")
-        if alias[key] in out:
+        if alias[key] in given:
             raise InvalidParameterError(
                 f"{family} parameter {alias[key]!r} is given twice")
-        out[alias[key]] = value
+        given[alias[key]] = value
+    out = {}
+    for name, _, default, count in schema:
+        what = f"parameter {name!r}"
+        _require(name in given or default is not None, f"missing {what}")
+        value = _real(given[name], what) if name in given else default
+        if count:
+            _require(value == int(value),
+                     f"{what} must be an integer, got {value}")
+            value = int(value)
+        out[name] = value
     return out
 
 
@@ -694,22 +692,25 @@ def catalog(name: str, params: dict | None = None) -> Spec:
     or alias (poisson's ``lam`` is also ``lambda`` or ``rate``); an unknown
     name or two names for one parameter raise ``InvalidParameterError``.
 
-    A member is held per process: every call with the same canonical
-    parameters (aliases resolved, defaults filled in, values as the member
-    reads them) returns the same immutable spec, so its requests share the
-    grids, summation support, ladder and weight powers it holds
-    (``expectation.held``).  The last _MEMBERS members used are held;
-    :func:`clear_members` lets them go.
+    A member is held per process.  ``params`` are read and checked first;
+    every call with the same canonical parameters (aliases resolved,
+    defaults filled in, values as the member reads them) returns the same
+    immutable spec, built and range-checked only when none is held, so its
+    requests share the grids, summation support, ladder and weight powers
+    it holds (``expectation.held``).  The last _MEMBERS members used are
+    held; :func:`clear_members` lets them go.
     """
     key = name.lower().replace("_", "-")
     if key not in _CATALOG:
         raise UnknownDistributionError(
             f"unknown family {name!r}; choose from {sorted(_CATALOG)}")
-    build, names = _CATALOG[key]
-    spec = build(_named(key, {} if params is None else params, names))
+    build, schema = _CATALOG[key]
+    params = _read(key, {} if params is None else params, schema)
     # repr tells -0.0 from 0.0, which a report prints
-    ident = (key, tuple((k, repr(v)) for k, v in spec.params.items()))
-    spec = _members.pop(ident, spec)
+    ident = (key, tuple((k, repr(v)) for k, v in params.items()))
+    spec = _members.pop(ident, None)
+    if spec is None:
+        spec = build(params)
     _members[ident] = spec
     if len(_members) > _MEMBERS:
         _members.popitem(last=False)
@@ -727,13 +728,15 @@ def clear_members():
 # the defining identity as an executable oracle
 # ---------------------------------------------------------------------------
 
-def _mass_quantile_grid(spec: ContinuousIP, cfg: ex.EngineConfig, m: int):
-    """Grid points at evenly spaced mass quantiles, thinned by the density
-    floor (points where f < 1e-12 * max f are unusable for the identity)."""
-    x, w = ex.continuous_grid(spec, cfg, max(cfg.quad_nodes, 200))
+def _mass_quantile_grid(spec: ContinuousIP, cfg: ex.EngineConfig):
+    """_IDENTITY_POINTS evenly spaced mass quantiles on the quadrature nodes
+    the member holds (``bounds._Grid.build``), thinned by the density floor
+    (points where f < 1e-12 * max f are unusable for the identity)."""
+    n = max(cfg.quad_nodes, 200)
+    x, w = ex.held(spec, ("nodes", n), ex.continuous_grid, spec, cfg, n)
     cum = np.cumsum(w)
     total = cum[-1]
-    targets = np.linspace(0.005, 0.995, m) * total
+    targets = np.linspace(0.005, 0.995, _IDENTITY_POINTS) * total
     idx = np.unique(np.searchsorted(cum, targets))
     pts = x[np.clip(idx, 0, len(x) - 1)]
     f = np.asarray(spec.density(pts), dtype=float)
@@ -831,11 +834,11 @@ def _cumulative_lhs(spec: ContinuousIP, pts: np.ndarray,
     return out
 
 
-def _identity_points(spec: Spec, cfg: ex.EngineConfig, grid_size: int):
+def _identity_points(spec: Spec, cfg: ex.EngineConfig):
     """Points, the density or pmf there, and the cumulative side of the
     defining identity at them: the mass-quantile grid of a continuous
-    member, or the support points of a discrete one with the exact
-    prefix-sum side.
+    member, or the summation nodes a discrete one holds
+    (``expectation.member_support``) with the exact prefix-sum side.
 
     Prefix sums lose relative accuracy in the upper tail (the running total
     cancels down to q(j) p(j), far below the terms that built it), so points
@@ -843,9 +846,9 @@ def _identity_points(spec: Spec, cfg: ex.EngineConfig, grid_size: int):
     over the summation nodes, which run down to pmf underflow, instead.
     """
     if not spec.is_discrete:
-        pts, f = _mass_quantile_grid(spec, cfg, grid_size)
+        pts, f = _mass_quantile_grid(spec, cfg)
         return pts, f, _cumulative_lhs(spec, pts, cfg)
-    js, pm, _, _ = ex.truncated_support(spec)
+    js, pm = ex.member_support(spec)[:2]
     terms = (spec.mean - js) * pm
     prefix = np.cumsum(terms)
     suffix_excl = np.concatenate([np.cumsum(-terms[::-1])[::-1][1:], [0.0]])
@@ -861,8 +864,8 @@ class InferredQuadratic:
     n_points: int
 
 
-def infer_quadratic(spec: Spec, cfg: ex.EngineConfig | None = None,
-                    grid_size: int = 33) -> InferredQuadratic:
+def infer_quadratic(spec: Spec,
+                    cfg: ex.EngineConfig | None = None) -> InferredQuadratic:
     """Fit (delta, beta, gamma) from the family's defining identity.
 
     The ratio r(x) = [cumulative (mu - t) integral] / f(x) equals q(x) for a
@@ -871,7 +874,7 @@ def infer_quadratic(spec: Spec, cfg: ex.EngineConfig | None = None,
     defect of the identity (in units of q) over the grid.  A residual far
     above tolerance means "not in the family" and is reported, not hidden.
     """
-    pts, f, lhs = _identity_points(spec, cfg or ex.EngineConfig(), grid_size)
+    pts, f, lhs = _identity_points(spec, cfg or ex.EngineConfig())
     if len(pts) < 3:
         raise RankDeficientFitError(
             "need at least 3 grid points above the density floor")
@@ -894,8 +897,7 @@ class MembershipReport:
 
 
 def verify_membership(spec: Spec, cfg: ex.EngineConfig | None = None,
-                      tol: float | None = None,
-                      grid_size: int = 33) -> MembershipReport:
+                      tol: float | None = None) -> MembershipReport:
     """Check the defining identity against the spec's own quadratic.
 
     Residuals are |lhs/f - q| over the grid, so a constant corruption of
@@ -907,7 +909,7 @@ def verify_membership(spec: Spec, cfg: ex.EngineConfig | None = None,
         raise InvalidParameterError("spec has no quadratic; run infer_quadratic")
     if tol is None:
         tol = DISCRETE_RESIDUAL_TOL if spec.is_discrete else CONTINUOUS_RESIDUAL_TOL
-    pts, f, lhs = _identity_points(spec, cfg, grid_size)
+    pts, f, lhs = _identity_points(spec, cfg)
     res = np.abs(lhs / f - spec.q(pts))
     max_res = float(np.max(res))
     return MembershipReport(max_res, float(np.mean(res)), tol,

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import varbounds
-from varbounds import (bound_report, catalog, expectation,
-                       load_function_tuple)
+from varbounds import (bound_report, catalog, expectation, infer_quadratic,
+                       load_function_tuple, verify_membership)
 from varbounds.cli import main
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
@@ -85,6 +85,20 @@ class TestInferQ:
 
     def test_missing_file(self):
         assert main(["infer-q", "--dist", "no_such_file.json"]) == 1
+
+    def test_engine_settings_reach_the_identity_grid(self, capsys):
+        # --quad-nodes sets the nodes the mass quantiles are taken from:
+        # 400 nodes give 33 distinct points where the default 200 give 30
+        spec = catalog("gamma", {"shape": 3, "scale": 2})
+        cfg = expectation.EngineConfig(quad_nodes=400)
+        fit, report = infer_quadratic(spec, cfg), verify_membership(spec, cfg)
+        assert fit.n_points != infer_quadratic(spec).n_points
+        for command in ("infer-q", "verify"):
+            assert main([command, "--dist", "gamma:shape=3,scale=2",
+                         "--quad-nodes", "400"]) == 0
+        out = capsys.readouterr().out
+        assert f"points={fit.n_points}" in out
+        assert f"max_residual={report.max_residual:.6e} " in out
 
 
 class TestBounds:
@@ -560,6 +574,17 @@ class TestDistParsing:
         assert main(["bounds", "--dist", dist, "--functions", fns_path,
                      "--n", "1", "--quiet"]) == 1
         assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize("dist,message", [
+        ("normal:mean=abc", "parameter 'mean' must be a number, got 'abc'"),
+        ("poisson:lam", "parameter 'lam' must be a number, got ''"),
+        ("poisson:lam=abc,foo=1", "unknown poisson parameter 'foo'")])
+    def test_inline_values_are_read_by_the_catalog(self, fns_path, capsys,
+                                                   dist, message):
+        assert main(["bounds", "--dist", dist, "--functions", fns_path,
+                     "--n", "1", "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and message in err
 
     @pytest.mark.parametrize("params", [{"mu": 3}, [3]])
     def test_unknown_params_in_a_document(self, tmp_path, fns_path, capsys,

@@ -6,12 +6,15 @@ import dataclasses
 import gc
 import json
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from varbounds import (bound_report, catalog, clear_members, distributions,
-                       load_distribution, spec_to_json)
+                       expectation, infer_quadratic, load_distribution,
+                       spec_to_json, verify_membership)
+from varbounds.errors import InvalidParameterError
 from varbounds.bounds import _Grid, _Weights
 from varbounds.calculus import FunctionTuple, parse_function
 from varbounds.expectation import Ladder, sample
@@ -114,6 +117,78 @@ def test_one_spec_per_canonical_parameters():
     assert catalog("normal", {"mean": -0.0}) is not catalog("normal")
     clear_members()
     assert catalog("poisson", {"lam": 3}) is not spec
+
+
+@pytest.fixture
+def counted_builds(monkeypatch):
+    """Calls of each family's constructor while the test runs, by family."""
+    calls = {}
+
+    def counting(family, build):
+        def counted_build(params):
+            calls[family] = calls.get(family, 0) + 1
+            return build(params)
+
+        return counted_build
+
+    for family, (build, schema) in list(distributions._CATALOG.items()):
+        monkeypatch.setitem(distributions._CATALOG, family,
+                            (counting(family, build), schema))
+    clear_members()
+    yield calls
+    clear_members()
+
+
+def test_a_held_member_is_returned_without_building_it(counted_builds):
+    built = {"poisson": 1, "binomial": 1, "normal": 1}
+    spec = catalog("poisson", {"lam": 3})
+    binomial = catalog("binomial", {"n": 12, "theta": 0.35})
+    normal = catalog("normal")
+    assert counted_builds == built
+    # an alias, a float count and a default filled in name held members,
+    # which are handed out as they are
+    assert catalog("poisson", {"rate": 3.0}) is spec
+    assert catalog("binomial", {"trials": 12.0, "p": 0.35}) is binomial
+    assert catalog("normal", {"mean": 0.0}) is normal
+    assert counted_builds == built
+    # parameters are still read and checked while the member is held
+    for family, params, message in [
+            ("poisson", {"lam": 3, "mu": 1}, "unknown poisson parameter"),
+            ("poisson", {"lam": 3, "rate": 3}, "'lam' is given twice"),
+            ("binomial", {"n": 12.5, "theta": 0.35}, "must be an integer"),
+            ("binomial", {"theta": 0.35}, "missing parameter 'n'"),
+            ("normal", {"var": "abc"}, "must be a number")]:
+        with pytest.raises(InvalidParameterError, match=message):
+            catalog(family, params)
+    assert counted_builds == built
+    # a member out of range is built, refused and never held
+    for _ in range(2):
+        with pytest.raises(InvalidParameterError, match="must be positive"):
+            catalog("poisson", {"lam": -3})
+    assert counted_builds["poisson"] == 3
+    assert catalog("poisson", {"lam": 3}) is spec
+
+
+def test_the_identity_reads_what_a_report_left_held(cfg):
+    # verify and infer-q on a member a report used sum its support and
+    # evaluate its quadrature grid no more
+    clear_members()
+    g = tuple_of("x", "x^2")
+    members = [catalog("poisson", {"lam": 3.3}),
+               catalog("gamma", {"shape": 3, "scale": 2})]
+    with mock.patch.object(expectation, "truncated_support",
+                           wraps=expectation.truncated_support) as summed, \
+            mock.patch.object(expectation, "continuous_grid",
+                              wraps=expectation.continuous_grid) as gridded:
+        for spec in members:
+            bound_report(spec, g, 2, cfg)
+        assert summed.call_count == 1 and gridded.call_count > 0
+        summed.reset_mock()
+        gridded.reset_mock()
+        for spec in members:
+            assert verify_membership(spec, cfg).passed
+            infer_quadratic(spec, cfg)
+    assert (summed.call_count, gridded.call_count) == (0, 0)
 
 
 def test_the_cache_holds_at_most_its_bound():
