@@ -191,9 +191,7 @@ class _Grid:
         else:
             key = n_nodes if n_nodes is not None else (
                 cfg or ex.EngineConfig()).quad_nodes
-            # one (x, w) for every top
-            nodes = ex.held(spec, ("nodes", key), ex.continuous_grid, spec,
-                            cfg, key)
+            nodes = ex.member_nodes(spec, cfg, key)  # one (x, w) for every top
         return cls(spec, ex.held(spec, (key, top), _Weights, spec, top,
                                  *nodes))
 

@@ -448,7 +448,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as stop:  # argparse exits 2 on a usage error
+        if stop.code == 0:  # --help
+            raise
+        return EXIT_IO
     try:
         code = args.handler(args)
     except SingularCoefficientError as err:

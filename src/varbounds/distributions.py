@@ -14,7 +14,9 @@ satisfies the prefix-sum analogue
 The quadratic q is the object every bound coefficient is built from.  The
 catalog ships analytically known quadratics; everything else can be inferred
 from the identity itself via :func:`infer_quadratic`, which doubles as the
-membership oracle.
+membership oracle.  Its continuous left side is integrated on Gauss-Legendre
+segments from ``expectation.segment_rules``, the routine the class ladder
+takes its segments from too, at every point at once.
 
 The catalog densities and pmfs need only log Gamma of positive arguments,
 which :func:`_lgamma` computes with numpy and ``math``; ``scipy.special`` is
@@ -729,11 +731,11 @@ def clear_members():
 # ---------------------------------------------------------------------------
 
 def _mass_quantile_grid(spec: ContinuousIP, cfg: ex.EngineConfig):
-    """_IDENTITY_POINTS evenly spaced mass quantiles on the quadrature nodes
-    the member holds (``bounds._Grid.build``), thinned by the density floor
-    (points where f < 1e-12 * max f are unusable for the identity)."""
-    n = max(cfg.quad_nodes, 200)
-    x, w = ex.held(spec, ("nodes", n), ex.continuous_grid, spec, cfg, n)
+    """_IDENTITY_POINTS evenly spaced mass quantiles on the
+    ``cfg.quad_nodes`` quadrature nodes the member holds
+    (``expectation.member_nodes``), thinned by the density floor (points
+    where f < 1e-12 * max f are unusable for the identity)."""
+    x, w = ex.member_nodes(spec, cfg, cfg.quad_nodes)
     cum = np.cumsum(w)
     total = cum[-1]
     targets = np.linspace(0.005, 0.995, _IDENTITY_POINTS) * total
@@ -744,94 +746,69 @@ def _mass_quantile_grid(spec: ContinuousIP, cfg: ex.EngineConfig):
     return pts[keep], f[keep]
 
 
-def _gl_segment(fn, lo, hi, n=64):
-    s, glw = ex.gauss_legendre(n)
-    x = 0.5 * (hi - lo) * s + 0.5 * (hi + lo)
-    return float(np.sum(glw * 0.5 * (hi - lo) * fn(x)))
+# dyadic shells between a point and each finite end of the support
+_SHELLS = 60
 
 
-def _left_anchored_integral(fn, alpha, x1):
-    """Integral of fn over (alpha, x1] when fn may carry an integrable
-    singularity at alpha (densities with fractional shape exponents).
+def _cumulative_lhs(spec: ContinuousIP, pts: np.ndarray) -> np.ndarray:
+    """integral_alpha^x (mu - t) f(t) dt at each of the ascending ``pts``,
+    every point at once on Gauss-Legendre segments
+    (``expectation.segment_rules``), each kind of segment in one density
+    call.  Running totals add the segments one at a time, in order.
 
-    Dyadic shells shrink toward alpha, each smooth inside; the last sliver
-    (width 2^-60 of the interval) uses a u^8 power substitution so even a
-    t^(a-1) blow-up with small a contributes at full precision.
+    On a support bounded below, each point's integral is its own: dyadic
+    shells halving toward alpha, each smooth inside, and a last sliver
+    (width 2^-60 of the interval) under a u^8 substitution, so that even a
+    t^(a-1) blow-up with small a contributes at full precision.  On a
+    finite support, points above the midpoint add to the integral up to it
+    shells halving toward omega, so that no segment has the omega
+    singularity closer than half its own width.  On a support unbounded
+    below, the semi-infinite map of the quadrature grids reaches the first
+    point and one segment reaches each point from the one before it.
     """
-    total = 0.0
-    hi = x1
-    for _ in range(60):
-        lo = alpha + 0.5 * (hi - alpha)
-        total += _gl_segment(fn, lo, hi, 24)
-        hi = lo
+    mu = spec.mean
+    alpha, omega = spec.support
+
+    def integral(x, w):  # each segment's integral, over the last axis
+        f = np.asarray(spec.density(x.ravel()), dtype=float).reshape(x.shape)
+        return np.sum(w * ((mu - x) * f), axis=-1)
+
+    if pts.size == 0:
+        return np.zeros(0)
+    if math.isinf(alpha):
+        s, glw = ex.gauss_legendre(160)
+        x, dxds = ex._map_support(alpha, pts[0], s)
+        # the map's nodes reversed, so that the sum runs from the point down
+        first = integral(x[::-1], (glw * dxds)[::-1])
+        steps = integral(*ex.segment_rules(pts[:-1], pts[1:], 64))
+        return np.cumsum(np.concatenate([[first], steps]))
+
+    mid = 0.5 * (alpha + omega)  # inf on a support unbounded above
+    upper = pts > mid
+    ends = np.append(pts[~upper], mid) if upper.any() else pts
+    his = [ends]
+    for _ in range(_SHELLS):
+        his.append(alpha + 0.5 * (his[-1] - alpha))
+    shells = integral(*ex.segment_rules(his[1:], his[:-1], 24))
     s, glw = ex.gauss_legendre(32)
     u = 0.5 * (s + 1.0)
-    t = alpha + (hi - alpha) * u**8
-    jac = (hi - alpha) * 8.0 * u**7 * 0.5
-    total += float(np.sum(glw * jac * fn(t)))
-    return total
+    reach = (his[-1] - alpha)[:, None]
+    sliver = integral(alpha + reach * u**8, glw * (reach * 8.0 * u**7 * 0.5))
+    lower = 0.0
+    for part in (*shells, sliver):
+        lower = lower + part
+    if not upper.any():
+        return lower
 
-
-def _anchored_cum(fn, alpha, omega, x):
-    """Integral of fn over (alpha, x] allowing integrable singularities at
-    both support endpoints.
-
-    The lower half is shell-integrated toward alpha.  When x lies in the
-    upper half of a finite support, the remainder is covered by shells that
-    halve toward omega, so no quadrature panel ever has the omega singularity
-    closer than half its own width.
-    """
-    if not math.isfinite(omega):
-        return _left_anchored_integral(fn, alpha, x)
-    mid = 0.5 * (alpha + omega)
-    if x <= mid:
-        return _left_anchored_integral(fn, alpha, x)
-    total = _left_anchored_integral(fn, alpha, mid)
-    lo = mid
-    for m in range(1, 61):
-        shell_hi = omega - (omega - mid) * 0.5**m
-        if shell_hi >= x:
-            break
-        total += _gl_segment(fn, lo, shell_hi, 24)
-        lo = shell_hi
-    total += _gl_segment(fn, lo, x, 24)
-    return total
-
-
-def _cumulative_lhs(spec: ContinuousIP, pts: np.ndarray,
-                    cfg: ex.EngineConfig) -> np.ndarray:
-    """integral_alpha^x (mu - t) f(t) dt at each grid point, accumulated
-    segment by segment so every point reuses the integral to its left."""
-    alpha = spec.support[0]
-    mu = spec.mean
-
-    def integrand(t):
-        return (mu - t) * np.asarray(spec.density(t), dtype=float)
-
-    out = np.empty(len(pts))
-    if math.isfinite(alpha):
-        # independent shell integrals: immune both to endpoint singularities
-        # and to error accumulation across segments
-        omega = spec.support[1]
-        for i, xp in enumerate(pts):
-            out[i] = _anchored_cum(integrand, alpha, omega, xp)
-        return out
-    acc = 0.0
-    prev = None
-    for i, xp in enumerate(pts):
-        if prev is None:
-            # reversed semi-infinite map from -inf up to the first point
-            s, glw = ex.gauss_legendre(160)
-            half = 0.5 * (s + 1.0)
-            t_map = half * half
-            t = xp - t_map / (1.0 - t_map)
-            jac = half / (1.0 - t_map) ** 2
-            acc = float(np.sum(glw * jac * integrand(t)))
-        else:
-            acc += _gl_segment(integrand, prev, xp)
-        out[i] = acc
-        prev = xp
-    return out
+    x = pts[upper]
+    tops = omega - (omega - mid) * 0.5 ** np.arange(1, _SHELLS + 1)
+    full = np.searchsorted(tops, x)  # the shells below each point
+    edges = np.concatenate([[mid], tops[:full.max()]])
+    parts = integral(*ex.segment_rules(
+        np.concatenate([edges[:-1], edges[full]]),
+        np.concatenate([edges[1:], x]), 24))
+    run = np.cumsum(np.concatenate([lower[-1:], parts[:edges.size - 1]]))
+    return np.concatenate([lower[:-1], run[full] + parts[edges.size - 1:]])
 
 
 def _identity_points(spec: Spec, cfg: ex.EngineConfig):
@@ -847,7 +824,7 @@ def _identity_points(spec: Spec, cfg: ex.EngineConfig):
     """
     if not spec.is_discrete:
         pts, f = _mass_quantile_grid(spec, cfg)
-        return pts, f, _cumulative_lhs(spec, pts, cfg)
+        return pts, f, _cumulative_lhs(spec, pts)
     js, pm = ex.member_support(spec)[:2]
     terms = (spec.mean - js) * pm
     prefix = np.cumsum(terms)

@@ -145,6 +145,19 @@ def _map_support(alpha: float, omega: float, s: np.ndarray):
     return (omega - offset if lo_inf else alpha + offset), doffset
 
 
+def segment_rules(lo, hi, n: int):
+    """The ``n``-node Gauss-Legendre nodes x and weights w of every segment
+    (lo, hi), for arrays ``lo`` and ``hi`` of one shape: x and w have that
+    shape plus a last axis of n nodes, and ``sum(w * phi(x), axis=-1)``
+    approximates the integral of phi over each segment.  The class ladder
+    (``Ladder``) and the membership identity
+    (``distributions._cumulative_lhs``) take their segments from here."""
+    s, glw = gauss_legendre(n)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
+    return 0.5 * (hi - lo) * s + 0.5 * (hi + lo), glw * 0.5 * (hi - lo)
+
+
 def _read_only(*arrays):
     """``arrays``, each made read-only, as a tuple."""
     for a in arrays:
@@ -177,6 +190,12 @@ def continuous_grid(spec, cfg: EngineConfig, n_nodes: int | None = None):
     w = scaled * spec.density(x)
     keep = w != 0.0
     return _read_only(x[keep], w[keep])
+
+
+def member_nodes(spec, cfg: EngineConfig, n: int):
+    """``continuous_grid(spec, cfg, n)``, evaluated once per member and node
+    count (``held``)."""
+    return held(spec, ("nodes", n), continuous_grid, spec, cfg, n)
 
 
 def held(spec, key, make, *args):
@@ -418,25 +437,14 @@ def _underflow_edges(x, w, support) -> np.ndarray:
     return np.asarray(edges, dtype=int)
 
 
-@lru_cache(maxsize=1)
-def _ladder_rules():
-    """The nodes and the half weights of a continuous ladder's segments,
-    side by side: the 96-node rule of the bulk, then the 48-node rule of
-    each shell."""
-    rules = [gauss_legendre(96)] + [gauss_legendre(48)] * (
-        2 * (_LADDER_RUNGS - 1))
-    # shared by every ladder
-    return _read_only(np.concatenate([s for s, _ in rules]),
-                      np.concatenate([glw for _, glw in rules]) * 0.5)
-
-
 class Ladder:
     """The stabilization ladder of one spec: nodes ``x``, node weights ``w``
     and the rung boundaries.
 
     ``sum(w * phi(x))`` over a rung's nodes is the truncated expectation of
     phi on that rung's window.  Continuous members use a 96-node bulk
-    segment plus 48-node shells, reaching infinite endpoints by factor-4
+    segment plus 48-node shells, Gauss-Legendre rules from
+    ``segment_rules``, reaching infinite endpoints by factor-4
     geometric expansion and finite endpoints by factor-10 margin shrinks;
     each rung adds its shells to the previous rung (``cumulative``), so the
     ladder is monotone for nonnegative integrands.  Discrete members use the
@@ -503,15 +511,14 @@ class Ladder:
             segments += shells
             lo, hi = nlo, nhi
 
-        # each segment's nodes half * s + mid and weights half_glw * width,
-        # as one array operation over the segments' rules side by side
+        # the bulk's 96 nodes, then each shell's 48, side by side
         lo, hi = np.array(segments).T
         sizes = np.full(lo.size, 48)
         sizes[0] = 96
-        s, half_glw = _ladder_rules()
-        x = (np.repeat(0.5 * (hi - lo), sizes) * s[:sizes.sum()]
-             + np.repeat(0.5 * (hi + lo), sizes))
-        w = half_glw[:x.size] * np.repeat(hi - lo, sizes) * spec.density(x)
+        x, w = (np.concatenate([bulk.ravel(), shells.ravel()])
+                for bulk, shells in zip(segment_rules(lo[:1], hi[:1], 96),
+                                        segment_rules(lo[1:], hi[1:], 48)))
+        w = w * spec.density(x)
         # nodes where the density underflows contribute exactly nothing and
         # would turn inf * 0 into nan for growing integrands
         keep = w != 0.0

@@ -99,6 +99,28 @@ class TestInferQ:
         out = capsys.readouterr().out
         assert f"points={fit.n_points}" in out
         assert f"max_residual={report.max_residual:.6e} " in out
+        # below 200 nodes the grid is read as given too: 50 give 12 points
+        assert main(["infer-q", "--dist", "gamma:shape=3,scale=2",
+                     "--quad-nodes", "50"]) == 0
+        assert "points=12" in capsys.readouterr().out
+
+
+class TestUsageErrors:
+    # the exit-code table gives usage errors 1; argparse's own 2 would read
+    # as a membership residual failure
+    @pytest.mark.parametrize("argv", [["bounds", "--bogus"],
+                                      ["bounds", "--quad-nodes", "abc"],
+                                      [], ["no-such-command"]])
+    def test_usage_error_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bounds", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestBounds:

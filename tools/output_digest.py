@@ -6,6 +6,7 @@ Usage (from the repository root):
     python3 tools/output_digest.py --workloads high-order --seeds 1 2
     python3 tools/output_digest.py --dump DIR
     python3 tools/output_digest.py --ladders
+    python3 tools/output_digest.py --identity
     python3 tools/output_digest.py --cold
     python3 tools/output_digest.py --workloads high-order --chain-order 12
     python3 tools/output_digest.py --compare DIR_A DIR_B
@@ -45,6 +46,14 @@ and how many the rule declined after building their assembly grid
 (``bounds._Grid.build`` inside ``_closed_form``).  The digests are the same
 with it and without it.
 
+``--identity`` also prints one more line, ``identity``: a digest over the
+printed lines (standard output and error) and exit codes of the CLI's
+``infer-q`` and ``verify`` on every member the chosen workloads and seeds
+name, in the order first named, then the members of
+``workloads.HARD_MEMBERS`` not named yet.  It checks a change to the
+membership identity, which no workload request reaches; with ``--dump`` its
+parsed lines go to ``DIR/identity.json`` for ``--compare``.
+
 ``--dump DIR`` also writes, per workload, ``DIR/<workload>.json``: every
 request's outputs parsed (exit code, JSON document, CSV rows with their
 numbers read, or the refusal text), keyed by seed and request key.
@@ -60,6 +69,7 @@ but none of its values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -77,7 +87,7 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
-from varbounds import bounds, distributions  # noqa: E402
+from varbounds import bounds, cli, distributions  # noqa: E402
 from varbounds.errors import ClassMembershipError  # noqa: E402
 from varbounds.expectation import Ladder  # noqa: E402
 
@@ -189,6 +199,41 @@ def digest(workload, seeds, dump=None, chain_order=None, cold=False):
     return count, sha.hexdigest(), ladders
 
 
+def _printed(text):
+    """The lines of ``text``, each a list of its words, a ``key=value`` word
+    as [key, value] with the value read as a number where it is one."""
+    return [[[key, _cell(value)] if sep else key
+             for key, sep, value in (w.partition("=") for w in line.split())]
+            for line in text.splitlines()]
+
+
+def identity_digest(members, dump=None, cold=False):
+    """(number of requests, SHA-256 hex digest) over the exit code and the
+    printed lines of ``infer-q`` and ``verify`` on each of ``members``
+    (inline ``--dist`` forms).  With a ``dump`` dict, each request's exit
+    code and parsed lines go into it under "command/member"."""
+    sha, count = hashlib.sha256(), 0
+    for dist in members:
+        for command in ("infer-q", "verify"):
+            if cold:
+                distributions.clear_members()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main([command, "--dist", dist])
+            sha.update(f"\0{command}/{dist}\0".encode())
+            for chunk in (f"exit {code}", "out " + out.getvalue(),
+                          "err " + err.getvalue()):
+                chunk = chunk.encode()
+                sha.update(len(chunk).to_bytes(8, "little") + chunk)
+            if dump is not None:
+                dump[f"{command}/{dist}"] = {
+                    "exit": code, "out": _printed(out.getvalue()),
+                    "err": _printed(err.getvalue())}
+            count += 1
+    return count, sha.hexdigest()
+
+
 def _difference(a, b):
     """(whether a non-numeric part differs, largest relative move of a
     float) between two parsed outputs."""
@@ -247,6 +292,13 @@ STANDARD_SEEDS = {"catalog-sweep": range(1, 4), "wide-tuple": range(1, 4),
                   "high-order": range(1, 4), "mc-crosscheck": range(1, 11)}
 
 
+def _write_dump(directory, name, dump):
+    if dump is not None:
+        with open(os.path.join(directory, name + ".json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(dump, fh, sort_keys=True)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+")
@@ -265,6 +317,9 @@ def main(argv=None):
                         help="also print per seed the requests that built a "
                              "class ladder, and those the closed-form rule "
                              "declined after building their grid")
+    parser.add_argument("--identity", action="store_true",
+                        help="also digest infer-q and verify on every member "
+                             "the workloads name, and the hard members")
     args = parser.parse_args(argv)
     if args.compare:
         compare(*args.compare)
@@ -273,9 +328,13 @@ def main(argv=None):
         os.makedirs(args.dump, exist_ok=True)
     if args.ladders:
         _count_class_paths()
+    members = {}  # the members named, in the order first named
     for workload in args.workloads:
         dump = {} if args.dump else None
         seeds = args.seeds or STANDARD_SEEDS[workload]
+        members.update(dict.fromkeys(
+            case.dist for seed in seeds
+            for case in workloads.build_cases(workload, seed)))
         count, hexdigest, ladders = digest(workload, seeds, dump,
                                            args.chain_order, args.cold)
         print(f"{workload}  {count} requests  {hexdigest}", flush=True)
@@ -284,10 +343,13 @@ def main(argv=None):
             print(f"  seed {seed}: {built} of {total} requests built a class "
                   f"ladder, {declined} were declined after building their "
                   f"grid", flush=True)
-        if dump is not None:
-            with open(os.path.join(args.dump, workload + ".json"), "w",
-                      encoding="utf-8") as fh:
-                json.dump(dump, fh, sort_keys=True)
+        _write_dump(args.dump, workload, dump)
+    if args.identity:
+        members.update(dict.fromkeys(workloads.HARD_MEMBERS))
+        dump = {} if args.dump else None
+        count, hexdigest = identity_digest(members, dump, args.cold)
+        print(f"identity  {count} requests  {hexdigest}", flush=True)
+        _write_dump(args.dump, "identity", dump)
 
 
 if __name__ == "__main__":
