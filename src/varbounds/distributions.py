@@ -19,9 +19,10 @@ segments from ``expectation.segment_rules``, the routine the class ladder
 takes its segments from too, at every point at once.
 
 The catalog densities and pmfs need only log Gamma of positive arguments,
-which :func:`_lgamma` computes with numpy and ``math``; ``scipy.special`` is
-imported by the gamma, beta and normal samplers on their first draw, so the
-deterministic path never loads scipy.
+which :func:`_lgamma` computes with numpy and ``math``.  The samplers'
+normal quantile, incomplete gamma and beta functions and their inverses
+are numpy and ``math`` code of this module too, so the package runs on
+numpy alone.
 """
 
 from __future__ import annotations
@@ -185,59 +186,370 @@ def _lgamma(x):
     if not x.shape:
         return math.lgamma(x)
     z = np.maximum(x, _STIRLING_FROM)
+    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + _stirling(z)
+    small = x < _STIRLING_FROM
+    out[small] = [math.lgamma(v) for v in x[small].tolist()]
+    return out
+
+
+def _stirling(z):
+    """Stirling's series at z >= _STIRLING_FROM."""
     r2 = 1.0 / (z * z)
     series = _STIRLING[-1]
     for c in _STIRLING[-2::-1]:
         series = series * r2 + c
-    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + series / z
-    small = x < _STIRLING_FROM
-    out[small] = [math.lgamma(v) for v in x[small].tolist()]
+    return series / z
+
+
+# ---------------------------------------------------------------------------
+# the normal quantile and the incomplete gamma and beta functions
+# ---------------------------------------------------------------------------
+#
+# The samplers invert these with numpy and ``math`` alone.  Each series,
+# continued fraction and Halley iteration runs element by element
+# (``_iterate``): an element leaves it when it has converged, so its value
+# does not depend on the elements computed beside it.
+
+# Wichura's AS241 (PPND16): numerator and denominator coefficients, highest
+# power first, of the rational function in r = 0.180625 - (u - 1/2)^2 for
+# |u - 1/2| <= 0.425, and past it in r - 1.6 for r = sqrt(-log min(u, 1 - u))
+# <= 5 and in r - 5 beyond
+_AS241_CENTRAL = (
+    (2509.0809287301226727, 33430.575583588128105, 67265.770927008700853,
+     45921.953931549871457, 13731.693765509461125, 1971.5909503065514427,
+     133.14166789178437745, 3.387132872796366608),
+    (5226.495278852854561, 28729.085735721942674, 39307.89580009271061,
+     21213.794301586595867, 5394.1960214247511077, 687.1870074920579083,
+     42.313330701600911252, 1.0))
+_AS241_NEAR = (
+    (7.7454501427834140764e-4, 0.0227238449892691845833,
+     0.24178072517745061177, 1.27045825245236838258,
+     3.64784832476320460504, 5.7694972214606914055,
+     4.6303378461565452959, 1.42343711074968357734),
+    (1.05075007164441684324e-9, 5.475938084995344946e-4,
+     0.0151986665636164571966, 0.14810397642748007459,
+     0.68976733498510000455, 1.6763848301838038494,
+     2.05319162663775882187, 1.0))
+_AS241_FAR = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5,
+     0.0012426609473880784386, 0.026532189526576123093,
+     0.29656057182850489123, 1.7848265399172913358,
+     5.4637849111641143699, 6.6579046435011037772),
+    (2.04426310338993978564e-15, 1.4215117583164458887e-7,
+     1.8463183175100546818e-5, 7.868691311456132591e-4,
+     0.0148753612908506148525, 0.1369298809227358053,
+     0.59983220655588793769, 1.0))
+
+
+def _rational(coefficients, r):
+    """The ratio of the two polynomials of ``coefficients`` at r, each by
+    Horner's rule in the order of AS241."""
+    num, den = (c[0] * r for c in coefficients)
+    for out, c in zip((num, den), coefficients):
+        for k in c[1:-1]:
+            out += k
+            out *= r
+        out += c[-1]
+    return num / den
+
+
+def _normal_quantile(u):
+    """The standard normal quantiles of u in (0, 1): AS241, the algorithm
+    of ``statistics.NormalDist.inv_cdf``, over an array.  Past the central
+    range it reads min(u, 1 - u), where 1 - u is exact."""
+    q = u - 0.5
+    x = np.empty(u.shape)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    x[central] = qc * _rational(_AS241_CENTRAL, 0.180625 - qc * qc)
+    qt = q[~central]
+    r = np.sqrt(-np.log(np.where(qt <= 0.0, u[~central], 1.0 - u[~central])))
+    near = r <= 5.0
+    r[near] = _rational(_AS241_NEAR, r[near] - 1.6)
+    r[~near] = _rational(_AS241_FAR, r[~near] - 5.0)
+    x[~central] = np.copysign(r, qt)
+    return x
+
+
+def _expit(y, out=None):
+    """1 / (1 + e^-y), the inverse of logit; 0 where e^-y overflows."""
+    with np.errstate(over="ignore"):
+        out = np.exp(np.negative(y, out=out), out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
+# a Lentz denominator that vanishes is replaced with this
+_TINY = 1e-300
+_EPS = 2.0**-53
+# Halley steps in log x or logit x: the longest first step, and the most
+# steps; and the most terms of a series or continued fraction, which grow
+# like sqrt(a): gamma(40) takes 64 near its mean, gamma(1e5) 1,716
+_FIRST_REACH = 4.0
+_MAX_STEPS = 100
+_MAX_TERMS = 100_000
+
+
+def _iterate(step, *state, limit=None):
+    """The first of the 1-D arrays ``state`` after the iteration
+    ``done, *state = step(k, *state)``, k = 1, 2, ..., up to ``limit``
+    steps: an element whose ``done`` is true leaves it with its state of
+    that step, and the next step runs on the rest."""
+    out = np.empty(state[0].shape)
+    rest = np.arange(out.size)
+    k = 0
+    while rest.size:
+        k += 1
+        done, *state = step(k, *state)
+        if k == limit:
+            done[:] = True
+        out[rest[done]] = state[0][done]
+        keep = ~done
+        rest = rest[keep]
+        state = [s[keep] for s in state]
     return out
+
+
+def _nonzero(d):
+    return np.where(np.abs(d) < _TINY, _TINY, d)
+
+
+def _log1mexp(v):
+    """log(1 - e^v) for v <= 0, without rounding e^v near either end."""
+    with np.errstate(divide="ignore"):
+        return np.where(v > -math.log(2.0), np.log(-np.expm1(v)),
+                        np.log1p(-np.exp(v)))
+
+
+def _gamma_log_pq(a, y):
+    """log P(a, x), log Q(a, x) and log(x f(x)), for the unit-scale gamma(a)
+    with density f, at x = e^y for a 1-D array y.
+
+    Below x = a + 1, P is the series x^a e^-x / Gamma(a + 1) sum_n x^n /
+    ((a + 1) ... (a + n)) and Q = 1 - P; above it, Q is x^a e^-x / Gamma(a)
+    times the continued fraction 1 / (x + 1 - a - 1 (1 - a) / (x + 3 - a
+    - 2 (2 - a) / ...)) by the modified Lentz method, and P = 1 - Q.  The
+    prefactor is taken in logs, from _STIRLING_FROM up as
+    -a (lambda - 1 - log lambda) - log(2 pi a) / 2 less Stirling's series,
+    lambda = x / a, so that no terms of size a log a cancel.
+    """
+    x = np.exp(y)
+    if a < _STIRLING_FROM:
+        log_front = a * y - x - math.lgamma(a + 1.0)
+    else:
+        d = y - math.log(a)
+        log_front = (-a * (np.expm1(d) - d)
+                     - (0.5 * math.log(a) + _HALF_LOG_2PI + _stirling(a)))
+    log_xf = log_front + math.log(a)
+    log_p, log_q = np.empty(y.shape), np.empty(y.shape)
+
+    def series(k, total, term, x):
+        term = term * x / (a + k)
+        total = total + term
+        return ~(term > _EPS * total), total, term, x
+
+    def fraction(k, h, b, c, d):
+        an = -k * (k - a)
+        b = b + 2.0
+        d = 1.0 / _nonzero(an * d + b)
+        c = _nonzero(b + an / c)
+        delta = d * c
+        h = h * delta
+        return ~(np.abs(delta - 1.0) > _EPS), h, b, c, d
+
+    low = x < a + 1.0
+    ones = np.ones(np.count_nonzero(low))
+    log_p[low] = log_front[low] + np.log(
+        _iterate(series, ones, ones, x[low], limit=_MAX_TERMS))
+    log_q[low] = _log1mexp(log_p[low])
+    high = ~low
+    b = x[high] + (1.0 - a)
+    log_q[high] = log_xf[high] + np.log(_iterate(
+        fraction, 1.0 / b, b, np.full(b.size, 1.0 / _TINY), 1.0 / b,
+        limit=_MAX_TERMS))
+    log_p[high] = _log1mexp(log_q[high])
+    return log_p, log_q, log_xf
+
+
+def _log_beta(a, b):
+    """log B(a, b); for b >= a and b >= _STIRLING_FROM, log Gamma(b) -
+    log Gamma(a + b) is taken from Stirling's series as -(b - 1/2)
+    log(1 + a / b) - a log(a + b) + a, so that no terms of size b log b
+    cancel."""
+    a, b = min(a, b), max(a, b)
+    if b < _STIRLING_FROM:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return (math.lgamma(a) - (b - 0.5) * math.log1p(a / b)
+            - a * math.log(a + b) + a + (_stirling(b) - _stirling(a + b)))
+
+
+def _beta_log_ii(a, b, y):
+    """log I_x(a, b), log I_(1-x)(b, a) = log(1 - I_x(a, b)) and
+    log(x (1 - x) f(x)), for beta(a, b) with density f, at x = 1 / (1 +
+    e^-y) for a 1-D array y.
+
+    Below x = (a + 1) / (a + b + 2), I_x(a, b) is x^a (1 - x)^b / (a B(a,
+    b)) times its continued fraction by the modified Lentz method, and the
+    other is one minus it; above, the same holds with a and b, x and 1 - x
+    exchanged.
+    """
+    log_x, log_1mx = -np.logaddexp(0.0, -y), -np.logaddexp(0.0, y)
+    log_xf = a * log_x + b * log_1mx - _log_beta(a, b)
+    x = np.exp(log_x)
+
+    def fraction(a, b, x):
+        def step(m, h, x, c, d):
+            # the even and the odd coefficient of step m, over x
+            for n in (m * (b - m) / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                      -(a + m) * (a + b + m)
+                      / ((a + 2 * m) * (a + 2 * m + 1.0))):
+                d = 1.0 / _nonzero(1.0 + n * x * d)
+                c = _nonzero(1.0 + n * x / c)
+                delta = d * c
+                h = h * delta
+            return ~(np.abs(delta - 1.0) > _EPS), h, x, c, d
+
+        d = 1.0 / _nonzero(1.0 - (a + b) * x / (a + 1.0))
+        return np.log(_iterate(step, d, x, np.ones(x.size), d,
+                               limit=_MAX_TERMS))
+
+    log_i, log_j = np.empty(y.shape), np.empty(y.shape)
+    low = x < (a + 1.0) / (a + b + 2.0)
+    log_i[low] = log_xf[low] - math.log(a) + fraction(a, b, x[low])
+    log_j[low] = _log1mexp(log_i[low])
+    high = ~low
+    log_j[high] = (log_xf[high] - math.log(b)
+                   + fraction(b, a, np.exp(log_1mx[high])))
+    log_i[high] = _log1mexp(log_j[high])
+    return log_i, log_j, log_xf
+
+
+def _halley(evaluate, y, target, *fixed):
+    """y with value(y) = target, by Halley steps from y, where
+    ``evaluate(y, *fixed)`` returns value(y), monotone in y, its
+    derivative v' and a tilt c with v'' = v' (c - v'); the arrays
+    ``fixed`` hold what else ``evaluate`` reads of each element.
+
+    A step whose Halley factor lies outside (1/2, 2) is Newton's.  An
+    element stops once its step is below 1e-9 max(1, |y|).  Otherwise the
+    step is safeguarded: it is at most ``reach`` long, which starts at
+    _FIRST_REACH and doubles whenever a step is cut to it, and it bisects
+    the bracket of the root that the values so far give when it would
+    leave it.
+    """
+    def step(k, y, target, lo, hi, reach, *fixed):
+        value, slope, tilt = evaluate(y, *fixed)
+        above = (value > target) != np.signbit(slope)
+        lo, hi = np.where(above, lo, y), np.where(above, y, hi)
+        change = (value - target) / slope
+        factor = 1.0 - 0.5 * change * (tilt - slope)
+        change = np.where((factor > 0.5) & (factor < 2.0), change / factor,
+                          change)
+        done = ~(np.abs(change) > 1e-9 * np.maximum(1.0, np.abs(y)))
+        far = ~(np.abs(change) <= reach)
+        change = np.where(far, np.where(above, reach, -reach), change)
+        reach = np.where(far, 2.0 * reach, reach)
+        new = y - change
+        new = np.where(done | ((new > lo) & (new < hi)), new, 0.5 * (lo + hi))
+        return done, new, target, lo, hi, reach, *fixed
+
+    with np.errstate(all="ignore"):
+        return _iterate(step, y, target, np.full(y.size, -np.inf),
+                        np.full(y.size, np.inf), np.full(y.size, _FIRST_REACH),
+                        *fixed, limit=_MAX_STEPS)
+
+
+def _gamma_log_quantile(a, p, q):
+    """log x of the unit-scale gamma(a) at P(a, x) = p, with q = 1 - p, by
+    Halley steps on log P in y = log x, or on log Q(a, x) = log q above
+    p = 1/2, where q is taken as exact.
+
+    They start from the largest of Wilson and Hilferty's cube-root normal
+    approximation, the root of the first term of P, (p Gamma(a + 1))^(1/a),
+    which lies below every quantile, and far in the upper tail the root of
+    Q ~ x^(a - 1) e^-x / Gamma(a) (DiDonato and Morris, ACM TOMS 12, 1986).
+    """
+    upper = p > 0.5
+    target = np.log(np.where(upper, q, p))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = _normal_quantile(np.where(upper, q, p))
+        w = (1.0 - 1.0 / (9.0 * a)
+             + np.where(upper, -z, z) / (3.0 * math.sqrt(a)))
+        y = np.where(w > 0.0, math.log(a) + 3.0 * np.log(w), -np.inf)
+    y = np.maximum(y, (np.log(p) + math.lgamma(a + 1.0)) / a)
+    x = -target - math.lgamma(a)
+    far = upper & (x > 1.0)
+    for _ in range(2):
+        x = np.where(far, -target - math.lgamma(a)
+                     + (a - 1.0) * np.log(np.maximum(x, 1.0)), x)
+    y = np.where(far, np.maximum(y, np.log(np.maximum(x, 1.0))), y)
+
+    def evaluate(y, upper):
+        log_p, log_q, log_xf = _gamma_log_pq(a, y)
+        value = np.where(upper, log_q, log_p)
+        slope = np.exp(log_xf - value)
+        return value, np.where(upper, -slope, slope), a - np.exp(y)
+
+    return _halley(evaluate, y, target, upper)
+
+
+def _beta_logit_quantile(a, b, p, q):
+    """logit x of beta(a, b) at I_x(a, b) = p, with q = 1 - p, by Halley
+    steps on log I in y = logit x.  They start from the median of three
+    approximations: the lower tail's I ~ x^a / (a B(a, b)), the upper
+    tail's 1 - I ~ (1 - x)^b / (b B(a, b)) and the normal one of the same
+    mean and variance."""
+    log_p, log_q = np.log(p), np.log(q)
+    log_norm = _log_beta(a, b)
+    s = a + b
+    z = _normal_quantile(np.minimum(p, q))
+    x = a / s + np.copysign(z, p - q) * math.sqrt(a * b / (s * s * (s + 1.0)))
+    x = np.clip(x, _TINY, 1.0 - _EPS)
+    y = np.median([(log_p + math.log(a) + log_norm) / a,
+                   np.log(x) - np.log1p(-x),
+                   -(log_q + math.log(b) + log_norm) / b], axis=0)
+
+    def evaluate(y):
+        log_i, _, log_xf = _beta_log_ii(a, b, y)
+        return log_i, np.exp(log_xf - log_i), a - s * _expit(y)
+
+    return _halley(evaluate, y, log_p)
 
 
 # ---------------------------------------------------------------------------
 # gamma and beta quantiles for the inverse-transform samplers
 # ---------------------------------------------------------------------------
 #
-# scipy's inverse incomplete gamma and beta functions cost up to 20x their
-# forward functions per draw.  The samplers call them only to build a table
-# of y(t), t = logit(u), where y = log x for gamma and logit x for beta, at
-# _QUANTILE_NODES nodes evenly spaced in t over the range of the draws.
-# y' and y'' at the nodes are in closed form from the density, so each cell
-# between two nodes holds the quintic Hermite interpolant of y (Hörmann and
-# Leydold, ACM TOMACS 13(4), 2003), and a draw costs one polynomial and no
-# call of the forward or inverse function.  Every cell is checked against
-# the library inverse at its midpoint, where the interpolant's error term,
-# proportional to s^3 (1 - s)^3 across the cell, peaks; a draw in a cell
-# that misses by _CELL_TOL or more in y, or whose interpolant is not
-# finite, takes the library inverse.  An absolute error in y is a relative
-# error in x (for beta, at most that).  The samplers import
-# ``scipy.special`` where they use it, so that only sampling loads scipy.
+# The inverses above cost tens of forward evaluations per value.  The
+# samplers call them only to build a table of y(t), t = logit(u), where
+# y = log x for gamma and logit x for beta, at _QUANTILE_NODES nodes evenly
+# spaced in t over the range of the draws.  y' and y'' at the nodes are in
+# closed form from the density, so each cell between two nodes holds the
+# quintic Hermite interpolant of y (Hörmann and Leydold, ACM TOMACS 13(4),
+# 2003), and a draw costs one polynomial and no call of the forward or
+# inverse function.  Every cell is checked against the inverse at its
+# midpoint, where the interpolant's error term, proportional to
+# s^3 (1 - s)^3 across the cell, peaks; a draw in a cell that misses by
+# _CELL_TOL or more in y, or whose interpolant is not finite, takes the
+# inverse.  An absolute error in y is a relative error in x (for beta, at
+# most that).  Each member holds the table of the last logit range it was
+# sampled over (``_Quantiles``), so a member sampled again from the same
+# stream builds none.
 #
 # Past the table, every draw's arithmetic is its own, so the samplers run it
 # over ``expectation.BLOCK`` draws at a time: the temporaries of a block stay
 # in cache, and each block writes its variates into one array of all N.
 
 _QUANTILE_NODES = 2048
-# a cell passes when its interpolant is closer than this to the library
-# inverse in y at its midpoint: a third of the 1e-13 relative error the
-# tested members meet, leaving room for the library's roundoff at a draw
+# a cell passes when its interpolant is closer than this to the inverse in
+# y at its midpoint: a third of the 1e-13 relative error the tested members
+# meet, leaving room for the inverse's roundoff at a draw
 _CELL_TOL = 3e-14
 
 
 def _blocks(size):
     """Slices of ``expectation.BLOCK`` consecutive draws covering ``size``."""
     return [slice(lo, lo + ex.BLOCK) for lo in range(0, size, ex.BLOCK)]
-
-
-def _by_tail(u, c, lower, upper, split=0.5):
-    """A library inverse at u: ``lower(u)`` for u <= split, and ``upper(c)``
-    on the complement c = 1 - u above; c is exact there if split >= 1/2."""
-    out = np.empty(u.shape)
-    low = u <= split
-    out[low] = lower(u[low])
-    out[~low] = upper(c[~low])
-    return out
 
 
 # the member-independent forms of the stream the samplers read, each
@@ -252,9 +564,11 @@ def _logit(u):
 
 
 def _ndtri(u):
-    """The standard normal quantiles of u."""
-    from scipy import special
-    return special.ndtri(u)
+    """The standard normal quantiles of the draws, a block at a time."""
+    x = np.empty(u.size)
+    for block in _blocks(u.size):
+        x[block] = _normal_quantile(u[block])
+    return x
 
 
 def _sorted(u):
@@ -263,22 +577,20 @@ def _sorted(u):
 
 
 class _QuantileTable:
-    """Quintic Hermite interpolants of y(t), t = logit(u), over the draws
-    of ``stream``, from ``y_of(p, q)``, y at the probabilities p with
-    complements q = 1 - p from the library inverse, and ``slopes(t, y)``,
-    (y', y'') at t.  ``coef`` holds each cell's Horner coefficients in s in
-    [0, 1] across it, and ``bad`` marks the cells that failed their check.
+    """Quintic Hermite interpolants of y(t) for t in [lo, hi], from
+    ``y_of(p, q)``, y at the probabilities p with complements q = 1 - p
+    from the inverse, and ``slopes(t, y)``, (y', y'') at t.  ``coef``
+    holds each cell's Horner coefficients in s in [0, 1] across it, and
+    ``bad`` marks the cells that failed their check.
     """
 
-    def __init__(self, stream, y_of, slopes):
-        from scipy import special
-        self.t = stream.form(_logit)
-        self.lo, hi = float(self.t.min()), float(self.t.max())
+    def __init__(self, lo, hi, y_of, slopes):
+        self.lo = lo
         # the nodes and, between them, the cells' midpoints
-        t = np.linspace(self.lo, hi, 2 * _QUANTILE_NODES - 1)
+        t = np.linspace(lo, hi, 2 * _QUANTILE_NODES - 1)
         # an underflowed quantile gives an infinite y and nan slopes
         with np.errstate(all="ignore"):
-            y = y_of(special.expit(t), special.expit(-t))
+            y = y_of(_expit(t), _expit(-t))
             y, mid, t = y[::2], y[1::2], t[::2]
             h = t[1] - t[0]
             d1, d2 = slopes(t, y)
@@ -300,8 +612,7 @@ class _QuantileTable:
         # replaced; zeros keep inf and nan out of that arithmetic
         self.coef[:, self.bad] = 0.0
         # the nodes are evenly spaced, so a draw's cell is found by arithmetic
-        self.scale = ((_QUANTILE_NODES - 1) / (hi - self.lo)
-                      if hi > self.lo else 0.0)
+        self.scale = (_QUANTILE_NODES - 1) / (hi - lo) if hi > lo else 0.0
 
     @staticmethod
     def _horner(c, s):
@@ -313,37 +624,51 @@ class _QuantileTable:
         y += c[0]
         return y
 
-    def cells(self, block):
-        """The cell of each draw u[block], and where in it the draw lies."""
-        pos = (self.t[block] - self.lo) * self.scale
+    def cells(self, t):
+        """The cell of each t, and where in it t lies."""
+        pos = (t - self.lo) * self.scale
         i = np.minimum(pos.astype(np.intp), _QUANTILE_NODES - 2)
         pos -= i
         return i, pos
 
-    def values(self, block):
-        """y at the draws u[block], 0 in a failing cell, and the indices in
-        the block of the draws in failing cells."""
-        i, s = self.cells(block)
+    def values(self, t):
+        """y at t, 0 in a failing cell, and the indices of the t in failing
+        cells."""
+        i, s = self.cells(t)
         y = self._horner(self.coef.take(i, axis=1), s)
         return y, np.flatnonzero(self.bad[i])
 
 
-def _quantiles(u, inverse, y_of, slopes, x_of):
-    """Quantiles x = x_of(y) at the draws u in (0, 1), as a flat array,
-    from a ``_QuantileTable`` of y; a draw in a failing cell takes the
-    library ``inverse(p, 1 - p)``.  After the table, the draws are taken a
-    block at a time."""
-    stream = ex.Stream.of(u)
-    u = stream.u
-    table = _QuantileTable(stream, y_of, slopes)
-    x = np.empty(u.size)
-    for block in _blocks(u.size):
-        xb = x[block]
-        y, stray = table.values(block)
-        x_of(y, out=xb)
-        ub = u[block][stray]
-        xb[stray] = inverse(ub, 1.0 - ub)
-    return x
+class _Quantiles:
+    """The quantile function of one gamma or beta member: x = x_of(y) at
+    the draws u in (0, 1), as a flat array, from a ``_QuantileTable`` of y
+    built from ``y_of`` and ``slopes``; the draws in failing cells take
+    x_of(y_of(u, 1 - u)), in one call after the rest.  The table of the
+    last logit range sampled over is held, and holds nothing of the
+    stream.  After the table, the draws are taken a block at a time."""
+
+    def __init__(self, y_of, slopes, x_of):
+        self.y_of, self.slopes, self.x_of = y_of, slopes, x_of
+        self._held = (None, None)
+
+    def __call__(self, u):
+        stream = ex.Stream.of(u)
+        u, t = stream.u, stream.form(_logit)
+        key = (float(t.min()), float(t.max()))
+        if self._held[0] != key:
+            self._held = (key, _QuantileTable(*key, self.y_of, self.slopes))
+        table = self._held[1]
+        x = np.empty(u.size)
+        strays = []
+        for block in _blocks(u.size):
+            y, stray = table.values(t[block])
+            self.x_of(y, out=x[block])
+            strays.append(stray + block.start)
+        stray = np.concatenate(strays)
+        if stray.size:
+            us = u[stray]
+            x[stray] = self.x_of(self.y_of(us, 1.0 - us))
+        return x
 
 
 def _log_spread(t):
@@ -351,62 +676,60 @@ def _log_spread(t):
     return -(np.logaddexp(0.0, t) + np.logaddexp(0.0, -t))
 
 
-def _gamma_quantile(a, u):
-    """Quantiles of the unit-scale gamma(a) at the draws u in (0, 1), as
-    a flat array, interpolated in y = log x (``_quantiles``).
+def _gamma_quantiles(a, scale=1.0):
+    """The quantiles x of gamma(a, ``scale``), interpolated in
+    y = log(x / scale) (``_Quantiles``).
 
-    y' = u (1 - u) / (x f(x)) and y'' = y' ((1 - 2u) - (a - x) y').  The
-    library inverse is ``gammaincinv``, or ``gammainccinv`` on 1 - u above
-    u = 1/2.
+    y' = u (1 - u) / (x f(x)) and y'' = y' ((1 - 2u) - (a - x) y') for the
+    unit scale.  The inverse is ``_gamma_log_quantile`` on P, or on Q at
+    1 - u above u = 1/2.
     """
-    from scipy import special
-    log_norm = special.gammaln(a)
+    log_norm = math.lgamma(a)
 
-    def inverse(p, q):
-        return _by_tail(p, q, lambda p: special.gammaincinv(a, p),
-                        lambda q: special.gammainccinv(a, q))
+    def y_of(p, q):
+        return _gamma_log_quantile(a, p, q)
 
     def slopes(t, y):
         x = np.exp(y)
         d1 = np.exp(_log_spread(t) + log_norm + x - a * y)
         return d1, d1 * (np.tanh(-0.5 * t) - (a - x) * d1)
 
-    return _quantiles(u, inverse, lambda p, q: np.log(inverse(p, q)),
-                      slopes, np.exp)
+    def x_of(y, out=None):
+        x = np.exp(y, out=out)
+        x *= scale
+        return x
+
+    return _Quantiles(y_of, slopes, x_of)
 
 
-def _beta_quantile(a, b, u):
-    """Quantiles x of beta(a, b) at the draws u in (0, 1), as a flat array,
-    interpolated in y = logit x (``_quantiles``).
+def _beta_quantiles(a, b):
+    """The quantiles x of beta(a, b), interpolated in y = logit x
+    (``_Quantiles``).
 
     y' = u (1 - u) / (x (1 - x) f(x)) and
-    y'' = y' ((1 - 2u) - (a - (a + b) x) y').  The library inverse is
-    ``betaincinv(a, b, u)``, or 1 - ``betaincinv(b, a, 1 - u)`` above
-    u = max(1/2, I_1/2(a, b)), where 1 - u is exact and x > 1/2; y is
-    tabulated there as -logit of the latter, so that it keeps the
-    precision of 1 - x.
+    y'' = y' ((1 - 2u) - (a - (a + b) x) y').  The inverse is
+    ``_beta_logit_quantile`` of beta(a, b) at u, or minus that of
+    beta(b, a) at 1 - u above u = max(1/2, I_1/2(a, b)), where 1 - u is
+    exact and x > 1/2, so that y keeps the precision of 1 - x.
     """
-    from scipy import special
-    log_norm = special.betaln(a, b)
-    split = max(0.5, float(special.betainc(a, b, 0.5)))
-
-    def inverse(p, q):
-        return _by_tail(p, q, lambda p: special.betaincinv(a, b, p),
-                        lambda q: 1.0 - special.betaincinv(b, a, q), split)
+    log_norm = _log_beta(a, b)
+    split = max(0.5, math.exp(_beta_log_ii(a, b, np.zeros(1))[0][0]))
 
     def y_of(p, q):
-        return _by_tail(
-            p, q, lambda p: special.logit(special.betaincinv(a, b, p)),
-            lambda q: -special.logit(special.betaincinv(b, a, q)), split)
+        y = np.empty(p.shape)
+        low = p <= split
+        y[low] = _beta_logit_quantile(a, b, p[low], q[low])
+        y[~low] = -_beta_logit_quantile(b, a, q[~low], p[~low])
+        return y
 
     def slopes(t, y):
         # log x = -log(1 + e^-y) and log(1 - x) = -log(1 + e^y)
         d1 = np.exp(_log_spread(t) + log_norm + a * np.logaddexp(0.0, -y)
                     + b * np.logaddexp(0.0, y))
-        tilt = a * special.expit(-y) - b * special.expit(y)
+        tilt = a * _expit(-y) - b * _expit(y)
         return d1, d1 * (np.tanh(-0.5 * t) - tilt * d1)
 
-    return _quantiles(u, inverse, y_of, slopes, special.expit)
+    return _Quantiles(y_of, slopes, _expit)
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +788,8 @@ def _gamma(params):
         out[pos] = np.exp(logc + (a - 1.0) * np.log(xp) - xp / th)
         return out
 
-    def sampler(u):
-        x = _gamma_quantile(a, u)
-        x *= th
-        return x
-
     return ContinuousIP(a * th, Quadratic(0.0, th, 0.0), (0.0, math.inf),
-                        density, sampler, "gamma", params,
+                        density, _gamma_quantiles(a, th), "gamma", params,
                         tails=Tails(hi=1.0 / th,
                                     log_mgf=lambda t: -a * np.log1p(-th * t)))
 
@@ -491,11 +809,8 @@ def _beta(params):
                              + (b - 1.0) * np.log1p(-xi))
         return out
 
-    def sampler(u):
-        return _beta_quantile(a, b, u)
-
     return ContinuousIP(a / s, Quadratic(-1.0 / s, 1.0 / s, 0.0), (0.0, 1.0),
-                        density, sampler, "beta", params,
+                        density, _beta_quantiles(a, b), "beta", params,
                         tails=Tails())
 
 
@@ -811,7 +1126,7 @@ def _cumulative_lhs(spec: ContinuousIP, pts: np.ndarray) -> np.ndarray:
     return np.concatenate([lower[:-1], run[full] + parts[edges.size - 1:]])
 
 
-def _identity_points(spec: Spec, cfg: ex.EngineConfig):
+def _identity_points(spec: Spec, cfg: ex.EngineConfig, least: int = 3):
     """Points, the density or pmf there, and the cumulative side of the
     defining identity at them: the mass-quantile grid of a continuous
     member, or the summation nodes a discrete one holds
@@ -821,17 +1136,27 @@ def _identity_points(spec: Spec, cfg: ex.EngineConfig):
     cancels down to q(j) p(j), far below the terms that built it), so points
     at or above the mean use the equivalent suffix form sum_{k>j} (k-mu) p(k)
     over the summation nodes, which run down to pmf underflow, instead.
+
+    Fewer than ``least`` distinct points raise ``RankDeficientFitError``:
+    3 determine a quadratic, the fewest a fit, or a check of the identity
+    at some of a member's points, says anything on.
     """
-    if not spec.is_discrete:
+    lhs = None
+    if spec.is_discrete:
+        js, pm = ex.member_support(spec)[:2]
+        terms = (spec.mean - js) * pm
+        prefix = np.cumsum(terms)
+        suffix_excl = np.concatenate([np.cumsum(-terms[::-1])[::-1][1:],
+                                      [0.0]])
+        keep = pm >= DENSITY_FLOOR * float(np.max(pm))
+        pts, f = js[keep], pm[keep]
+        lhs = np.where(js < spec.mean, prefix, suffix_excl)[keep]
+    else:
         pts, f = _mass_quantile_grid(spec, cfg)
-        return pts, f, _cumulative_lhs(spec, pts)
-    js, pm = ex.member_support(spec)[:2]
-    terms = (spec.mean - js) * pm
-    prefix = np.cumsum(terms)
-    suffix_excl = np.concatenate([np.cumsum(-terms[::-1])[::-1][1:], [0.0]])
-    lhs = np.where(js < spec.mean, prefix, suffix_excl)
-    keep = pm >= DENSITY_FLOOR * float(np.max(pm))
-    return js[keep], pm[keep], lhs[keep]
+    if len(pts) < least:
+        raise RankDeficientFitError(
+            f"need at least {least} grid points above the density floor")
+    return pts, f, _cumulative_lhs(spec, pts) if lhs is None else lhs
 
 
 @dataclass(frozen=True)
@@ -852,9 +1177,6 @@ def infer_quadratic(spec: Spec,
     above tolerance means "not in the family" and is reported, not hidden.
     """
     pts, f, lhs = _identity_points(spec, cfg or ex.EngineConfig())
-    if len(pts) < 3:
-        raise RankDeficientFitError(
-            "need at least 3 grid points above the density floor")
     r = lhs / f
     design = np.column_stack([pts**2, pts, np.ones_like(pts)])
     if np.linalg.matrix_rank(design) < 3:
@@ -879,14 +1201,18 @@ def verify_membership(spec: Spec, cfg: ex.EngineConfig | None = None,
 
     Residuals are |lhs/f - q| over the grid, so a constant corruption of
     gamma by c shows up as a residual of exactly |c|.  A failing residual is
-    an outcome, not an error.
+    an outcome, not an error.  A continuous member's identity is checked
+    at mass quantiles, and fewer than 3 of them raise
+    ``RankDeficientFitError``, as in ``infer_quadratic``; a discrete
+    member's is checked at every support point above the floor, however
+    few.
     """
     cfg = cfg or ex.EngineConfig()
     if spec.q is None:
         raise InvalidParameterError("spec has no quadratic; run infer_quadratic")
     if tol is None:
         tol = DISCRETE_RESIDUAL_TOL if spec.is_discrete else CONTINUOUS_RESIDUAL_TOL
-    pts, f, lhs = _identity_points(spec, cfg)
+    pts, f, lhs = _identity_points(spec, cfg, 1 if spec.is_discrete else 3)
     res = np.abs(lhs / f - spec.q(pts))
     max_res = float(np.max(res))
     return MembershipReport(max_res, float(np.mean(res)), tol,

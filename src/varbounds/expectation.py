@@ -344,27 +344,29 @@ def sample(spec, cfg: EngineConfig | None = None) -> np.ndarray:
 
     The sampler is passed the read-only uniforms of ``stream``, and the
     catalog samplers read their member-independent forms from it
-    (``Stream.of``): ``ndtri(u)`` for normal members, logit(u) for the
-    quantile tables of gamma and beta members and the sorted stream for
-    discrete ones.  These are derived on the first request for a
+    (``Stream.of``): the normal quantiles of u for normal members,
+    logit(u) for the quantile tables of gamma and beta members and the
+    sorted stream for discrete ones.  These are derived on the first request for a
     (seed, samples) and reused by the requests after it.
 
-    Normal members invert with ``ndtri``.  Gamma and beta members evaluate
-    quintic Hermite interpolants of log x or logit x in logit(u), built
-    from a table of library inverses and checked cell by cell against
-    them, with no CDF call per draw; a draw in a cell that fails its
-    check takes the library inverse.  Their variates agree with
-    ``gammaincinv``/``gammainccinv`` and ``betaincinv`` (taken on 1 - u
-    above u = 1/2; for beta, above the larger of 1/2 and I_1/2(a, b)) to
-    1e-13 relative, 1e-12 for gamma shapes below 0.1.
+    Normal members invert with the AS241 normal quantile.  Gamma and beta
+    members evaluate quintic Hermite interpolants of log x or logit x in
+    logit(u), built from a table of inverse incomplete gamma or beta
+    values and checked cell by cell against them, with no CDF call per
+    draw; a draw in a cell that fails its check takes the inverse.  A
+    member holds its table for the stream's logit range, so a second
+    request on the same stream inverts nothing where no cell failed.
+    The tests hold their variates to the inverse incomplete gamma and beta
+    functions (taken on 1 - u above u = 1/2) within 1e-13 relative, 1e-12
+    for gamma shapes below 0.1.  The normal quantile, the incomplete gamma
+    and beta functions and their inverses are the package's own
+    (``distributions``), numpy and ``math`` code.
     Gamma and beta run over ``BLOCK`` draws at a time and write into one
     array of N variates.  A discrete member counts the draws in each cell
     of its cumulative table, over the summation support it holds
     (``member_support``), from the sorted stream, so its variates come
     back in ascending order; their values and counts are those of a
-    lookup per draw.  These library functions are scipy's, and the first
-    continuous draw is what imports ``scipy.special``: nothing else in the
-    package loads scipy.
+    lookup per draw.
     """
     cfg = cfg or EngineConfig()
     if getattr(spec, "sampler", None) is None:

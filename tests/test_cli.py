@@ -86,6 +86,20 @@ class TestInferQ:
     def test_missing_file(self):
         assert main(["infer-q", "--dist", "no_such_file.json"]) == 1
 
+    def test_fewer_than_three_points_are_refused(self, capsys):
+        # 10 nodes leave one identity point of gamma(40) above the floor:
+        # verify refuses it as infer-q does, where it printed PASS
+        for command in ("verify", "infer-q"):
+            assert main([command, "--dist", "gamma:shape=40",
+                         "--quad-nodes", "10"]) == 1
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert "need at least 3 grid points" in out.err
+        # the default 200 nodes give it 7
+        assert main(["verify", "--dist", "gamma:shape=40"]) == 0
+        assert capsys.readouterr().out.endswith("PASS\n")
+        assert verify_membership(catalog("gamma", {"shape": 40})).n_points == 7
+
     def test_engine_settings_reach_the_identity_grid(self, capsys):
         # --quad-nodes sets the nodes the mass quantiles are taken from:
         # 400 nodes give 33 distinct points where the default 200 give 30
@@ -490,11 +504,22 @@ def run_fresh(*argvs):
         capture_output=True, text=True).stdout
 
 
+# Runs the CLI calls in the JSON list sys.argv[1] where ``import scipy``
+# fails, printing each exit code.
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+import varbounds.cli
+for argv in json.loads(sys.argv[1]):
+    print(varbounds.cli.main(argv))
+"""
+
+
 class TestScipyImport:
-    """The catalog densities and pmfs need no scipy: importing the package
-    and running ``bounds`` leave it unloaded, and only a sampler's first
-    draw loads it.  Each check runs in a fresh interpreter, since the test
-    modules import scipy themselves."""
+    """The package runs on numpy alone: importing it and running every
+    command leave scipy unloaded, and every command runs where scipy
+    cannot be imported.  Each check runs in a fresh interpreter, since the
+    test modules import scipy themselves."""
 
     def test_import_and_bounds_load_no_scipy(self, fns_path):
         out = run_fresh(*[["bounds", "--dist", dist, "--functions", fns_path,
@@ -502,16 +527,25 @@ class TestScipyImport:
                           for dist in ("poisson:lam=3", "gamma:shape=2.5")])
         assert out == "[]\n0 []\n0 []\n"
 
-    def test_mc_verify_loads_scipy_on_first_draw(self, fns_path, capsys,
-                                                 tmp_path):
-        argv = ["mc-verify", "--dist", "gamma:shape=2.5,scale=1.5",
-                "--functions", fns_path, "--n", "2", "--mc-samples", "20000"]
-        fresh = run_fresh(argv + ["--out-json", str(tmp_path / "fresh.json")])
-        assert main(argv + ["--out-json", str(tmp_path / "here.json")]) == 0
-        # the same report, bit for bit, as with scipy loaded up front
-        assert fresh == "[]\n" + capsys.readouterr().out + "0 ['scipy']\n"
-        assert ((tmp_path / "fresh.json").read_bytes()
-                == (tmp_path / "here.json").read_bytes())
+    def test_every_command_runs_without_scipy(self, fns_path):
+        argvs = []
+        for dist in ("normal:mean=0.3,var=1.2", "gamma:shape=2.5,scale=1.5",
+                     "beta:a=2,b=3", "poisson:lam=3"):
+            given = ["--dist", dist]
+            argvs += [["bounds", *given, "--functions", fns_path, "--n", "1,2",
+                       "--quiet"],
+                      ["chain", *given, "--functions", fns_path, "--n", "3",
+                       "--quiet"],
+                      ["verify", *given, "--quiet"],
+                      ["infer-q", *given, "--quiet"],
+                      ["mc-verify", *given, "--functions", fns_path, "--n", "2",
+                       "--mc-samples", "20000", "--quiet"]]
+        src = os.path.dirname(os.path.dirname(varbounds.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argvs)],
+            env=dict(os.environ, PYTHONPATH=src), check=True,
+            capture_output=True, text=True).stdout
+        assert out.splitlines() == ["0"] * len(argvs)
 
 
 class TestRepeatedMain:
@@ -562,7 +596,7 @@ class TestRepeatedMcVerify:
         # each request's printed lines, then its exit code and scipy line
         outputs, lines = [], []
         for line in fresh.splitlines(keepends=True)[1:]:
-            if line.endswith("['scipy']\n"):
+            if line.endswith(" []\n"):
                 outputs.append(("".join(lines), int(line.split()[0])))
                 lines = []
             else:

@@ -6,6 +6,7 @@ inference oracle, so a transcription error in the catalog cannot survive.
 
 import json
 import math
+import statistics
 from dataclasses import replace
 
 import numpy as np
@@ -13,13 +14,16 @@ import pytest
 from scipy import special
 
 from varbounds import (ContinuousIP, DiscreteCO, EngineConfig, Quadratic,
-                       catalog, distributions, infer_quadratic,
-                       load_distribution, moment_finiteness, spec_to_json,
-                       splitmix64_uniforms, verify_membership)
+                       catalog, distributions, expectation, infer_quadratic,
+                       load_distribution, moment_finiteness, sample,
+                       spec_to_json, splitmix64_uniforms, verify_membership)
 from varbounds.bounds import _Grid
 from varbounds.calculus import rising_q
-from varbounds.distributions import (_beta_quantile, _gamma_quantile,
-                                     _lgamma, moment_criterion)
+from varbounds.distributions import (_beta_log_ii, _beta_logit_quantile,
+                                     _beta_quantiles, _expit,
+                                     _gamma_log_pq, _gamma_log_quantile,
+                                     _gamma_quantiles, _lgamma, _ndtri,
+                                     moment_criterion)
 from varbounds.errors import (InvalidParameterError, RankDeficientFitError,
                               UnknownDistributionError)
 from varbounds.expectation import Ladder, truncated_support
@@ -273,15 +277,32 @@ def assert_relative(got, want, tol):
     assert np.all(err <= tol * np.abs(want)), float(np.max(err / np.abs(want)))
 
 
+def own_gamma_inverse(a, u):
+    """The sampler's own inverse, x at P(a, x) = u, or Q(a, x) = 1 - u
+    above u = 1/2."""
+    return np.exp(_gamma_log_quantile(a, u, 1.0 - u))
+
+
+def own_beta_inverse(a, b, u):
+    """The sampler's own inverse, x at I_x(a, b) = u, or with 1 - x at
+    I_(1-x)(b, a) = 1 - u above max(1/2, I_1/2(a, b)), where 1 - u is
+    exact and x > 1/2."""
+    split = max(0.5, math.exp(_beta_log_ii(a, b, np.zeros(1))[0][0]))
+    return library_inverse(
+        u, lambda p: _expit(_beta_logit_quantile(a, b, p, 1.0 - p)),
+        lambda q: _expit(-_beta_logit_quantile(b, a, q, 1.0 - q)), split)
+
+
 class TestQuantiles:
     """The gamma and beta samplers against scipy's inverse incomplete gamma
-    and beta functions, which they call only to build their quantile table
-    and for the draws in its failing cells."""
+    and beta functions.  The samplers invert with their own functions,
+    only to build their quantile tables and for the draws in a table's
+    failing cells."""
 
     @pytest.mark.parametrize("a", [0.05, 0.4, 2.67, 3.7, 40])
     def test_gamma(self, a):
         u = sampler_draws()
-        x = _gamma_quantile(a, u)
+        x = _gamma_quantiles(a)(u)
         assert np.all(np.isfinite(x))
         assert np.all(np.diff(x[np.argsort(u)]) >= 0.0)
         want = library_inverse(u, lambda p: special.gammaincinv(a, p),
@@ -293,7 +314,7 @@ class TestQuantiles:
                                      (2.5, 2.2), (3, 3), (40, 3)])
     def test_beta_in_x_and_one_minus_x(self, a, b):
         u = sampler_draws()
-        x = _beta_quantile(a, b, u)
+        x = _beta_quantiles(a, b)(u)
         assert np.all(np.isfinite(x))
         order = np.argsort(u)
         assert np.all(np.diff(x[order]) >= 0.0)
@@ -308,43 +329,59 @@ class TestQuantiles:
         gamma = catalog("gamma", {"shape": 2.5, "scale": 1.5})
         beta = catalog("beta", {"a": 2.5, "b": 2.2})
         np.testing.assert_array_equal(gamma.sampler(u),
-                                      1.5 * _gamma_quantile(2.5, u))
+                                      1.5 * _gamma_quantiles(2.5)(u))
         np.testing.assert_array_equal(beta.sampler(u),
-                                      _beta_quantile(2.5, 2.2, u))
+                                      _beta_quantiles(2.5, 2.2)(u))
 
-    @pytest.mark.parametrize("name", ["gammainc", "gammaincc", "betainc"])
-    def test_draws_call_no_forward_function(self, monkeypatch, name):
-        # the beta table asks for I_1/2(a, b) once, a scalar
-        original = getattr(special, name)
+    def test_draws_call_no_forward_function(self, monkeypatch):
+        # the forward functions run inside the inverses, and outside them
+        # only on the one point of the beta split, I_1/2(a, b)
+        inside, outside = [], []
 
-        def scalar_only(*args):
-            assert np.ndim(args[-1]) == 0, f"{name} called on the draws"
-            return original(*args)
+        def entered(name):
+            inverse = getattr(distributions, name)
 
-        monkeypatch.setattr(special, name, scalar_only)
+            def spy(*args, **kwargs):
+                inside.append(name)
+                try:
+                    return inverse(*args, **kwargs)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(distributions, name, spy)
+
+        def counted(name):
+            forward = getattr(distributions, name)
+
+            def spy(*args):
+                if not inside:
+                    outside.append((name, np.size(args[-1])))
+                return forward(*args)
+
+            monkeypatch.setattr(distributions, name, spy)
+
+        for name in ("_gamma_log_quantile", "_beta_logit_quantile"):
+            entered(name)
+        for name in ("_gamma_log_pq", "_beta_log_ii"):
+            counted(name)
         u = sampler_draws()
         for a in (0.05, 2.67, 40):
-            _gamma_quantile(a, u)
+            _gamma_quantiles(a)(u)
         for a, b in ((0.3, 4), (2.5, 2.2)):
-            _beta_quantile(a, b, u)
+            _beta_quantiles(a, b)(u)
+        assert outside == [("_beta_log_ii", 1)] * 2
 
     def test_every_cell_failing_gives_the_library_inverse(self, monkeypatch):
-        # no cell passes a check to 0, so every draw takes the library
-        # inverse, bit for bit
+        # no cell passes a check to 0, so every draw takes the sampler's
+        # own inverse, bit for bit
         monkeypatch.setattr(distributions, "_CELL_TOL", 0.0)
         u = sampler_draws()
         for a in (0.05, 2.67):
-            np.testing.assert_array_equal(
-                _gamma_quantile(a, u),
-                library_inverse(u, lambda p: special.gammaincinv(a, p),
-                                lambda q: special.gammainccinv(a, q)))
+            np.testing.assert_array_equal(_gamma_quantiles(a)(u),
+                                          own_gamma_inverse(a, u))
         for a, b in ((0.3, 4), (2.5, 2.2)):
-            # the complement where it is exact and x > 1/2
-            split = max(0.5, special.betainc(a, b, 0.5))
-            r = library_inverse(u, lambda p: special.betaincinv(a, b, p),
-                                lambda q: special.betaincinv(b, a, q), split)
-            np.testing.assert_array_equal(_beta_quantile(a, b, u),
-                                          np.where(u <= split, r, 1.0 - r))
+            np.testing.assert_array_equal(_beta_quantiles(a, b)(u),
+                                          own_beta_inverse(a, b, u))
 
     def test_failing_cells_take_the_library_inverse(self, monkeypatch):
         tables = []
@@ -356,17 +393,107 @@ class TestQuantiles:
 
         monkeypatch.setattr(distributions, "_QuantileTable", Kept)
         u = sampler_draws()
-        x = _gamma_quantile(0.05, u)
+        x = _gamma_quantiles(0.05)(u)
         (table,) = tables
         # gamma(0.05)'s lower tail takes log x below -500, where the
         # rounding of log x alone exceeds the check's tolerance
         assert 0 < np.count_nonzero(table.bad) < table.bad.size // 2
-        fell = table.bad[table.cells(slice(None))[0]]
+        fell = table.bad[table.cells(distributions._logit(u))[0]]
         assert np.any(fell)
-        np.testing.assert_array_equal(
-            x[fell], library_inverse(u[fell],
-                                     lambda p: special.gammaincinv(0.05, p),
-                                     lambda q: special.gammainccinv(0.05, q)))
+        np.testing.assert_array_equal(x[fell],
+                                      own_gamma_inverse(0.05, u[fell]))
+
+
+class TestHeldTables:
+    """Each gamma and beta member holds the quantile table of the last
+    stream it was sampled from."""
+
+    @pytest.mark.parametrize("member", [
+        ("gamma", {"shape": 2.5, "scale": 1.5}), ("beta", {"a": 2, "b": 3})])
+    def test_a_second_sample_runs_no_inverse(self, monkeypatch, member):
+        calls = []
+        for name in ("_gamma_log_quantile", "_beta_logit_quantile"):
+            inverse = getattr(distributions, name)
+
+            def spy(*args, inverse=inverse, **kwargs):
+                calls.append(np.size(args[-1]))
+                return inverse(*args, **kwargs)
+
+            monkeypatch.setattr(distributions, name, spy)
+        distributions.clear_members()
+        spec = catalog(*member)
+        cfg = EngineConfig(mc_samples=20_000)
+        first = sample(spec, cfg)
+        # the table's 2,048 nodes and 2,047 midpoints
+        assert sum(calls) == 2 * distributions._QUANTILE_NODES - 1
+        del calls[:]
+        np.testing.assert_array_equal(sample(spec, cfg), first)
+        assert calls == []
+        # another stream builds another table
+        sample(spec, cfg.override(mc_seed=cfg.mc_seed + 1))
+        assert sum(calls) == 2 * distributions._QUANTILE_NODES - 1
+
+    def test_the_table_holds_nothing_of_the_stream(self):
+        distributions.clear_members()
+        spec = catalog("gamma", {"shape": 2.5})
+        cfg = EngineConfig(mc_samples=20_000)
+        sample(spec, cfg)
+        held = expectation.stream(cfg.mc_seed, cfg.mc_samples)
+        arrays = [held.u, *held._forms.values()]
+        key, table = spec.sampler._held
+        assert key == (float(held.form(distributions._logit).min()),
+                       float(held.form(distributions._logit).max()))
+        for value in vars(table).values():
+            assert not any(value is a or (isinstance(value, np.ndarray)
+                                          and np.shares_memory(value, a))
+                           for a in arrays)
+
+
+class TestSpecialFunctions:
+    """The samplers' own normal quantile and forward incomplete gamma and
+    beta functions against scipy's."""
+
+    def test_ndtri(self):
+        u = sampler_draws()
+        assert u[-6] == 2.0**-54 and u[-1] == 1.0 - 2.0**-53
+        got, want = _ndtri(u), special.ndtri(u)
+        assert np.all(np.abs(got - want) <= 4e-15 * np.maximum(np.abs(want),
+                                                               0.5))
+        # AS241 as the standard library evaluates it, to its last bits but
+        # for the rounding of log: every 97th draw and the extreme ones
+        some = np.concatenate([u[:-6:97], u[-6:]])
+        inv_cdf = statistics.NormalDist().inv_cdf
+        exact = np.array([inv_cdf(v) for v in some.tolist()])
+        assert np.all(np.abs(_ndtri(some) - exact)
+                      <= 4 * np.spacing(np.abs(exact)))
+
+    @pytest.mark.parametrize("a", [0.05, 0.4, 2.67, 3.7, 40])
+    def test_gamma_p_and_q(self, a):
+        # at the quantiles of every 20th draw, where the samplers invert
+        u = sampler_draws()[::20]
+        x = library_inverse(u, lambda p: special.gammaincinv(a, p),
+                            lambda q: special.gammainccinv(a, q))
+        x = x[x > 0.0]
+        log_p, log_q, _ = _gamma_log_pq(a, np.log(x))
+        assert_relative(np.exp(log_p), special.gammainc(a, x), 1e-13)
+        assert_relative(np.exp(log_q), special.gammaincc(a, x), 1e-13)
+
+    @pytest.mark.parametrize("a,b", [(0.3, 4), (0.5, 0.5), (2, 2),
+                                     (2.5, 2.2), (3, 3), (40, 3)])
+    def test_beta_i(self, a, b):
+        # I_x(a, b) at x <= 1/2 and I_(1-x)(b, a) = 1 - I_x(a, b) above,
+        # where 1 - x is exact, at the quantiles of every 20th draw
+        u = sampler_draws()[::20]
+        r = library_inverse(u, lambda p: special.betaincinv(a, b, p),
+                            lambda q: special.betaincinv(b, a, q))
+        x = np.where(u <= 0.5, r, 1.0 - r)
+        x = x[(x > 0.0) & (x < 1.0)]
+        log_i, log_j, _ = _beta_log_ii(a, b, np.log(x) - np.log1p(-x))
+        low = x <= 0.5
+        assert_relative(np.exp(log_i[low]), special.betainc(a, b, x[low]),
+                        1e-13)
+        assert_relative(np.exp(log_j[~low]),
+                        special.betainc(b, a, 1.0 - x[~low]), 1e-13)
 
 
 # the first draw, both sides of the first block edge, the start of the third
@@ -389,7 +516,7 @@ class TestBlockEdges:
     @pytest.mark.parametrize("draw", EXTREME_DRAWS.tolist())
     @pytest.mark.parametrize("a", [0.05, 0.4, 2.67, 3.7, 40])
     def test_gamma(self, a, draw):
-        x = _gamma_quantile(a, edge_stream(draw))[list(EDGE_POSITIONS)]
+        x = _gamma_quantiles(a)(edge_stream(draw))[list(EDGE_POSITIONS)]
         want = library_inverse(np.full(x.size, draw),
                                lambda p: special.gammaincinv(a, p),
                                lambda q: special.gammainccinv(a, q))
@@ -399,30 +526,30 @@ class TestBlockEdges:
     @pytest.mark.parametrize("a,b", [(0.3, 4), (0.5, 0.5), (2, 2),
                                      (2.5, 2.2), (3, 3), (40, 3)])
     def test_beta(self, a, b, draw):
-        x = _beta_quantile(a, b, edge_stream(draw))[list(EDGE_POSITIONS)]
+        x = _beta_quantiles(a, b)(edge_stream(draw))[list(EDGE_POSITIONS)]
         r = library_inverse(np.full(x.size, draw),
                             lambda p: special.betaincinv(a, b, p),
                             lambda q: special.betaincinv(b, a, q))
         low = draw <= 0.5
         assert_relative(x, np.where(low, r, 1.0 - r), 1e-13)
 
-    def test_underflowed_node_takes_the_library_inverse(self, monkeypatch):
-        # gamma(0.05) at u = 2^-54: the quantile underflows to 0, so the
-        # table's first node has log x = -inf and its cell fails
-        calls = []
-        inverse = special.gammaincinv
+    def test_underflowed_quantile_keeps_a_finite_log(self, monkeypatch):
+        # gamma(0.05) at u = 2^-54: the quantile underflows to 0, but its
+        # log x, near -748, is finite, so the table's first node is too
+        tabulated = []
+        inverse = distributions._gamma_log_quantile
 
-        def spy(a, p):
-            calls.append(np.array(p, dtype=float))
-            return inverse(a, p)
+        def spy(a, p, q):
+            y = inverse(a, p, q)
+            tabulated.append((p, y))
+            return y
 
-        monkeypatch.setattr(special, "gammaincinv", spy)
-        x = _gamma_quantile(0.05, edge_stream(2.0**-54))
+        monkeypatch.setattr(distributions, "_gamma_log_quantile", spy)
+        x = _gamma_quantiles(0.05)(edge_stream(2.0**-54))
         assert x[list(EDGE_POSITIONS)].tolist() == [0.0] * 5
-        # the first call tabulates; each later one inverts one block's
-        # draws in failing cells
-        fallback = np.concatenate(calls[1:])
-        assert np.count_nonzero(fallback == 2.0**-54) == len(EDGE_POSITIONS)
+        p, y = tabulated[0]
+        assert p[0] == pytest.approx(2.0**-54) and -760.0 < y[0] < -740.0
+        assert np.exp(y[0]) == 0.0
 
 
 # every catalog member with a log Gamma in its density or pmf that the suite

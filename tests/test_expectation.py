@@ -291,13 +291,12 @@ def sample_digest(spec, size, counted):
 
 
 SAMPLE_CASES = sampled_cases()
-# the normal and discrete entries recorded from the unstreamed samplers:
-# the whole stream through each inverse transform at once, and a binary
-# search per discrete draw; the gamma and beta entries from the quintic
-# quantile tables (``distributions._QuantileTable``).  The bits are those
-# of the numpy and scipy builds they were recorded with (numpy 2.4.6,
-# scipy 1.17.1); another build may round its log, exp or special
-# functions differently
+# the discrete entries recorded from the unstreamed samplers, a binary
+# search per discrete draw; the normal entry from the package's own AS241
+# normal quantile, and the gamma and beta entries from the quintic quantile
+# tables (``distributions._QuantileTable``) of its own incomplete gamma and
+# beta inverses.  The bits are those of the numpy build they were recorded
+# with (numpy 2.4.6); another build may round its log or exp differently
 with open(os.path.join(os.path.dirname(__file__),
                        "sample_digests.json")) as fh:
     SAMPLE_DIGESTS = json.load(fh)
@@ -535,7 +534,9 @@ class TestMonteCarlo:
         catalog("poisson", {"lam": 2}),
     ], ids=lambda v: v.name)
     def test_memory_of_sampling(self, spec, cfg):
-        # loads scipy and builds any table first, on another stream
+        # a request on another stream first: the member then holds a
+        # table of another logit range, so the first request below builds
+        # its own, and the one after it reads that one
         sample(spec, cfg.override(mc_seed=cfg.mc_seed + 1))
         for arrays in (3, 1):  # a first request, then one after it
             tracemalloc.start()
