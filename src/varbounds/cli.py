@@ -405,25 +405,31 @@ def cmd_mc_verify(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser):
+# the flags of each command beyond the ones every command takes (--config,
+# --dist, the engine settings and --quiet): only those it reads, so that a
+# flag it would ignore is a usage error
+_OPTIONS = {
+    "functions": {"help": "function-tuple JSON path"},
+    "n": {"help": "comma-separated list of orders"},
+    "theorems": {"help": "comma-separated subset of poincare,bessel"},
+    "tol": {"type": float,
+            "help": "verdict tolerance scale / residual tolerance"},
+    "out-json": {}, "out-csv": {},
+    "on-class-failure": {"choices": ("raise", "drop"), "default": "raise",
+                         "help": "drop failing functions instead of aborting"},
+}
+
+
+def _add_flags(parser, options):
     parser.add_argument("--config", help="run-configuration JSON")
     parser.add_argument("--dist",
                         help="distribution: JSON path or family:key=value,...")
-    parser.add_argument("--functions", help="function-tuple JSON path")
-    parser.add_argument("--n", help="comma-separated list of orders")
-    parser.add_argument("--theorems",
-                        help="comma-separated subset of poincare,bessel")
     for f in fields(ex.EngineConfig):  # every engine setting is an int
         parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
                             type=int)
-    parser.add_argument("--tol", type=float,
-                        help="verdict tolerance scale / residual tolerance")
-    parser.add_argument("--out-json", dest="out_json")
-    parser.add_argument("--out-csv", dest="out_csv")
     parser.add_argument("--quiet", action="store_true")
-    parser.add_argument("--on-class-failure", choices=("raise", "drop"),
-                        default="raise",
-                        help="drop failing functions instead of aborting")
+    for name in options:
+        parser.add_argument("--" + name, **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,11 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certify matrix variance bounds for Integrated Pearson "
                     "and Cumulative Ord family members.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("infer-q", cmd_infer_q), ("verify", cmd_verify),
-                     ("bounds", cmd_bounds), ("chain", cmd_chain),
-                     ("mc-verify", cmd_mc_verify)):
+    for name, fn, options in (
+            ("infer-q", cmd_infer_q, ("tol",)),
+            ("verify", cmd_verify, ("tol",)),
+            ("bounds", cmd_bounds, _OPTIONS), ("chain", cmd_chain, _OPTIONS),
+            ("mc-verify", cmd_mc_verify,
+             ("functions", "n", "out-json", "on-class-failure"))):
         p = sub.add_parser(name)
-        _add_common(p)
+        _add_flags(p, options)
         p.set_defaults(handler=fn)
     return parser
 

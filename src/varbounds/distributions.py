@@ -321,26 +321,32 @@ def _log1mexp(v):
                         np.log1p(-np.exp(v)))
 
 
-def _gamma_log_pq(a, y):
-    """log P(a, x), log Q(a, x) and log(x f(x)), for the unit-scale gamma(a)
-    with density f, at x = e^y for a 1-D array y.
-
-    Below x = a + 1, P is the series x^a e^-x / Gamma(a + 1) sum_n x^n /
-    ((a + 1) ... (a + n)) and Q = 1 - P; above it, Q is x^a e^-x / Gamma(a)
-    times the continued fraction 1 / (x + 1 - a - 1 (1 - a) / (x + 3 - a
-    - 2 (2 - a) / ...)) by the modified Lentz method, and P = 1 - Q.  The
-    prefactor is taken in logs, from _STIRLING_FROM up as
-    -a (lambda - 1 - log lambda) - log(2 pi a) / 2 less Stirling's series,
-    lambda = x / a, so that no terms of size a log a cancel.
-    """
-    x = np.exp(y)
+def _gamma_log_density(a, y):
+    """log(x f(x)) for the unit-scale gamma(a) with density f, at x = e^y:
+    a y - x - log Gamma(a), from _STIRLING_FROM up as
+    -a (lambda - 1 - log lambda) - log(2 pi / a) / 2 less Stirling's
+    series, lambda = x / a, so that no terms of size a log a cancel."""
     if a < _STIRLING_FROM:
-        log_front = a * y - x - math.lgamma(a + 1.0)
+        log_front = a * y - np.exp(y) - math.lgamma(a + 1.0)
     else:
         d = y - math.log(a)
         log_front = (-a * (np.expm1(d) - d)
                      - (0.5 * math.log(a) + _HALF_LOG_2PI + _stirling(a)))
-    log_xf = log_front + math.log(a)
+    return log_front + math.log(a)
+
+
+def _gamma_log_pq(a, y):
+    """log P(a, x), log Q(a, x) and log(x f(x)) (``_gamma_log_density``),
+    for the unit-scale gamma(a) with density f, at x = e^y for a 1-D array
+    y.
+
+    Below x = a + 1, P is the series x f(x) / a sum_n x^n / ((a + 1) ...
+    (a + n)) and Q = 1 - P; above it, Q is x f(x) times the continued
+    fraction 1 / (x + 1 - a - 1 (1 - a) / (x + 3 - a - 2 (2 - a) / ...))
+    by the modified Lentz method, and P = 1 - Q.
+    """
+    x = np.exp(y)
+    log_xf = _gamma_log_density(a, y)
     log_p, log_q = np.empty(y.shape), np.empty(y.shape)
 
     def series(k, total, term, x):
@@ -359,7 +365,7 @@ def _gamma_log_pq(a, y):
 
     low = x < a + 1.0
     ones = np.ones(np.count_nonzero(low))
-    log_p[low] = log_front[low] + np.log(
+    log_p[low] = log_xf[low] - math.log(a) + np.log(
         _iterate(series, ones, ones, x[low], limit=_MAX_TERMS))
     log_q[low] = _log1mexp(log_p[low])
     high = ~low
@@ -383,19 +389,26 @@ def _log_beta(a, b):
             - a * math.log(a + b) + a + (_stirling(b) - _stirling(a + b)))
 
 
+def _beta_log_density(a, b, y):
+    """log(x (1 - x) f(x)) for beta(a, b) with density f, at x = 1 / (1 +
+    e^-y): a log x + b log(1 - x) - log B(a, b), with log x = -log(1 +
+    e^-y) and log(1 - x) = -log(1 + e^y)."""
+    return (-a * np.logaddexp(0.0, -y) - b * np.logaddexp(0.0, y)
+            - _log_beta(a, b))
+
+
 def _beta_log_ii(a, b, y):
     """log I_x(a, b), log I_(1-x)(b, a) = log(1 - I_x(a, b)) and
-    log(x (1 - x) f(x)), for beta(a, b) with density f, at x = 1 / (1 +
-    e^-y) for a 1-D array y.
+    log(x (1 - x) f(x)) (``_beta_log_density``), for beta(a, b) with
+    density f, at x = 1 / (1 + e^-y) for a 1-D array y.
 
     Below x = (a + 1) / (a + b + 2), I_x(a, b) is x^a (1 - x)^b / (a B(a,
     b)) times its continued fraction by the modified Lentz method, and the
     other is one minus it; above, the same holds with a and b, x and 1 - x
     exchanged.
     """
-    log_x, log_1mx = -np.logaddexp(0.0, -y), -np.logaddexp(0.0, y)
-    log_xf = a * log_x + b * log_1mx - _log_beta(a, b)
-    x = np.exp(log_x)
+    log_xf = _beta_log_density(a, b, y)
+    x = _expit(y)
 
     def fraction(a, b, x):
         def step(m, h, x, c, d):
@@ -419,122 +432,36 @@ def _beta_log_ii(a, b, y):
     log_j[low] = _log1mexp(log_i[low])
     high = ~low
     log_j[high] = (log_xf[high] - math.log(b)
-                   + fraction(b, a, np.exp(log_1mx[high])))
+                   + fraction(b, a, _expit(-y[high])))
     log_i[high] = _log1mexp(log_j[high])
     return log_i, log_j, log_xf
-
-
-def _halley(evaluate, y, target, *fixed):
-    """y with value(y) = target, by Halley steps from y, where
-    ``evaluate(y, *fixed)`` returns value(y), monotone in y, its
-    derivative v' and a tilt c with v'' = v' (c - v'); the arrays
-    ``fixed`` hold what else ``evaluate`` reads of each element.
-
-    A step whose Halley factor lies outside (1/2, 2) is Newton's.  An
-    element stops once its step is below 1e-9 max(1, |y|).  Otherwise the
-    step is safeguarded: it is at most ``reach`` long, which starts at
-    _FIRST_REACH and doubles whenever a step is cut to it, and it bisects
-    the bracket of the root that the values so far give when it would
-    leave it.
-    """
-    def step(k, y, target, lo, hi, reach, *fixed):
-        value, slope, tilt = evaluate(y, *fixed)
-        above = (value > target) != np.signbit(slope)
-        lo, hi = np.where(above, lo, y), np.where(above, y, hi)
-        change = (value - target) / slope
-        factor = 1.0 - 0.5 * change * (tilt - slope)
-        change = np.where((factor > 0.5) & (factor < 2.0), change / factor,
-                          change)
-        done = ~(np.abs(change) > 1e-9 * np.maximum(1.0, np.abs(y)))
-        far = ~(np.abs(change) <= reach)
-        change = np.where(far, np.where(above, reach, -reach), change)
-        reach = np.where(far, 2.0 * reach, reach)
-        new = y - change
-        new = np.where(done | ((new > lo) & (new < hi)), new, 0.5 * (lo + hi))
-        return done, new, target, lo, hi, reach, *fixed
-
-    with np.errstate(all="ignore"):
-        return _iterate(step, y, target, np.full(y.size, -np.inf),
-                        np.full(y.size, np.inf), np.full(y.size, _FIRST_REACH),
-                        *fixed, limit=_MAX_STEPS)
-
-
-def _gamma_log_quantile(a, p, q):
-    """log x of the unit-scale gamma(a) at P(a, x) = p, with q = 1 - p, by
-    Halley steps on log P in y = log x, or on log Q(a, x) = log q above
-    p = 1/2, where q is taken as exact.
-
-    They start from the largest of Wilson and Hilferty's cube-root normal
-    approximation, the root of the first term of P, (p Gamma(a + 1))^(1/a),
-    which lies below every quantile, and far in the upper tail the root of
-    Q ~ x^(a - 1) e^-x / Gamma(a) (DiDonato and Morris, ACM TOMS 12, 1986).
-    """
-    upper = p > 0.5
-    target = np.log(np.where(upper, q, p))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = _normal_quantile(np.where(upper, q, p))
-        w = (1.0 - 1.0 / (9.0 * a)
-             + np.where(upper, -z, z) / (3.0 * math.sqrt(a)))
-        y = np.where(w > 0.0, math.log(a) + 3.0 * np.log(w), -np.inf)
-    y = np.maximum(y, (np.log(p) + math.lgamma(a + 1.0)) / a)
-    x = -target - math.lgamma(a)
-    far = upper & (x > 1.0)
-    for _ in range(2):
-        x = np.where(far, -target - math.lgamma(a)
-                     + (a - 1.0) * np.log(np.maximum(x, 1.0)), x)
-    y = np.where(far, np.maximum(y, np.log(np.maximum(x, 1.0))), y)
-
-    def evaluate(y, upper):
-        log_p, log_q, log_xf = _gamma_log_pq(a, y)
-        value = np.where(upper, log_q, log_p)
-        slope = np.exp(log_xf - value)
-        return value, np.where(upper, -slope, slope), a - np.exp(y)
-
-    return _halley(evaluate, y, target, upper)
-
-
-def _beta_logit_quantile(a, b, p, q):
-    """logit x of beta(a, b) at I_x(a, b) = p, with q = 1 - p, by Halley
-    steps on log I in y = logit x.  They start from the median of three
-    approximations: the lower tail's I ~ x^a / (a B(a, b)), the upper
-    tail's 1 - I ~ (1 - x)^b / (b B(a, b)) and the normal one of the same
-    mean and variance."""
-    log_p, log_q = np.log(p), np.log(q)
-    log_norm = _log_beta(a, b)
-    s = a + b
-    z = _normal_quantile(np.minimum(p, q))
-    x = a / s + np.copysign(z, p - q) * math.sqrt(a * b / (s * s * (s + 1.0)))
-    x = np.clip(x, _TINY, 1.0 - _EPS)
-    y = np.median([(log_p + math.log(a) + log_norm) / a,
-                   np.log(x) - np.log1p(-x),
-                   -(log_q + math.log(b) + log_norm) / b], axis=0)
-
-    def evaluate(y):
-        log_i, _, log_xf = _beta_log_ii(a, b, y)
-        return log_i, np.exp(log_xf - log_i), a - s * _expit(y)
-
-    return _halley(evaluate, y, log_p)
 
 
 # ---------------------------------------------------------------------------
 # gamma and beta quantiles for the inverse-transform samplers
 # ---------------------------------------------------------------------------
 #
-# The inverses above cost tens of forward evaluations per value.  The
-# samplers call them only to build a table of y(t), t = logit(u), where
-# y = log x for gamma and logit x for beta, at _QUANTILE_NODES nodes evenly
-# spaced in t over the range of the draws.  y' and y'' at the nodes are in
-# closed form from the density, so each cell between two nodes holds the
-# quintic Hermite interpolant of y (Hörmann and Leydold, ACM TOMACS 13(4),
-# 2003), and a draw costs one polynomial and no call of the forward or
-# inverse function.  Every cell is checked against the inverse at its
-# midpoint, where the interpolant's error term, proportional to
-# s^3 (1 - s)^3 across the cell, peaks; a draw in a cell that misses by
-# _CELL_TOL or more in y, or whose interpolant is not finite, takes the
-# inverse.  An absolute error in y is a relative error in x (for beta, at
-# most that).  Each member holds the table of the last logit range it was
-# sampled over (``_Quantiles``), so a member sampled again from the same
-# stream builds none.
+# Gamma and beta share one quantile path (``_Quantiles``), in y = log x for
+# gamma and y = logit x for beta.  A family states its log-density in y,
+# L(y) = log(x f(x)) for gamma and log(x (1 - x) f(x)) for beta, so that
+# du/dy = e^L; its forward tails, the logs of the lower and the upper tail
+# probability, with L; its tilt c = L'; a start for the inverse; and x as
+# a function of y.  The inverse is Halley steps on the log of the lower
+# tail at u <= 1/2 and of the upper tail above, where 1 - u is exact, so
+# that no subtraction costs either end its digits.  It costs tens of
+# forward evaluations per value, so the samplers call it only to build a
+# table of y(t), t = logit(u), at _QUANTILE_NODES nodes evenly spaced in t
+# over the range of the draws.  y' and y'' at the nodes follow from L and
+# c alone, so each cell between two nodes holds the quintic Hermite
+# interpolant of y (Hörmann and Leydold, ACM TOMACS 13(4), 2003), and a
+# draw costs one polynomial and no call of the forward or inverse function.
+# Every cell is checked against the inverse at its midpoint, where the
+# interpolant's error term, proportional to s^3 (1 - s)^3 across the cell,
+# peaks; a draw in a cell that misses by _CELL_TOL or more in y, or whose
+# interpolant is not finite, takes the inverse.  An absolute error in y is
+# a relative error in x (for beta, at most that).  Each member holds the
+# table of the last logit range it was sampled over, so a member sampled
+# again from the same stream builds none.
 #
 # Past the table, every draw's arithmetic is its own, so the samplers run it
 # over ``expectation.BLOCK`` draws at a time: the temporaries of a block stay
@@ -577,23 +504,23 @@ def _sorted(u):
 
 
 class _QuantileTable:
-    """Quintic Hermite interpolants of y(t) for t in [lo, hi], from
-    ``y_of(p, q)``, y at the probabilities p with complements q = 1 - p
-    from the inverse, and ``slopes(t, y)``, (y', y'') at t.  ``coef``
+    """Quintic Hermite interpolants of y(t) for t in [lo, hi], from the
+    inverse and the slopes of ``quantiles`` (a ``_Quantiles``).  ``coef``
     holds each cell's Horner coefficients in s in [0, 1] across it, and
     ``bad`` marks the cells that failed their check.
     """
 
-    def __init__(self, lo, hi, y_of, slopes):
+    def __init__(self, lo, hi, quantiles):
         self.lo = lo
         # the nodes and, between them, the cells' midpoints
         t = np.linspace(lo, hi, 2 * _QUANTILE_NODES - 1)
         # an underflowed quantile gives an infinite y and nan slopes
         with np.errstate(all="ignore"):
-            y = y_of(_expit(t), _expit(-t))
+            p, q = _expit(t), _expit(-t)
+            y = quantiles.inverse(p, q)
             y, mid, t = y[::2], y[1::2], t[::2]
             h = t[1] - t[0]
-            d1, d2 = slopes(t, y)
+            d1, d2 = quantiles.slopes(p[::2], q[::2], y)
             d1 *= h
             d2 *= 0.5 * h * h
             # what the cubic, quartic and quintic terms must add at s = 1
@@ -641,22 +568,73 @@ class _QuantileTable:
 
 class _Quantiles:
     """The quantile function of one gamma or beta member: x = x_of(y) at
-    the draws u in (0, 1), as a flat array, from a ``_QuantileTable`` of y
-    built from ``y_of`` and ``slopes``; the draws in failing cells take
-    x_of(y_of(u, 1 - u)), in one call after the rest.  The table of the
+    the draws u in (0, 1), as a flat array, from a ``_QuantileTable`` of y.
+
+    The family gives its ``log_density(y)``, L; its ``tails(y)``, the logs
+    of the lower and the upper tail probability at y and L; its
+    ``tilt(y)``, c = L'; the ``start(p, q)`` of the inverse; and
+    ``x_of(y, out=None)``.  The draws in failing cells take
+    x_of(inverse(u, 1 - u)), in one call after the rest.  The table of the
     last logit range sampled over is held, and holds nothing of the
     stream.  After the table, the draws are taken a block at a time."""
 
-    def __init__(self, y_of, slopes, x_of):
-        self.y_of, self.slopes, self.x_of = y_of, slopes, x_of
+    def __init__(self, log_density, tails, tilt, start, x_of):
+        self.log_density, self.tails, self.tilt = log_density, tails, tilt
+        self.start, self.x_of = start, x_of
         self._held = (None, None)
+
+    def inverse(self, p, q):
+        """y at the lower tail probabilities p, with q = 1 - p, by Halley
+        steps from ``start`` on the log of the lower tail, or on the log of
+        the upper tail at q above p = 1/2, where q is taken as exact.
+
+        The value v stepped on has v' = e^(L - v), negated on the upper
+        tail, and v'' = v' (c - v').  A step whose Halley factor lies
+        outside (1/2, 2) is Newton's.  An element stops once its step is
+        below 1e-9 max(1, |y|).  Otherwise the step is safeguarded: it is
+        at most ``reach`` long, which starts at _FIRST_REACH and doubles
+        whenever a step is cut to it, and it bisects the bracket of the
+        root that the values so far give when it would leave it.
+        """
+        def step(k, y, target, upper, lo, hi, reach):
+            lower_tail, upper_tail, log_density = self.tails(y)
+            value = np.where(upper, upper_tail, lower_tail)
+            slope = np.exp(log_density - value)
+            slope = np.where(upper, -slope, slope)
+            above = (value > target) != upper
+            lo, hi = np.where(above, lo, y), np.where(above, y, hi)
+            change = (value - target) / slope
+            factor = 1.0 - 0.5 * change * (self.tilt(y) - slope)
+            change = np.where((factor > 0.5) & (factor < 2.0), change / factor,
+                              change)
+            done = ~(np.abs(change) > 1e-9 * np.maximum(1.0, np.abs(y)))
+            far = ~(np.abs(change) <= reach)
+            change = np.where(far, np.where(above, reach, -reach), change)
+            reach = np.where(far, 2.0 * reach, reach)
+            new = y - change
+            new = np.where(done | ((new > lo) & (new < hi)), new,
+                           0.5 * (lo + hi))
+            return done, new, target, upper, lo, hi, reach
+
+        upper = p > 0.5
+        with np.errstate(all="ignore"):
+            return _iterate(step, self.start(p, q),
+                            np.log(np.where(upper, q, p)), upper,
+                            np.full(p.size, -np.inf), np.full(p.size, np.inf),
+                            np.full(p.size, _FIRST_REACH), limit=_MAX_STEPS)
+
+    def slopes(self, p, q, y):
+        """y' and y'' in t = logit(u) at the probabilities p = u, q = 1 - u
+        and their y: y' = u (1 - u) e^-L and y'' = y' ((1 - 2u) - c y')."""
+        d1 = p * q * np.exp(-self.log_density(y))
+        return d1, d1 * ((q - p) - self.tilt(y) * d1)
 
     def __call__(self, u):
         stream = ex.Stream.of(u)
         u, t = stream.u, stream.form(_logit)
         key = (float(t.min()), float(t.max()))
         if self._held[0] != key:
-            self._held = (key, _QuantileTable(*key, self.y_of, self.slopes))
+            self._held = (key, _QuantileTable(*key, self))
         table = self._held[1]
         x = np.empty(u.size)
         strays = []
@@ -667,69 +645,63 @@ class _Quantiles:
         stray = np.concatenate(strays)
         if stray.size:
             us = u[stray]
-            x[stray] = self.x_of(self.y_of(us, 1.0 - us))
+            x[stray] = self.x_of(self.inverse(us, 1.0 - us))
         return x
 
 
-def _log_spread(t):
-    """log(u (1 - u)) at t = logit(u), where dt/du = 1 / (u (1 - u))."""
-    return -(np.logaddexp(0.0, t) + np.logaddexp(0.0, -t))
-
-
 def _gamma_quantiles(a, scale=1.0):
-    """The quantiles x of gamma(a, ``scale``), interpolated in
-    y = log(x / scale) (``_Quantiles``).
-
-    y' = u (1 - u) / (x f(x)) and y'' = y' ((1 - 2u) - (a - x) y') for the
-    unit scale.  The inverse is ``_gamma_log_quantile`` on P, or on Q at
-    1 - u above u = 1/2.
-    """
-    log_norm = math.lgamma(a)
-
-    def y_of(p, q):
-        return _gamma_log_quantile(a, p, q)
-
-    def slopes(t, y):
-        x = np.exp(y)
-        d1 = np.exp(_log_spread(t) + log_norm + x - a * y)
-        return d1, d1 * (np.tanh(-0.5 * t) - (a - x) * d1)
+    """The quantiles x of gamma(a, ``scale``) (``_Quantiles``), in
+    y = log(x / scale), on the tails P and Q of the unit scale, with
+    c = a - e^y."""
+    def start(p, q):
+        # the largest of Wilson and Hilferty's cube-root normal
+        # approximation, the root of the first term of P,
+        # (p Gamma(a + 1))^(1/a), which lies below every quantile, and far
+        # in the upper tail the root of Q ~ x^(a - 1) e^-x / Gamma(a)
+        # (DiDonato and Morris, ACM TOMS 12, 1986)
+        upper = p > 0.5
+        z = _normal_quantile(np.where(upper, q, p))
+        w = (1.0 - 1.0 / (9.0 * a)
+             + np.where(upper, -z, z) / (3.0 * math.sqrt(a)))
+        y = np.where(w > 0.0, math.log(a) + 3.0 * np.log(w), -np.inf)
+        y = np.maximum(y, (np.log(p) + math.lgamma(a + 1.0)) / a)
+        x = lead = -np.log(q) - math.lgamma(a)
+        far = upper & (x > 1.0)
+        for _ in range(2):
+            x = np.where(far, lead + (a - 1.0) * np.log(np.maximum(x, 1.0)),
+                         x)
+        return np.where(far, np.maximum(y, np.log(np.maximum(x, 1.0))), y)
 
     def x_of(y, out=None):
         x = np.exp(y, out=out)
         x *= scale
         return x
 
-    return _Quantiles(y_of, slopes, x_of)
+    return _Quantiles(lambda y: _gamma_log_density(a, y),
+                      lambda y: _gamma_log_pq(a, y),
+                      lambda y: a - np.exp(y), start, x_of)
 
 
 def _beta_quantiles(a, b):
-    """The quantiles x of beta(a, b), interpolated in y = logit x
-    (``_Quantiles``).
+    """The quantiles x of beta(a, b) (``_Quantiles``), in y = logit x, on
+    the tails I_x(a, b) and I_(1-x)(b, a), with c = a - (a + b) x."""
+    s = a + b
 
-    y' = u (1 - u) / (x (1 - x) f(x)) and
-    y'' = y' ((1 - 2u) - (a - (a + b) x) y').  The inverse is
-    ``_beta_logit_quantile`` of beta(a, b) at u, or minus that of
-    beta(b, a) at 1 - u above u = max(1/2, I_1/2(a, b)), where 1 - u is
-    exact and x > 1/2, so that y keeps the precision of 1 - x.
-    """
-    log_norm = _log_beta(a, b)
-    split = max(0.5, math.exp(_beta_log_ii(a, b, np.zeros(1))[0][0]))
+    def start(p, q):
+        # the median of three approximations: the lower tail's
+        # I ~ x^a / (a B(a, b)), the upper tail's 1 - I ~ (1 - x)^b /
+        # (b B(a, b)) and the normal one of the same mean and variance
+        log_norm = _log_beta(a, b)
+        z = _normal_quantile(np.minimum(p, q))
+        sd = math.sqrt(a * b / (s * s * (s + 1.0)))
+        x = np.clip(a / s + np.copysign(z, p - q) * sd, _TINY, 1.0 - _EPS)
+        return np.median([(np.log(p) + math.log(a) + log_norm) / a,
+                          np.log(x) - np.log1p(-x),
+                          -(np.log(q) + math.log(b) + log_norm) / b], axis=0)
 
-    def y_of(p, q):
-        y = np.empty(p.shape)
-        low = p <= split
-        y[low] = _beta_logit_quantile(a, b, p[low], q[low])
-        y[~low] = -_beta_logit_quantile(b, a, q[~low], p[~low])
-        return y
-
-    def slopes(t, y):
-        # log x = -log(1 + e^-y) and log(1 - x) = -log(1 + e^y)
-        d1 = np.exp(_log_spread(t) + log_norm + a * np.logaddexp(0.0, -y)
-                    + b * np.logaddexp(0.0, y))
-        tilt = a * _expit(-y) - b * _expit(y)
-        return d1, d1 * (np.tanh(-0.5 * t) - tilt * d1)
-
-    return _Quantiles(y_of, slopes, _expit)
+    return _Quantiles(lambda y: _beta_log_density(a, b, y),
+                      lambda y: _beta_log_ii(a, b, y),
+                      lambda y: a - s * _expit(y), start, _expit)
 
 
 # ---------------------------------------------------------------------------
@@ -1243,15 +1215,23 @@ def moment_criterion(spec: Spec, n: int) -> bool:
 # JSON documents
 # ---------------------------------------------------------------------------
 
-def _interp_table(table):
+def _table(table, pair, rows):
+    """The abscissae and values of a custom table of [``pair``] rows, at
+    least ``rows`` of them: finite, with abscissae increasing and values
+    nonnegative."""
     table = np.asarray(table, dtype=float)
-    if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 2:
-        raise InvalidParameterError("table must be a list of [x, f] pairs")
-    xs, fs = table[:, 0], table[:, 1]
-    if np.any(np.diff(xs) <= 0):
-        raise InvalidParameterError("table abscissae must be increasing")
-    if np.any(fs < 0):
-        raise InvalidParameterError("table values must be nonnegative")
+    _require(table.ndim == 2 and table.shape[1] == 2
+             and table.shape[0] >= rows,
+             f"table must be a list of [{pair}] pairs")
+    _require(np.all(np.isfinite(table)), "table entries must be finite")
+    xs, fs = table.T
+    _require(np.all(np.diff(xs) > 0), "table abscissae must be increasing")
+    _require(np.all(fs >= 0), "table values must be nonnegative")
+    return xs, fs
+
+
+def _interp_table(table):
+    xs, fs = _table(table, "x, f", 2)
 
     def density(x):
         return np.interp(np.asarray(x, dtype=float), xs, fs, left=0.0, right=0.0)
@@ -1260,19 +1240,13 @@ def _interp_table(table):
 
 
 def _pmf_table(table):
-    table = np.asarray(table, dtype=float)
-    if table.ndim != 2 or table.shape[1] != 2:
-        raise InvalidParameterError("table must be a list of [k, p] pairs")
-    lookup = {int(k): float(p) for k, p in table}
+    ks, ps = _table(table, "k, p", 1)
+    _require(np.all(ks == np.round(ks)), "table points k must be integers")
 
     def pmf(k):
         k = np.asarray(k, dtype=float)
-        out = np.zeros(k.shape)
-        flat = out.reshape(-1)
-        for i, kk in enumerate(k.reshape(-1)):
-            if float(kk).is_integer():
-                flat[i] = lookup.get(int(kk), 0.0)
-        return out
+        i = np.minimum(np.searchsorted(ks, k), ks.size - 1)
+        return np.where(ks[i] == k, ps[i], 0.0)
 
     return pmf
 

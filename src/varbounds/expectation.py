@@ -350,12 +350,14 @@ def sample(spec, cfg: EngineConfig | None = None) -> np.ndarray:
     (seed, samples) and reused by the requests after it.
 
     Normal members invert with the AS241 normal quantile.  Gamma and beta
-    members evaluate quintic Hermite interpolants of log x or logit x in
-    logit(u), built from a table of inverse incomplete gamma or beta
-    values and checked cell by cell against them, with no CDF call per
-    draw; a draw in a cell that fails its check takes the inverse.  A
-    member holds its table for the stream's logit range, so a second
-    request on the same stream inverts nothing where no cell failed.
+    members share one quantile path (``distributions._Quantiles``): they
+    evaluate quintic Hermite interpolants of log x or logit x in
+    logit(u), built from a table of one inverse, Halley steps on the log
+    of the lower tail at u <= 1/2 and of the upper tail at 1 - u above,
+    and checked cell by cell against it, with no CDF call per draw; a
+    draw in a cell that fails its check takes the inverse.  A member holds
+    its table for the stream's logit range, so a second request on the
+    same stream inverts nothing where no cell failed.
     The tests hold their variates to the inverse incomplete gamma and beta
     functions (taken on 1 - u above u = 1/2) within 1e-13 relative, 1e-12
     for gamma shapes below 0.1.  The normal quantile, the incomplete gamma

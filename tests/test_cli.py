@@ -2,6 +2,7 @@
 determinism, and config merging."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -128,6 +129,27 @@ class TestUsageErrors:
     def test_usage_error_exits_1(self, argv, capsys):
         assert main(argv) == 1
         assert "usage:" in capsys.readouterr().err
+
+    # a command takes only the flags it reads: one it would ignore, and
+    # so write no file for, is refused
+    @pytest.mark.parametrize("command,flag,value", [
+        *[(command, flag, value) for command in ("infer-q", "verify")
+          for flag, value in (("--functions", "fns.json"), ("--n", "2"),
+                              ("--theorems", "bessel"),
+                              ("--out-json", "out.json"),
+                              ("--out-csv", "out.csv"),
+                              ("--on-class-failure", "drop"))],
+        ("mc-verify", "--theorems", "bessel"),
+        ("mc-verify", "--out-csv", "out.csv"), ("mc-verify", "--tol", "2")])
+    def test_an_ignored_flag_exits_1(self, command, flag, value, fns_path,
+                                     tmp_path, capsys):
+        argv = [command, "--dist", "gamma:shape=3", "--quiet", flag,
+                str(tmp_path / value) if value.startswith("out") else value]
+        if command == "mc-verify":
+            argv += ["--functions", fns_path, "--mc-samples", "2000"]
+        assert main(argv) == 1
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["fns.json"]
 
     @pytest.mark.parametrize("argv", [["--help"], ["bounds", "--help"]])
     def test_help_exits_0(self, argv, capsys):
@@ -697,6 +719,12 @@ def test_repeated_key_is_input_error(tmp_path, fns_path, capsys, flag, text):
     ("--dist", {"custom": {"kind": "discrete", "mean": 0.3,
                            "quadratic": [0, 1], "support": [0, 1],
                            "pmf_table": [[0, 1]]}}),
+    ("--dist", {"custom": {"kind": "discrete", "mean": 0.5, "support": [0, 1],
+                           "pmf_table": [[0, 0.5], [0, 0.5]]}}),
+    ("--dist", {"custom": {"kind": "continuous", "mean": 0.5,
+                           "support": [0, 1],
+                           "density_table": [[0, 1], [0.5, math.nan],
+                                             [1, 1]]}}),
 ], ids=lambda v: json.dumps(v) if not isinstance(v, str) else v)
 def test_malformed_document_is_input_error(tmp_path, fns_path, capsys, flag,
                                            doc):

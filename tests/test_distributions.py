@@ -19,11 +19,9 @@ from varbounds import (ContinuousIP, DiscreteCO, EngineConfig, Quadratic,
                        spec_to_json, splitmix64_uniforms, verify_membership)
 from varbounds.bounds import _Grid
 from varbounds.calculus import rising_q
-from varbounds.distributions import (_beta_log_ii, _beta_logit_quantile,
-                                     _beta_quantiles, _expit,
-                                     _gamma_log_pq, _gamma_log_quantile,
-                                     _gamma_quantiles, _lgamma, _ndtri,
-                                     moment_criterion)
+from varbounds.distributions import (_beta_log_ii, _beta_quantiles, _expit,
+                                     _gamma_log_pq, _gamma_quantiles, _lgamma,
+                                     _ndtri, moment_criterion)
 from varbounds.errors import (InvalidParameterError, RankDeficientFitError,
                               UnknownDistributionError)
 from varbounds.expectation import Ladder, truncated_support
@@ -264,10 +262,10 @@ def sampler_draws():
         [2.0**-54, 2.0**-40, 1e-9, 0.5, 1.0 - 1e-9, 1.0 - 2.0**-53]])
 
 
-def library_inverse(u, lower, upper, split=0.5):
-    """The library quantile: ``lower(u)`` for u <= split, ``upper(1 - u)``
-    on the complement (exact there for a split of at least 1/2) above."""
-    out, low = np.empty(u.shape), u <= split
+def library_inverse(u, lower, upper):
+    """The library quantile: ``lower(u)`` for u <= 1/2, ``upper(1 - u)``
+    on the complement, exact there, above."""
+    out, low = np.empty(u.shape), u <= 0.5
     out[low], out[~low] = lower(u[low]), upper(1.0 - u[~low])
     return out
 
@@ -280,17 +278,13 @@ def assert_relative(got, want, tol):
 def own_gamma_inverse(a, u):
     """The sampler's own inverse, x at P(a, x) = u, or Q(a, x) = 1 - u
     above u = 1/2."""
-    return np.exp(_gamma_log_quantile(a, u, 1.0 - u))
+    return np.exp(_gamma_quantiles(a).inverse(u, 1.0 - u))
 
 
 def own_beta_inverse(a, b, u):
-    """The sampler's own inverse, x at I_x(a, b) = u, or with 1 - x at
-    I_(1-x)(b, a) = 1 - u above max(1/2, I_1/2(a, b)), where 1 - u is
-    exact and x > 1/2."""
-    split = max(0.5, math.exp(_beta_log_ii(a, b, np.zeros(1))[0][0]))
-    return library_inverse(
-        u, lambda p: _expit(_beta_logit_quantile(a, b, p, 1.0 - p)),
-        lambda q: _expit(-_beta_logit_quantile(b, a, q, 1.0 - q)), split)
+    """The sampler's own inverse, x at I_x(a, b) = u, or I_(1-x)(b, a) =
+    1 - u above u = 1/2."""
+    return _expit(_beta_quantiles(a, b).inverse(u, 1.0 - u))
 
 
 class TestQuantiles:
@@ -334,21 +328,18 @@ class TestQuantiles:
                                       _beta_quantiles(2.5, 2.2)(u))
 
     def test_draws_call_no_forward_function(self, monkeypatch):
-        # the forward functions run inside the inverses, and outside them
-        # only on the one point of the beta split, I_1/2(a, b)
+        # the forward functions run inside the inverse alone
         inside, outside = [], []
+        inverse = distributions._Quantiles.inverse
 
-        def entered(name):
-            inverse = getattr(distributions, name)
+        def entered(*args):
+            inside.append(True)
+            try:
+                return inverse(*args)
+            finally:
+                inside.pop()
 
-            def spy(*args, **kwargs):
-                inside.append(name)
-                try:
-                    return inverse(*args, **kwargs)
-                finally:
-                    inside.pop()
-
-            monkeypatch.setattr(distributions, name, spy)
+        monkeypatch.setattr(distributions._Quantiles, "inverse", entered)
 
         def counted(name):
             forward = getattr(distributions, name)
@@ -360,8 +351,6 @@ class TestQuantiles:
 
             monkeypatch.setattr(distributions, name, spy)
 
-        for name in ("_gamma_log_quantile", "_beta_logit_quantile"):
-            entered(name)
         for name in ("_gamma_log_pq", "_beta_log_ii"):
             counted(name)
         u = sampler_draws()
@@ -369,7 +358,7 @@ class TestQuantiles:
             _gamma_quantiles(a)(u)
         for a, b in ((0.3, 4), (2.5, 2.2)):
             _beta_quantiles(a, b)(u)
-        assert outside == [("_beta_log_ii", 1)] * 2
+        assert outside == []
 
     def test_every_cell_failing_gives_the_library_inverse(self, monkeypatch):
         # no cell passes a check to 0, so every draw takes the sampler's
@@ -403,6 +392,18 @@ class TestQuantiles:
         np.testing.assert_array_equal(x[fell],
                                       own_gamma_inverse(0.05, u[fell]))
 
+    @pytest.mark.parametrize("a,b", [(0.3, 4), (0.5, 0.5), (2, 2),
+                                     (2.5, 2.2), (3, 3), (40, 3)])
+    def test_beta_inverse_reflects(self, a, b):
+        # logit x of beta(a, b) at (p, q) is minus that of beta(b, a) at
+        # (q, p): one inverse serves both tails in y = logit x
+        p = sampler_draws()
+        q = 1.0 - p
+        y = _beta_quantiles(a, b).inverse(p, q)
+        mirror = _beta_quantiles(b, a).inverse(q, p)
+        assert np.all(np.isfinite(y))
+        assert np.all(np.abs(y + mirror) <= 2e-14 * np.maximum(1.0, np.abs(y)))
+
 
 class TestHeldTables:
     """Each gamma and beta member holds the quantile table of the last
@@ -412,14 +413,13 @@ class TestHeldTables:
         ("gamma", {"shape": 2.5, "scale": 1.5}), ("beta", {"a": 2, "b": 3})])
     def test_a_second_sample_runs_no_inverse(self, monkeypatch, member):
         calls = []
-        for name in ("_gamma_log_quantile", "_beta_logit_quantile"):
-            inverse = getattr(distributions, name)
+        inverse = distributions._Quantiles.inverse
 
-            def spy(*args, inverse=inverse, **kwargs):
-                calls.append(np.size(args[-1]))
-                return inverse(*args, **kwargs)
+        def spy(self, p, q):
+            calls.append(p.size)
+            return inverse(self, p, q)
 
-            monkeypatch.setattr(distributions, name, spy)
+        monkeypatch.setattr(distributions._Quantiles, "inverse", spy)
         distributions.clear_members()
         spec = catalog(*member)
         cfg = EngineConfig(mc_samples=20_000)
@@ -537,14 +537,14 @@ class TestBlockEdges:
         # gamma(0.05) at u = 2^-54: the quantile underflows to 0, but its
         # log x, near -748, is finite, so the table's first node is too
         tabulated = []
-        inverse = distributions._gamma_log_quantile
+        inverse = distributions._Quantiles.inverse
 
-        def spy(a, p, q):
-            y = inverse(a, p, q)
+        def spy(self, p, q):
+            y = inverse(self, p, q)
             tabulated.append((p, y))
             return y
 
-        monkeypatch.setattr(distributions, "_gamma_log_quantile", spy)
+        monkeypatch.setattr(distributions._Quantiles, "inverse", spy)
         x = _gamma_quantiles(0.05)(edge_stream(2.0**-54))
         assert x[list(EDGE_POSITIONS)].tolist() == [0.0] * 5
         p, y = tabulated[0]
@@ -684,6 +684,35 @@ class TestJsonDocuments:
                           "pmf_table": [[0, 0.7], [1, 0.3]]}}
         spec = load_distribution(doc)
         assert verify_membership(spec, cfg).passed
+
+    @pytest.mark.parametrize("kind,table,message", [
+        ("discrete", "[[0, 0.5], [0, 0.5]]", "increasing"),
+        ("discrete", "[[1, 0.5], [0, 0.5]]", "increasing"),
+        ("discrete", "[[0, 0.3], [0.7, 0.7]]", "integers"),
+        ("discrete", "[[0, 1.2], [1, -0.2]]", "nonnegative"),
+        ("discrete", "[[0, NaN], [1, 0.3]]", "finite"),
+        ("discrete", "[[0, 0.7], [Infinity, 0.3]]", "finite"),
+        ("continuous", "[[0, 1], [0.5, NaN], [1, 1]]", "finite"),
+        ("continuous", "[[0, 1], [0.5, 1], [Infinity, 1]]", "finite"),
+        ("continuous", "[[0, 1], [1, -Infinity]]", "finite"),
+        ("continuous", "[[0, 1], [0, 1]]", "increasing")])
+    def test_bad_tables_are_refused(self, kind, table, message):
+        # JSON reads NaN and Infinity; a table keeps no such entry, and a
+        # pmf table no repeated, unsorted or fractional point
+        key = "pmf_table" if kind == "discrete" else "density_table"
+        text = (f'{{"custom": {{"kind": "{kind}", "mean": 0.3, '
+                f'"support": [0, 1], "{key}": {table}}}}}')
+        with pytest.raises(InvalidParameterError, match=message):
+            load_distribution(json.loads(text))
+
+    def test_pmf_table_reads_its_points(self):
+        pmf = load_distribution({"custom": {
+            "kind": "discrete", "mean": 2.1, "support": [-1, 5],
+            "pmf_table": [[-1, 0.1], [2, 0.6], [5, 0.3]]}}).pmf
+        k = np.array([[-2, -1, 0, 2], [2.5, 5, 6, np.nan]])
+        np.testing.assert_array_equal(
+            pmf(k), [[0.0, 0.1, 0.0, 0.6], [0.0, 0.3, 0.0, 0.0]])
+        assert pmf(2).shape == () and pmf(2) == 0.6
 
     @pytest.mark.parametrize("text", [
         '{"family": "normal", "params": {"mean": 1, "mean": 2}}',

@@ -7,6 +7,7 @@ Usage (from the repository root):
     python3 tools/output_digest.py --dump DIR
     python3 tools/output_digest.py --ladders
     python3 tools/output_digest.py --identity
+    python3 tools/output_digest.py --samples --dump DIR
     python3 tools/output_digest.py --cold
     python3 tools/output_digest.py --workloads high-order --chain-order 12
     python3 tools/output_digest.py --compare DIR_A DIR_B
@@ -54,6 +55,14 @@ name, in the order first named, then the members of
 membership identity, which no workload request reaches; with ``--dump`` its
 parsed lines go to ``DIR/identity.json`` for ``--compare``.
 
+``--samples`` also prints one more line, ``samples``: a digest over the
+variates ``expectation.sample`` draws, at the default engine settings,
+from every member the chosen workloads and seeds name, in the order first
+named, then the members of ``workloads.HARD_MEMBERS`` not named yet.  It
+checks a change to a sampler, whose variates reach the ``mc-crosscheck``
+digest only through means; with ``--dump`` the variates go to
+``DIR/samples.npz``, one array per member, for ``--compare``.
+
 ``--dump DIR`` also writes, per workload, ``DIR/<workload>.json``: every
 request's outputs parsed (exit code, JSON document, CSV rows with their
 numbers read, or the refusal text), keyed by seed and request key.
@@ -63,7 +72,10 @@ differs (flags, verdicts, exit codes, names, keys, integers, text, or a
 request missing from one dump) and the largest relative move of any
 floating-point number, with its request.  That checks a change that may
 move numbers in their last digits, or that changes the bytes of a document
-but none of its values.
+but none of its values.  For two ``samples.npz`` it prints the members
+whose variates differ in number or in a value that is not finite, or that
+only one dump holds, and the largest relative move of a variate, with its
+member.
 """
 
 from __future__ import annotations
@@ -79,6 +91,9 @@ import math
 import os
 import sys
 import tempfile
+import zipfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the BLAS threads the benchmark fixes, so that sums come out the same
@@ -87,7 +102,7 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
-from varbounds import bounds, cli, distributions  # noqa: E402
+from varbounds import bounds, cli, distributions, expectation  # noqa: E402
 from varbounds.errors import ClassMembershipError  # noqa: E402
 from varbounds.expectation import Ladder  # noqa: E402
 
@@ -234,6 +249,54 @@ def identity_digest(members, dump=None, cold=False):
     return count, sha.hexdigest()
 
 
+def samples_digest(members, path=None):
+    """(number of members, SHA-256 hex digest) over the variates that
+    ``expectation.sample`` draws from each of ``members`` (inline
+    ``--dist`` forms) at the default engine settings.  With a ``path``, the
+    variates are written there as an ``.npz`` file, one member at a time,
+    an array per member."""
+    sha, count = hashlib.sha256(), 0
+    with (zipfile.ZipFile(path, "w") if path
+          else contextlib.nullcontext()) as archive:
+        for dist in members:
+            xs = expectation.sample(cli._parse_dist(dist))
+            sha.update(f"\0{dist}\0".encode() + xs.tobytes())
+            if archive is not None:
+                with archive.open(dist + ".npy", "w") as fh:
+                    np.lib.format.write_array(fh, xs)
+            count += 1
+    return count, sha.hexdigest()
+
+
+def compare_samples(path_a, path_b):
+    """Print the members whose variates differ in number or in a value
+    that is not finite, or that one dump lacks, and the largest relative
+    move of a variate, with its member."""
+    with np.load(path_a) as a, np.load(path_b) as b:
+        keys = sorted(set(a.files) | set(b.files))
+        changed, move, where = [], 0.0, "-"
+        for key in keys:
+            if key not in a.files or key not in b.files:
+                changed.append(key)
+                continue
+            x, y = a[key], b[key]
+            if x.shape == y.shape:
+                moved = (x != y) & ~(np.isnan(x) & np.isnan(y))
+                x, y = x[moved], y[moved]
+            if x.shape != y.shape or not np.all(np.isfinite(x)
+                                                & np.isfinite(y)):
+                changed.append(key)
+            elif x.size:
+                m = float(np.max(np.abs(x - y)
+                                 / np.maximum(np.abs(x), np.abs(y))))
+                if m > move:
+                    move, where = m, key
+    print(f"samples  {len(keys)} members  {len(changed)} with non-numeric "
+          f"changes  largest relative move {move:.3e} at {where}", flush=True)
+    for key in changed:
+        print(f"  changed: {key}")
+
+
 def _difference(a, b):
     """(whether a non-numeric part differs, largest relative move of a
     float) between two parsed outputs."""
@@ -285,6 +348,10 @@ def compare(dir_a, dir_b):
               f"largest relative move {move:.3e} at {where}", flush=True)
         for key in changed:
             print(f"  changed: {key}")
+    if all(os.path.exists(os.path.join(d, "samples.npz"))
+           for d in (dir_a, dir_b)):
+        compare_samples(os.path.join(dir_a, "samples.npz"),
+                        os.path.join(dir_b, "samples.npz"))
 
 
 # the seeds digested when none are given
@@ -320,6 +387,9 @@ def main(argv=None):
     parser.add_argument("--identity", action="store_true",
                         help="also digest infer-q and verify on every member "
                              "the workloads name, and the hard members")
+    parser.add_argument("--samples", action="store_true",
+                        help="also digest the variates sampled from every "
+                             "member the workloads name, and the hard members")
     args = parser.parse_args(argv)
     if args.compare:
         compare(*args.compare)
@@ -350,6 +420,11 @@ def main(argv=None):
         count, hexdigest = identity_digest(members, dump, args.cold)
         print(f"identity  {count} requests  {hexdigest}", flush=True)
         _write_dump(args.dump, "identity", dump)
+    if args.samples:
+        members.update(dict.fromkeys(workloads.HARD_MEMBERS))
+        count, hexdigest = samples_digest(
+            members, args.dump and os.path.join(args.dump, "samples.npz"))
+        print(f"samples  {count} members  {hexdigest}", flush=True)
 
 
 if __name__ == "__main__":
